@@ -4,7 +4,9 @@ recorded on a define-by-run tape and differentiated in reverse.
 Tensors wrap a numpy array (float32 by default, float64 for verification
 work).  While a :class:`Tape` is active, every operation whose inputs
 require gradients appends a node; ``Tape.backward`` replays the node list
-in reverse, which is a valid topological order by construction.
+in reverse, which is a valid topological order by construction.  Recorded
+tensors refer to their tape only weakly, so a pass's whole graph is freed
+as soon as its last reference goes, without the cycle collector.
 
 Matrix products have two kernels.  The default delegates to BLAS.  The
 "exact" kernel accumulates over the contraction index sequentially, in
@@ -16,6 +18,7 @@ against brute-force oracles.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -45,7 +48,7 @@ class Tensor:
 
     ``data`` is always a C-contiguous-compatible ndarray; ``grad`` is either
     None or an ndarray of the same shape.  A tensor created by a recorded
-    operation remembers the tape that produced it.
+    operation holds a weak reference to the tape that produced it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_tape", "name")
@@ -64,7 +67,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._tape: "Tape | None" = None
+        self._tape: "weakref.ref[Tape] | None" = None
         self.name = name
 
     # -- introspection -------------------------------------------------
@@ -107,9 +110,10 @@ class Tensor:
 
     def backward(self) -> None:
         """Propagate d(self)=1 through the tape that recorded this tensor."""
-        if self._tape is None:
-            raise TapeError("tensor is not attached to a tape (detached loss)")
-        self._tape.backward(self)
+        tape = None if self._tape is None else self._tape()
+        if tape is None:
+            raise TapeError("tensor is not attached to a live tape (detached loss)")
+        tape.backward(self)
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -139,37 +143,25 @@ class Tensor:
         return reshape(self, shape)
 
 
-class _Node:
-    """One recorded operation: its outputs plus the gradient rule.
-
-    ``backward`` receives one upstream gradient per output (None when an
-    output never reached the loss) and returns (input, contribution)
-    pairs.
-    """
-
-    __slots__ = ("outs", "backward")
-
-    def __init__(
-        self,
-        outs: tuple[Tensor, ...],
-        backward: Callable[[tuple["np.ndarray | None", ...]], list[tuple[Tensor, np.ndarray]]],
-    ):
-        self.outs = outs
-        self.backward = backward
+Backward = Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]]
 
 
 class Tape:
     """Ordered record of differentiable operations for one forward pass.
 
-    Execution order is a topological order, so reverse iteration visits
-    every consumer of a tensor before its producer.  Gradients propagate
-    through per-call scratch buffers and are then added into each
-    requiring tensor's persistent ``grad``, so calling backward twice
-    accumulates additively.
+    Each node is an output tensor plus its gradient rule, which maps the
+    upstream gradient to (input, contribution) pairs.  Execution order is
+    a topological order, so reverse iteration visits every consumer of a
+    tensor before its producer.  Gradients propagate through per-call
+    scratch buffers and are then added into each requiring tensor's
+    persistent ``grad``, so calling backward twice accumulates additively.
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple[Tensor, Backward]] = []
+        # The one back-reference recorded tensors hold; being weak, it
+        # leaves no tape <-> tensor cycle for the collector to find.
+        self._ref = weakref.ref(self)
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -185,21 +177,15 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _record(self, out: Tensor, backward) -> None:
+    def _record(self, out: Tensor, backward: Backward) -> None:
         out.requires_grad = True
-        out._tape = self
-        self._nodes.append(_Node((out,), lambda gs: backward(gs[0])))
-
-    def _record_multi(self, outs: Sequence[Tensor], backward) -> None:
-        for out in outs:
-            out.requires_grad = True
-            out._tape = self
-        self._nodes.append(_Node(tuple(outs), backward))
+        out._tape = self._ref
+        self._nodes.append((out, backward))
 
     def backward(self, loss: Tensor) -> None:
         if loss.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if loss._tape is not self:
+        if loss._tape is not self._ref:
             raise TapeError("loss was not recorded on this tape")
 
         # Scratch gradients keyed by tensor identity.  Scratch buffers are
@@ -214,20 +200,13 @@ class Tape:
             if tensor.requires_grad:
                 tensor.grad = g if tensor.grad is None else tensor.grad + g
 
-        for node in reversed(self._nodes):
-            upstream = []
-            any_grad = False
-            for out in node.outs:
-                g = grads.pop(id(out), None)
-                owned.pop(id(out), None)
-                upstream.append(g)
-                if g is not None:
-                    any_grad = True
-                    _flush(out, g)
-                    holders.pop(id(out), None)
-            if not any_grad:
+        for out, backward in reversed(self._nodes):
+            g = grads.pop(id(out), None)
+            if g is None:
                 continue
-            for tensor, contrib in node.backward(tuple(upstream)):
+            del owned[id(out)], holders[id(out)]
+            _flush(out, g)
+            for tensor, contrib in backward(g):
                 tkey = id(tensor)
                 if tkey in grads:
                     if owned[tkey]:
@@ -516,84 +495,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return out
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Slice ``length`` entries starting at ``start`` along ``axis``."""
-    axis = axis % a.ndim
-    if start < 0 or start + length > a.shape[axis]:
-        raise DimensionError(
-            f"narrow [{start}:{start + length}) exceeds axis {axis} of shape {a.shape}"
-        )
-    index = tuple(
-        slice(start, start + length) if i == axis else slice(None) for i in range(a.ndim)
-    )
-    out = Tensor(a.data[index])
-    tape = _tape_for(a)
-    if tape is not None:
-
-        def backward(g: np.ndarray):
-            full = np.zeros_like(a.data)
-            full[index] = g
-            return [(a, full)]
-
-        tape._record(out, backward)
-    return out
-
-
-def split(a: Tensor, axis: int, sizes: Sequence[int]) -> list[Tensor]:
-    """Partition ``a`` along ``axis`` into consecutive blocks of ``sizes``.
-
-    One recorded node for all outputs, so the backward pass rebuilds the
-    input gradient with a single concatenate instead of zero-padding each
-    piece.
-    """
-    axis = axis % a.ndim
-    if sum(sizes) != a.shape[axis]:
-        raise DimensionError(f"split sizes {list(sizes)} != axis {axis} of shape {a.shape}")
-    outs = []
-    start = 0
-    bounds = []
-    for size in sizes:
-        index = tuple(
-            slice(start, start + size) if i == axis else slice(None) for i in range(a.ndim)
-        )
-        outs.append(Tensor(a.data[index]))
-        bounds.append((start, size))
-        start += size
-    tape = _tape_for(a)
-    if tape is not None:
-
-        def backward(gs):
-            parts = []
-            for g, (off, size), out in zip(gs, bounds, outs):
-                parts.append(g if g is not None else np.zeros_like(out.data))
-            return [(a, np.concatenate(parts, axis=axis))]
-
-        tape._record_multi(outs, backward)
-    return outs
-
-
-def unstack(a: Tensor, axis: int) -> list[Tensor]:
-    """Split ``a`` into its slices along ``axis``, dropping that axis.
-
-    Like :func:`split` with unit sizes, but each output loses the axis;
-    a single node serves every slice.
-    """
-    axis = axis % a.ndim
-    moved = np.moveaxis(a.data, axis, 0)
-    outs = [Tensor(moved[i]) for i in range(a.shape[axis])]
-    tape = _tape_for(a)
-    if tape is not None:
-
-        def backward(gs):
-            parts = [
-                g if g is not None else np.zeros_like(outs[i].data) for i, g in enumerate(gs)
-            ]
-            return [(a, np.moveaxis(np.stack(parts, axis=0), 0, axis))]
-
-        tape._record_multi(outs, backward)
-    return outs
-
-
 def mean(a: Tensor) -> Tensor:
     """Mean over all elements; returns a scalar tensor."""
     out = Tensor(np.asarray(a.data.mean(), dtype=a.data.dtype))
@@ -603,6 +504,142 @@ def mean(a: Tensor) -> Tensor:
 
         def backward(g: np.ndarray):
             return [(a, np.full(a.shape, g * inv, dtype=a.data.dtype))]
+
+        tape._record(out, backward)
+    return out
+
+
+# ---------------------------------------------------------------------
+# fused stacked LSTM
+# ---------------------------------------------------------------------
+
+def _sigmoid_inplace(z: np.ndarray) -> None:
+    # Same arithmetic as sigmoid(): 1 / (1 + exp(-z)).
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1
+    np.reciprocal(z, out=z)
+
+
+def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence[Tensor]) -> Tensor:
+    """Stacked LSTM over a (B, F, T) batch; returns the top layer's last
+    hidden state, shape (B, H).
+
+    Layer ``l`` has input weights ``w_x[l]`` (in, 4H), recurrent weights
+    ``w_h[l]`` (H, 4H) and ``bias[l]`` (4H,), with the gates laid out as
+    [input, forget, cell, output].  Every layer starts from zero hidden and
+    cell states; upper layers consume the hidden sequence of the layer
+    below.
+
+    The whole stack is one tape node.  Per layer, the forward pass does
+    one input GEMM over all T·B rows and runs the recurrence in place over
+    time-major gate (T, B, 4, H) and cell / tanh(cell) / hidden (T, B, H)
+    buffers.  The backward pass is hand-written BPTT: only the recurrent
+    product stays per step, while the input, weight and bias gradients are
+    each one GEMM or sum over all T·B rows.
+    """
+    layers = len(w_x)
+    if layers < 1 or len(w_h) != layers or len(bias) != layers:
+        raise ContractError(
+            f"lstm needs equal, non-empty weight lists, got {len(w_x)}/{len(w_h)}/{len(bias)}"
+        )
+    if x.ndim != 3 or x.shape[2] < 1:
+        raise DimensionError(f"lstm expects a (batch, features, T >= 1) input, got {x.shape}")
+    batch, width, steps = x.shape
+    hidden = w_h[0].shape[0]
+    for layer in range(layers):
+        fan_in = width if layer == 0 else hidden
+        shapes = (w_x[layer].shape, w_h[layer].shape, bias[layer].shape)
+        if shapes != ((fan_in, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,)):
+            raise DimensionError(f"lstm layer {layer}: weight shapes {shapes} for input width {fan_in}")
+    _check_dtypes(x, *w_x, *w_h, *bias)
+    dtype = x.data.dtype
+    tape = _tape_for(x, *w_x, *w_h, *bias)
+
+    seq = np.ascontiguousarray(x.data.transpose(2, 0, 1)).reshape(steps * batch, width)
+    saved = []
+    with np.errstate(over="ignore"):
+        for layer in range(layers):
+            gates = _matmul_data(seq, w_x[layer].data)
+            gates += bias[layer].data
+            gates = gates.reshape(steps, batch, 4, hidden)
+            cell = np.empty((steps, batch, hidden), dtype)
+            tanh_cell = np.empty_like(cell)
+            hid = np.empty_like(cell)
+            for t in range(steps):
+                z = gates[t]
+                if t:
+                    z += _matmul_data(hid[t - 1], w_h[layer].data).reshape(batch, 4, hidden)
+                np.tanh(z[:, 2], out=tanh_cell[t])  # scratch until tanh(cell) lands
+                _sigmoid_inplace(z)
+                z[:, 2] = tanh_cell[t]
+                np.multiply(z[:, 0], z[:, 2], out=cell[t])
+                if t:
+                    cell[t] += z[:, 1] * cell[t - 1]
+                np.tanh(cell[t], out=tanh_cell[t])
+                np.multiply(z[:, 3], tanh_cell[t], out=hid[t])
+            if tape is not None:
+                saved.append((seq, gates, cell, tanh_cell, hid))
+            seq = hid.reshape(steps * batch, hidden)
+    out = Tensor(hid[-1])
+    if tape is not None:
+
+        def backward(g_out: np.ndarray):
+            contribs = []
+            d_hid = None  # (T, B, H) gradient arriving from the layer above
+            for layer in reversed(range(layers)):
+                seq, gates, cell, tanh_cell, hid = saved[layer]
+                dz = np.empty_like(gates)  # gate pre-activation gradients
+                deriv = np.empty((batch, 4, hidden), dtype)
+                dc_dh = np.empty((batch, hidden), dtype)
+                w_h_t = w_h[layer].data.T
+                for t in range(steps - 1, -1, -1):
+                    if t == steps - 1:
+                        dh = g_out if d_hid is None else d_hid[t]
+                    else:
+                        dh = rec if d_hid is None else d_hid[t] + rec
+                    act = gates[t]
+                    # d(gate)/d(pre-activation): s(1 - s) for the sigmoids and
+                    # 1 - g^2 for the cell candidate, each times the factor that
+                    # gate multiplies: g, c[t-1], i and tanh(c[t]).
+                    np.subtract(1, act, out=deriv)
+                    deriv *= act
+                    np.multiply(act[:, 2], act[:, 2], out=deriv[:, 2])
+                    np.subtract(1, deriv[:, 2], out=deriv[:, 2])
+                    deriv[:, 0] *= act[:, 2]
+                    if t:
+                        deriv[:, 1] *= cell[t - 1]
+                    else:
+                        deriv[:, 1] = 0
+                    deriv[:, 2] *= act[:, 0]
+                    deriv[:, 3] *= tanh_cell[t]
+                    np.multiply(dh, deriv[:, 3], out=dz[t, :, 3])
+                    # dc[t] = dh * o * (1 - tanh(c)^2) + dc[t+1] * f[t+1]
+                    np.multiply(tanh_cell[t], tanh_cell[t], out=dc_dh)
+                    np.subtract(1, dc_dh, out=dc_dh)
+                    dc_dh *= act[:, 3]
+                    dc = dh * dc_dh
+                    if t < steps - 1:
+                        dc += carry
+                    np.multiply(deriv[:, :3], dc[:, None, :], out=dz[t, :, :3])
+                    if t:
+                        carry = dc * act[:, 1]
+                        rec = _matmul_data(dz[t].reshape(batch, 4 * hidden), w_h_t)
+
+                dz = dz.reshape(steps * batch, 4 * hidden)
+                if w_x[layer].requires_grad:
+                    contribs.append((w_x[layer], _matmul_data(seq.T, dz)))
+                if w_h[layer].requires_grad and steps > 1:  # unused when T == 1
+                    prev = hid[:-1].reshape((steps - 1) * batch, hidden)
+                    contribs.append((w_h[layer], _matmul_data(prev.T, dz[batch:])))
+                if bias[layer].requires_grad:
+                    contribs.append((bias[layer], dz.sum(axis=0)))
+                if layer:
+                    d_hid = _matmul_data(dz, w_x[layer].data.T).reshape(steps, batch, hidden)
+                elif x.requires_grad:
+                    dx = _matmul_data(dz, w_x[0].data.T).reshape(steps, batch, width)
+                    contribs.append((x, dx.transpose(1, 2, 0)))
+            return contribs
 
         tape._record(out, backward)
     return out

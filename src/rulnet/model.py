@@ -134,39 +134,7 @@ class LstmStack:
             raise DimensionError(
                 f"lstm expects (batch, {self.input_size}, T), got {x.shape}"
             )
-        batch = x.shape[0]
-        steps = x.shape[2]
-        h = self.hidden_size
-        # (B, T, in) sequence view for the batched input projection.
-        seq = ad.transpose(x)
-        h_t: Tensor | None = None
-        for layer in range(self.num_layers):
-            w_x, w_h, bias = self.w_x[layer], self.w_h[layer], self.bias[layer]
-            # Project every time step at once; the recurrent term stays
-            # sequential by nature.
-            projected = ad.unstack(seq @ w_x + bias, axis=1)
-            h_t = None
-            c_t: Tensor | None = None
-            outputs = []
-            for z in projected:
-                if h_t is not None:
-                    z = z + h_t @ w_h
-                i_gate, f_gate, g_cell, o_gate = ad.split(z, 1, (h, h, h, h))
-                i_gate = ad.sigmoid(i_gate)
-                g_cell = ad.tanh(g_cell)
-                c_t = (
-                    i_gate * g_cell
-                    if c_t is None
-                    else ad.sigmoid(f_gate) * c_t + i_gate * g_cell
-                )
-                h_t = ad.sigmoid(o_gate) * ad.tanh(c_t)
-                outputs.append(h_t)
-            if layer + 1 < self.num_layers:
-                seq = ad.concat(
-                    [ad.reshape(out, (batch, 1, h)) for out in outputs], axis=1
-                )
-        assert h_t is not None
-        return h_t
+        return ad.lstm(x, self.w_x, self.w_h, self.bias)
 
     def parameters(self) -> Iterator[tuple[str, Tensor]]:
         for layer in range(self.num_layers):

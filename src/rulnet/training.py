@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .data import WindowedSample, windows_to_arrays
-from .errors import ContractError
+from .errors import ContractError, NumericInputError
 from .model import RulModel
 from .seeding import generator
 
@@ -146,6 +146,8 @@ def fit(model: RulModel, samples: Sequence[WindowedSample], config: TrainConfig)
 
     The unit split, batch shuffling, and dropout masks each draw from a
     named stream of ``config.seed``, so identical configs replay exactly.
+    A non-finite batch loss raises NumericInputError naming the epoch and
+    1-based batch, before it can reach the weights.
     """
     if not samples:
         raise ContractError("empty training set")
@@ -174,19 +176,24 @@ def fit(model: RulModel, samples: Sequence[WindowedSample], config: TrainConfig)
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(len(x_train))
         total_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
+        for batch, start in enumerate(range(0, len(order), config.batch_size), start=1):
             idx = order[start : start + config.batch_size]
             xb = Tensor(x_train[idx].astype(model.dtype, copy=False))
             yb = Tensor(y_train[idx].astype(model.dtype, copy=False))
             with Tape() as tape:
                 pred = model.forward(xb, training=True, dropout_rng=dropout_rng)
                 loss = mse_loss(pred, yb)
+            loss_value = loss.item()
+            if not math.isfinite(loss_value):
+                raise NumericInputError(
+                    f"training loss is {loss_value} at epoch {epoch}, batch {batch}"
+                )
             tape.backward(loss)
             if config.grad_clip is not None:
                 _clip_gradients(params, config.grad_clip)
             adam_step(params, state, config.learning_rate)
             model.zero_grad()
-            total_loss += loss.item() * len(idx)
+            total_loss += loss_value * len(idx)
 
         val_rmse = _validation_rmse(model, x_val, y_val)
         log.append(EpochRecord(epoch, total_loss / len(x_train), val_rmse))

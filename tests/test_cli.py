@@ -133,6 +133,22 @@ class TestTrain:
         assert not any(n.startswith(("fa.", "sa.")) for n in names)
         assert bundle.model.mode == "L"
 
+    def test_non_finite_training_loss_is_runtime_error(self, workspace, tmp_path, capsys):
+        rows = Path(workspace["raw"]["train_path"]).read_text().splitlines()
+        fields = rows[5].split()
+        fields[9] = "nan"  # one sensor reading
+        rows[5] = " ".join(fields)
+        train_path = tmp_path / "train_nan.txt"
+        train_path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--config", str(workspace["config"]), "--out", str(out), "--seed", "3",
+             "--mode", "L", "--train-path", str(train_path)] + FAST_FLAGS
+        )
+        assert code == 3
+        assert "epoch 1, batch 1" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+
     def test_seed_replay_identical_log(self, workspace, trained):
         rerun = workspace["root"] / "trained_replay"
         import shutil

@@ -12,9 +12,11 @@ from rulnet import (
     LstmStack,
     MultiHeadAttention,
     RulModel,
+    Tape,
     Tensor,
 )
 from rulnet import autodiff as ad
+from rulnet.autodiff import exact_arithmetic, gradcheck
 from rulnet.model import scaled_dot_product_attention
 
 
@@ -154,6 +156,108 @@ def lstm_scalar_oracle(stack, x):
             outs.append(h.copy())
         inputs = outs
     return h
+
+
+def per_step_lstm(x, w_x, w_h, bias):
+    """Per-step tape reference: one node per gate operation and time step.
+
+    Time slices and gate blocks are taken by multiplying with one-hot
+    selector matrices, so only matmul and elementwise ops are recorded.
+    """
+    batch, width, steps = x.shape
+    hidden = w_h[0].shape[0]
+    eye_t = np.eye(steps, dtype=x.dtype)
+    eye_g = np.eye(4 * hidden, dtype=x.dtype)
+    gate_pick = [Tensor(eye_g[:, k * hidden : (k + 1) * hidden]) for k in range(4)]
+    inputs = [ad.reshape(x @ Tensor(eye_t[:, t : t + 1]), (batch, width)) for t in range(steps)]
+    for layer in range(len(w_x)):
+        h = c = None
+        outputs = []
+        for x_t in inputs:
+            z = x_t @ w_x[layer] + bias[layer]
+            if h is not None:
+                z = z + h @ w_h[layer]
+            i_g, f_g, g_c, o_g = (z @ pick for pick in gate_pick)
+            i_g, g_c = ad.sigmoid(i_g), ad.tanh(g_c)
+            c = i_g * g_c if c is None else ad.sigmoid(f_g) * c + i_g * g_c
+            h = ad.sigmoid(o_g) * ad.tanh(c)
+            outputs.append(h)
+        inputs = outputs
+    return h
+
+
+def lstm_loss_and_grads(run, params, readout):
+    """Output and parameter gradients of mean(run() * readout)."""
+    for p in params:
+        p.zero_grad()
+    with Tape() as tape:
+        out = run()
+        loss = ad.mean(ad.mul(out, readout))
+    tape.backward(loss)
+    return out.data, [None if p.grad is None else p.grad.copy() for p in params]
+
+
+class TestFusedLstm:
+    @staticmethod
+    def _setup(batch, steps, layers, seed, width=5, hidden=3):
+        # Input width differs from hidden width, so layer 0's w_x is not square.
+        rng = np.random.default_rng(seed)
+        stack = LstmStack(width, hidden, layers, rng, dtype=np.float64)
+        x = Tensor(rng.standard_normal((batch, width, steps)), requires_grad=True, dtype=np.float64)
+        readout = Tensor(rng.standard_normal((batch, hidden)), dtype=np.float64)
+        return stack, x, readout, [x] + [p for _, p in stack.parameters()]
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_matches_per_step_reference(self, batch, steps, layers):
+        stack, x, readout, params = self._setup(batch, steps, layers, seed=100 * batch + 10 * steps + layers)
+        fused, fused_grads = lstm_loss_and_grads(lambda: stack(x), params, readout)
+        ref, ref_grads = lstm_loss_and_grads(
+            lambda: per_step_lstm(x, stack.w_x, stack.w_h, stack.bias), params, readout
+        )
+        np.testing.assert_allclose(fused, ref, rtol=1e-13, atol=1e-15)
+        for b in range(batch):
+            np.testing.assert_allclose(fused[b], lstm_scalar_oracle(stack, x.data[b]), atol=1e-12)
+        for got, want in zip(fused_grads, ref_grads):
+            if want is None:  # w_h never acts when T == 1
+                assert got is None
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_gradcheck(self):
+        stack, x, readout, params = self._setup(batch=2, steps=4, layers=3, seed=21)
+        gradcheck(lambda: ad.mean(ad.mul(stack(x), readout)), params)
+
+    def test_exact_arithmetic_agrees_with_oracle(self):
+        stack, x, readout, params = self._setup(batch=3, steps=4, layers=2, seed=22)
+        fast, fast_grads = lstm_loss_and_grads(lambda: stack(x), params, readout)
+        with exact_arithmetic():
+            exact, exact_grads = lstm_loss_and_grads(lambda: stack(x), params, readout)
+        for b in range(3):
+            np.testing.assert_allclose(exact[b], lstm_scalar_oracle(stack, x.data[b]), atol=1e-13)
+        np.testing.assert_allclose(exact, fast, rtol=1e-13, atol=1e-15)
+        for got, want in zip(exact_grads, fast_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_records_one_node_and_nothing_without_a_tape(self):
+        stack, x, _, _ = self._setup(batch=2, steps=3, layers=3, seed=23)
+        out = stack(x)
+        assert out._tape is None and not out.requires_grad
+        with Tape() as tape:
+            out = stack(x)
+        assert len(tape) == 1 and out.requires_grad
+        frozen = [Tensor(p.data) for p in (*stack.w_x, *stack.w_h, *stack.bias)]
+        with Tape() as tape:
+            ad.lstm(Tensor(x.data), frozen[:3], frozen[3:6], frozen[6:])
+        assert len(tape) == 0
+
+    def test_weight_shape_mismatch_rejected(self):
+        stack, x, _, _ = self._setup(batch=2, steps=3, layers=2, seed=24)
+        with pytest.raises(DimensionError):
+            ad.lstm(x, stack.w_x[::-1], stack.w_h, stack.bias)
+        with pytest.raises(ContractError):
+            ad.lstm(x, stack.w_x, stack.w_h[:1], stack.bias)
 
 
 class TestLstm:

@@ -1,11 +1,22 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import build_tiny_model
-from rulnet import CheckpointError, ConfigurationError, ContractError, Tape, Tensor
+from rulnet import (
+    CheckpointError,
+    ConfigurationError,
+    ContractError,
+    NumericInputError,
+    Tape,
+    Tensor,
+)
 from rulnet import autodiff as ad
 from rulnet.checkpoint import load_bundle, save_bundle
 from rulnet.data import ConditionModel, WindowedSample
+from rulnet.seeding import generator
 from rulnet.training import AdamState, TrainConfig, adam_step, fit, mse_loss, split_units
 
 
@@ -209,6 +220,46 @@ class TestFit:
         best_logged = min(r.val_rmse for r in result.log)
         assert abs(restored_rmse - best_logged) < 1e-4
         assert result.best_val_rmse == best_logged
+
+    def test_non_finite_loss_stops_before_the_update(self):
+        # Mode L has no softmax, so only fit's own check can catch the NaN.
+        samples = tiny_samples()
+        config = tiny_fit_config()
+        units = np.array([s.unit_id for s in samples])
+        train_units, _ = split_units(units, config.validation_fraction, config.seed)
+        train_rows = np.flatnonzero(np.isin(units, train_units))
+        order = generator(config.seed, "shuffle").permutation(len(train_rows))
+        last_batch = (len(order) - 1) // config.batch_size
+        samples[train_rows[order[last_batch * config.batch_size]]].matrix[1, 2] = np.nan
+        model, _ = build_tiny_model(seed=7, mode="L", dtype=np.float32)
+        with pytest.raises(NumericInputError, match=f"epoch 1, batch {last_batch + 1}$"):
+            fit(model, samples, config)
+        assert last_batch > 0
+        assert all(np.isfinite(a).all() for _, a in model.state_arrays())
+
+    def test_step_graph_freed_without_collector(self):
+        model, rng = build_tiny_model(dtype=np.float32, dropout=0.5)
+        params = [p for _, p in model.parameters()]
+        state = AdamState(params)
+
+        def step():
+            xb = Tensor(rng.standard_normal((3, 4, 6)).astype(np.float32))
+            yb = Tensor(rng.standard_normal(3).astype(np.float32))
+            with Tape() as tape:
+                loss = mse_loss(model.forward(xb, training=True, dropout_rng=rng), yb)
+            tape.backward(loss)
+            adam_step(params, state, 0.01)
+            model.zero_grad()
+            return weakref.ref(tape)
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape_ref = step()
+            assert tape_ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_unit_level_leakage_guard(self):
         model, _ = build_tiny_model(seed=5, dtype=np.float32)
