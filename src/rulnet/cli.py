@@ -301,6 +301,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cycle_range(text: str, length: int) -> range:
+    """The cycles of an explain ``--cycles first:last`` argument, which
+    must satisfy 1 <= first <= last <= length."""
+    first, _, last = text.partition(":")
+    try:
+        lo, hi = int(first), int(last)
+    except ValueError:
+        raise ConfigurationError(f'--cycles must be "all" or "first:last", got {text!r}') from None
+    if not 1 <= lo <= hi <= length:
+        raise ConfigurationError(
+            f"--cycles {text} must satisfy 1 <= first <= last <= {length}, the unit's cycle count"
+        )
+    return range(lo, hi + 1)
+
+
 def cmd_explain(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.checkpoint)
     cfg_like = dict(bundle.config)
@@ -314,11 +329,15 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     cycles = None
     if args.cycles and args.cycles != "all":
-        first, _, last = args.cycles.partition(":")
-        cycles = range(int(first), int(last) + 1)
+        cycles = _cycle_range(args.cycles, len(traj))
     matrix_cycles = None
     if args.matrix_cycles:
-        matrix_cycles = [int(c) for c in args.matrix_cycles.split(",")]
+        try:
+            matrix_cycles = [int(c) for c in args.matrix_cycles.split(",")]
+        except ValueError:
+            raise ConfigurationError(
+                f"--matrix-cycles must be comma-separated cycles, got {args.matrix_cycles!r}"
+            ) from None
 
     export = export_attention(bundle, traj, cycles=cycles, matrix_cycles=matrix_cycles)
     out_dir = Path(args.out or cfg_like.get("out_dir", "runs"))

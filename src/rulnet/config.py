@@ -132,17 +132,12 @@ class ExperimentConfig:
 
     # -- conversions --------------------------------------------------------
     def train_config(self, seed: int) -> TrainConfig:
-        fh, sh = self.effective_heads()
         return TrainConfig(
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
             early_stop_patience=self.early_stop_patience,
             max_epochs=self.max_epochs,
             validation_fraction=self.validation_fraction,
-            r_max=self.r_max,
-            window=self.window,
-            feature_heads=fh,
-            sequence_heads=sh,
             seed=seed,
         )
 

@@ -8,6 +8,8 @@ carry one non-negative integer per line, ordered like the test units.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
@@ -65,45 +67,81 @@ def _open(source: str | Path | TextIO) -> tuple[TextIO, bool]:
 def parse_cmapss(source: str | Path | TextIO) -> list[RawTrajectory]:
     """Parse a C-MAPSS-format stream into per-unit trajectories.
 
-    Units appear in first-occurrence order.  Each unit's cycles must run
-    1, 2, 3, ... with no gaps; anything else is an IntegrityError.
+    Every reading must be a finite number; ``nan``, ``inf`` and comment
+    lines are ParseErrors naming the line.  Units appear in
+    first-occurrence order.  Each unit's cycles must run 1, 2, 3, ...
+    with no gaps; anything else is an IntegrityError.
     """
-    stream, owns = _open(source)
-    rows_by_unit: dict[int, list[np.ndarray]] = {}
+    # From a path, loadtxt reads the file in chunks; the lines are read
+    # into memory only to name a bad one.
+    lines = None if isinstance(source, (str, Path)) else source.readlines()
     try:
-        for line_no, line in enumerate(stream, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != N_COLUMNS:
-                raise ParseError(
-                    f"expected {N_COLUMNS} columns, found {len(parts)}", line=line_no
-                )
-            try:
-                values = np.array([float(p) for p in parts], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"non-numeric field: {exc}", line=line_no) from None
-            unit = int(values[0])
-            if unit <= 0 or values[0] != unit:
-                raise ParseError(f"unit id must be a positive integer, got {parts[0]}", line=line_no)
-            rows_by_unit.setdefault(unit, []).append(values)
-    finally:
-        if owns:
-            stream.close()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(
+                source if lines is None else lines,
+                dtype=np.float64, ndmin=2, comments=None, encoding="utf-8",
+            )
+    except ValueError as exc:  # includes UnicodeDecodeError
+        raise _line_error(source, lines, str(exc)) from None
+    if table.size == 0:
+        return []
+    units = table[:, 0]
+    if (
+        table.shape[1] != N_COLUMNS
+        or not np.isfinite(table).all()
+        or not np.all((units >= 1) & (units == np.trunc(units)))
+    ):
+        raise _line_error(source, lines, "malformed rows")
 
+    _, first, inverse = np.unique(units, return_index=True, return_inverse=True)
+    # Row indices grouped by unit, each group in file order.  Each unit
+    # gets its own copy of its rows, so no trajectory pins the whole table.
+    rows = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
     trajectories = []
-    for unit, rows in rows_by_unit.items():
-        table = np.vstack(rows)
-        cycles = table[:, 1]
-        expected = np.arange(1, len(rows) + 1, dtype=np.float64)
-        if not np.array_equal(cycles, expected):
+    for k in np.argsort(first):
+        block = table[rows[k]]
+        unit = int(units[first[k]])
+        expected = np.arange(1, len(block) + 1, dtype=np.float64)
+        if not np.array_equal(block[:, 1], expected):
             raise IntegrityError(
                 f"unit {unit}: cycles must increase by 1 starting at 1"
             )
         trajectories.append(
-            RawTrajectory(unit_id=unit, settings=table[:, 2:5], sensors=table[:, 5:26])
+            RawTrajectory(unit_id=unit, settings=block[:, 2:5], sensors=block[:, 5:26])
         )
     return trajectories
+
+
+def _line_error(
+    source: str | Path | TextIO, lines: list[str] | None, fallback: str
+) -> ParseError:
+    """The ParseError for the first line that breaks a row rule, found by
+    scanning the input that the bulk parse rejected (``lines``, or the
+    file at ``source`` when None).  When every line passes on its own,
+    the error carries ``fallback`` and no line."""
+    if lines is None:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            return ParseError(f"not UTF-8 text: {exc}")
+    for line_no, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != N_COLUMNS:
+            return ParseError(f"expected {N_COLUMNS} columns, found {len(parts)}", line=line_no)
+        try:
+            values = [float(p) for p in parts]
+        except ValueError as exc:
+            return ParseError(f"non-numeric field: {exc}", line=line_no)
+        for col, (text, value) in enumerate(zip(parts, values), start=1):
+            if not math.isfinite(value):
+                return ParseError(f"non-finite reading {text!r} in column {col}", line=line_no)
+        if values[0] < 1 or values[0] != int(values[0]):
+            return ParseError(f"unit id must be a positive integer, got {parts[0]}", line=line_no)
+    return ParseError(fallback)
 
 
 def write_cmapss(trajectories: Sequence[RawTrajectory], path: str | Path) -> None:
@@ -190,22 +228,45 @@ class ConditionModel:
 
     @classmethod
     def load_text(cls, path: str | Path) -> "ConditionModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-        if not lines or lines[0] != "conditionmodel v1":
-            raise ParseError(f"{path}: not a conditionmodel v1 file")
-        k = int(lines[1].split()[1])
-        centroids = np.array(
-            [[float(v) for v in lines[3 + j].split()] for j in range(k)]
-        )
-        means = np.zeros((k, N_CHANNELS))
-        stds = np.zeros((k, N_CHANNELS))
-        for ln in lines[4 + k :]:
-            if not ln:
-                continue
-            j, i, mu, sigma = ln.split()
-            means[int(j), int(i)] = float(mu)
-            stds[int(j), int(i)] = float(sigma)
+        """Read a conditionmodel v1 file.  A malformed or truncated file,
+        including one whose last line lacks its newline, or a missing,
+        repeated or non-finite statistic, is a ParseError naming the path."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+            lines = text.split("\n")
+            if lines[0] != "conditionmodel v1":
+                raise ParseError(f"{path}: not a conditionmodel v1 file")
+            if not text.endswith("\n"):
+                raise ParseError(f"{path}: truncated: the last line has no newline")
+            tag, k = lines[1].split()
+            k = int(k)
+            if tag != "k" or k < 1 or lines[2] != "centroids":
+                raise ValueError("bad k or centroids line")
+            centroids = np.array(
+                [[float(v) for v in lines[3 + j].split()] for j in range(k)]
+            )
+            if centroids.shape != (k, N_SETTINGS) or lines[3 + k] != "stats mean std":
+                raise ValueError("bad centroids section")
+            means = np.zeros((k, N_CHANNELS))
+            stds = np.zeros((k, N_CHANNELS))
+            seen = np.zeros((k, N_CHANNELS), dtype=bool)
+            for ln in lines[4 + k :]:
+                if not ln:
+                    continue
+                j, i, mu, sigma = ln.split()
+                j, i = int(j), int(i)
+                if not (0 <= j < k and 0 <= i < N_CHANNELS) or seen[j, i]:
+                    raise ValueError(f"condition {j} channel {i} out of range or repeated")
+                means[j, i], stds[j, i], seen[j, i] = float(mu), float(sigma), True
+        except ValueError as exc:  # a bad number or field count, or undecodable bytes
+            raise ParseError(f"{path}: malformed condition model: {exc}") from None
+        except IndexError:
+            raise ParseError(f"{path}: truncated condition model") from None
+        if not seen.all():
+            raise ParseError(f"{path}: truncated: {int((~seen).sum())} statistics missing")
+        if not (np.isfinite(centroids).all() and np.isfinite(means).all() and np.isfinite(stds).all()):
+            raise ParseError(f"{path}: non-finite condition statistics")
         return cls(centroids=centroids, means=means, stds=stds)
 
 
@@ -394,42 +455,74 @@ def windows_to_arrays(
 
 def save_windows(samples: Sequence[WindowedSample], path: str | Path) -> None:
     """Write windows as versioned text: one sample per line after the
-    header, fields: unit end_cycle label then F*T row-major values."""
+    header, fields: unit end_cycle label then F*T row-major values.
+
+    Stride-1 windows share all but their last column with the window
+    before.  When a window's first T-1 columns are bit-identical to the
+    previous window's last T-1 (compared as raw bytes, so 0.0 and -0.0
+    never share text), their text is reused and only
+    the last column is formatted; the bytes are those of formatting
+    every cell.
+    """
     if not samples:
         raise ContractError("no samples to save")
     f, t = samples[0].matrix.shape
+    prev = None
+    rows: list[list[str]] = []  # the previous window's cells, one list per feature
     with open(path, "w", encoding="utf-8") as out:
         out.write("windows v1\n")
         out.write(f"features {f} window {t} count {len(samples)}\n")
         for s in samples:
+            m = s.matrix
+            if (
+                prev is not None
+                and (m.shape, m.dtype) == (prev.shape, prev.dtype)
+                and m[:, :-1].tobytes() == prev[:, 1:].tobytes()
+            ):
+                rows = [row[1:] + [f"{v:.9g}"] for row, v in zip(rows, m[:, -1].tolist())]
+            else:
+                rows = [[f"{v:.9g}" for v in row] for row in m.tolist()]
+            prev = m
             head = f"{s.unit_id} {s.end_cycle} {s.label:.9g}"
-            body = " ".join(f"{v:.9g}" for v in s.matrix.reshape(-1))
-            out.write(head + " " + body + "\n")
+            out.write(head + " " + " ".join(map(" ".join, rows)) + "\n")
 
 
 def load_windows(path: str | Path) -> list[WindowedSample]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "windows v1":
-            raise ParseError(f"{path}: not a windows v1 file")
-        meta = fh.readline().split()
-        f, t, count = int(meta[1]), int(meta[3]), int(meta[5])
-        samples = []
-        for line_no, line in enumerate(fh, start=3):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3 + f * t:
-                raise ParseError(f"bad sample width {len(parts)}", line=line_no)
-            matrix = np.array(parts[3:], dtype=np.float32).reshape(f, t)
-            samples.append(
-                WindowedSample(
-                    matrix=matrix,
-                    label=float(parts[2]),
-                    unit_id=int(parts[0]),
-                    end_cycle=int(parts[1]),
+    """Read a windows v1 file.  A malformed or truncated file, including
+    a last line cut before its newline, is a ParseError naming the path;
+    a sample count that disagrees with the header is an IntegrityError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if fh.readline().rstrip("\n") != "windows v1":
+                raise ParseError(f"{path}: not a windows v1 file")
+            meta = fh.readline()
+            tag_f, f, tag_t, t, tag_n, count = meta.split()
+            f, t, count = int(f), int(t), int(count)
+            if (
+                (tag_f, tag_t, tag_n) != ("features", "window", "count")
+                or min(f, t, count) < 1
+                or not meta.endswith("\n")
+            ):
+                raise ParseError(f"{path}: bad size line {meta!r}", line=2)
+            samples = []
+            for line_no, line in enumerate(fh, start=3):
+                parts = line.split()
+                if not parts:
+                    continue
+                if len(parts) != 3 + f * t or not line.endswith("\n"):
+                    raise ParseError(
+                        f"{path}: expected a complete line of {3 + f * t} fields", line=line_no
+                    )
+                samples.append(
+                    WindowedSample(
+                        matrix=np.array(parts[3:], dtype=np.float32).reshape(f, t),
+                        label=float(parts[2]),
+                        unit_id=int(parts[0]),
+                        end_cycle=int(parts[1]),
+                    )
                 )
-            )
+    except ValueError as exc:  # a bad number or size line, or undecodable bytes
+        raise ParseError(f"{path}: malformed windows file: {exc}") from None
     if len(samples) != count:
         raise IntegrityError(f"{path}: header says {count} samples, found {len(samples)}")
     return samples

@@ -24,10 +24,6 @@ class TrainConfig:
     early_stop_patience: int = 50
     max_epochs: int = 500
     validation_fraction: float = 0.1
-    r_max: float = 125.0
-    window: int = 30
-    feature_heads: int = 5
-    sequence_heads: int = 4
     seed: int = 0
     grad_clip: float | None = None
 

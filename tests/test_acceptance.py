@@ -261,8 +261,7 @@ def _run_training(root, dataset, seed, mode, feature_heads, sequence_heads, k):
         lstm_hidden=100, lstm_layers=3, mlp_hidden=100, dropout=0.5,
         init_rng=generator(seed, "init"),
     )
-    config = TrainConfig(seed=seed, feature_heads=feature_heads, sequence_heads=sequence_heads)
-    fit(model, samples, config)
+    fit(model, samples, TrainConfig(seed=seed))
     bundle = Bundle(model=model, condition_model=cm,
                     config={"window": 30, "r_max": 125.0, "clip_test_rul": True})
     rep = predict_test_set(bundle, test, truth)

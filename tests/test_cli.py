@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from rulnet.cli import main
+from rulnet.data import parse_cmapss
 from rulnet.synthetic import generate_dataset
 
 FAST_FLAGS = [
@@ -88,6 +90,24 @@ class TestPreprocess:
         )
         assert code == 2
 
+    def test_windows_file_bytes_are_stable(self, tmp_path):
+        # Two conditions; unit 3 (13 cycles) is shorter than the window and
+        # unit 1 (15 cycles) exactly fills it.  The digest was recorded from
+        # the writer that formats every cell of every window.
+        ds = generate_dataset(tmp_path, name="G", n_train=4, n_test=2, n_conditions=2,
+                              seed=1, life_range=(12, 24))
+        out = tmp_path / "out"
+        code = main(
+            ["preprocess", "--train-path", str(ds.train_path), "--test-path", str(ds.test_path),
+             "--truth-path", str(ds.truth_path), "--k-conditions", "2", "--window", "15",
+             "--seed", "0", "--out", str(out)]
+        )
+        assert code == 0
+        summary = json.loads((out / "preprocess_summary.json").read_text())
+        assert summary["train_samples"] == 1 + 4 + 1 + 4
+        digest = hashlib.sha256((out / "windows_train.txt").read_bytes()).hexdigest()
+        assert digest == "bb9004e6ecb13e918a557f610d1972eb62d8500c5bf95344935fb36b42a9faa6"
+
     def test_train_reuses_artifacts(self, workspace):
         prep_out = workspace["root"] / "prep"
         run_out = workspace["root"] / "prep"  # same directory: artifacts present
@@ -134,11 +154,14 @@ class TestTrain:
         assert bundle.model.mode == "L"
 
     def test_non_finite_training_loss_is_runtime_error(self, workspace, tmp_path, capsys):
+        # Two finite readings whose sum overflows: the channel mean is inf,
+        # so normalization turns the channel into NaN and the loss follows.
         rows = Path(workspace["raw"]["train_path"]).read_text().splitlines()
-        fields = rows[5].split()
-        fields[9] = "nan"  # one sensor reading
-        rows[5] = " ".join(fields)
-        train_path = tmp_path / "train_nan.txt"
+        for row in (5, 6):
+            fields = rows[row].split()
+            fields[9] = "1e308"  # one sensor reading
+            rows[row] = " ".join(fields)
+        train_path = tmp_path / "train_overflow.txt"
         train_path.write_text("\n".join(rows) + "\n")
         out = tmp_path / "run"
         code = main(
@@ -148,6 +171,20 @@ class TestTrain:
         assert code == 3
         assert "epoch 1, batch 1" in capsys.readouterr().err
         assert not (out / "checkpoint.bin").exists()
+
+    def test_non_finite_reading_is_data_error(self, workspace, tmp_path, capsys):
+        rows = Path(workspace["raw"]["train_path"]).read_text().splitlines()
+        fields = rows[5].split()
+        fields[9] = "nan"
+        rows[5] = " ".join(fields)
+        train_path = tmp_path / "train_nan.txt"
+        train_path.write_text("\n".join(rows) + "\n")
+        code = main(
+            ["train", "--config", str(workspace["config"]), "--out", str(tmp_path / "run"),
+             "--train-path", str(train_path)] + FAST_FLAGS
+        )
+        assert code == 2
+        assert "line 6: non-finite reading 'nan'" in capsys.readouterr().err
 
     def test_seed_replay_identical_log(self, workspace, trained):
         rerun = workspace["root"] / "trained_replay"
@@ -232,6 +269,31 @@ class TestExplain:
                 key = (row["cycle"], row["head"], row["row_sensor"])
                 sums[key] = sums.get(key, 0.0) + float(row["weight"])
         assert sums and all(abs(total - 1.0) < 1e-6 for total in sums.values())
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--cycles", "5"), ("--cycles", "a:b"), ("--cycles", "0:3"), ("--cycles", "1:L+1"),
+        ("--cycles", "6:3"), ("--matrix-cycles", "3,x"),
+    ])
+    def test_bad_cycles_argument_is_usage_error(self, workspace, trained, flag, value, capsys):
+        test = parse_cmapss(workspace["raw"]["test_path"])
+        length = next(len(t) for t in test if t.unit_id == 2)
+        code = main(
+            ["explain", "--checkpoint", str(trained / "checkpoint.bin"), "--unit", "2",
+             flag, value.replace("L+1", str(length + 1)), "--out", str(trained / "explain_bad")]
+        )
+        assert code == 1
+        assert f"configuration error: {flag}" in capsys.readouterr().err
+
+    def test_last_cycle_is_in_range(self, workspace, trained):
+        test = parse_cmapss(workspace["raw"]["test_path"])
+        length = next(len(t) for t in test if t.unit_id == 2)
+        out = trained / "explain_last"
+        code = main(
+            ["explain", "--checkpoint", str(trained / "checkpoint.bin"), "--unit", "2",
+             "--cycles", f"{length}:{length}", "--out", str(out)]
+        )
+        assert code == 0
+        assert len((out / "predictions.csv").read_text().splitlines()) == 2
 
     def test_unknown_unit_is_data_error(self, trained):
         code = main(

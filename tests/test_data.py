@@ -1,11 +1,12 @@
 import io
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rulnet import ClusteringError, ContractError, IntegrityError, ParseError
+from rulnet import ClusteringError, ContractError, IntegrityError, ParseError, RulnetError
 from rulnet import data as D
 from rulnet.synthetic import generate_dataset
 
@@ -63,6 +64,71 @@ class TestParseCmapss:
         for a, b in zip(again, synth1["train"]):
             assert a.unit_id == b.unit_id
             np.testing.assert_array_equal(a.channels, b.channels)
+
+    @pytest.mark.parametrize(
+        "reading", ["nan", "NaN", "-nan", "inf", "+inf", "-Inf", "INFINITY", "-infinity", "1e400"]
+    )
+    def test_non_finite_reading_rejected(self, reading):
+        fields = make_row(1, 2).split()
+        fields[7] = reading
+        text = make_row(1, 1) + "\n" + " ".join(fields) + "\n"
+        with pytest.raises(ParseError, match="non-finite reading") as err:
+            D.parse_cmapss(io.StringIO(text))
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("line", ["# unit cycle settings sensors", "1 2" + " 0.5" * 23 + " #"])
+    def test_comment_line_rejected(self, line):
+        with pytest.raises(ParseError) as err:
+            D.parse_cmapss(io.StringIO(make_row(1, 1) + "\n" + line + "\n"))
+        assert err.value.line == 2
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(make_row(1, 1).replace("0.5", "0.5\xb0", 1).encode("latin-1") + b"\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            D.parse_cmapss(path)
+
+    def test_empty_input_has_no_units(self):
+        assert D.parse_cmapss(io.StringIO("\n  \n")) == []
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_parser(self, data):
+        lengths = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4), label="lengths")
+        # A random interleaving of the units' rows; each unit's cycles stay in order.
+        order = data.draw(st.permutations([u for u, n in enumerate(lengths, 1) for _ in range(n)]))
+        reading = st.floats(allow_nan=False, allow_infinity=False)
+        style = st.sampled_from([repr, "{:.6e}".format, "{:+.17g}".format, "{:E}".format])
+        sep = st.sampled_from([" ", "\t", "  ", " \t "])
+        whole = st.sampled_from(["{}", "+{}", "{}.0", "{}e0"])
+        lines, cycle = [], dict.fromkeys(range(1, len(lengths) + 1), 0)
+        for unit in order:
+            cycle[unit] += 1
+            fields = [data.draw(whole).format(unit), data.draw(whole).format(cycle[unit])]
+            fields += [data.draw(style)(data.draw(reading)) for _ in range(24)]
+            text = fields[0]
+            for f in fields[1:]:
+                text += data.draw(sep) + f
+            lines.append(text + data.draw(st.sampled_from(["", " ", "\t"])))
+            if data.draw(st.booleans()):
+                lines.append(data.draw(st.sampled_from(["", "   ", "\t"])))
+        text = "\n".join(lines) + "\n"
+        parsed = D.parse_cmapss(io.StringIO(text))
+        expected = reference_parse_cmapss(text)
+        assert [t.unit_id for t in parsed] == list(expected)
+        for traj, rows in zip(parsed, expected.values()):
+            assert traj.channels.tobytes() == np.array(rows)[:, 2:].tobytes()
+
+
+def reference_parse_cmapss(text):
+    """Row-at-a-time float() parser: unit id -> rows, in first-occurrence order."""
+    rows_by_unit = {}
+    for line in text.splitlines():
+        parts = line.split()
+        if parts:
+            values = [float(p) for p in parts]
+            rows_by_unit.setdefault(int(values[0]), []).append(values)
+    return rows_by_unit
 
 
 class TestParseTruth:
@@ -322,6 +388,113 @@ class TestWindowSplit:
         for a, b in zip(loaded, samples):
             assert (a.unit_id, a.end_cycle, a.label) == (b.unit_id, b.end_cycle, b.label)
             np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+def reference_save_windows(samples, path):
+    """The writer that formats every cell of every window."""
+    if not samples:
+        raise ContractError("no samples to save")
+    f, t = samples[0].matrix.shape
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("windows v1\n")
+        out.write(f"features {f} window {t} count {len(samples)}\n")
+        for s in samples:
+            head = f"{s.unit_id} {s.end_cycle} {s.label:.9g}"
+            body = " ".join(f"{v:.9g}" for v in s.matrix.reshape(-1))
+            out.write(head + " " + body + "\n")
+
+
+# Cells that a comparison by value gets wrong (0.0 == -0.0 print apart,
+# NaN != NaN), NaNs with other signs and payloads, infinities, a
+# subnormal and float32 max.
+SPECIAL_CELLS = [0.0, -0.0, np.inf, -np.inf, 1.5, -2.25, 1e-40, 3.4028235e38] + [
+    float(np.uint32(b).view(np.float32)) for b in (0x7FC00000, 0xFFC00000, 0x7FC00001)
+]
+
+
+@st.composite
+def window_lists(draw):
+    """Samples from back-to-back units, some shorter than the window, with
+    neighbours dropped or reordered so that not every window continues the
+    one before it."""
+    window = draw(st.integers(1, 5))
+    n_sensors = draw(st.integers(0, 2))
+    # The signed-zero palette makes neighbours that are equal in value but
+    # not in bits common.
+    cell = draw(st.sampled_from([
+        st.one_of(st.sampled_from(SPECIAL_CELLS), st.floats(width=32)),
+        st.sampled_from([0.0, -0.0]),
+    ]))
+    samples = []
+    for unit in range(1, draw(st.integers(1, 3)) + 1):
+        length = draw(st.integers(1, 8))
+        cells = np.array(
+            draw(st.lists(cell, min_size=length * (3 + n_sensors), max_size=length * (3 + n_sensors)))
+        ).reshape(length, 3 + n_sensors)
+        traj = D.RawTrajectory(unit_id=unit, settings=cells[:, :3], sensors=cells[:, 3:])
+        samples += D.window_split(traj, window, draw(st.sampled_from([125.0, 3.0])))
+    keep = draw(st.lists(st.booleans(), min_size=len(samples), max_size=len(samples)))
+    samples = [s for s, k in zip(samples, keep) if k] or samples[:1]
+    if draw(st.booleans()):
+        samples = draw(st.permutations(samples))
+    return samples
+
+
+class TestWindowsFileText:
+    @given(samples=window_lists())
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_save_matches_reference_writer(self, tmp_path, samples):
+        D.save_windows(samples, tmp_path / "fast.txt")
+        reference_save_windows(samples, tmp_path / "reference.txt")
+        assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+    @staticmethod
+    def _every_truncation(path):
+        """Yield the file cut at every byte before its end (after every
+        line and inside every line)."""
+        full = path.read_bytes()
+        for cut in range(len(full)):
+            path.write_bytes(full[:cut])
+            yield cut
+
+    def test_truncated_windows_file_is_rulnet_error(self, tmp_path):
+        traj = TestWindowSplit._traj(5)
+        path = tmp_path / "w.txt"
+        D.save_windows(D.window_split(traj, 2, 125), path)
+        for cut in self._every_truncation(path):
+            with pytest.raises(RulnetError):
+                D.load_windows(path)
+
+    def test_truncated_condition_model_is_rulnet_error(self, tmp_path, synth6):
+        path = tmp_path / "cm.txt"
+        D.cluster_conditions(synth6["train"], k=2, seed=0).save_text(path)
+        for cut in self._every_truncation(path):
+            with pytest.raises(RulnetError) as err:
+                D.ConditionModel.load_text(path)
+            assert str(path) in str(err.value)
+
+    def test_corrupt_text_artifacts_name_the_path(self, tmp_path, synth1):
+        cm_path = tmp_path / "cm.txt"
+        D.cluster_conditions(synth1["train"], k=1, seed=0).save_text(cm_path)
+        win_path = tmp_path / "w.txt"
+        D.save_windows(D.window_split(TestWindowSplit._traj(4), 2, 125), win_path)
+        corruptions = {
+            cm_path: [(r"\nk 1", "\nk one"), (r"\n0 5 ", "\n0 99 "), (r"\n0 7 ", "\n0 6 "),
+                      (r"\n0 3 \S+", "\n0 3 nan")],
+            win_path: [("count 3", "count x"), ("window 2", "window 0"), (r"\n1 3 \S+", "\n1 3 abc")],
+        }
+        for path, edits in corruptions.items():
+            loader = D.load_windows if path == win_path else D.ConditionModel.load_text
+            good = path.read_text()
+            for pattern, replacement in edits:
+                bad = re.sub(pattern, replacement, good, count=1)
+                assert bad != good
+                path.write_text(bad)
+                with pytest.raises(ParseError, match=re.escape(str(path))):
+                    loader(path)
+            path.write_bytes(good.encode().replace(b"\n", b"\n\xff", 3))  # not UTF-8
+            with pytest.raises(ParseError, match=re.escape(str(path))):
+                loader(path)
 
 
 class TestSyntheticGenerator:

@@ -36,8 +36,7 @@ def e2e(tmp_path_factory):
     )
     config = TrainConfig(
         learning_rate=0.002, batch_size=128, early_stop_patience=40, max_epochs=35,
-        validation_fraction=0.15, r_max=r_max, window=window,
-        feature_heads=4, sequence_heads=4, seed=seed,
+        validation_fraction=0.15, seed=seed,
     )
     result = fit(model, samples, config)
     bundle = Bundle(model=model, condition_model=cm,

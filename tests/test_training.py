@@ -15,6 +15,7 @@ from rulnet import (
 )
 from rulnet import autodiff as ad
 from rulnet.checkpoint import load_bundle, save_bundle
+from rulnet.config import ExperimentConfig
 from rulnet.data import ConditionModel, WindowedSample
 from rulnet.seeding import generator
 from rulnet.training import AdamState, TrainConfig, adam_step, fit, mse_loss, split_units
@@ -104,9 +105,10 @@ class TestTrainConfig:
         assert cfg.learning_rate == 0.0002
         assert cfg.batch_size == 128
         assert cfg.early_stop_patience == 50
-        assert cfg.window == 30
-        assert cfg.r_max == 125.0
-        assert (cfg.feature_heads, cfg.sequence_heads) == (5, 4)
+        experiment = ExperimentConfig()
+        assert experiment.window == 30
+        assert experiment.r_max == 125.0
+        assert (experiment.feature_heads, experiment.sequence_heads) == (5, 4)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ContractError):
@@ -144,10 +146,6 @@ def tiny_fit_config(**overrides):
         early_stop_patience=10,
         max_epochs=6,
         validation_fraction=0.2,
-        r_max=20.0,
-        window=6,
-        feature_heads=2,
-        sequence_heads=2,
         seed=0,
     )
     defaults.update(overrides)
