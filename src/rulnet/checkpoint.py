@@ -12,25 +12,28 @@ Layout (all integers little-endian):
     then          the raw little-endian tensor buffers, concatenated in
                   table order
 
-Loading verifies magic, version, and buffer bounds; a truncated file
-raises CheckpointError without producing a partial model.
+Loading verifies magic, version, the header schema, and that the
+buffers tile the rest of the file exactly; a truncated, extended or
+corrupt file raises CheckpointError without producing a partial model.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import ConditionModel
-from .errors import CheckpointError, ConfigurationError
+from .data import N_CHANNELS, N_SETTINGS, ConditionModel
+from .errors import CheckpointError, ConfigurationError, RulnetError
 from .model import RulModel
 
 MAGIC = b"RULBNDL\x00"
 FORMAT_VERSION = 1
+HEADER_SCHEMA = {"hyperparams": dict, "config": dict, "condition_model": dict, "tensors": list}
 
 
 @dataclass
@@ -94,6 +97,16 @@ def save_bundle(path: str | Path, model: RulModel, cm: ConditionModel, config: d
 
 
 def load_bundle(path: str | Path) -> Bundle:
+    """Read a bundle written by :func:`save_bundle`.
+
+    Anything that is not such a bundle is a CheckpointError naming the
+    path: a bad magic, version or header schema; a tensor entry whose
+    dtype is not a float, whose shape is not a list of non-negative
+    integers, whose nbytes is not its shape's size in bytes, or whose
+    offset leaves a gap or overlap; a buffer past the end of the file;
+    bytes after the last buffer; and a model or condition model that the
+    header cannot rebuild.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -111,22 +124,74 @@ def load_bundle(path: str | Path) -> Bundle:
         header = json.loads(raw[20:body_start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    for key, kind in HEADER_SCHEMA.items():
+        if not isinstance(header.get(key), kind):
+            raise CheckpointError(f"{path}: header has no {key!r} {kind.__name__}")
 
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        start = body_start + entry["offset"]
-        end = start + entry["nbytes"]
-        if end > len(raw):
-            raise CheckpointError(f"{path}: truncated tensor {entry['name']!r}")
-        arr = np.frombuffer(raw[start:end], dtype=np.dtype(entry["dtype"]))
-        arrays[entry["name"]] = arr.reshape(entry["shape"])
-
-    model = RulModel.from_hyperparams(header["hyperparams"])
-    model.load_state_arrays(arrays)
-    cm_data = header["condition_model"]
-    cm = ConditionModel(
-        centroids=np.array(cm_data["centroids"], dtype=np.float64),
-        means=np.array(cm_data["means"], dtype=np.float64),
-        stds=np.array(cm_data["stds"], dtype=np.float64),
+    arrays = _read_tensors(path, header["tensors"], raw, body_start)
+    try:
+        model = RulModel.from_hyperparams(header["hyperparams"])
+        model.load_state_arrays(arrays)
+    except (RulnetError, TypeError, ValueError, SyntaxError) as exc:
+        raise CheckpointError(f"{path}: cannot rebuild the model: {exc!r}") from None
+    return Bundle(
+        model=model,
+        condition_model=_read_condition_model(path, header["condition_model"]),
+        config=header["config"],
     )
-    return Bundle(model=model, condition_model=cm, config=header["config"])
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _read_tensors(path, table: list, raw: bytes, body_start: int) -> dict[str, np.ndarray]:
+    """The tensor buffers, which must tile the rest of the file in table order."""
+    arrays: dict[str, np.ndarray] = {}
+    offset = 0
+    for entry in table:
+        # np.dtype raises TypeError, ValueError or SyntaxError on a bad spec.
+        try:
+            name, shape, nbytes = entry["name"], entry["shape"], entry["nbytes"]
+            dtype = np.dtype(entry["dtype"])
+            entry_offset = entry["offset"]
+        except (KeyError, TypeError, ValueError, SyntaxError) as exc:
+            raise CheckpointError(f"{path}: bad tensor entry: {exc!r}") from None
+        if not (isinstance(name, str) and isinstance(shape, list) and all(map(_is_count, shape))):
+            raise CheckpointError(f"{path}: bad name or shape in tensor entry {name!r}")
+        if dtype.kind != "f" or not _is_count(nbytes) or entry_offset != offset:
+            raise CheckpointError(f"{path}: bad dtype, nbytes or offset in tensor {name!r}")
+        if nbytes != math.prod(shape) * dtype.itemsize:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has {nbytes} bytes, its shape {shape} needs "
+                f"{math.prod(shape) * dtype.itemsize}"
+            )
+        start = body_start + offset
+        if start + nbytes > len(raw):
+            raise CheckpointError(f"{path}: truncated tensor {name!r}")
+        arrays[name] = np.frombuffer(raw, dtype, math.prod(shape), start).reshape(shape)
+        offset += nbytes
+    if body_start + offset != len(raw):
+        extra = len(raw) - body_start - offset
+        raise CheckpointError(f"{path}: {extra} bytes after the last tensor")
+    return arrays
+
+
+def _read_condition_model(path, data: dict) -> ConditionModel:
+    try:
+        centroids, means, stds = (
+            np.array(data[key], dtype=np.float64) for key in ("centroids", "means", "stds")
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad condition model: {exc!r}") from None
+    k = len(centroids) if centroids.ndim else 0
+    if not (
+        k >= 1
+        and centroids.shape == (k, N_SETTINGS)
+        and means.shape == stds.shape == (k, N_CHANNELS)
+        and all(np.isfinite(a).all() for a in (centroids, means, stds))
+    ):
+        raise CheckpointError(f"{path}: bad condition model shapes or values")
+    return ConditionModel(centroids=centroids, means=means, stds=stds)

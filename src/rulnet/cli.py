@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -170,6 +171,18 @@ def _artifacts(cfg: ExperimentConfig, out_dir: Path, train_trajs):
     return cm, samples
 
 
+def _blas_build() -> dict[str, str]:
+    """Name and version of the BLAS that numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no "dicts" mode
+        blas = {}
+    return {
+        "blas_name": str(blas.get("name", "unknown")),
+        "blas_version": str(blas.get("version", "unknown")),
+    }
+
+
 def _train_once(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     """Run one training; writes checkpoint, log, manifest. Returns summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,6 +226,9 @@ def _train_once(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
             var: os.environ.get(var, "unset")
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         },
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        **_blas_build(),
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -351,7 +367,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     with open(out_dir / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["unit_id", "cycle", "true_rul", "pred_rul", "error"])
-        for cycle, pred in export.predictions:
+        for cycle, pred in zip(export.cycles.tolist(), export.predictions.tolist()):
             true_rul = final_rul + (len(traj) - cycle)
             writer.writerow([args.unit, cycle, true_rul, repr(pred), repr(pred - true_rul)])
     print(

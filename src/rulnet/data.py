@@ -283,6 +283,8 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         total = d2.sum()
         if total <= 0:
             raise ClusteringError(f"fewer than {k} distinct setting points")
+        if not np.isfinite(total):
+            raise ClusteringError("the squared distances between setting points overflow")
         centroids[j] = points[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
     return centroids
@@ -318,7 +320,9 @@ def cluster_conditions(
 
     Clusters every row's settings with k-means, then computes each
     channel's mean/std within each condition.  Channels whose std falls
-    below 1e-8 are flagged constant and later normalize to 0.
+    below 1e-8 are flagged constant and later normalize to 0.  Finite
+    readings too large to sum, whose mean or std overflows, are a
+    ClusteringError naming the condition and channel.
     """
     if k < 1:
         raise ContractError(f"cluster count must be >= 1, got {k}")
@@ -335,12 +339,19 @@ def cluster_conditions(
         stds=np.zeros((k, N_CHANNELS)),
     )
     assignment = model.assign(settings)
-    for j in range(k):
-        members = channels[assignment == j]
-        if len(members) == 0:
-            continue
-        model.means[j] = members.mean(axis=0)
-        model.stds[j] = members.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for j in range(k):
+            members = channels[assignment == j]
+            if len(members) == 0:
+                continue
+            model.means[j] = members.mean(axis=0)
+            model.stds[j] = members.std(axis=0)
+    overflowed = np.argwhere(~(np.isfinite(model.means) & np.isfinite(model.stds)))
+    if len(overflowed):
+        j, i = overflowed[0]
+        raise ClusteringError(f"condition {j}, channel {i}: the readings' mean or std overflows")
+    if not np.isfinite(centroids).all():
+        raise ClusteringError("a condition centroid overflows")
     model.constant_mask = model.stds < CONSTANT_SIGMA
     return model
 

@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import Bundle
-from .data import RawTrajectory, normalize, pair_test_truth, window_split
+from .data import RawTrajectory, _window_ending_at, normalize, pair_test_truth, window_split
 from .errors import CapabilityError, ContractError
-from .training import predict_batched
+from .training import PREDICT_BATCH, predict_batched
 
 SCORE_EARLY_DIVISOR = 13.0  # d < 0: prediction under the true RUL
 SCORE_LATE_DIVISOR = 10.0  # d >= 0: prediction over the true RUL
@@ -172,18 +172,24 @@ def read_predictions_csv(path: str | Path) -> list[UnitRecord]:
 
 @dataclass
 class AttentionExport:
-    """Interpretability surfaces for one trajectory.
+    """Interpretability surfaces for one trajectory, as arrays.
 
-    ``feature_rows``: (cycle, head, row_channel, col_channel, weight) with
-    head either a 1-based index or "mean".  ``cycle_sums``: per cycle and
-    channel, the column sum of the head-averaged weight matrix, i.e. how
-    much total attention the channel receives.
+    ``cycles`` (C,) are the requested 1-based cycles in request order and
+    ``predictions`` (C,) the model's prediction for the window ending at
+    each.  ``cycle_sums`` (C, F): per cycle and channel, the column sum of
+    the head-averaged weight matrix, i.e. how much total attention the
+    channel receives.  ``weights`` (M, h+1, F, F) holds the full
+    feature-attention matrices of the ``matrix_cycles`` (M,), the
+    requested cycles that were also asked for as matrices: heads 1..h,
+    then their mean.  Every float array is float64.
     """
 
     unit_id: int
-    feature_rows: list[tuple[int, str, int, int, float]]
-    cycle_sums: list[tuple[int, int, float]]
-    predictions: list[tuple[int, float]]
+    cycles: np.ndarray
+    predictions: np.ndarray
+    cycle_sums: np.ndarray
+    matrix_cycles: np.ndarray
+    weights: np.ndarray
 
 
 def export_attention(
@@ -192,77 +198,96 @@ def export_attention(
     cycles: Sequence[int] | None = None,
     matrix_cycles: Sequence[int] | None = None,
 ) -> AttentionExport:
-    """Run per-cycle inference and capture feature-attention weights.
+    """Run inference on each requested cycle's window and capture the
+    feature-attention weights.
 
     ``cycles`` defaults to every cycle of the trajectory (windows ending
-    before cycle T are padded backward).  Full F x F matrices are emitted
+    before cycle T are padded backward).  Full F x F matrices are kept
     for ``matrix_cycles`` (default: all requested cycles); the per-cycle
-    column-sum view always covers every requested cycle.
+    column-sum view always covers every requested cycle.  Windows go
+    through the model in batches of at most ``PREDICT_BATCH``.
     """
     model = bundle.model
     if model.feature_attention is None:
         raise CapabilityError(f"mode {model.mode!r} retains no attention weights")
     total = len(trajectory)
-    if cycles is None:
-        cycles = range(1, total + 1)
-    cycles = [int(c) for c in cycles]
-    for c in cycles:
-        if not 1 <= c <= total:
-            raise ContractError(f"cycle {c} outside 1..{total}")
-    matrix_set = set(cycles if matrix_cycles is None else (int(c) for c in matrix_cycles))
+    cycles = np.array(
+        range(1, total + 1) if cycles is None else [int(c) for c in cycles], dtype=np.int64
+    )
+    outside = cycles[(cycles < 1) | (cycles > total)]
+    if outside.size:
+        raise ContractError(f"cycle {outside[0]} outside 1..{total}")
+    in_matrix = (
+        np.ones(len(cycles), dtype=bool)
+        if matrix_cycles is None
+        else np.isin(cycles, [int(c) for c in matrix_cycles])
+    )
 
-    normed = normalize(trajectory, bundle.condition_model)
-    chans = normed.channels
-
-    feature_rows: list[tuple[int, str, int, int, float]] = []
-    cycle_sums: list[tuple[int, int, float]] = []
-    predictions: list[tuple[int, float]] = []
-    from .data import _window_ending_at  # same windowing as evaluation
-
-    for cycle in cycles:
-        window = _window_ending_at(chans, cycle, model.window)
-        pred = float(model.predict(window))
-        predictions.append((cycle, pred))
-        heads = [
-            np.squeeze(w, axis=0).astype(np.float64) if w.ndim == 3 else w.astype(np.float64)
-            for w in model.attention_weights("feature")
-        ]
-        stacked = np.stack(heads)  # (h, F, F)
-        averaged = stacked.mean(axis=0)
-        if cycle in matrix_set:
-            for h, mat in enumerate(heads, start=1):
-                for i in range(mat.shape[0]):
-                    for j in range(mat.shape[1]):
-                        feature_rows.append((cycle, str(h), i, j, float(mat[i, j])))
-            for i in range(averaged.shape[0]):
-                for j in range(averaged.shape[1]):
-                    feature_rows.append((cycle, "mean", i, j, float(averaged[i, j])))
-        column_sums = averaged.sum(axis=0)
-        for j, weight in enumerate(column_sums):
-            cycle_sums.append((cycle, j, float(weight)))
+    chans = normalize(trajectory, bundle.condition_model).channels
+    n_heads, n_features = model.feature_attention.heads, model.n_features
+    predictions = np.empty(len(cycles))
+    cycle_sums = np.empty((len(cycles), n_features))
+    weights = np.empty((int(in_matrix.sum()), n_heads + 1, n_features, n_features))
+    filled = 0
+    for start in range(0, len(cycles), PREDICT_BATCH):
+        chunk = slice(start, start + PREDICT_BATCH)
+        x = np.stack([_window_ending_at(chans, c, model.window) for c in cycles[chunk].tolist()])
+        predictions[chunk] = model.predict(x)
+        heads = np.stack(model.attention_weights("feature"), axis=1).astype(np.float64)
+        averaged = heads.mean(axis=1)
+        cycle_sums[chunk] = averaged.sum(axis=1)
+        keep = in_matrix[chunk]
+        kept = int(keep.sum())
+        weights[filled : filled + kept, :n_heads] = heads[keep]
+        weights[filled : filled + kept, n_heads] = averaged[keep]
+        filled += kept
 
     return AttentionExport(
         unit_id=trajectory.unit_id,
-        feature_rows=feature_rows,
-        cycle_sums=cycle_sums,
+        cycles=cycles,
         predictions=predictions,
+        cycle_sums=cycle_sums,
+        matrix_cycles=cycles[in_matrix],
+        weights=weights,
     )
 
 
 def write_attention_csvs(export: AttentionExport, out_dir: str | Path) -> dict[str, Path]:
-    """Write attention_feature.csv and attention_cycle_sums.csv."""
+    """Write attention_feature.csv and attention_cycle_sums.csv.
+
+    The rows are what ``csv.writer`` makes of (cycle, head, row sensor,
+    column sensor, repr(weight)) and (cycle, sensor, repr(weight sum)):
+    comma-separated, CRLF-terminated, no field needing quotes.  Each
+    cycle's rows are formatted as one string and written as it is made.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     feature_path = out_dir / "attention_feature.csv"
     sums_path = out_dir / "attention_cycle_sums.csv"
-    with open(feature_path, "w", newline="", encoding="utf-8") as out:
-        writer = csv.writer(out)
-        writer.writerow(["cycle", "head", "row_sensor", "col_sensor", "weight"])
-        for row in export.feature_rows:
-            writer.writerow([row[0], row[1], row[2], row[3], repr(row[4])])
-    with open(sums_path, "w", newline="", encoding="utf-8") as out:
-        writer = csv.writer(out)
-        writer.writerow(["cycle", "sensor", "weight_sum"])
-        for cycle, sensor, weight in export.cycle_sums:
-            writer.writerow([cycle, sensor, repr(weight)])
+    n_blocks, n_features = export.weights.shape[1], export.cycle_sums.shape[1]
+    head_names = [str(h) for h in range(1, n_blocks)] + ["mean"]
+    feature_suffixes = [
+        f",{head},{i},{j},"
+        for head in head_names
+        for i in range(n_features)
+        for j in range(n_features)
+    ]
+    sums_suffixes = [f",{j}," for j in range(n_features)]
+    _write_rows(
+        feature_path, "cycle,head,row_sensor,col_sensor,weight",
+        export.matrix_cycles, export.weights, feature_suffixes,
+    )
+    _write_rows(sums_path, "cycle,sensor,weight_sum", export.cycles, export.cycle_sums, sums_suffixes)
     return {"feature": feature_path, "cycle_sums": sums_path}
+
+
+def _write_rows(path: Path, header: str, cycles: np.ndarray, values: np.ndarray,
+                suffixes: list[str]) -> None:
+    """Row k of cycle c's block is ``c + suffixes[k] + repr(value k)``, CRLF-terminated."""
+    # One cycle's rows as a %-template: "\0" stands for the cycle, and
+    # %r formats a float exactly as repr() does.
+    template = "".join("\0" + suffix + "%r\r\n" for suffix in suffixes)
+    with open(path, "w", newline="", encoding="utf-8") as out:
+        out.write(header + "\r\n")
+        for cycle, block in zip(cycles.tolist(), values):
+            out.write(template.replace("\0", str(cycle)) % tuple(block.ravel().tolist()))

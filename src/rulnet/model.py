@@ -204,6 +204,11 @@ class RulModel:
     ):
         if mode not in MODES:
             raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
+        sizes = {"n_features": n_features, "window": window, "lstm_hidden": lstm_hidden,
+                 "lstm_layers": lstm_layers, "mlp_hidden": mlp_hidden}
+        for name, size in sizes.items():
+            if not isinstance(size, (int, np.integer)) or size < 1:
+                raise ConfigurationError(f"{name} must be a positive integer, got {size!r}")
         if mode == "A":
             feature_heads = 1
         if init_rng is None:
@@ -214,6 +219,8 @@ class RulModel:
         self.feature_heads = feature_heads if mode != "L" else 0
         self.sequence_heads = sequence_heads if mode == "F+T" else 0
         self.dtype = np.dtype(dtype)
+        if self.dtype.kind != "f":
+            raise ConfigurationError(f"model dtype must be a float type, got {self.dtype}")
 
         # Channel tokens have width T, time-step tokens have width F.
         self.feature_attention = (

@@ -16,6 +16,9 @@ from .errors import ContractError, NumericInputError
 from .model import RulModel
 from .seeding import generator
 
+# Windows per inference forward: bounds an untaped forward's activations.
+PREDICT_BATCH = 256
+
 
 @dataclass
 class TrainConfig:
@@ -124,11 +127,11 @@ def split_units(unit_ids: np.ndarray, fraction: float, seed: int) -> tuple[list[
     return train, val
 
 
-def predict_batched(model: RulModel, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def predict_batched(model: RulModel, x: np.ndarray) -> np.ndarray:
     """Inference over (N, F, T) arrays without recording a tape."""
     outs = []
-    for start in range(0, len(x), batch_size):
-        outs.append(model.predict(x[start : start + batch_size]))
+    for start in range(0, len(x), PREDICT_BATCH):
+        outs.append(model.predict(x[start : start + PREDICT_BATCH]))
     return np.concatenate(outs) if outs else np.zeros(0, dtype=np.float32)
 
 

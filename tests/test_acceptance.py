@@ -235,10 +235,8 @@ def test_criterion_6_attention_invariants():
     )
     bundle = Bundle(model=model, condition_model=cm, config={"window": 6, "r_max": 125.0})
     export = export_attention(bundle, traj, cycles=[4, 8])
-    row_sums: dict = {}
-    for cycle, head, i, _, w in export.feature_rows:
-        row_sums[(cycle, head, i)] = row_sums.get((cycle, head, i), 0.0) + w
-    assert row_sums and all(abs(total - 1.0) < 1e-6 for total in row_sums.values())
+    row_sums = export.weights.sum(axis=-1)
+    assert row_sums.size and np.all(np.abs(row_sums - 1.0) < 1e-6)
     report(6, name, "PASS - 6 configurations shape-preserving and row-stochastic; "
                     "identity single head bit-equal to raw attention; exported rows sum to 1")
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rulnet import cli
 from rulnet.cli import main
 from rulnet.data import parse_cmapss
 from rulnet.synthetic import generate_dataset
@@ -72,6 +73,24 @@ class TestPreprocess:
         assert code == 0
         assert not (out / "windows_train.txt").exists()
 
+    def test_overflowing_readings_are_data_error(self, workspace, tmp_path, capsys):
+        # Two finite readings whose sum overflows a condition's mean.
+        rows = Path(workspace["raw"]["train_path"]).read_text().splitlines()
+        for row in (5, 6):
+            fields = rows[row].split()
+            fields[9] = "1e308"  # sensor 4, channel 7
+            rows[row] = " ".join(fields)
+        train_path = tmp_path / "train_overflow.txt"
+        train_path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "prep"
+        code = main(
+            ["preprocess", "--config", str(workspace["config"]), "--out", str(out),
+             "--window", "10", "--train-path", str(train_path)]
+        )
+        assert code == 2
+        assert "condition 0, channel 7: " in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_missing_truth_file_fails_before_compute(self, workspace):
         out = workspace["root"] / "prep_bad"
         code = main(
@@ -131,6 +150,12 @@ class TestTrain:
         resolved = json.loads((trained / "resolved_config.json").read_text())
         assert resolved["seeds"] == [3]
 
+    def test_manifest_records_numeric_environment(self, trained):
+        manifest = json.loads((trained / "manifest.json").read_text())
+        for key in ("numpy_version", "python_version", "blas_name", "blas_version"):
+            assert isinstance(manifest[key], str) and manifest[key], key
+        assert manifest["numpy_version"] == np.__version__
+
     def test_invalid_head_combination_fails_fast(self, workspace):
         code = main(
             ["train", "--config", str(workspace["config"]), "--out",
@@ -153,20 +178,22 @@ class TestTrain:
         assert not any(n.startswith(("fa.", "sa.")) for n in names)
         assert bundle.model.mode == "L"
 
-    def test_non_finite_training_loss_is_runtime_error(self, workspace, tmp_path, capsys):
-        # Two finite readings whose sum overflows: the channel mean is inf,
-        # so normalization turns the channel into NaN and the loss follows.
-        rows = Path(workspace["raw"]["train_path"]).read_text().splitlines()
-        for row in (5, 6):
-            fields = rows[row].split()
-            fields[9] = "1e308"  # one sensor reading
-            rows[row] = " ".join(fields)
-        train_path = tmp_path / "train_overflow.txt"
-        train_path.write_text("\n".join(rows) + "\n")
+    def test_non_finite_training_loss_is_runtime_error(self, workspace, tmp_path, capsys,
+                                                       monkeypatch):
+        # A NaN weight below the data layer: mode L never reaches softmax's
+        # finiteness check, so only fit's loss guard can stop it.
+        real_model = cli.RulModel
+
+        def poisoned_model(*args, **kwargs):
+            model = real_model(*args, **kwargs)
+            model.head.b2.data[:] = np.nan
+            return model
+
+        monkeypatch.setattr(cli, "RulModel", poisoned_model)
         out = tmp_path / "run"
         code = main(
             ["train", "--config", str(workspace["config"]), "--out", str(out), "--seed", "3",
-             "--mode", "L", "--train-path", str(train_path)] + FAST_FLAGS
+             "--mode", "L"] + FAST_FLAGS
         )
         assert code == 3
         assert "epoch 1, batch 1" in capsys.readouterr().err

@@ -195,6 +195,25 @@ class TestClusterConditions:
         with pytest.raises(ClusteringError):
             D.cluster_conditions([traj], k=2, seed=0)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize(
+        "column, values, kind",
+        [
+            (9, (1e308, 1e308), "mean"),  # the sum overflows
+            (9, (1e200, -1e200), "std"),  # the mean is finite, the squares overflow
+            (0, (1e308, 1e308), "setting"),
+        ],
+    )
+    def test_overflowing_statistics_rejected(self, k, column, values, kind):
+        rng = np.random.default_rng(0)
+        channels = np.hstack([rng.integers(0, 2, (40, 3)) * 10.0, rng.standard_normal((40, 21))])
+        channels[5, column], channels[6, column] = values
+        traj = D.RawTrajectory(unit_id=1, settings=channels[:, :3], sensors=channels[:, 3:])
+        with pytest.raises(ClusteringError) as err:
+            D.cluster_conditions([traj], k=k, seed=0)
+        if kind != "setting" or k == 1:
+            assert re.search(rf"condition \d, channel {column}: ", str(err.value))
+
     def test_assignment_tie_breaks_to_lowest_index(self):
         cm = D.ConditionModel(
             centroids=np.array([[0.0, 0, 0], [2.0, 0, 0]]),

@@ -84,12 +84,9 @@ def test_explain_runs_on_trained_bundle(e2e):
                     config={"window": e2e["window"], "r_max": e2e["r_max"]})
     traj = e2e["test"][0]
     export = export_attention(bundle, traj, cycles=[1, len(traj)], matrix_cycles=[len(traj)])
-    assert len(export.cycle_sums) == 2 * 24
-    sums = {}
-    for cycle, head, i, _, w in export.feature_rows:
-        sums.setdefault((cycle, head, i), 0.0)
-        sums[(cycle, head, i)] += w
-    assert all(abs(total - 1.0) < 1e-6 for total in sums.values())
+    assert export.cycle_sums.shape == (2, 24)
+    assert export.weights.shape[0] == 1
+    assert np.all(np.abs(export.weights.sum(axis=-1) - 1.0) < 1e-6)
 
 
 def test_validation_rmse_tracks_training(e2e):

@@ -1,4 +1,7 @@
+import csv
 import math
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from rulnet import CapabilityError, ContractError
 from rulnet import data as D
 from rulnet.checkpoint import Bundle
 from rulnet.evaluation import (
+    AttentionExport,
     EvaluationReport,
     UnitRecord,
     export_attention,
@@ -21,6 +25,7 @@ from rulnet.evaluation import (
     write_metrics_json,
     write_predictions_csv,
 )
+from rulnet.training import PREDICT_BATCH
 
 
 class TestPhmScore:
@@ -184,6 +189,125 @@ class TestReportInvariants:
         assert report.score == phm_score([-3.0, 10.0])
 
 
+# ---------------------------------------------------------------------
+# reference export: one forward and one Python row tuple per cycle
+# ---------------------------------------------------------------------
+
+@dataclass
+class ReferenceExport:
+    unit_id: int
+    feature_rows: list[tuple[int, str, int, int, float]]
+    cycle_sums: list[tuple[int, int, float]]
+    predictions: list[tuple[int, float]]
+
+
+def reference_export_attention(bundle, trajectory, cycles=None, matrix_cycles=None):
+    """The per-cycle export: a batch-1 forward and row tuples per cycle."""
+    model = bundle.model
+    if model.feature_attention is None:
+        raise CapabilityError(f"mode {model.mode!r} retains no attention weights")
+    total = len(trajectory)
+    if cycles is None:
+        cycles = range(1, total + 1)
+    cycles = [int(c) for c in cycles]
+    for c in cycles:
+        if not 1 <= c <= total:
+            raise ContractError(f"cycle {c} outside 1..{total}")
+    matrix_set = set(cycles if matrix_cycles is None else (int(c) for c in matrix_cycles))
+
+    normed = D.normalize(trajectory, bundle.condition_model)
+    chans = normed.channels
+
+    feature_rows = []
+    cycle_sums = []
+    predictions = []
+    from rulnet.data import _window_ending_at  # same windowing as evaluation
+
+    for cycle in cycles:
+        window = _window_ending_at(chans, cycle, model.window)
+        pred = float(model.predict(window))
+        predictions.append((cycle, pred))
+        heads = [
+            np.squeeze(w, axis=0).astype(np.float64) if w.ndim == 3 else w.astype(np.float64)
+            for w in model.attention_weights("feature")
+        ]
+        stacked = np.stack(heads)  # (h, F, F)
+        averaged = stacked.mean(axis=0)
+        if cycle in matrix_set:
+            for h, mat in enumerate(heads, start=1):
+                for i in range(mat.shape[0]):
+                    for j in range(mat.shape[1]):
+                        feature_rows.append((cycle, str(h), i, j, float(mat[i, j])))
+            for i in range(averaged.shape[0]):
+                for j in range(averaged.shape[1]):
+                    feature_rows.append((cycle, "mean", i, j, float(averaged[i, j])))
+        column_sums = averaged.sum(axis=0)
+        for j, weight in enumerate(column_sums):
+            cycle_sums.append((cycle, j, float(weight)))
+
+    return ReferenceExport(
+        unit_id=trajectory.unit_id,
+        feature_rows=feature_rows,
+        cycle_sums=cycle_sums,
+        predictions=predictions,
+    )
+
+
+def reference_write_attention_csvs(export, out_dir):
+    """The csv.writer version of the attention CSVs."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    feature_path = out_dir / "attention_feature.csv"
+    sums_path = out_dir / "attention_cycle_sums.csv"
+    with open(feature_path, "w", newline="", encoding="utf-8") as out:
+        writer = csv.writer(out)
+        writer.writerow(["cycle", "head", "row_sensor", "col_sensor", "weight"])
+        for row in export.feature_rows:
+            writer.writerow([row[0], row[1], row[2], row[3], repr(row[4])])
+    with open(sums_path, "w", newline="", encoding="utf-8") as out:
+        writer = csv.writer(out)
+        writer.writerow(["cycle", "sensor", "weight_sum"])
+        for cycle, sensor, weight in export.cycle_sums:
+            writer.writerow([cycle, sensor, repr(weight)])
+    return {"feature": feature_path, "cycle_sums": sums_path}
+
+
+def as_reference(export):
+    """The reference's row tuples for the arrays of an AttentionExport."""
+    n_blocks, n_features = export.weights.shape[1], export.cycle_sums.shape[1]
+    names = [str(h) for h in range(1, n_blocks)] + ["mean"]
+    feature_rows = [
+        (int(cycle), names[h], i, j, float(block[h, i, j]))
+        for cycle, block in zip(export.matrix_cycles, export.weights)
+        for h in range(n_blocks)
+        for i in range(n_features)
+        for j in range(n_features)
+    ]
+    cycle_sums = [
+        (int(cycle), j, float(sums[j]))
+        for cycle, sums in zip(export.cycles, export.cycle_sums)
+        for j in range(n_features)
+    ]
+    predictions = [(int(c), float(p)) for c, p in zip(export.cycles, export.predictions)]
+    return ReferenceExport(export.unit_id, feature_rows, cycle_sums, predictions)
+
+
+def assert_matches_reference(export, ref):
+    """Same rows in the same order; values equal to float32 precision."""
+    got = as_reference(export)
+    assert [r[:4] for r in got.feature_rows] == [r[:4] for r in ref.feature_rows]
+    assert [r[:2] for r in got.cycle_sums] == [r[:2] for r in ref.cycle_sums]
+    assert [c for c, _ in got.predictions] == [c for c, _ in ref.predictions]
+    for mine, theirs in (
+        (got.feature_rows, ref.feature_rows),
+        (got.cycle_sums, ref.cycle_sums),
+        (got.predictions, ref.predictions),
+    ):
+        np.testing.assert_allclose(
+            [r[-1] for r in mine], [r[-1] for r in theirs], rtol=1e-5, atol=1e-7
+        )
+
+
 class TestExportAttention:
     def test_rows_sum_to_one_and_shapes(self, tmp_path):
         bundle = four_channel_bundle()
@@ -191,28 +315,20 @@ class TestExportAttention:
         export = export_attention(bundle, traj, cycles=[3, 12])
         heads = bundle.model.feature_attention.heads
         # one (cycle, head) block per head plus the averaged block
-        assert len(export.feature_rows) == 2 * (heads + 1) * 24 * 24
-        by_key = {}
-        for cycle, head, i, j, w in export.feature_rows:
-            by_key.setdefault((cycle, head, i), 0.0)
-            by_key[(cycle, head, i)] += w
-        for total in by_key.values():
-            assert abs(total - 1.0) < 1e-6
+        assert export.weights.shape == (2, heads + 1, 24, 24)
+        assert export.weights.dtype == np.float64
+        np.testing.assert_allclose(export.weights.sum(axis=-1), 1.0, atol=1e-6)
+        np.testing.assert_array_equal(export.matrix_cycles, [3, 12])
 
     def test_cycle_sums_cover_requested_cycles(self):
         bundle = four_channel_bundle()
         traj = make_test_trajs(1, length=9)[0]
         export = export_attention(bundle, traj)
-        cycles = {c for c, _, _ in export.cycle_sums}
-        assert cycles == set(range(1, 10))
-        sensors = {s for _, s, _ in export.cycle_sums}
-        assert sensors == set(range(24))
+        np.testing.assert_array_equal(export.cycles, np.arange(1, 10))
+        assert export.cycle_sums.shape == (9, 24)
+        assert export.predictions.shape == (9,)
         # column sums of a row-stochastic matrix total the row count
-        per_cycle = {}
-        for c, _, w in export.cycle_sums:
-            per_cycle[c] = per_cycle.get(c, 0.0) + w
-        for total in per_cycle.values():
-            assert abs(total - 24.0) < 1e-4
+        np.testing.assert_allclose(export.cycle_sums.sum(axis=1), 24.0, atol=1e-4)
 
     def test_capability_error_without_attention(self):
         bundle = four_channel_bundle(mode="L")
@@ -236,3 +352,87 @@ class TestExportAttention:
         sums_lines = paths["cycle_sums"].read_text().splitlines()
         assert sums_lines[0] == "cycle,sensor,weight_sum"
         assert len(sums_lines) == 1 + 24
+
+    # (trajectory length, cycles, matrix_cycles); the bundle's window is 6.
+    CASES = {
+        "all": (12, None, None),
+        "cycle-subset": (12, [2, 7, 12], None),
+        "unsorted-repeated": (12, [9, 3, 9, 1], None),
+        "matrix-subset": (12, None, [1, 6, 12]),
+        "matrix-outside-cycles": (12, range(4, 9), [2, 5, 8, 11]),
+        "shorter-than-window": (4, None, None),
+    }
+
+    @pytest.mark.parametrize("mode", ["A", "F", "F+T"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_per_cycle_reference(self, mode, case):
+        length, cycles, matrix_cycles = self.CASES[case]
+        bundle = four_channel_bundle(mode=mode)
+        traj = make_test_trajs(1, length=length)[0]
+        export = export_attention(bundle, traj, cycles=cycles, matrix_cycles=matrix_cycles)
+        ref = reference_export_attention(bundle, traj, cycles=cycles, matrix_cycles=matrix_cycles)
+        assert_matches_reference(export, ref)
+
+    def test_longer_than_one_batch_matches_reference(self):
+        bundle = four_channel_bundle(mode="F")
+        traj = make_test_trajs(1, length=PREDICT_BATCH + 45)[0]
+        matrix_cycles = [1, PREDICT_BATCH - 1, PREDICT_BATCH, PREDICT_BATCH + 1, PREDICT_BATCH + 45]
+        export = export_attention(bundle, traj, matrix_cycles=matrix_cycles)
+        ref = reference_export_attention(bundle, traj, matrix_cycles=matrix_cycles)
+        assert len(export.predictions) == PREDICT_BATCH + 45
+        assert_matches_reference(export, ref)
+
+    def test_mean_and_sums_use_the_reference_arithmetic(self):
+        """The mean block and the column sums are the reference's float64
+        reductions of the same head weights, bit for bit, so their CSV
+        text cannot move."""
+        bundle = four_channel_bundle()  # float32 weights, float64 export
+        export = export_attention(bundle, make_test_trajs(1, length=12)[0])
+        for block, sums in zip(export.weights, export.cycle_sums):
+            averaged = np.stack(list(block[:-1])).mean(axis=0)
+            np.testing.assert_array_equal(block[-1], averaged)
+            np.testing.assert_array_equal(sums, averaged.sum(axis=0))
+
+    @pytest.mark.parametrize("mode", ["A", "F+T"])
+    def test_csv_bytes_match_reference_writer(self, tmp_path, mode):
+        bundle = four_channel_bundle(mode=mode)
+        traj = make_test_trajs(1, length=10)[0]
+        export = export_attention(bundle, traj, cycles=[10, 2, 5], matrix_cycles=[5, 10])
+        new = write_attention_csvs(export, tmp_path / "new")
+        ref = reference_write_attention_csvs(as_reference(export), tmp_path / "ref")
+        for name in ("feature", "cycle_sums"):
+            assert new[name].read_bytes() == ref[name].read_bytes()
+
+    @given(
+        blocks=st.integers(1, 3),
+        features=st.integers(1, 3),
+        cycles=st.lists(st.integers(1, 10**6), max_size=3),
+        in_matrix=st.lists(st.booleans(), min_size=3, max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_writer_matches_reference_on_any_values(
+        self, tmp_path_factory, blocks, features, cycles, in_matrix, data
+    ):
+        """Every float spelling (negative zero, subnormals, exponents, inf,
+        nan) comes out as the csv.writer reference writes it."""
+        values = st.floats(allow_nan=True, allow_infinity=True, width=64)
+        cycles = np.array(cycles, dtype=np.int64)
+        keep = np.array(in_matrix[: len(cycles)], dtype=bool)
+        weights = np.array(
+            data.draw(st.lists(values, min_size=int(keep.sum()) * blocks * features**2,
+                               max_size=int(keep.sum()) * blocks * features**2))
+        ).reshape(int(keep.sum()), blocks, features, features)
+        sums = np.array(
+            data.draw(st.lists(values, min_size=len(cycles) * features,
+                               max_size=len(cycles) * features))
+        ).reshape(len(cycles), features)
+        export = AttentionExport(
+            unit_id=1, cycles=cycles, predictions=np.zeros(len(cycles)), cycle_sums=sums,
+            matrix_cycles=cycles[keep], weights=weights,
+        )
+        out = tmp_path_factory.mktemp("csv")
+        new = write_attention_csvs(export, out / "new")
+        ref = reference_write_attention_csvs(as_reference(export), out / "ref")
+        for name in ("feature", "cycle_sums"):
+            assert new[name].read_bytes() == ref[name].read_bytes()

@@ -1,8 +1,13 @@
 import gc
+import json
+import re
+import struct
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_tiny_model
 from rulnet import (
@@ -10,6 +15,7 @@ from rulnet import (
     ConfigurationError,
     ContractError,
     NumericInputError,
+    RulnetError,
     Tape,
     Tensor,
 )
@@ -325,6 +331,98 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError):
             load_bundle(path)
+
+    @staticmethod
+    def _with_header(blob, edit):
+        """The bundle with its JSON header passed through ``edit``."""
+        (header_len,) = struct.unpack_from("<Q", blob, 12)
+        header = json.loads(blob[20 : 20 + header_len])
+        edit(header)
+        text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        return blob[:12] + struct.pack("<Q", len(text)) + text + blob[20 + header_len :]
+
+    @staticmethod
+    def _set_first_tensor(key, value):
+        def edit(header):
+            header["tensors"][0][key] = value
+        return edit
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda h: h.pop("tensors"), id="no-tensors"),
+            pytest.param(lambda h: h.pop("condition_model"), id="no-condition-model"),
+            pytest.param(lambda h: h.update(hyperparams=[]), id="hyperparams-list"),
+            pytest.param(lambda h: h["hyperparams"].update(heads=2), id="unknown-hyperparam"),
+            pytest.param(lambda h: h["hyperparams"].update(lstm_hidden="8"), id="text-hyperparam"),
+            pytest.param(lambda h: h["hyperparams"].update(lstm_hidden=9), id="shape-mismatch"),
+            pytest.param(lambda h: h["hyperparams"].update(mlp_hidden=0), id="zero-width"),
+            pytest.param(lambda h: h["hyperparams"].update(dtype="<f$"), id="unparsable-model-dtype"),
+            pytest.param(lambda h: h["hyperparams"].update(dtype="<i4"), id="integer-model"),
+            pytest.param(lambda h: h["condition_model"].update(means=[[0.0] * 24]),
+                         id="condition-rows"),
+            pytest.param(lambda h: h["condition_model"].update(stds="wide"), id="condition-text"),
+            pytest.param(lambda h: h["tensors"][0].pop("dtype"), id="no-dtype"),
+            pytest.param(lambda h: h.update(tensors=[None] + h["tensors"]), id="null-entry"),
+            pytest.param(_set_first_tensor("dtype", "<f5"), id="unknown-dtype"),
+            pytest.param(_set_first_tensor("dtype", "<f$"), id="unparsable-dtype"),
+            pytest.param(_set_first_tensor("dtype", "<i4"), id="integer-dtype"),
+            pytest.param(_set_first_tensor("dtype", {"names": ["a"], "formats": ["<f4"]}),
+                         id="record-dtype"),
+            pytest.param(_set_first_tensor("shape", [-1, 4]), id="negative-shape"),
+            pytest.param(_set_first_tensor("shape", "4"), id="text-shape"),
+            pytest.param(_set_first_tensor("shape", [2.5, 4]), id="float-shape"),
+            pytest.param(_set_first_tensor("nbytes", 0), id="nbytes-mismatch"),
+            pytest.param(_set_first_tensor("offset", 4), id="offset-gap"),
+            pytest.param(_set_first_tensor("name", 7), id="numeric-name"),
+        ],
+    )
+    def test_bad_header_schema_names_the_path(self, tmp_path, edit):
+        model, cm, config, _ = self._bundle_parts()
+        path = tmp_path / "bundle.bin"
+        save_bundle(path, model, cm, config)
+        path.write_bytes(self._with_header(path.read_bytes(), edit))
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_bundle(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        model, cm, config, _ = self._bundle_parts()
+        path = tmp_path / "bundle.bin"
+        save_bundle(path, model, cm, config)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="1 bytes after the last tensor"):
+            load_bundle(path)
+
+    @given(damage=st.one_of(
+        st.tuples(st.just("cut"), st.floats(0.0, 1.0, exclude_max=True)),
+        st.tuples(st.just("flip"), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 7)),
+        st.tuples(st.just("flip-header"), st.floats(0.0, 1.0, exclude_max=True),
+                  st.integers(0, 7)),
+        st.tuples(st.just("append"), st.binary(min_size=1, max_size=8)),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_bundle_loads_or_raises_rulnet_error(self, tmp_path_factory, damage):
+        path = tmp_path_factory.mktemp("bundle") / "bundle.bin"
+        model, cm, config, _ = self._bundle_parts()
+        save_bundle(path, model, cm, config)
+        blob = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack_from("<Q", blob, 12)
+        kind = damage[0]
+        if kind == "cut":
+            blob = blob[: int(damage[1] * len(blob))]
+        elif kind == "append":
+            blob += damage[1]
+        else:
+            span = len(blob) if kind == "flip" else 20 + header_len
+            blob[int(damage[1] * span)] ^= 1 << damage[2]
+        path.write_bytes(bytes(blob))
+        try:
+            load_bundle(path)
+        except RulnetError:
+            return
+        # Only a flip can leave a loadable bundle: a shorter or longer
+        # file never is one.
+        assert kind.startswith("flip")
 
     def test_records_window_and_refuses_mismatch(self, tmp_path):
         model, cm, config, _ = self._bundle_parts()
