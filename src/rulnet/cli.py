@@ -28,7 +28,6 @@ from .config import SWEEPABLE, ExperimentConfig, SweepSpec
 from .data import (
     ConditionModel,
     cluster_conditions,
-    load_windows,
     normalize,
     parse_cmapss,
     parse_rul_truth,
@@ -134,41 +133,22 @@ def _load_raw(cfg: ExperimentConfig):
     return train, test, truth
 
 
-def _fit_condition_model(cfg: ExperimentConfig, train_trajs) -> ConditionModel:
+def _prepare(cfg: ExperimentConfig, train_trajs) -> tuple[ConditionModel, list]:
+    """The condition model and the training windows, built from the raw rows."""
     # The pipeline seed is the first configured seed, so preprocess
-    # artifacts and in-memory runs agree for every training seed.
-    return cluster_conditions(train_trajs, cfg.k_conditions, seed=cfg.seeds[0])
-
-
-def _train_windows(cfg: ExperimentConfig, train_trajs, cm: ConditionModel):
-    samples = []
-    for traj in train_trajs:
-        samples.extend(window_split(normalize(traj, cm), cfg.window, cfg.r_max))
-    return samples
-
-
-def _artifacts(cfg: ExperimentConfig, out_dir: Path, train_trajs):
-    """Condition model + train windows, from artifacts when they match."""
-    cm_path = out_dir / CONDITION_MODEL_FILE
-    win_path = out_dir / WINDOWS_FILE
-    if cm_path.exists():
-        cm = ConditionModel.load_text(cm_path)
-        if cm.k != cfg.k_conditions:
-            raise ConfigurationError(
-                f"artifact {cm_path} has k={cm.k}, config wants {cfg.k_conditions}"
-            )
-    else:
-        cm = _fit_condition_model(cfg, train_trajs)
-    if win_path.exists():
-        samples = load_windows(win_path)
-        shape = samples[0].matrix.shape
-        if shape[1] != cfg.window:
-            raise ConfigurationError(
-                f"artifact {win_path} has window {shape[1]}, config wants {cfg.window}"
-            )
-    else:
-        samples = _train_windows(cfg, train_trajs, cm)
+    # exports and training runs agree for every training seed.
+    cm = cluster_conditions(train_trajs, cfg.k_conditions, seed=cfg.seeds[0])
+    samples = [
+        s for traj in train_trajs for s in window_split(normalize(traj, cm), cfg.window, cfg.r_max)
+    ]
     return cm, samples
+
+
+def _config_path(cfg_like: dict, key: str) -> str:
+    """A data path from a checkpoint's config, after any flag override."""
+    if not cfg_like.get(key):
+        raise ConfigurationError(f"no {key}: the checkpoint's config does not name one")
+    return cfg_like[key]
 
 
 def _blas_build() -> dict[str, str]:
@@ -187,7 +167,7 @@ def _train_once(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     """Run one training; writes checkpoint, log, manifest. Returns summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
     train_trajs, _, _ = _load_raw(cfg)
-    cm, samples = _artifacts(cfg, out_dir, train_trajs)
+    cm, samples = _prepare(cfg, train_trajs)
 
     model = RulModel(**cfg.model_kwargs(), init_rng=generator(seed, "init"))
     started = time.perf_counter()
@@ -242,8 +222,8 @@ def _train_once(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 
 
 def _evaluate_bundle(bundle: Bundle, cfg_like: dict, out_dir: Path, clip: bool | None = None) -> dict:
-    test = parse_cmapss(cfg_like["test_path"])
-    truth = parse_rul_truth(cfg_like["truth_path"])
+    test = parse_cmapss(_config_path(cfg_like, "test_path"))
+    truth = parse_rul_truth(_config_path(cfg_like, "truth_path"))
     report = predict_test_set(bundle, test, truth, clip_truth=clip)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_predictions_csv(report, out_dir / "predictions.csv")
@@ -265,8 +245,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         raise IntegrityError(
             f"{len(test_trajs)} test units but {len(truth)} truth values"
         )
-    cm = _fit_condition_model(cfg, train_trajs)
-    samples = _train_windows(cfg, train_trajs, cm)
+    cm, samples = _prepare(cfg, train_trajs)
     cm.save_text(out_dir / CONDITION_MODEL_FILE)
     if not args.skip_windows:
         save_windows(samples, out_dir / WINDOWS_FILE)
@@ -337,10 +316,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
     cfg_like = dict(bundle.config)
     if args.test_path:
         cfg_like["test_path"] = args.test_path
-    test = parse_cmapss(cfg_like["test_path"])
+    test_path = _config_path(cfg_like, "test_path")
+    truth_path = _config_path(cfg_like, "truth_path")
+    test = parse_cmapss(test_path)
     by_unit = {t.unit_id: t for t in test}
     if args.unit not in by_unit:
-        raise UnitLookupError(f"unit {args.unit} not found in {cfg_like['test_path']}")
+        raise UnitLookupError(f"unit {args.unit} not found in {test_path}")
     traj = by_unit[args.unit]
 
     cycles = None
@@ -361,7 +342,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     paths = write_attention_csvs(export, out_dir)
 
     # Per-cycle predictions with back-computed truth, the third surface.
-    truth = parse_rul_truth(cfg_like["truth_path"])
+    truth = parse_rul_truth(truth_path)
     order = [t.unit_id for t in test]
     final_rul = truth[order.index(args.unit)]
     with open(out_dir / "predictions.csv", "w", newline="", encoding="utf-8") as fh:

@@ -2,8 +2,9 @@
 
 Every field of :class:`ExperimentConfig` can appear in the config file
 and be overridden by a flag of the same name.  Validation happens before
-any compute: paths must exist and head counts must divide their embedding
-widths (window for feature heads, channel count for sequence heads).
+any compute: paths must exist and head counts must be non-negative and
+divide their embedding widths (window for feature heads, channel count for
+sequence heads).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .data import N_CHANNELS
 from .errors import ConfigurationError
-from .model import MODES
+from .model import resolve_blocks
 from .training import TrainConfig
 
 SWEEPABLE = ("feature_heads", "sequence_heads", "window", "r_max", "mode")
@@ -75,34 +76,11 @@ class ExperimentConfig:
 
     # -- derived views ------------------------------------------------------
     def effective_heads(self) -> tuple[int, int]:
-        """(feature, sequence) head counts after applying the mode.
-
-        0 means the block is disabled: mode L disables both, A forces a
-        single feature head, F disables the sequence block.  A configured
-        head count of 0 likewise disables its block.
-        """
-        fh = self.feature_heads
-        sh = self.sequence_heads
-        if self.mode == "L":
-            return 0, 0
-        if self.mode == "A":
-            return 1, 0
-        if self.mode == "F":
-            return fh, 0
-        return fh, sh
-
-    def resolved_mode(self) -> str:
-        """Mode after folding head-count zeros into block disabling."""
-        fh, sh = self.effective_heads()
-        if fh == 0:
-            return "L"
-        if sh == 0:
-            return "A" if fh == 1 and self.mode == "A" else "F"
-        return self.mode
+        """(feature, sequence) head counts in effect; 0 means the block is
+        disabled.  :func:`rulnet.model.resolve_blocks` holds the rule."""
+        return resolve_blocks(self.mode, self.feature_heads, self.sequence_heads)[1:]
 
     def validate(self, require_paths: bool = True) -> None:
-        if self.mode not in MODES:
-            raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.window < 1:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
         if self.r_max <= 0:
@@ -142,13 +120,11 @@ class ExperimentConfig:
         )
 
     def model_kwargs(self) -> dict:
-        fh, sh = self.effective_heads()
+        blocks = resolve_blocks(self.mode, self.feature_heads, self.sequence_heads)
         return {
             "n_features": N_CHANNELS,
             "window": self.window,
-            "mode": self.resolved_mode(),
-            "feature_heads": max(fh, 1),
-            "sequence_heads": max(sh, 1),
+            **blocks.construction_args(),
             "lstm_hidden": self.lstm_hidden,
             "lstm_layers": self.lstm_layers,
             "mlp_hidden": self.mlp_hidden,

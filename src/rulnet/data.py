@@ -398,19 +398,9 @@ def _window_ending_at(channels: np.ndarray, end: int, window: int) -> np.ndarray
     return np.ascontiguousarray(block.T, dtype=np.float32)
 
 
-def window_split(
-    trajectory: RawTrajectory,
-    window: int,
-    r_max: float,
-    is_test: bool = False,
-    test_rul: float | None = None,
-    clip_test_label: bool = True,
-) -> list[WindowedSample]:
-    """Slide a stride-1 window over one trajectory.
-
-    Training mode yields one sample per window position with the capped
-    linear label.  Test mode yields only the final window, labeled with
-    the truth-file RUL (clipped at r_max unless disabled).  Sequences
+def window_split(trajectory: RawTrajectory, window: int, r_max: float) -> list[WindowedSample]:
+    """Slide a stride-1 window over one trajectory: one training sample
+    per window position, labeled with the capped linear RUL.  Sequences
     shorter than the window produce a single sample padded by repeating
     the first cycle.
     """
@@ -418,20 +408,6 @@ def window_split(
         raise ContractError(f"window length must be >= 1, got {window}")
     chans = trajectory.channels
     total = len(trajectory)
-
-    if is_test:
-        if test_rul is None:
-            raise ContractError("test mode requires the truth RUL")
-        label = float(min(test_rul, r_max)) if clip_test_label else float(test_rul)
-        return [
-            WindowedSample(
-                matrix=_window_ending_at(chans, total, window),
-                label=label,
-                unit_id=trajectory.unit_id,
-                end_cycle=total,
-            )
-        ]
-
     ends = range(window, total + 1) if window <= total else [total]
     return [
         WindowedSample(

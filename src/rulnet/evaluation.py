@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import Bundle
-from .data import RawTrajectory, _window_ending_at, normalize, pair_test_truth, window_split
+from .data import RawTrajectory, _window_ending_at, normalize, pair_test_truth
 from .errors import CapabilityError, ContractError
 from .training import PREDICT_BATCH, predict_batched
 
@@ -102,35 +102,20 @@ def predict_test_set(
     if clip_truth is None:
         clip_truth = bool(bundle.config.get("clip_test_rul", True))
     pairs = pair_test_truth(test_trajectories, truth)
-    window = bundle.window
     r_max = bundle.r_max
 
-    matrices = []
-    labels = []
-    units = []
-    for traj, true_rul in pairs:
-        normed = normalize(traj, bundle.condition_model)
-        sample = window_split(
-            normed,
-            window,
-            r_max,
-            is_test=True,
-            test_rul=float(true_rul),
-            clip_test_label=clip_truth,
-        )[0]
-        matrices.append(sample.matrix)
-        labels.append(sample.label)
-        units.append(traj.unit_id)
-
-    x = np.stack(matrices)
+    x = np.stack([
+        _window_ending_at(normalize(traj, bundle.condition_model).channels, len(traj), bundle.window)
+        for traj, _ in pairs
+    ])
     preds = predict_batched(bundle.model, x).astype(np.float64)
     records = []
-    for unit, true_rul, pred in zip(units, labels, preds):
+    for (traj, true_rul), pred in zip(pairs, preds):
         clamped = pred < 0.0
         records.append(
             UnitRecord(
-                unit_id=int(unit),
-                true_rul=float(true_rul),
+                unit_id=int(traj.unit_id),
+                true_rul=float(min(true_rul, r_max) if clip_truth else true_rul),
                 pred_rul=float(max(pred, 0.0)),
                 clamped=bool(clamped),
             )

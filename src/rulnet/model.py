@@ -12,7 +12,7 @@ stacked (B, F, T) batch.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -21,6 +21,46 @@ from .autodiff import Tensor
 from .errors import CapabilityError, ConfigurationError, ContractError, DimensionError
 
 MODES = ("L", "A", "F", "F+T")
+
+
+class Blocks(NamedTuple):
+    """The mode and per-block head counts in effect; 0 heads means the
+    block is not built."""
+
+    mode: str
+    feature_heads: int
+    sequence_heads: int
+
+    def construction_args(self) -> dict:
+        """Mode and head arguments as bundles record them: a block that is
+        not built is recorded with one head."""
+        return {
+            "mode": self.mode,
+            "feature_heads": max(self.feature_heads, 1),
+            "sequence_heads": max(self.sequence_heads, 1),
+        }
+
+
+def resolve_blocks(mode: str, feature_heads: int, sequence_heads: int) -> Blocks:
+    """The one rule for which attention blocks a mode builds.
+
+    "L" builds neither block, "A" a single-head feature block, "F" the
+    feature block and "F+T" both.  A head count of 0 disables its block:
+    no feature block leaves plain "L", and "F+T" without a sequence block
+    is "F".  Resolving a resolved triple returns it unchanged.
+    """
+    if mode not in MODES:
+        raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
+    for name, heads in (("feature_heads", feature_heads), ("sequence_heads", sequence_heads)):
+        if heads < 0:
+            raise ConfigurationError(f"{name} must be >= 0, got {heads}")
+    fh = {"L": 0, "A": 1}.get(mode, feature_heads)
+    sh = sequence_heads if mode == "F+T" and fh else 0
+    if fh == 0:
+        mode = "L"
+    elif mode == "F+T" and sh == 0:
+        mode = "F"
+    return Blocks(mode, fh, sh)
 
 
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype) -> Tensor:
@@ -184,8 +224,8 @@ class RulModel:
 
     ``mode`` selects the active blocks: "L" plain LSTM, "A" single-head
     attention on channels, "F" multi-head attention on channels, "F+T"
-    attention on channels then on time steps.  Disabled blocks are not
-    constructed, so they contribute no parameters.
+    attention on channels then on time steps (see :func:`resolve_blocks`).
+    Disabled blocks are not constructed, so they contribute no parameters.
     """
 
     def __init__(
@@ -202,33 +242,30 @@ class RulModel:
         init_rng: np.random.Generator | None = None,
         dtype=ad.DEFAULT_DTYPE,
     ):
-        if mode not in MODES:
-            raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
+        blocks = resolve_blocks(mode, feature_heads, sequence_heads)
         sizes = {"n_features": n_features, "window": window, "lstm_hidden": lstm_hidden,
                  "lstm_layers": lstm_layers, "mlp_hidden": mlp_hidden}
         for name, size in sizes.items():
             if not isinstance(size, (int, np.integer)) or size < 1:
                 raise ConfigurationError(f"{name} must be a positive integer, got {size!r}")
-        if mode == "A":
-            feature_heads = 1
         if init_rng is None:
             init_rng = np.random.default_rng(0)
         self.n_features = n_features
         self.window = window
-        self.mode = mode
-        self.feature_heads = feature_heads if mode != "L" else 0
-        self.sequence_heads = sequence_heads if mode == "F+T" else 0
+        self.mode, self.feature_heads, self.sequence_heads = blocks
         self.dtype = np.dtype(dtype)
         if self.dtype.kind != "f":
             raise ConfigurationError(f"model dtype must be a float type, got {self.dtype}")
 
         # Channel tokens have width T, time-step tokens have width F.
         self.feature_attention = (
-            MultiHeadAttention(window, feature_heads, init_rng, dtype) if mode != "L" else None
+            MultiHeadAttention(window, blocks.feature_heads, init_rng, dtype)
+            if blocks.feature_heads
+            else None
         )
         self.sequence_attention = (
-            MultiHeadAttention(n_features, sequence_heads, init_rng, dtype)
-            if mode == "F+T"
+            MultiHeadAttention(n_features, blocks.sequence_heads, init_rng, dtype)
+            if blocks.sequence_heads
             else None
         )
         self.lstm = LstmStack(n_features, lstm_hidden, lstm_layers, init_rng, dtype)
@@ -333,9 +370,7 @@ class RulModel:
         return {
             "n_features": self.n_features,
             "window": self.window,
-            "mode": self.mode,
-            "feature_heads": self.feature_heads or 1,
-            "sequence_heads": self.sequence_heads or 1,
+            **Blocks(self.mode, self.feature_heads, self.sequence_heads).construction_args(),
             "lstm_hidden": self.lstm.hidden_size,
             "lstm_layers": self.lstm.num_layers,
             "mlp_hidden": self.head.w1.shape[1],

@@ -28,7 +28,6 @@ class TrainConfig:
     max_epochs: int = 500
     validation_fraction: float = 0.1
     seed: int = 0
-    grad_clip: float | None = None
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -188,8 +187,6 @@ def fit(model: RulModel, samples: Sequence[WindowedSample], config: TrainConfig)
                     f"training loss is {loss_value} at epoch {epoch}, batch {batch}"
                 )
             tape.backward(loss)
-            if config.grad_clip is not None:
-                _clip_gradients(params, config.grad_clip)
             adam_step(params, state, config.learning_rate)
             model.zero_grad()
             total_loss += loss_value * len(idx)
@@ -218,17 +215,3 @@ def fit(model: RulModel, samples: Sequence[WindowedSample], config: TrainConfig)
         val_units=val_units,
         stopped_early=stopped_early,
     )
-
-
-def _clip_gradients(params: Sequence[Tensor], max_norm: float) -> None:
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = math.sqrt(total)
-    if norm > max_norm:
-        factor = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                # Out of place: grad buffers may be shared views.
-                p.grad = p.grad * p.grad.dtype.type(factor)

@@ -127,15 +127,27 @@ class TestPreprocess:
         digest = hashlib.sha256((out / "windows_train.txt").read_bytes()).hexdigest()
         assert digest == "bb9004e6ecb13e918a557f610d1972eb62d8500c5bf95344935fb36b42a9faa6"
 
-    def test_train_reuses_artifacts(self, workspace):
-        prep_out = workspace["root"] / "prep"
-        run_out = workspace["root"] / "prep"  # same directory: artifacts present
-        code = main(
-            ["train", "--config", str(workspace["config"]), "--out", str(run_out), "--seed", "3"]
-            + FAST_FLAGS
-        )
-        assert code == 0
-        assert (prep_out / "checkpoint.bin").exists()
+    @pytest.mark.parametrize("corrupt", [(), ("windows_train.txt",), ("condition_model.txt",),
+                                         ("windows_train.txt", "condition_model.txt")],
+                             ids=["exports", "windows", "condition-model", "both"])
+    def test_train_ignores_preprocess_exports(self, workspace, tmp_path, corrupt):
+        # The exports of a preprocess with another r_max, whole or corrupt,
+        # must leave train's exit code and log as in an empty directory.
+        def train(out):
+            code = main(
+                ["train", "--config", str(workspace["config"]), "--out", str(out), "--seed", "3",
+                 "--r-max", "20"] + FAST_FLAGS
+            )
+            return code, (out / "training_log.csv").read_bytes()
+
+        prep = tmp_path / "prep"
+        assert main(
+            ["preprocess", "--config", str(workspace["config"]), "--out", str(prep),
+             "--window", "10", "--r-max", "125"]
+        ) == 0
+        for name in corrupt:
+            (prep / name).write_text("not an export\n")
+        assert train(prep) == train(tmp_path / "empty")
 
 
 class TestTrain:
@@ -163,6 +175,14 @@ class TestTrain:
         )
         assert code == 1
         assert not (workspace["root"] / "badheads" / "checkpoint.bin").exists()
+
+    def test_negative_head_count_is_config_error(self, workspace, capsys):
+        code = main(
+            ["train", "--config", str(workspace["config"]), "--out",
+             str(workspace["root"] / "negheads"), "--window", "10", "--feature-heads", "-5"]
+        )
+        assert code == 1
+        assert "feature_heads must be >= 0, got -5" in capsys.readouterr().err
 
     def test_mode_l_checkpoint_has_no_attention_parameters(self, workspace):
         out = workspace["root"] / "mode_l"
@@ -263,6 +283,26 @@ class TestEvaluate:
     def test_missing_checkpoint_is_data_error(self, workspace):
         code = main(["evaluate", "--checkpoint", str(workspace["root"] / "none.bin")])
         assert code == 2
+
+    @pytest.mark.parametrize("command, flags, missing", [
+        (["evaluate"], [], "test_path"),
+        (["evaluate"], ["--test-path"], "truth_path"),
+        (["explain", "--unit", "1"], [], "test_path"),
+        (["explain", "--unit", "1"], ["--test-path"], "truth_path"),
+    ], ids=["evaluate-test", "evaluate-truth", "explain-test", "explain-truth"])
+    def test_bundle_without_data_paths_is_config_error(self, workspace, trained, tmp_path,
+                                                       capsys, command, flags, missing):
+        from rulnet.checkpoint import load_bundle, save_bundle
+
+        bundle = load_bundle(trained / "checkpoint.bin")
+        checkpoint = tmp_path / "bare.bin"
+        save_bundle(checkpoint, bundle.model, bundle.condition_model, {"window": 10})
+        flags = [v for f in flags for v in (f, workspace["raw"]["test_path"])]
+        out = tmp_path / "out"
+        code = main(command + ["--checkpoint", str(checkpoint), "--out", str(out)] + flags)
+        assert code == 1
+        assert f"configuration error: no {missing}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExplain:

@@ -385,19 +385,6 @@ class TestWindowSplit:
             traj.channels[end - 5 : end].T.astype(np.float32),
         )
 
-    def test_test_mode_single_final_window(self):
-        traj = self._traj(50)
-        samples = D.window_split(traj, 30, 125, is_test=True, test_rul=140)
-        assert len(samples) == 1
-        assert samples[0].end_cycle == 50
-        assert samples[0].label == 125.0
-        unclipped = D.window_split(traj, 30, 125, is_test=True, test_rul=140, clip_test_label=False)
-        assert unclipped[0].label == 140.0
-
-    def test_test_mode_requires_truth(self):
-        with pytest.raises(ContractError):
-            D.window_split(self._traj(10), 5, 125, is_test=True)
-
     def test_windows_file_round_trip(self, tmp_path):
         samples = D.window_split(self._traj(45), 8, 125)
         path = tmp_path / "w.txt"

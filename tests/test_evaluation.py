@@ -150,6 +150,26 @@ class TestPredictTestSet:
         assert report.clamp_count == 2
         assert all(r.pred_rul == 0.0 for r in report.records)
 
+    def test_each_unit_uses_its_final_window(self, monkeypatch):
+        # Unit 1 (50 cycles) fills the 6-cycle window; unit 2 (4 cycles)
+        # is padded by repeating its first cycle.
+        bundle = four_channel_bundle()
+        full = make_test_trajs(1, length=50)[0]
+        short = make_test_trajs(2, seed=2, length=4)[1]
+        seen = []
+        monkeypatch.setattr(bundle.model, "predict",
+                            lambda x: seen.append(x) or np.zeros(len(x)))
+        report = predict_test_set(bundle, [full, short], [140, 3])
+        (x,) = seen
+        full_chans = D.normalize(full, bundle.condition_model).channels
+        short_chans = D.normalize(short, bundle.condition_model).channels
+        np.testing.assert_array_equal(x[0], full_chans[-6:].T.astype(np.float32))
+        padded = np.vstack([short_chans[:1], short_chans[:1], short_chans])
+        np.testing.assert_array_equal(x[1], padded.T.astype(np.float32))
+        assert [(r.unit_id, r.true_rul) for r in report.records] == [(1, 125.0), (2, 3.0)]
+        unclipped = predict_test_set(bundle, [full, short], [140, 3], clip_truth=False)
+        assert [r.true_rul for r in unclipped.records] == [140.0, 3.0]
+
     def test_truth_clipping_follows_config(self):
         bundle = four_channel_bundle()
         trajs = make_test_trajs(1)

@@ -17,7 +17,8 @@ from rulnet import (
 )
 from rulnet import autodiff as ad
 from rulnet.autodiff import exact_arithmetic, gradcheck
-from rulnet.model import scaled_dot_product_attention
+from rulnet.config import ExperimentConfig
+from rulnet.model import MODES, resolve_blocks, scaled_dot_product_attention
 
 
 def attention_oracle(q, k, v):
@@ -416,3 +417,52 @@ class TestRulModel:
         clone, _ = build_tiny_model(seed=99)
         clone.load_state_arrays(state)
         assert np.array_equal(clone.predict(x), before)
+
+
+# Window 10 and 24 channels: 2 heads divide both token widths, 7 neither.
+# Each entry is the resolved (mode, feature heads, sequence heads), or the
+# message of the ConfigurationError that validate() raises.
+HEAD_TABLE = {
+    "L": {-1: ">= 0", 0: ("L", 0, 0), 1: ("L", 0, 0), 2: ("L", 0, 0), 7: ("L", 0, 0)},
+    "A": {-1: ">= 0", 0: ("A", 1, 0), 1: ("A", 1, 0), 2: ("A", 1, 0), 7: ("A", 1, 0)},
+    "F": {-1: ">= 0", 0: ("L", 0, 0), 1: ("F", 1, 0), 2: ("F", 2, 0), 7: "does not divide"},
+    "F+T": {-1: ">= 0", 0: ("L", 0, 0), 1: ("F+T", 1, 1), 2: ("F+T", 2, 2),
+            7: "does not divide"},
+}
+
+
+class TestResolveBlocks:
+    @pytest.mark.parametrize("heads", [-1, 0, 1, 2, 7])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_mode_and_head_count_table(self, mode, heads):
+        cfg = ExperimentConfig(mode=mode, feature_heads=heads, sequence_heads=heads, window=10,
+                               lstm_hidden=4, lstm_layers=1, mlp_hidden=4)
+        expected = HEAD_TABLE[mode][heads]
+        if isinstance(expected, str):
+            with pytest.raises(ConfigurationError, match=expected):
+                cfg.validate(require_paths=False)
+            return
+        cfg.validate(require_paths=False)
+        assert resolve_blocks(mode, heads, heads) == expected
+        assert cfg.effective_heads() == expected[1:]
+        model = RulModel(**cfg.model_kwargs())
+        built = tuple(0 if block is None else block.heads
+                      for block in (model.feature_attention, model.sequence_attention))
+        assert (model.mode,) + built == expected
+        rebuilt = RulModel.from_hyperparams(model.hyperparams())
+        assert rebuilt.hyperparams() == model.hyperparams()
+        assert [n for n, _ in rebuilt.parameters()] == [n for n, _ in model.parameters()]
+
+    @pytest.mark.parametrize("mode, fh, sh, expected", [
+        ("F+T", 2, 0, ("F", 2, 0)),
+        ("F+T", 0, 4, ("L", 0, 0)),
+        ("F", 3, -1, None),
+        ("X", 1, 1, None),
+    ])
+    def test_each_block_resolves_on_its_own(self, mode, fh, sh, expected):
+        if expected is None:
+            with pytest.raises(ConfigurationError):
+                resolve_blocks(mode, fh, sh)
+        else:
+            assert resolve_blocks(mode, fh, sh) == expected
+            assert resolve_blocks(*expected) == expected
