@@ -16,7 +16,7 @@ from .errors import (
     TapeError,
     UnitLookupError,
 )
-from .model import LstmStack, MlpHead, MultiHeadAttention, RulModel, scaled_dot_product_attention
+from .model import LstmStack, MlpHead, MultiHeadAttention, RulModel
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "MultiHeadAttention",
     "LstmStack",
     "MlpHead",
-    "scaled_dot_product_attention",
     "RulnetError",
     "DimensionError",
     "ContractError",

@@ -18,6 +18,7 @@ against brute-force oracles.
 from __future__ import annotations
 
 import contextlib
+import math
 import weakref
 from typing import Callable, Iterable, Sequence
 
@@ -246,10 +247,13 @@ def _matmul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if _EXACT_MATMUL:
+def _matmul_data(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if not _EXACT_MATMUL:
+        return np.matmul(a, b, out=out)
+    if out is None:
         return _matmul_exact(a, b)
-    return np.matmul(a, b)
+    out[...] = _matmul_exact(a, b)
+    return out
 
 
 def _swap_last(a: np.ndarray) -> np.ndarray:
@@ -401,24 +405,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        y = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(y.astype(a.data.dtype, copy=False))
-    tape = _tape_for(a)
-    if tape is not None:
-        tape._record(out, lambda g: [(a, g * (out.data * (1.0 - out.data)))])
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = Tensor(np.tanh(a.data))
-    tape = _tape_for(a)
-    if tape is not None:
-        tape._record(out, lambda g: [(a, g * (1.0 - out.data * out.data))])
-    return out
-
-
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0))
     tape = _tape_for(a)
@@ -426,52 +412,6 @@ def relu(a: Tensor) -> Tensor:
         # Subgradient at exactly 0 is taken as 0.
         mask = a.data > 0
         tape._record(out, lambda g: [(a, g * mask)])
-    return out
-
-
-def softmax(a: Tensor, axis: int) -> Tensor:
-    """Shift-stabilised softmax along one axis; slices sum to 1."""
-    if not -a.ndim <= axis < a.ndim:
-        raise DimensionError(f"softmax axis {axis} out of range for shape {a.shape}")
-    if not np.isfinite(a.data).all():
-        raise NumericInputError("softmax input contains non-finite values")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y.astype(a.data.dtype, copy=False))
-    tape = _tape_for(a)
-    if tape is not None:
-
-        def backward(g: np.ndarray):
-            dot = (g * out.data).sum(axis=axis, keepdims=True)
-            return [(a, (g - dot) * out.data)]
-
-        tape._record(out, backward)
-    return out
-
-
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    """Concatenate along ``axis``; other dimensions must agree."""
-    if not tensors:
-        raise ContractError("concat of zero tensors")
-    _check_dtypes(*tensors)
-    ref = tensors[0].shape
-    for t in tensors[1:]:
-        if t.ndim != len(ref) or any(
-            s != r for i, (s, r) in enumerate(zip(t.shape, ref)) if i != axis % t.ndim
-        ):
-            raise DimensionError(f"concat shapes differ off-axis: {[t.shape for t in tensors]}")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    tape = _tape_for(*tensors)
-    if tape is not None:
-        sizes = [t.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
-
-        def backward(g: np.ndarray):
-            parts = np.split(g, splits, axis=axis)
-            return [(t, p) for t, p in zip(tensors, parts) if t.requires_grad]
-
-        tape._record(out, backward)
     return out
 
 
@@ -514,7 +454,7 @@ def mean(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------
 
 def _sigmoid_inplace(z: np.ndarray) -> None:
-    # Same arithmetic as sigmoid(): 1 / (1 + exp(-z)).
+    # 1 / (1 + exp(-z)), saturating to 0 or 1 where exp overflows.
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1
@@ -643,6 +583,119 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
 
         tape._record(out, backward)
     return out
+
+
+# ---------------------------------------------------------------------
+# fused multi-head self-attention
+# ---------------------------------------------------------------------
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)`` by halving with np.maximum, which
+    is exact and avoids a slow reduction over a short axis."""
+    while a.shape[-1] > 1:
+        n = a.shape[-1]
+        half = n // 2
+        top = np.maximum(a[..., :half], a[..., half : 2 * half])
+        if n % 2:
+            np.maximum(top[..., :1], a[..., -1:], out=top[..., :1])
+        a = top
+    return a
+
+
+def attention(
+    x: Tensor, w_q: Sequence[Tensor], w_k: Sequence[Tensor], w_v: Sequence[Tensor], w_o: Tensor
+) -> tuple[Tensor, np.ndarray]:
+    """Multi-head self-attention over the tokens of ``x``, shape (B, N, d)
+    or a single (N, d) sample.
+
+    Head ``i`` projects the tokens with ``w_q[i]``, ``w_k[i]`` and
+    ``w_v[i]``, each (d, d_h), and attends with
+    softmax(q kᵀ / sqrt(d_h)) v, the softmax taken over each row.  The
+    heads' outputs, concatenated in head order, go through ``w_o``
+    (h·d_h, d_out).  Returns the output, (B, N, d_out) or (N, d_out), and
+    the softmax weights as a plain array, (B, h, N, N) or (h, N, N).
+
+    The block is one tape node.  One GEMM gives every head's q, k and v,
+    the scores and weights·v run batched over (B, h), and the softmax
+    backward is written by hand.  The forward arithmetic is that of a
+    per-head evaluation, so its results do not depend on the batching.
+    """
+    heads = len(w_q)
+    if heads < 1 or len(w_k) != heads or len(w_v) != heads:
+        raise ContractError(
+            f"attention needs equal, non-empty head lists, got {len(w_q)}/{len(w_k)}/{len(w_v)}"
+        )
+    if x.ndim not in (2, 3):
+        raise DimensionError(f"attention expects (batch, tokens, width) or (tokens, width), got {x.shape}")
+    tokens, width = x.shape[-2:]
+    d_head = w_q[0].shape[-1]
+    if width == 0 or d_head == 0:
+        raise ContractError(f"attention needs non-zero widths, got input {x.shape}, heads of {d_head}")
+    for w in (*w_q, *w_k, *w_v):
+        if w.shape != (width, d_head):
+            raise DimensionError(f"attention head weight {w.shape} for input {x.shape}, heads of {d_head}")
+    if w_o.ndim != 2 or w_o.shape[0] != heads * d_head:
+        raise DimensionError(f"attention output weight {w_o.shape} for {heads} heads of {d_head}")
+    projections = (*w_q, *w_k, *w_v)
+    _check_dtypes(x, *projections, w_o)
+    dtype = x.data.dtype
+    tape = _tape_for(x, *projections, w_o)
+
+    rows = x.data.reshape(-1, width)  # (B·N, d)
+    batch = rows.shape[0] // tokens
+    w_qkv = np.concatenate([w.data for w in projections], axis=1)
+    qkv = _matmul_data(rows, w_qkv).reshape(batch, tokens, 3, heads, d_head)
+    q, k, v = qkv.transpose(2, 0, 3, 1, 4)  # each (B, h, N, d_h)
+    scale = dtype.type(1.0 / math.sqrt(d_head))
+    weights = _matmul_data(q, _swap_last(k))
+    weights *= scale
+    peak = _row_max(weights)
+    # The row maxima show NaN and +inf; the minimum shows -inf.
+    if not (np.isfinite(peak).all() and np.isfinite(weights.min())):
+        raise NumericInputError("attention scores contain non-finite values")
+    weights -= peak
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    merged = np.empty((batch, tokens, heads, d_head), dtype)
+    _matmul_data(weights, v, out=merged.transpose(0, 2, 1, 3))
+    merged = merged.reshape(batch * tokens, heads * d_head)
+    out_shape = x.shape[:-1] + (w_o.shape[1],)
+    out = Tensor(_matmul_data(merged, w_o.data).reshape(out_shape))
+    if tape is not None:
+
+        def backward(g: np.ndarray):
+            contribs = []
+            g = g.reshape(batch * tokens, -1)
+            if w_o.requires_grad:
+                contribs.append((w_o, _matmul_data(merged.T, g)))
+            d_merged = _matmul_data(g, w_o.data.T)
+            d_out = d_merged.reshape(batch, tokens, heads, d_head).transpose(0, 2, 1, 3)
+            d_qkv = np.empty((batch, tokens, 3, heads, d_head), dtype)
+            d_q, d_k, d_v = d_qkv.transpose(2, 0, 3, 1, 4)
+            _matmul_data(_swap_last(weights), d_out, out=d_v)
+            # Softmax backward: ds = (dw - Σ_j dw_j w_j) w for dw = d_out vᵀ.
+            # The row sum equals Σ_k d_out_k o_k for the head output o = w v,
+            # one matrix-vector product over the narrow head width.
+            ones = np.ones((d_head, 1), dtype)
+            row_dot = _matmul_data((d_merged * merged).reshape(-1, d_head), ones)
+            ds = _matmul_data(d_out, _swap_last(v))
+            ds -= row_dot.reshape(batch, tokens, heads, 1).transpose(0, 2, 1, 3)
+            ds *= weights
+            ds *= scale
+            _matmul_data(ds, k, out=d_q)
+            _matmul_data(_swap_last(ds), q, out=d_k)
+            d_qkv = d_qkv.reshape(batch * tokens, 3 * heads * d_head)
+            if any(w.requires_grad for w in projections):
+                d_w = _matmul_data(rows.T, d_qkv)
+                for i, w in enumerate(projections):
+                    if w.requires_grad:
+                        contribs.append((w, d_w[:, i * d_head : (i + 1) * d_head]))
+            if x.requires_grad:
+                contribs.append((x, _matmul_data(d_qkv, w_qkv.T).reshape(x.shape)))
+            return contribs
+
+        tape._record(out, backward)
+    return out, weights.reshape(x.shape[:-2] + weights.shape[1:])
 
 
 # ---------------------------------------------------------------------

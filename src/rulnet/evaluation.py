@@ -218,7 +218,7 @@ def export_attention(
         chunk = slice(start, start + PREDICT_BATCH)
         x = np.stack([_window_ending_at(chans, c, model.window) for c in cycles[chunk].tolist()])
         predictions[chunk] = model.predict(x)
-        heads = np.stack(model.attention_weights("feature"), axis=1).astype(np.float64)
+        heads = model.attention_weights("feature").astype(np.float64)
         averaged = heads.mean(axis=1)
         cycle_sums[chunk] = averaged.sum(axis=1)
         keep = in_matrix[chunk]

@@ -69,30 +69,14 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
     return Tensor(data, requires_grad=True)
 
 
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-    """softmax(q kᵀ / sqrt(d_k)) v with a row-wise softmax.
-
-    Returns (output, attention weights); weight rows sum to 1.
-    """
-    d_k = q.shape[-1]
-    if d_k == 0:
-        raise ContractError("attention requires d_k > 0")
-    if k.shape[-1] != d_k:
-        raise DimensionError(f"q and k widths differ: {q.shape} vs {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise DimensionError(f"k and v row counts differ: {k.shape} vs {v.shape}")
-    scores = ad.scale(q @ ad.transpose(k), 1.0 / math.sqrt(d_k))
-    weights = ad.softmax(scores, axis=-1)
-    return weights @ v, weights
-
-
 class MultiHeadAttention:
     """Multi-head self-attention with per-head q/k/v projections.
 
     Head count must divide the embedding width; the output projection maps
     the concatenated heads back to ``d_model`` so the shape is preserved.
-    The softmax weights of the most recent forward pass are retained (as
-    plain arrays, one per head) for interpretability export.
+    The softmax weights of the most recent forward pass are retained as
+    one plain (B, h, N, N) array, (h, N, N) for a single sample, for
+    interpretability export.
     """
 
     def __init__(self, d_model: int, heads: int, rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
@@ -109,24 +93,15 @@ class MultiHeadAttention:
         self.w_k = [_uniform_init(rng, (d_model, self.d_head), d_model, dtype) for _ in range(heads)]
         self.w_v = [_uniform_init(rng, (d_model, self.d_head), d_model, dtype) for _ in range(heads)]
         self.w_o = _uniform_init(rng, (d_model, d_model), d_model, dtype)
-        self.last_weights: list[np.ndarray] | None = None
+        self.last_weights: np.ndarray | None = None
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.d_model:
             raise DimensionError(
                 f"attention expects width {self.d_model}, got input shape {x.shape}"
             )
-        head_outs = []
-        retained = []
-        for i in range(self.heads):
-            out, weights = scaled_dot_product_attention(
-                x @ self.w_q[i], x @ self.w_k[i], x @ self.w_v[i]
-            )
-            head_outs.append(out)
-            retained.append(weights.data)
-        self.last_weights = retained
-        merged = head_outs[0] if self.heads == 1 else ad.concat(head_outs, axis=-1)
-        return merged @ self.w_o
+        out, self.last_weights = ad.attention(x, self.w_q, self.w_k, self.w_v, self.w_o)
+        return out
 
     def parameters(self) -> Iterator[tuple[str, Tensor]]:
         for i in range(self.heads):
@@ -322,8 +297,8 @@ class RulModel:
         return out.data if out.ndim == 0 else out.data.reshape(-1)
 
     # -- attention retention ----------------------------------------------
-    def attention_weights(self, block: str) -> list[np.ndarray]:
-        """Per-head softmax weights of the last forward pass.
+    def attention_weights(self, block: str) -> np.ndarray:
+        """Softmax weights of the last forward pass, (B, h, N, N).
 
         ``block`` is "feature" or "sequence".  Raises CapabilityError when
         that block is disabled, ContractError before any forward pass.

@@ -3,6 +3,7 @@ split, early stopping with best-weight restore, per-epoch logging."""
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,35 +51,90 @@ def mse_loss(pred: Tensor, truth: Tensor) -> Tensor:
     return ad.mean(ad.mul(diff, diff))
 
 
+# Elements per pass of the Adam update, so that its float64 scratch stays
+# in cache.
+ADAM_CHUNK = 16384
+
+
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """Adam's first and second moments over every parameter, each one flat
+    float64 buffer in parameter order, plus the shared step counter and a
+    flat gradient buffer in the parameters' dtype."""
 
     def __init__(self, params: Sequence[Tensor], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros(p.shape, dtype=np.float64) for p in params]
-        self.v = [np.zeros(p.shape, dtype=np.float64) for p in params]
+        ends = np.cumsum([p.size for p in params], dtype=np.int64).tolist()
+        self.slices = [slice(end - p.size, end) for p, end in zip(params, ends)]
+        size = ends[-1] if ends else 0
+        self.m = np.zeros(size, dtype=np.float64)
+        self.v = np.zeros(size, dtype=np.float64)
+        dtype = np.result_type(*(p.dtype for p in params)) if params else np.float64
+        self.grad = np.zeros(size, dtype=dtype)
+        self._step = np.empty_like(self.grad)
+        self._num = np.empty(min(size, ADAM_CHUNK), dtype=np.float64)
+        self._den = np.empty_like(self._num)
+
+    def gather(self, params: Sequence[Tensor]) -> np.ndarray:
+        """Copy every parameter's grad into the flat buffer and return it;
+        a missing grad reads as zeros."""
+        for p, part in zip(params, self.slices):
+            if p.grad is None:
+                self.grad[part] = 0
+            elif p.grad.shape != p.shape:
+                raise ContractError(f"gradient shape {p.grad.shape} != parameter shape {p.shape}")
+            else:
+                self.grad[part].reshape(p.shape)[...] = p.grad
+        return self.grad
 
 
-def adam_step(params: Sequence[Tensor], state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place.  Missing grads count as 0."""
+def adam_step(
+    params: Sequence[Tensor], state: AdamState, lr: float, grad: np.ndarray | None = None
+) -> None:
+    """One bias-corrected Adam update of every parameter, in place.
+
+    ``grad`` is the flat gradient that ``state.gather(params)`` returned;
+    it is gathered here when not given.  A parameter whose grad is None
+    was not used by the loss: its weights and moments stay as they are.
+    """
+    if grad is None:
+        grad = state.gather(params)
     state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for i, p in enumerate(params):
-        if p.grad is None:
-            continue
-        g = p.grad
-        if g.shape != p.shape:
-            raise ContractError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g.astype(np.float64) ** 2)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
+    beta1, beta2 = state.beta1, state.beta2
+    bc1 = 1.0 - beta1**state.step_count
+    bc2 = 1.0 - beta2**state.step_count
+    unused = [(part, state.m[part].copy(), state.v[part].copy())
+              for p, part in zip(params, state.slices) if p.grad is None]
+    for lo in range(0, grad.size, ADAM_CHUNK):
+        m, v, g, step = (a[lo : lo + ADAM_CHUNK] for a in (state.m, state.v, grad, state._step))
+        num, den = state._num[: g.size], state._den[: g.size]
+        # m = beta1 m + (1 - beta1) g, the product in the gradient's dtype
+        np.multiply(g, 1.0 - beta1, out=step)
+        m *= beta1
+        num[...] = step
+        m += num
+        # v = beta2 v + (1 - beta2) g², in float64
+        num[...] = g
+        np.square(num, out=num)
+        num *= 1.0 - beta2
+        v *= beta2
+        v += num
+        # step = lr m̂ / (sqrt(v̂) + eps), rounded to the parameters' dtype
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += state.eps
+        np.divide(m, bc1, out=num)
+        num *= lr
+        num /= den
+        step[...] = num
+    for part, m_old, v_old in unused:
+        state.m[part] = m_old
+        state.v[part] = v_old
+    for p, part in zip(params, state.slices):
+        if p.grad is not None:
+            p.data -= state._step[part].reshape(p.shape)
 
 
 @dataclass
@@ -139,16 +195,45 @@ def _validation_rmse(model: RulModel, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(np.mean((pred.astype(np.float64) - y.astype(np.float64)) ** 2)))
 
 
+# glibc mallopt parameters, from <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed memory in the process for reuse.
+
+    A training step allocates and frees tens of MB of activations.  By
+    default glibc hands the top of the heap back to the kernel once they
+    are freed, and the next step faults the same pages in again: about
+    7,000 minor faults per step at paper defaults.  Fixing both
+    thresholds turns that off for the rest of the process, which then
+    keeps its high-water mark of heap memory.  A no-op where the C
+    library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to load
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def fit(model: RulModel, samples: Sequence[WindowedSample], config: TrainConfig) -> FitResult:
     """Train the model; returns the log and restores best-validation weights.
 
     The unit split, batch shuffling, and dropout masks each draw from a
     named stream of ``config.seed``, so identical configs replay exactly.
-    A non-finite batch loss raises NumericInputError naming the epoch and
-    1-based batch, before it can reach the weights.
+    A non-finite batch loss, or a gradient norm that is not finite in the
+    model's dtype, raises NumericInputError naming the epoch and 1-based
+    batch, before it can reach the weights.  Training keeps freed memory
+    in the process (see :func:`_keep_freed_memory`).
     """
     if not samples:
         raise ContractError("empty training set")
+    _keep_freed_memory()
     x_all, y_all, units_all, _ = windows_to_arrays(samples)
     if x_all.shape[1:] != (model.n_features, model.window):
         raise ContractError(
@@ -187,7 +272,13 @@ def fit(model: RulModel, samples: Sequence[WindowedSample], config: TrainConfig)
                     f"training loss is {loss_value} at epoch {epoch}, batch {batch}"
                 )
             tape.backward(loss)
-            adam_step(params, state, config.learning_rate)
+            grad = state.gather(params)
+            grad_norm = math.sqrt(float(grad @ grad))
+            if not math.isfinite(grad_norm):
+                raise NumericInputError(
+                    f"gradient norm is {grad_norm} at epoch {epoch}, batch {batch}"
+                )
+            adam_step(params, state, config.learning_rate, grad)
             model.zero_grad()
             total_loss += loss_value * len(idx)
 

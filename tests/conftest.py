@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,57 @@ def rand_tensor(rng, *shape, requires_grad=True, shift=0.0):
 def scalar_loss(t):
     """Quadratic scalar readout used by gradient checks."""
     return ad.mean(ad.mul(t, t))
+
+
+# ---------------------------------------------------------------------
+# reference paths: tape ops the fused kernels replaced, kept for checks
+# ---------------------------------------------------------------------
+
+def _reference_op(a, y, grad):
+    """Record ``y = f(a)`` on the active tape with input gradient
+    ``grad(g, y)``: how the tape recorded its elementwise ops."""
+    out = Tensor(y)
+    tape = ad._tape_for(a)
+    if tape is not None:
+        tape._record(out, lambda g: [(a, grad(g, y))])
+    return out
+
+
+def sigmoid(a):
+    with np.errstate(over="ignore"):
+        y = (1.0 / (1.0 + np.exp(-a.data))).astype(a.dtype, copy=False)
+    return _reference_op(a, y, lambda g, y: g * (y * (1.0 - y)))
+
+
+def tanh(a):
+    return _reference_op(a, np.tanh(a.data), lambda g, y: g * (1.0 - y * y))
+
+
+def softmax_rows(a):
+    """Softmax over the last axis: subtract the row max, exp, divide by
+    the row sum."""
+    e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return _reference_op(a, y, lambda g, y: (g - (g * y).sum(axis=-1, keepdims=True)) * y)
+
+
+def per_head_attention(x, w_q, w_k, w_v, w_o):
+    """Per-head reference for ``ad.attention``: one tape op per product,
+    scale, softmax and head.
+
+    Head ``i`` computes softmax((x w_q[i])(x w_k[i])ᵀ · 1/sqrt(d_h)) x w_v[i].
+    The heads are joined by products with one-hot placement matrices,
+    which is exact, so the result equals concatenating them; then comes
+    the output projection.  Returns the output tensor and the stacked
+    weights, (B, h, N, N) or (h, N, N).
+    """
+    heads, d_head = len(w_q), w_q[0].shape[1]
+    place = np.eye(heads * d_head, dtype=x.dtype)
+    merged, weights = None, []
+    for i in range(heads):
+        scores = ad.scale(ad.matmul(x @ w_q[i], ad.transpose(x @ w_k[i])), 1.0 / math.sqrt(d_head))
+        w = softmax_rows(scores)
+        weights.append(w.data)
+        head = (w @ (x @ w_v[i])) @ Tensor(place[i * d_head : (i + 1) * d_head])
+        merged = head if merged is None else merged + head
+    return merged @ w_o, np.stack(weights, axis=-3)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_tiny_model
+from conftest import build_tiny_model, per_head_attention
 from rulnet import RulModel, Tensor
 from rulnet import autodiff as ad
 from rulnet import data as D
@@ -27,7 +27,7 @@ from rulnet.autodiff import gradcheck
 from rulnet.cli import main as cli_main
 from rulnet.evaluation import phm_score, predict_test_set, rmse
 from rulnet.checkpoint import Bundle
-from rulnet.model import MultiHeadAttention, scaled_dot_product_attention
+from rulnet.model import MultiHeadAttention
 from rulnet.seeding import generator
 from rulnet.synthetic import generate_dataset
 from rulnet.training import TrainConfig, fit
@@ -216,7 +216,7 @@ def test_criterion_6_attention_invariants():
     for w in (layer.w_q[0], layer.w_k[0], layer.w_v[0], layer.w_o):
         w.data = np.eye(6)
     x = Tensor(rng.standard_normal((9, 6)), dtype=np.float64)
-    raw, _ = scaled_dot_product_attention(x, x, x)
+    raw, _ = per_head_attention(x, layer.w_q, layer.w_k, layer.w_v, layer.w_o)
     assert np.array_equal(layer(x).data, raw.data)
 
     # Exported surfaces obey the same row-sum bound.

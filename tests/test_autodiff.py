@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_tensor, scalar_loss
+from conftest import per_head_attention, rand_tensor, scalar_loss
 from rulnet import ContractError, DimensionError, NumericInputError, Tape, TapeError, Tensor
 from rulnet import autodiff as ad
 from rulnet.autodiff import exact_arithmetic, gradcheck
@@ -91,62 +91,183 @@ class TestMatmul:
         gradcheck(lambda: scalar_loss(a @ b), [a, b])
 
 
+def attend(x, w_q, w_k, w_v, w_o=None):
+    """One-head ``ad.attention`` on float64 arrays; ``w_o`` defaults to
+    the identity, so the output is weights · values."""
+    t = lambda a: Tensor(np.asarray(a, dtype=np.float64), dtype=np.float64)
+    if w_o is None:
+        w_o = np.eye(np.shape(w_v)[1])
+    out, weights = ad.attention(t(x), [t(w_q)], [t(w_k)], [t(w_v)], t(w_o))
+    return out.data, weights[0]
+
+
 class TestSoftmax:
+    """The row softmax inside ``ad.attention``."""
+
     def test_symmetry(self):
-        out = ad.softmax(Tensor([0.0, 0.0]), axis=0)
-        assert np.allclose(out.data, [0.5, 0.5])
+        x = np.ones((2, 1))
+        _, weights = attend(x, [[1.0]], [[1.0]], [[1.0]])
+        np.testing.assert_allclose(weights, 0.5)
 
     def test_shift_invariance_no_overflow(self):
-        out = ad.softmax(Tensor([1000.0, 1000.0, 1000.0]), axis=0)
-        assert np.all(np.isfinite(out.data))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-7)
+        # Identical tokens: every score is 3 · 1000² / sqrt(3), far past exp's range.
+        x = np.full((3, 3), 1000.0)
+        eye = np.eye(3)
+        for dtype in (np.float32, np.float64):
+            t = lambda a: Tensor(a, dtype=dtype)
+            out, weights = ad.attention(t(x), [t(eye)], [t(eye)], [t(eye)], t(eye))
+            assert np.all(np.isfinite(weights)) and np.all(np.isfinite(out.data))
+            np.testing.assert_allclose(weights, 1 / 3, atol=1e-7)
 
     def test_log_inputs(self):
-        x = np.log([1.0, 2.0, 3.0])
-        out = ad.softmax(Tensor(x, dtype=np.float64), axis=0)
-        oracle = np.exp(x) / np.exp(x).sum()
-        np.testing.assert_allclose(out.data, oracle, atol=1e-12)
-        np.testing.assert_allclose(out.data, [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
+        # q = 1 and k_j = log(j + 1) for every token, so each score row is log([1, 2, 3]).
+        x = np.stack([np.ones(3), np.log([1.0, 2.0, 3.0])], axis=1)
+        _, weights = attend(x, [[1.0], [0.0]], [[0.0], [1.0]], [[1.0], [0.0]])
+        oracle = np.exp(np.log([1.0, 2.0, 3.0])) / 6.0
+        for row in weights:
+            np.testing.assert_allclose(row, oracle, atol=1e-12)
+            np.testing.assert_allclose(row, [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
 
     @given(
-        rows=st.integers(1, 5), cols=st.integers(1, 6),
-        axis=st.integers(0, 1), seed=st.integers(0, 10_000),
+        tokens=st.integers(1, 5), width=st.integers(1, 6),
+        heads=st.integers(1, 3), seed=st.integers(0, 10_000),
     )
     @settings(max_examples=40, deadline=None)
-    def test_slices_sum_to_one(self, rows, cols, axis, seed):
+    def test_slices_sum_to_one(self, tokens, width, heads, seed):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.standard_normal((rows, cols)) * 10, dtype=np.float64)
-        out = ad.softmax(x, axis=axis)
-        assert np.all(out.data >= 0)
-        np.testing.assert_allclose(out.data.sum(axis=axis), 1.0, atol=1e-6)
+        x = Tensor(rng.standard_normal((2, tokens, width)) * 10, dtype=np.float64)
+        w = [Tensor(rng.standard_normal((width, 2)), dtype=np.float64) for _ in range(3 * heads)]
+        w_o = Tensor(rng.standard_normal((2 * heads, width)), dtype=np.float64)
+        _, weights = ad.attention(x, w[:heads], w[heads : 2 * heads], w[2 * heads :], w_o)
+        assert weights.shape == (2, heads, tokens, tokens)
+        assert np.all(weights >= 0)
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NumericInputError):
-            ad.softmax(Tensor([1.0, np.nan]), axis=0)
-        with pytest.raises(NumericInputError):
-            ad.softmax(Tensor([1.0, np.inf]), axis=0)
-
-    def test_axis_out_of_range(self):
-        with pytest.raises(DimensionError):
-            ad.softmax(Tensor([[1.0]]), axis=2)
+        eye = Tensor(np.eye(2, dtype=np.float32))
+        for bad in (np.nan, np.inf, -np.inf):
+            x = Tensor(np.array([[1.0, 0.0], [bad, 1.0]], dtype=np.float32))
+            with pytest.raises(NumericInputError), np.errstate(invalid="ignore"):
+                ad.attention(x, [eye], [eye], [eye], eye)
+        # Finite tokens whose scores overflow float32 are rejected too.
+        huge = Tensor(np.full((2, 2), 3e19, dtype=np.float32))
+        with pytest.raises(NumericInputError), np.errstate(over="ignore"):
+            ad.attention(huge, [eye], [eye], [eye], eye)
 
     def test_gradients(self):
         rng = np.random.default_rng(6)
         x = rand_tensor(rng, 3, 5)
-        w = Tensor(rng.standard_normal((3, 5)), dtype=np.float64)
-        gradcheck(lambda: ad.mean(ad.mul(ad.softmax(x, axis=1), w)), [x])
+        w = [rand_tensor(rng, 5, 5) for _ in range(3)]
+        readout = Tensor(rng.standard_normal((3, 5)), dtype=np.float64)
+        eye = Tensor(np.eye(5))
+        loss = lambda: ad.mean(ad.mul(ad.attention(x, w[:1], w[1:2], w[2:], eye)[0], readout))
+        gradcheck(loss, [x, *w])
+
+
+def attention_setup(shape, heads, seed, dtype=np.float64, x_grad=True):
+    """Input of ``shape`` (..., N, d) and per-head weights of width d / heads."""
+    rng = np.random.default_rng(seed)
+    width = shape[-1]
+    d_head = width // heads
+    x = Tensor(rng.standard_normal(shape), requires_grad=x_grad, dtype=dtype)
+    bound = 1.0 / np.sqrt(width)
+    w = [Tensor(rng.uniform(-bound, bound, (width, d_head)), requires_grad=True, dtype=dtype)
+         for _ in range(3 * heads)]
+    w_o = Tensor(rng.uniform(-bound, bound, (width, width)), requires_grad=True, dtype=dtype)
+    return x, (w[:heads], w[heads : 2 * heads], w[2 * heads :], w_o)
+
+
+def attention_grads(run, params, readout):
+    """Output, weights and gradients of mean(run() * readout)."""
+    for p in params:
+        p.zero_grad()
+    with Tape() as tape:
+        out, weights = run()
+        loss = ad.mean(ad.mul(out, readout))
+    tape.backward(loss)
+    return out.data, weights, [None if p.grad is None else p.grad.copy() for p in params]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("shape, heads, x_grad", [
+        ((3, 24, 30), 5, True),   # feature block: 24 channel tokens of width T = 30
+        ((3, 30, 24), 4, True),   # sequence block: 30 time-step tokens of width 24
+        ((2, 6, 8), 1, True),
+        ((5, 6), 2, True),        # a single sample
+        ((3, 24, 30), 5, False),  # data input, as the feature block trains
+    ])
+    def test_matches_per_head_reference(self, shape, heads, x_grad):
+        x, weights = attention_setup(shape, heads, seed=sum(shape) + heads, x_grad=x_grad)
+        w_q, w_k, w_v, w_o = weights
+        params = [x, *w_q, *w_k, *w_v, w_o]
+        readout = Tensor(np.random.default_rng(0).standard_normal(shape) * np.prod(shape))
+        fused = attention_grads(lambda: ad.attention(x, *weights), params, readout)
+        ref = attention_grads(lambda: per_head_attention(x, *weights), params, readout)
+        assert fused[1].shape == shape[:-2] + (heads, shape[-2], shape[-2])
+        np.testing.assert_allclose(fused[0], ref[0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(fused[1], ref[1], rtol=1e-12, atol=1e-12)
+        for got, want in zip(fused[2], ref[2]):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [1, 7, 128])
+    @pytest.mark.parametrize("tokens, width, heads", [(24, 30, 5), (30, 24, 4)])
+    def test_float32_forward_bit_identical_to_reference(self, batch, tokens, width, heads):
+        x, weights = attention_setup((batch, tokens, width), heads, seed=batch, dtype=np.float32)
+        out, w = ad.attention(x, *weights)
+        ref_out, ref_w = per_head_attention(x, *weights)
+        assert out.dtype == np.float32 and w.dtype == np.float32
+        assert np.array_equal(out.data, ref_out.data)
+        assert np.array_equal(w, ref_w)
+
+    def test_gradcheck(self):
+        x, weights = attention_setup((2, 4, 6), 2, seed=31)
+        params = [x, *weights[0], *weights[1], *weights[2], weights[3]]
+        readout = Tensor(np.random.default_rng(1).standard_normal((2, 4, 6)))
+        loss = lambda: ad.mean(ad.mul(ad.attention(x, *weights)[0], readout))
+        gradcheck(loss, params)
+        with exact_arithmetic():
+            gradcheck(loss, params)
+
+    def test_records_one_node_and_nothing_without_a_tape(self):
+        x, weights = attention_setup((2, 4, 6), 2, seed=32)
+        out, _ = ad.attention(x, *weights)
+        assert out._tape is None and not out.requires_grad
+        with Tape() as tape:
+            out, _ = ad.attention(x, *weights)
+        assert len(tape) == 1 and out.requires_grad
+        w_q, w_k, w_v, w_o = weights
+        frozen = lambda ws: [Tensor(w.data) for w in ws]
+        with Tape() as tape:
+            ad.attention(Tensor(x.data), frozen(w_q), frozen(w_k), frozen(w_v), Tensor(w_o.data))
+        assert len(tape) == 0
+
+    def test_weight_shapes_checked(self):
+        x, (w_q, w_k, w_v, w_o) = attention_setup((2, 4, 6), 2, seed=33)
+        with pytest.raises(ContractError):
+            ad.attention(x, w_q, w_k[:1], w_v, w_o)
+        with pytest.raises(DimensionError):
+            ad.attention(x, w_q, w_k, [w_v[0], w_o], w_o)
+        with pytest.raises(DimensionError):
+            ad.attention(x, w_q, w_k, w_v, Tensor(np.zeros((4, 6))))
+        with pytest.raises(DimensionError):
+            ad.attention(Tensor(np.zeros(6)), w_q, w_k, w_v, w_o)
 
 
 class TestElementwise:
+    # The LSTM's gate sigmoid, computed in place.
     def test_sigmoid_zero(self):
-        assert ad.sigmoid(Tensor([0.0])).data[0] == 0.5
+        z = np.zeros(1)
+        ad._sigmoid_inplace(z)
+        assert z[0] == 0.5
 
     def test_sigmoid_saturates_cleanly(self):
-        out = ad.sigmoid(Tensor([-200.0, 200.0], dtype=np.float32))
-        assert out.data.tolist() == [0.0, 1.0]
-
-    def test_tanh_zero(self):
-        assert ad.tanh(Tensor([0.0])).data[0] == 0.0
+        z = np.array([-200.0, 200.0], dtype=np.float32)
+        with np.errstate(over="ignore"):
+            ad._sigmoid_inplace(z)
+        assert z.tolist() == [0.0, 1.0]
 
     def test_relu_gradient_at_zero_is_zero(self):
         x = Tensor([0.0, -1.0, 2.0], requires_grad=True, dtype=np.float64)
@@ -154,17 +275,6 @@ class TestElementwise:
             loss = ad.mean(ad.relu(x))
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [0.0, 0.0, 1 / 3])
-
-    def test_concat_rows_in_order(self):
-        a = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
-        b = Tensor(np.arange(6, 9, dtype=np.float64).reshape(1, 3))
-        out = ad.concat([a, b], axis=0)
-        assert out.shape == (3, 3)
-        np.testing.assert_array_equal(out.data, np.arange(9).reshape(3, 3))
-
-    def test_concat_rejects_off_axis_mismatch(self):
-        with pytest.raises(DimensionError):
-            ad.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], axis=0)
 
     def test_add_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -176,21 +286,14 @@ class TestElementwise:
 
     def test_elementwise_gradients(self):
         rng = np.random.default_rng(8)
-        funcs = {
-            "sigmoid": ad.sigmoid,
-            "tanh": ad.tanh,
-            "relu": lambda t: ad.relu(t),  # inputs shifted off the kink below
-        }
-        for name, fn in funcs.items():
-            x = rand_tensor(rng, 2, 5, shift=0.6)
-            gradcheck(lambda: scalar_loss(fn(x)), [x]), name
+        x = rand_tensor(rng, 2, 5, shift=0.6)  # inputs shifted off the rectifier's kink
+        gradcheck(lambda: scalar_loss(ad.relu(x)), [x])
         x = rand_tensor(rng, 4, 3)
         y = rand_tensor(rng, 4, 3)
         gradcheck(lambda: ad.mean(ad.mul(ad.sub(x, y), ad.add(x, y))), [x, y])
         b = rand_tensor(rng, 3)
         gradcheck(lambda: scalar_loss(ad.add(x, b)), [x, b])
         gradcheck(lambda: scalar_loss(ad.scale(x, -1.7)), [x])
-        gradcheck(lambda: scalar_loss(ad.concat([x, y], axis=1)), [x, y])
         gradcheck(lambda: scalar_loss(ad.reshape(x, (2, 6))), [x])
         assert np.array_equal(ad.transpose(ad.transpose(x)).data, x.data)
         gradcheck(lambda: scalar_loss(ad.transpose(x)), [x])
@@ -261,7 +364,8 @@ class TestBackward:
             a = Tensor(rng.standard_normal((6, 6)), requires_grad=True, dtype=np.float64)
             b = Tensor(rng.standard_normal((6, 6)), requires_grad=True, dtype=np.float64)
             with Tape() as tape:
-                loss = ad.mean(ad.mul(ad.softmax(a @ b, axis=1), a @ b))
+                out, _ = ad.attention(a @ b, [a], [b], [a], b)
+                loss = ad.mean(ad.mul(out, a @ b))
             tape.backward(loss)
             return a.grad.copy(), b.grad.copy()
 

@@ -247,10 +247,7 @@ def reference_export_attention(bundle, trajectory, cycles=None, matrix_cycles=No
         window = _window_ending_at(chans, cycle, model.window)
         pred = float(model.predict(window))
         predictions.append((cycle, pred))
-        heads = [
-            np.squeeze(w, axis=0).astype(np.float64) if w.ndim == 3 else w.astype(np.float64)
-            for w in model.attention_weights("feature")
-        ]
+        heads = list(model.attention_weights("feature")[0].astype(np.float64))
         stacked = np.stack(heads)  # (h, F, F)
         averaged = stacked.mean(axis=0)
         if cycle in matrix_set:

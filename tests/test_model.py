@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import build_tiny_model
+from conftest import build_tiny_model, per_head_attention, sigmoid, tanh
 from rulnet import (
     CapabilityError,
     ConfigurationError,
@@ -18,7 +18,7 @@ from rulnet import (
 from rulnet import autodiff as ad
 from rulnet.autodiff import exact_arithmetic, gradcheck
 from rulnet.config import ExperimentConfig
-from rulnet.model import MODES, resolve_blocks, scaled_dot_product_attention
+from rulnet.model import MODES, resolve_blocks
 
 
 def attention_oracle(q, k, v):
@@ -40,36 +40,45 @@ def multi_head_oracle(layer, x):
     return np.concatenate(outs, axis=1) @ layer.w_o.data
 
 
+def single_head(q_in, w_q, w_k, w_v):
+    """``ad.attention`` with one head and an identity output projection,
+    on float64 arrays: scaled dot-product attention of the projections."""
+    t = lambda a: Tensor(np.asarray(a, dtype=np.float64), dtype=np.float64)
+    out, weights = ad.attention(t(q_in), [t(w_q)], [t(w_k)], [t(w_v)], t(np.eye(np.shape(w_v)[1])))
+    return out.data, weights[0]
+
+
 class TestScaledDotProductAttention:
+    """``ad.attention`` with a single head."""
+
     def test_single_logit(self):
-        t = Tensor([[2.0]], dtype=np.float64)
-        out, weights = scaled_dot_product_attention(t, t, t)
-        assert out.data.tolist() == [[2.0]]
-        assert weights.data.tolist() == [[1.0]]
+        out, weights = single_head([[2.0]], [[1.0]], [[1.0]], [[1.0]])
+        assert out.tolist() == [[2.0]]
+        assert weights.tolist() == [[1.0]]
 
     def test_identical_keys_average_values(self):
         rng = np.random.default_rng(0)
-        q = Tensor(rng.standard_normal((2, 3)), dtype=np.float64)
-        k = Tensor(np.tile(rng.standard_normal(3), (2, 1)), dtype=np.float64)
-        v = Tensor(rng.standard_normal((2, 4)), dtype=np.float64)
-        out, weights = scaled_dot_product_attention(q, k, v)
-        np.testing.assert_allclose(weights.data, 0.5)
-        np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (2, 1)), rtol=1e-15)
+        x = rng.standard_normal((2, 3))
+        w_v = rng.standard_normal((3, 4))
+        # A zero key projection gives every token the same key.
+        out, weights = single_head(x, rng.standard_normal((3, 4)), np.zeros((3, 4)), w_v)
+        np.testing.assert_allclose(weights, 0.5)
+        np.testing.assert_allclose(out, np.tile((x @ w_v).mean(axis=0), (2, 1)), rtol=1e-15)
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(1)
-        q = Tensor(rng.standard_normal((3, 4)), dtype=np.float64)
-        k = Tensor(rng.standard_normal((3, 4)), dtype=np.float64)
-        v = Tensor(rng.standard_normal((3, 4)), dtype=np.float64)
-        out, weights = scaled_dot_product_attention(q, k, v)
-        oracle_out, oracle_w = attention_oracle(q.data, k.data, v.data)
-        np.testing.assert_allclose(out.data, oracle_out, atol=1e-12)
-        np.testing.assert_allclose(weights.data, oracle_w, atol=1e-12)
+        x = rng.standard_normal((3, 4))
+        w_q, w_k, w_v = (rng.standard_normal((4, 4)) for _ in range(3))
+        out, weights = single_head(x, w_q, w_k, w_v)
+        oracle_out, oracle_w = attention_oracle(x @ w_q, x @ w_k, x @ w_v)
+        np.testing.assert_allclose(out, oracle_out, atol=1e-12)
+        np.testing.assert_allclose(weights, oracle_w, atol=1e-12)
 
     def test_zero_width_rejected(self):
         empty = Tensor(np.zeros((2, 0)))
+        no_width = Tensor(np.zeros((0, 0)))
         with pytest.raises(ContractError):
-            scaled_dot_product_attention(empty, empty, empty)
+            ad.attention(empty, [no_width], [no_width], [no_width], no_width)
 
 
 class TestMultiHeadAttention:
@@ -80,7 +89,7 @@ class TestMultiHeadAttention:
         for w in (layer.w_q[0], layer.w_k[0], layer.w_v[0], layer.w_o):
             w.data = eye.copy()
         x = Tensor(rng.standard_normal((4, 3)), dtype=np.float64)
-        raw, _ = scaled_dot_product_attention(x, x, x)
+        raw, _ = per_head_attention(x, layer.w_q, layer.w_k, layer.w_v, layer.w_o)
         assert np.array_equal(layer(x).data, raw.data)
 
     def test_matches_per_head_decomposition_oracle(self):
@@ -113,7 +122,7 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(5)
         layer = MultiHeadAttention(d_model=6, heads=3, rng=rng, dtype=np.float64)
         layer(Tensor(rng.standard_normal((4, 6)), dtype=np.float64))
-        assert len(layer.last_weights) == 3
+        assert layer.last_weights.shape == (3, 4, 4)
         for w in layer.last_weights:
             assert w.shape == (4, 4)
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
@@ -179,9 +188,9 @@ def per_step_lstm(x, w_x, w_h, bias):
             if h is not None:
                 z = z + h @ w_h[layer]
             i_g, f_g, g_c, o_g = (z @ pick for pick in gate_pick)
-            i_g, g_c = ad.sigmoid(i_g), ad.tanh(g_c)
-            c = i_g * g_c if c is None else ad.sigmoid(f_g) * c + i_g * g_c
-            h = ad.sigmoid(o_g) * ad.tanh(c)
+            i_g, g_c = sigmoid(i_g), tanh(g_c)
+            c = i_g * g_c if c is None else sigmoid(f_g) * c + i_g * g_c
+            h = sigmoid(o_g) * tanh(c)
             outputs.append(h)
         inputs = outputs
     return h
@@ -384,9 +393,9 @@ class TestRulModel:
         model, rng = build_tiny_model()
         model.predict(rng.standard_normal((4, 6)))
         for block, size in (("feature", 4), ("sequence", 6)):
-            for w in model.attention_weights(block):
-                assert w.shape[-2:] == (size, size)
-                np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
+            w = model.attention_weights(block)
+            assert w.shape == (1, 2, size, size)
+            np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_attention_weights_capability(self):
         model, rng = build_tiny_model(mode="L")

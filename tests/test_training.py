@@ -1,5 +1,6 @@
 import gc
 import json
+import platform
 import re
 import struct
 import weakref
@@ -15,6 +16,7 @@ from rulnet import (
     ConfigurationError,
     ContractError,
     NumericInputError,
+    RulModel,
     RulnetError,
     Tape,
     Tensor,
@@ -24,7 +26,15 @@ from rulnet.checkpoint import load_bundle, save_bundle
 from rulnet.config import ExperimentConfig
 from rulnet.data import ConditionModel, WindowedSample
 from rulnet.seeding import generator
-from rulnet.training import AdamState, TrainConfig, adam_step, fit, mse_loss, split_units
+from rulnet.training import (
+    AdamState,
+    TrainConfig,
+    _keep_freed_memory,
+    adam_step,
+    fit,
+    mse_loss,
+    split_units,
+)
 
 
 class TestMseLoss:
@@ -78,6 +88,41 @@ class TestAdam:
         p = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
         adam_step([p], AdamState([p]), lr=0.1)
         assert p.data[0] == 1.0
+
+    def test_missing_gradient_keeps_weights_and_moments(self):
+        # w_h gets no grad when the window is 1; an unused parameter stays put.
+        used = Tensor(np.array([0.0, 0.0]), requires_grad=True, dtype=np.float64)
+        unused = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
+        state = AdamState([used, unused])
+        used.grad, unused.grad = np.array([1.0, -1.0]), np.array([2.0])
+        adam_step([used, unused], state, lr=0.1)
+        moved, m, v = unused.data.copy(), state.m.copy(), state.v.copy()
+        used.grad, unused.grad = np.array([1.0, -1.0]), None
+        adam_step([used, unused], state, lr=0.1)
+        assert np.array_equal(unused.data, moved)
+        assert state.m[2] == m[2] and state.v[2] == v[2]
+        assert not np.array_equal(state.m[:2], m[:2]) and used.data[0] < -0.1
+
+    def test_flat_update_matches_per_array_formula(self):
+        # The textbook per-array update, with (1 - beta1) g in float32.
+        rng = np.random.default_rng(3)
+        shapes = [(3, 4), (5,), (40000,), (1,)]  # spans more than one update chunk
+        params = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True) for s in shapes]
+        expected = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        state = AdamState(params)
+        for t in range(1, 4):
+            for i, p in enumerate(params):
+                g = rng.standard_normal(p.shape).astype(np.float32)
+                p.grad = g
+                m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+                v[i] = 0.999 * v[i] + (1.0 - 0.999) * (g.astype(np.float64) ** 2)
+                step = 0.01 * (m[i] / (1.0 - 0.9**t)) / (np.sqrt(v[i] / (1.0 - 0.999**t)) + 1e-8)
+                expected[i] -= step.astype(np.float32)
+            adam_step(params, state, lr=0.01)
+            for p, want in zip(params, expected):
+                assert np.array_equal(p.data, want)
 
     def test_hand_evaluated_first_step(self):
         # m=0.1, v=0.001 -> m_hat=1, v_hat=1 -> p -= lr/(1+eps)
@@ -240,6 +285,60 @@ class TestFit:
             fit(model, samples, config)
         assert last_batch > 0
         assert all(np.isfinite(a).all() for _, a in model.state_arrays())
+
+    def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
+        model, _ = build_tiny_model(seed=7, dtype=np.float32)
+        planted = {}
+        backward = Tape.backward
+
+        def plant_inf_in_second_batch(tape, loss):
+            backward(tape, loss)
+            planted["calls"] = planted.get("calls", 0) + 1
+            if planted["calls"] == 2:
+                model.lstm.w_x[0].grad[0, 0] = np.inf
+                planted["weights"] = [a.copy() for _, a in model.state_arrays()]
+
+        monkeypatch.setattr(Tape, "backward", plant_inf_in_second_batch)
+        with pytest.raises(NumericInputError, match="gradient norm is inf at epoch 1, batch 2$"):
+            fit(model, tiny_samples(), tiny_fit_config())
+        for (name, now), before in zip(model.state_arrays(), planted["weights"]):
+            assert np.array_equal(now, before), name
+
+    def test_default_step_records_few_tape_nodes(self):
+        model = RulModel(n_features=24, window=30, init_rng=np.random.default_rng(0))
+        assert (model.mode, model.feature_heads, model.sequence_heads) == ("F+T", 5, 4)
+        rng = np.random.default_rng(1)
+        xb = Tensor(rng.standard_normal((4, 24, 30)).astype(np.float32))
+        yb = Tensor(rng.uniform(0.0, 125.0, 4).astype(np.float32))
+        with Tape() as tape:
+            loss = mse_loss(model.forward(xb, training=True, dropout_rng=rng), yb)
+        assert len(tape) <= 20
+        tape.backward(loss)
+        assert all(p.grad is not None for _, p in model.parameters())
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's malloc")
+    def test_steps_reuse_freed_memory(self):
+        # Each paper-size step frees tens of MB; handing that back to the
+        # kernel costs thousands of page faults in the next step.
+        resource = pytest.importorskip("resource")
+        model = RulModel(n_features=24, window=30, init_rng=np.random.default_rng(0))
+        params = [p for _, p in model.parameters()]
+        state = AdamState(params)
+        rng = np.random.default_rng(1)
+        xb = Tensor(rng.standard_normal((128, 24, 30)).astype(np.float32))
+        yb = Tensor(rng.uniform(0.0, 125.0, 128).astype(np.float32))
+        _keep_freed_memory()
+        faults = []
+        for _ in range(5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            with Tape() as tape:
+                loss = mse_loss(model.forward(xb, training=True, dropout_rng=rng), yb)
+            tape.backward(loss)
+            adam_step(params, state, 1e-4)
+            model.zero_grad()
+            del tape, loss
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert max(faults[2:]) < 500, faults
 
     def test_step_graph_freed_without_collector(self):
         model, rng = build_tiny_model(dtype=np.float32, dropout=0.5)
