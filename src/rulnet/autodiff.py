@@ -471,12 +471,17 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
     cell states; upper layers consume the hidden sequence of the layer
     below.
 
-    The whole stack is one tape node.  Per layer, the forward pass does
-    one input GEMM over all T·B rows and runs the recurrence in place over
-    time-major gate (T, B, 4, H) and cell / tanh(cell) / hidden (T, B, H)
-    buffers.  The backward pass is hand-written BPTT: only the recurrent
-    product stays per step, while the input, weight and bias gradients are
-    each one GEMM or sum over all T·B rows.
+    The whole stack is one tape node.  State is kept feature × batch, so
+    each gate's slice of a time step is one contiguous (H, B) block: gate
+    pre-activations are (T, 4H, B), and cell, tanh(cell) and hidden are
+    (T, H, B).  Per layer, the forward pass does the input product
+    w_xᵀ @ input[t] for all T steps in one batched call, then runs the
+    recurrence in place.  The backward pass is hand-written BPTT over one
+    reused (4H, B) step gradient dz.  At each step, while dz is in cache,
+    it adds dz @ input[t]ᵀ, dz @ h[t-1]ᵀ and dz into the w_x, w_h and bias
+    gradient sums (kept as (4H, ·) and transposed once per layer) and
+    computes the step's input gradient w_x @ dz, so no whole-sequence gate
+    gradient is stored.
     """
     layers = len(w_x)
     if layers < 1 or len(w_h) != layers or len(bias) != layers:
@@ -496,89 +501,114 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
     dtype = x.data.dtype
     tape = _tape_for(x, *w_x, *w_h, *bias)
 
-    seq = np.ascontiguousarray(x.data.transpose(2, 0, 1)).reshape(steps * batch, width)
+    seq = np.ascontiguousarray(x.data.transpose(2, 1, 0))  # (T, F, B)
+    rec = np.empty((4 * hidden, batch), dtype)  # one step's recurrent product
     saved = []
     with np.errstate(over="ignore"):
         for layer in range(layers):
-            gates = _matmul_data(seq, w_x[layer].data)
-            gates += bias[layer].data
-            gates = gates.reshape(steps, batch, 4, hidden)
-            cell = np.empty((steps, batch, hidden), dtype)
+            gates = _matmul_data(w_x[layer].data.T, seq)
+            # A contiguous (4H, B) bias block adds faster than a broadcast column.
+            gates += np.repeat(bias[layer].data[:, None], batch, axis=1)
+            w_h_t = w_h[layer].data.T
+            cell = np.empty((steps, hidden, batch), dtype)
             tanh_cell = np.empty_like(cell)
             hid = np.empty_like(cell)
             for t in range(steps):
                 z = gates[t]
                 if t:
-                    z += _matmul_data(hid[t - 1], w_h[layer].data).reshape(batch, 4, hidden)
-                np.tanh(z[:, 2], out=tanh_cell[t])  # scratch until tanh(cell) lands
+                    z += _matmul_data(w_h_t, hid[t - 1], out=rec)
+                i, f, g, o = z.reshape(4, hidden, batch)
+                np.tanh(g, out=tanh_cell[t])  # scratch until tanh(cell) lands
                 _sigmoid_inplace(z)
-                z[:, 2] = tanh_cell[t]
-                np.multiply(z[:, 0], z[:, 2], out=cell[t])
+                g[...] = tanh_cell[t]
+                np.multiply(i, g, out=cell[t])
                 if t:
-                    cell[t] += z[:, 1] * cell[t - 1]
+                    np.multiply(f, cell[t - 1], out=hid[t])  # scratch until hidden lands
+                    cell[t] += hid[t]
                 np.tanh(cell[t], out=tanh_cell[t])
-                np.multiply(z[:, 3], tanh_cell[t], out=hid[t])
+                np.multiply(o, tanh_cell[t], out=hid[t])
             if tape is not None:
                 saved.append((seq, gates, cell, tanh_cell, hid))
-            seq = hid.reshape(steps * batch, hidden)
-    out = Tensor(hid[-1])
+            seq = hid
+    out = Tensor(np.ascontiguousarray(hid[-1].T))
     if tape is not None:
 
         def backward(g_out: np.ndarray):
             contribs = []
-            d_hid = None  # (T, B, H) gradient arriving from the layer above
+            dz = np.empty((4, hidden, batch), dtype)  # one step's gate pre-activation gradients
+            dz_flat = dz.reshape(4 * hidden, batch)
+            dh = np.empty((hidden, batch), dtype)
+            dc = np.empty_like(dh)
+            carry = np.empty_like(dh)
+            d_hid = None  # (T, H, B) gradient arriving from the layer above
             for layer in reversed(range(layers)):
                 seq, gates, cell, tanh_cell, hid = saved[layer]
-                dz = np.empty_like(gates)  # gate pre-activation gradients
-                deriv = np.empty((batch, 4, hidden), dtype)
-                dc_dh = np.empty((batch, hidden), dtype)
-                w_h_t = w_h[layer].data.T
+                fan_in = seq.shape[1]
+                want_x = w_x[layer].requires_grad
+                want_h = w_h[layer].requires_grad and steps > 1  # unused when T == 1
+                want_b = bias[layer].requires_grad
+                want_in = layer > 0 or x.requires_grad
+                # Weight gradients accumulate transposed, (4H, in): dz @ inputᵀ
+                # is the faster product orientation for these shapes.
+                g_wx = np.zeros((4 * hidden, fan_in), dtype) if want_x else None
+                g_wh = np.zeros((4 * hidden, hidden), dtype) if want_h else None
+                g_b = np.zeros((4 * hidden, batch), dtype) if want_b else None
+                d_in = np.empty((steps, fan_in, batch), dtype) if want_in else None
+                part_x = np.empty((4 * hidden, fan_in), dtype)
+                part_h = np.empty((4 * hidden, hidden), dtype)
                 for t in range(steps - 1, -1, -1):
                     if t == steps - 1:
-                        dh = g_out if d_hid is None else d_hid[t]
-                    else:
-                        dh = rec if d_hid is None else d_hid[t] + rec
-                    act = gates[t]
-                    # d(gate)/d(pre-activation): s(1 - s) for the sigmoids and
-                    # 1 - g^2 for the cell candidate, each times the factor that
-                    # gate multiplies: g, c[t-1], i and tanh(c[t]).
-                    np.subtract(1, act, out=deriv)
-                    deriv *= act
-                    np.multiply(act[:, 2], act[:, 2], out=deriv[:, 2])
-                    np.subtract(1, deriv[:, 2], out=deriv[:, 2])
-                    deriv[:, 0] *= act[:, 2]
-                    if t:
-                        deriv[:, 1] *= cell[t - 1]
-                    else:
-                        deriv[:, 1] = 0
-                    deriv[:, 2] *= act[:, 0]
-                    deriv[:, 3] *= tanh_cell[t]
-                    np.multiply(dh, deriv[:, 3], out=dz[t, :, 3])
-                    # dc[t] = dh * o * (1 - tanh(c)^2) + dc[t+1] * f[t+1]
-                    np.multiply(tanh_cell[t], tanh_cell[t], out=dc_dh)
-                    np.subtract(1, dc_dh, out=dc_dh)
-                    dc_dh *= act[:, 3]
-                    dc = dh * dc_dh
+                        np.copyto(dh, g_out.T if d_hid is None else d_hid[t])
+                    elif d_hid is not None:
+                        dh += d_hid[t]
+                    act = gates[t].reshape(4, hidden, batch)
+                    i, f, g, o = act
+                    # dc[t] = dh * o * (1 - tanh(c)^2) + dc[t+1] * f[t+1], with
+                    # o * tanh(c)^2 taken as h * tanh(c).
+                    np.multiply(hid[t], tanh_cell[t], out=dc)
+                    np.subtract(o, dc, out=dc)
+                    dc *= dh
                     if t < steps - 1:
                         dc += carry
-                    np.multiply(deriv[:, :3], dc[:, None, :], out=dz[t, :, :3])
+                    # d(pre-activation) is s(1 - s) for the sigmoids and 1 - g^2
+                    # for the cell candidate, times the factor the gate
+                    # multiplies: g, c[t-1] and i by dc, tanh(c) by dh; the
+                    # output gate's o * tanh(c) is h.
+                    np.subtract(1, act[:2], out=dz[:2])
+                    dz[:2] *= act[:2]
+                    dz[0] *= g
                     if t:
-                        carry = dc * act[:, 1]
-                        rec = _matmul_data(dz[t].reshape(batch, 4 * hidden), w_h_t)
-
-                dz = dz.reshape(steps * batch, 4 * hidden)
-                if w_x[layer].requires_grad:
-                    contribs.append((w_x[layer], _matmul_data(seq.T, dz)))
-                if w_h[layer].requires_grad and steps > 1:  # unused when T == 1
-                    prev = hid[:-1].reshape((steps - 1) * batch, hidden)
-                    contribs.append((w_h[layer], _matmul_data(prev.T, dz[batch:])))
-                if bias[layer].requires_grad:
-                    contribs.append((bias[layer], dz.sum(axis=0)))
+                        dz[1] *= cell[t - 1]
+                    else:
+                        dz[1] = 0
+                    np.multiply(g, g, out=dz[2])
+                    np.subtract(1, dz[2], out=dz[2])
+                    dz[2] *= i
+                    dz[:3] *= dc
+                    np.subtract(1, o, out=dz[3])
+                    dz[3] *= hid[t]
+                    dz[3] *= dh
+                    if want_x:
+                        g_wx += _matmul_data(dz_flat, seq[t].T, out=part_x)
+                    if want_h and t:
+                        g_wh += _matmul_data(dz_flat, hid[t - 1].T, out=part_h)
+                    if want_b:
+                        g_b += dz_flat
+                    if want_in:
+                        _matmul_data(w_x[layer].data, dz_flat, out=d_in[t])
+                    if t:
+                        np.multiply(dc, f, out=carry)
+                        _matmul_data(w_h[layer].data, dz_flat, out=dh)
+                if want_x:
+                    contribs.append((w_x[layer], np.ascontiguousarray(g_wx.T)))
+                if want_h:
+                    contribs.append((w_h[layer], np.ascontiguousarray(g_wh.T)))
+                if want_b:
+                    contribs.append((bias[layer], g_b.sum(axis=1)))
                 if layer:
-                    d_hid = _matmul_data(dz, w_x[layer].data.T).reshape(steps, batch, hidden)
-                elif x.requires_grad:
-                    dx = _matmul_data(dz, w_x[0].data.T).reshape(steps, batch, width)
-                    contribs.append((x, dx.transpose(1, 2, 0)))
+                    d_hid = d_in
+                elif want_in:
+                    contribs.append((x, d_in.transpose(2, 1, 0)))
             return contribs
 
         tape._record(out, backward)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .checkpoint import Bundle, load_bundle, save_bundle
 from .config import SWEEPABLE, ExperimentConfig, SweepSpec
 from .data import (
@@ -204,7 +204,7 @@ def _train_once(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
         # needs the same setting.
         "blas_threads": {
             var: os.environ.get(var, "unset")
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+            for var in BLAS_THREAD_VARS
         },
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rulnet import cli
+from rulnet import BLAS_THREAD_VARS, cli
 from rulnet.cli import main
 from rulnet.data import parse_cmapss
 from rulnet.synthetic import generate_dataset
@@ -167,6 +170,29 @@ class TestTrain:
         for key in ("numpy_version", "python_version", "blas_name", "blas_version"):
             assert isinstance(manifest[key], str) and manifest[key], key
         assert manifest["numpy_version"] == np.__version__
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ["-m", "rulnet"],
+            # What the installed `rulnet` console script runs.
+            ["-c", "import sys; from rulnet.cli import main; sys.exit(main())"],
+        ],
+        ids=["python-m-rulnet", "rulnet-command"],
+    )
+    def test_entry_points_cap_blas_threads(self, workspace, tmp_path, entry):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(workspace["config"]), "--out", str(out), "--seed", "3"]
+        proc = subprocess.run(
+            [sys.executable, *entry, *argv, *FAST_FLAGS],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_threads"] == {var: "1" for var in BLAS_THREAD_VARS}
 
     def test_invalid_head_combination_fails_fast(self, workspace):
         code = main(

@@ -217,23 +217,49 @@ class TestFusedLstm:
         readout = Tensor(rng.standard_normal((batch, hidden)), dtype=np.float64)
         return stack, x, readout, [x] + [p for _, p in stack.parameters()]
 
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("steps", [1, 2, 7])
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_matches_per_step_reference(self, batch, steps, layers):
-        stack, x, readout, params = self._setup(batch, steps, layers, seed=100 * batch + 10 * steps + layers)
+    @staticmethod
+    def _check_against_references(stack, x, readout, params):
         fused, fused_grads = lstm_loss_and_grads(lambda: stack(x), params, readout)
         ref, ref_grads = lstm_loss_and_grads(
             lambda: per_step_lstm(x, stack.w_x, stack.w_h, stack.bias), params, readout
         )
         np.testing.assert_allclose(fused, ref, rtol=1e-13, atol=1e-15)
-        for b in range(batch):
+        for b in range(x.shape[0]):
             np.testing.assert_allclose(fused[b], lstm_scalar_oracle(stack, x.data[b]), atol=1e-12)
         for got, want in zip(fused_grads, ref_grads):
             if want is None:  # w_h never acts when T == 1
                 assert got is None
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_matches_per_step_reference(self, batch, steps, layers):
+        seed = 100 * batch + 10 * steps + layers
+        self._check_against_references(*self._setup(batch, steps, layers, seed=seed))
+
+    def test_distinct_axes_match_references(self):
+        # Batch, input width, T and hidden all differ, so an op that mixes
+        # up any two of those axes cannot pass.
+        self._check_against_references(*self._setup(5, 30, 3, seed=25, width=24, hidden=7))
+
+    def test_float32_tracks_float64_at_paper_shape(self):
+        # Width 24, T 30 and a 3×100 stack: the float32 op sums each weight
+        # and bias gradient over the 30 steps; each result stays within
+        # 1e-5 of the float64 one, relative to the largest float64 entry.
+        stack, x, readout, params = self._setup(4, 30, 3, seed=26, width=24, hidden=100)
+        out64, grads64 = lstm_loss_and_grads(lambda: stack(x), params, readout)
+        params32 = [Tensor(p.data, requires_grad=True, dtype=np.float32) for p in params]
+        x32, w32 = params32[0], params32[1:]
+        out32, grads32 = lstm_loss_and_grads(
+            lambda: ad.lstm(x32, w32[0::3], w32[1::3], w32[2::3]),
+            params32,
+            Tensor(readout.data, dtype=np.float32),
+        )
+        for got, want in zip([out32, *grads32], [out64, *grads64]):
+            assert got.dtype == np.float32
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
     def test_gradcheck(self):
         stack, x, readout, params = self._setup(batch=2, steps=4, layers=3, seed=21)
