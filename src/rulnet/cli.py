@@ -29,6 +29,7 @@ from .data import (
     ConditionModel,
     cluster_conditions,
     normalize,
+    pair_test_truth,
     parse_cmapss,
     parse_rul_truth,
     save_windows,
@@ -241,10 +242,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_trajs, test_trajs, truth = _load_raw(cfg)
-    if len(test_trajs) != len(truth):
-        raise IntegrityError(
-            f"{len(test_trajs)} test units but {len(truth)} truth values"
-        )
+    pair_test_truth(test_trajs, truth)
     cm, samples = _prepare(cfg, train_trajs)
     cm.save_text(out_dir / CONDITION_MODEL_FILE)
     if not args.skip_windows:
@@ -318,11 +316,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
         cfg_like["test_path"] = args.test_path
     test_path = _config_path(cfg_like, "test_path")
     truth_path = _config_path(cfg_like, "truth_path")
-    test = parse_cmapss(test_path)
-    by_unit = {t.unit_id: t for t in test}
+    pairs = pair_test_truth(parse_cmapss(test_path), parse_rul_truth(truth_path))
+    by_unit = {traj.unit_id: (traj, final_rul) for traj, final_rul in pairs}
     if args.unit not in by_unit:
         raise UnitLookupError(f"unit {args.unit} not found in {test_path}")
-    traj = by_unit[args.unit]
+    traj, final_rul = by_unit[args.unit]
 
     cycles = None
     if args.cycles and args.cycles != "all":
@@ -342,9 +340,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     paths = write_attention_csvs(export, out_dir)
 
     # Per-cycle predictions with back-computed truth, the third surface.
-    truth = parse_rul_truth(truth_path)
-    order = [t.unit_id for t in test]
-    final_rul = truth[order.index(args.unit)]
     with open(out_dir / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["unit_id", "cycle", "true_rul", "pred_rul", "error"])

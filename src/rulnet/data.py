@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ClusteringError, ContractError, IntegrityError, ParseError
 
@@ -29,23 +30,27 @@ KMEANS_MAX_ITER = 300
 
 @dataclass
 class RawTrajectory:
-    """One engine's run: cycles 1..L with settings and sensor rows."""
+    """One engine's run: cycles 1..L, one row per cycle holding the
+    settings columns then the sensor columns."""
 
     unit_id: int
-    settings: np.ndarray  # (L, 3) float64
-    sensors: np.ndarray  # (L, 21) float64
+    channels: np.ndarray  # (L, 24) float64
 
     def __post_init__(self):
-        self.settings = np.asarray(self.settings, dtype=np.float64)
-        self.sensors = np.asarray(self.sensors, dtype=np.float64)
+        self.channels = np.asarray(self.channels, dtype=np.float64)
 
     def __len__(self) -> int:
-        return self.settings.shape[0]
+        return self.channels.shape[0]
 
     @property
-    def channels(self) -> np.ndarray:
-        """(L, 24) matrix: settings columns then sensor columns."""
-        return np.hstack([self.settings, self.sensors])
+    def settings(self) -> np.ndarray:
+        """(L, 3) view of the settings columns."""
+        return self.channels[:, :N_SETTINGS]
+
+    @property
+    def sensors(self) -> np.ndarray:
+        """(L, 21) view of the sensor columns."""
+        return self.channels[:, N_SETTINGS:]
 
 
 @dataclass
@@ -107,9 +112,7 @@ def parse_cmapss(source: str | Path | TextIO) -> list[RawTrajectory]:
             raise IntegrityError(
                 f"unit {unit}: cycles must increase by 1 starting at 1"
             )
-        trajectories.append(
-            RawTrajectory(unit_id=unit, settings=block[:, 2:5], sensors=block[:, 5:26])
-        )
+        trajectories.append(RawTrajectory(unit_id=unit, channels=block[:, 2:]))
     return trajectories
 
 
@@ -329,8 +332,8 @@ def cluster_conditions(
     trajectories = list(trajectories)
     if not trajectories:
         raise ContractError("no trajectories to fit on")
-    settings = np.vstack([t.settings for t in trajectories])
     channels = np.vstack([t.channels for t in trajectories])
+    settings = channels[:, :N_SETTINGS]
     centroids = _lloyd(settings, k, seed)
 
     model = ConditionModel(
@@ -359,18 +362,13 @@ def cluster_conditions(
 def normalize(trajectory: RawTrajectory, cm: ConditionModel) -> RawTrajectory:
     """Z-score every channel against its row's condition statistics."""
     assignment = cm.assign(trajectory.settings)
-    chans = trajectory.channels
     mu = cm.means[assignment]
     sigma = cm.stds[assignment].copy()
     constant = cm.constant_mask[assignment]
     sigma[constant] = 1.0
-    z = (chans - mu) / sigma
+    z = (trajectory.channels - mu) / sigma
     z[constant] = 0.0
-    return RawTrajectory(
-        unit_id=trajectory.unit_id,
-        settings=z[:, :N_SETTINGS],
-        sensors=z[:, N_SETTINGS:],
-    )
+    return RawTrajectory(unit_id=trajectory.unit_id, channels=z)
 
 
 # ---------------------------------------------------------------------
@@ -386,16 +384,22 @@ def piecewise_rul(t_total: int, t: int, r_max: float) -> float:
     return float(min(r_max, t_total - t))
 
 
-def _window_ending_at(channels: np.ndarray, end: int, window: int) -> np.ndarray:
-    """(F, T) window of the cycles ending at ``end`` (1-based), transposed
-    from row-per-cycle storage; cycles before the first repeat cycle 1."""
-    start = end - window
-    if start >= 0:
-        block = channels[start:end]
-    else:
-        pad = np.repeat(channels[0:1], -start, axis=0)
-        block = np.vstack([pad, channels[:end]])
-    return np.ascontiguousarray(block.T, dtype=np.float32)
+def window_ends(total: int, window: int) -> np.ndarray:
+    """The 1-based end cycles of the stride-1 windows over ``total``
+    cycles: window..total, or only ``total`` when the trajectory is
+    shorter than the window."""
+    return np.arange(min(window, total), total + 1)
+
+
+def windows_ending_at(channels: np.ndarray, ends: Sequence[int], window: int) -> np.ndarray:
+    """(N, F, T) float32 windows of the cycles ending at each of ``ends``
+    (1-based), transposed from row-per-cycle storage.  Window n holds
+    rows max(ends[n] - window + j, 0) for j < window, so cycles before
+    the first repeat cycle 1: after ``window - 1`` leading copies of
+    cycle 1, the sliding (F, T) view from row end - 1 is that window."""
+    rows = channels.astype(np.float32)
+    padded = np.concatenate([np.repeat(rows[:1], window - 1, axis=0), rows])
+    return np.take(sliding_window_view(padded, window, axis=0), np.asarray(ends) - 1, axis=0)
 
 
 def window_split(trajectory: RawTrajectory, window: int, r_max: float) -> list[WindowedSample]:
@@ -404,25 +408,25 @@ def window_split(trajectory: RawTrajectory, window: int, r_max: float) -> list[W
     shorter than the window produce a single sample padded by repeating
     the first cycle.
     """
-    if window < 1:
-        raise ContractError(f"window length must be >= 1, got {window}")
-    chans = trajectory.channels
     total = len(trajectory)
-    ends = range(window, total + 1) if window <= total else [total]
+    if min(window, total) < 1:
+        raise ContractError(f"window length and cycle count must be >= 1, got {window} and {total}")
+    ends = window_ends(total, window)
+    matrices = windows_ending_at(trajectory.channels, ends, window)
     return [
         WindowedSample(
-            matrix=_window_ending_at(chans, end, window),
+            matrix=matrix,
             label=piecewise_rul(total, end, r_max),
             unit_id=trajectory.unit_id,
             end_cycle=end,
         )
-        for end in ends
+        for matrix, end in zip(matrices, ends.tolist())
     ]
 
 
 def expected_sample_count(t_total: int, window: int) -> int:
     """Training sample count for one trajectory of length t_total."""
-    return t_total - window + 1 if window <= t_total else 1
+    return len(window_ends(t_total, window))
 
 
 def windows_to_arrays(

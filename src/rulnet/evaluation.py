@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import Bundle
-from .data import RawTrajectory, _window_ending_at, normalize, pair_test_truth
+from .data import RawTrajectory, normalize, pair_test_truth, windows_ending_at
 from .errors import CapabilityError, ContractError
 from .training import PREDICT_BATCH, predict_batched
 
@@ -104,8 +104,8 @@ def predict_test_set(
     pairs = pair_test_truth(test_trajectories, truth)
     r_max = bundle.r_max
 
-    x = np.stack([
-        _window_ending_at(normalize(traj, bundle.condition_model).channels, len(traj), bundle.window)
+    x = np.concatenate([
+        windows_ending_at(normalize(traj, bundle.condition_model).channels, [len(traj)], bundle.window)
         for traj, _ in pairs
     ])
     preds = predict_batched(bundle.model, x).astype(np.float64)
@@ -216,8 +216,7 @@ def export_attention(
     filled = 0
     for start in range(0, len(cycles), PREDICT_BATCH):
         chunk = slice(start, start + PREDICT_BATCH)
-        x = np.stack([_window_ending_at(chans, c, model.window) for c in cycles[chunk].tolist()])
-        predictions[chunk] = model.predict(x)
+        predictions[chunk] = model.predict(windows_ending_at(chans, cycles[chunk], model.window))
         heads = model.attention_weights("feature").astype(np.float64)
         averaged = heads.mean(axis=1)
         cycle_sums[chunk] = averaged.sum(axis=1)

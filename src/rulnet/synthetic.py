@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import N_SENSORS, RawTrajectory, write_cmapss
+from .errors import ConfigurationError
 
 # Operating regime centers in (altitude kft, mach, throttle) space,
 # spread like the six regimes of the multi-condition turbofan sets.
@@ -74,7 +75,7 @@ def _make_trajectory(
     sensors = base[cond] + gain[cond] * signal
     for s in _CONSTANT_SENSORS:
         sensors[:, s] = base[0, s]
-    return RawTrajectory(unit_id=unit_id, settings=settings, sensors=sensors)
+    return RawTrajectory(unit_id=unit_id, channels=np.hstack([settings, sensors]))
 
 
 def generate_dataset(
@@ -87,8 +88,11 @@ def generate_dataset(
     life_range: tuple[int, int] = (120, 220),
 ) -> SyntheticDataset:
     """Write train_<name>.txt, test_<name>.txt, RUL_<name>.txt to out_dir."""
-    if not 1 <= n_conditions <= len(_CONDITION_CENTERS):
-        raise ValueError(f"n_conditions must be 1..{len(_CONDITION_CENTERS)}")
+    if not 1 <= n_conditions <= len(_CONDITION_CENTERS) or min(n_train, n_test) < 1:
+        raise ConfigurationError(
+            f"need 1..{len(_CONDITION_CENTERS)} conditions and >= 1 train and test units,"
+            f" got {n_conditions}, {n_train} and {n_test}"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -125,13 +129,7 @@ def generate_dataset(
         if unit == n_test and n_test >= 4:
             observed = int(rng.integers(8, 20))  # exercise forward-fill padding
             final_rul = life - observed
-        test.append(
-            RawTrajectory(
-                unit_id=unit,
-                settings=full.settings[:observed],
-                sensors=full.sensors[:observed],
-            )
-        )
+        test.append(RawTrajectory(unit_id=unit, channels=full.channels[:observed]))
         truth.append(final_rul)
 
     train_path = out_dir / f"train_{name}.txt"

@@ -123,3 +123,16 @@ def per_head_attention(x, w_q, w_k, w_v, w_o):
         head = (w @ (x @ w_v[i])) @ Tensor(place[i * d_head : (i + 1) * d_head])
         merged = head if merged is None else merged + head
     return merged @ w_o, np.stack(weights, axis=-3)
+
+
+def window_ending_at(channels, end, window):
+    """Reference for ``windows_ending_at``: the (F, T) window of the
+    cycles ending at ``end`` (1-based), sliced from row-per-cycle storage
+    and transposed; cycles before the first repeat cycle 1."""
+    start = end - window
+    if start >= 0:
+        block = channels[start:end]
+    else:
+        pad = np.repeat(channels[0:1], -start, axis=0)
+        block = np.vstack([pad, channels[:end]])
+    return np.ascontiguousarray(block.T, dtype=np.float32)

@@ -118,8 +118,7 @@ def test_criterion_3_windowing_oracle():
         window = int(rng.integers(1, 61))
         traj = D.RawTrajectory(
             unit_id=1,
-            settings=rng.standard_normal((total, 3)),
-            sensors=rng.standard_normal((total, 21)),
+            channels=np.hstack([rng.standard_normal((total, 3)), rng.standard_normal((total, 21))]),
         )
         samples = D.window_split(traj, window, 125.0)
         formula = total - window + 1 if window <= total else 1
@@ -231,7 +230,7 @@ def test_criterion_6_attention_invariants():
         centroids=np.zeros((1, 3)), means=np.zeros((1, 24)), stds=np.ones((1, 24))
     )
     traj = D.RawTrajectory(
-        unit_id=1, settings=rng.standard_normal((8, 3)), sensors=rng.standard_normal((8, 21))
+        unit_id=1, channels=np.hstack([rng.standard_normal((8, 3)), rng.standard_normal((8, 21))])
     )
     bundle = Bundle(model=model, condition_model=cm, config={"window": 6, "r_max": 125.0})
     export = export_attention(bundle, traj, cycles=[4, 8])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rulnet import BLAS_THREAD_VARS, cli
+from rulnet.checkpoint import load_bundle, save_bundle
 from rulnet.cli import main
 from rulnet.data import parse_cmapss
 from rulnet.synthetic import generate_dataset
@@ -217,8 +218,6 @@ class TestTrain:
              "--mode", "L"] + FAST_FLAGS
         )
         assert code == 0
-        from rulnet.checkpoint import load_bundle
-
         bundle = load_bundle(out / "checkpoint.bin")
         names = [n for n, _ in bundle.model.parameters()]
         assert not any(n.startswith(("fa.", "sa.")) for n in names)
@@ -318,8 +317,6 @@ class TestEvaluate:
     ], ids=["evaluate-test", "evaluate-truth", "explain-test", "explain-truth"])
     def test_bundle_without_data_paths_is_config_error(self, workspace, trained, tmp_path,
                                                        capsys, command, flags, missing):
-        from rulnet.checkpoint import load_bundle, save_bundle
-
         bundle = load_bundle(trained / "checkpoint.bin")
         checkpoint = tmp_path / "bare.bin"
         save_bundle(checkpoint, bundle.model, bundle.condition_model, {"window": 10})
@@ -394,6 +391,23 @@ class TestExplain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("unit", [2, 4])
+    def test_truth_count_mismatch_is_data_error(self, workspace, trained, tmp_path, unit, capsys):
+        # Four test units and two truth values: unit 2 has a truth line
+        # only by position, unit 4 none at all.
+        bundle = load_bundle(trained / "checkpoint.bin")
+        short_truth = tmp_path / "short.txt"
+        short_truth.write_text("5\n7\n")
+        checkpoint = tmp_path / "short_truth.bin"
+        save_bundle(checkpoint, bundle.model, bundle.condition_model,
+                    dict(bundle.config, truth_path=str(short_truth)))
+        out = tmp_path / "out"
+        code = main(["explain", "--checkpoint", str(checkpoint), "--unit", str(unit),
+                     "--out", str(out)])
+        assert code == 2
+        assert "IntegrityError: 4 test units but 2 truth values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mode_l_checkpoint_is_capability_error(self, workspace):
         checkpoint = workspace["root"] / "mode_l" / "checkpoint.bin"
         code = main(["explain", "--checkpoint", str(checkpoint), "--unit", "1"])
@@ -461,6 +475,17 @@ class TestSynthData:
         config = json.loads((tmp_path / "d" / "config.json").read_text())
         assert Path(config["train_path"]).exists()
         assert config["k_conditions"] == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--conditions", "0"), ("--conditions", "7"), ("--units", "0"), ("--units", "-1"),
+        ("--test-units", "0"),
+    ])
+    def test_out_of_range_counts_are_usage_errors(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "d"
+        code = main(["synth-data", "--out", str(out), flag, value])
+        assert code == 1
+        assert "configuration error: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigPrecedence:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import window_ending_at
 from rulnet import ClusteringError, ContractError, IntegrityError, ParseError, RulnetError
 from rulnet import data as D
 from rulnet.synthetic import generate_dataset
@@ -156,7 +157,7 @@ class TestClusterConditions:
         rng = np.random.default_rng(0)
         centers = np.array([[0, 0, 0], [10, 0, 0], [0, 10, 0], [0, 0, 10], [7, 7, 7], [-5, 5, 0]], dtype=float)
         rows = np.vstack([c + rng.normal(0, 0.01, size=(40, 3)) for c in centers])
-        traj = D.RawTrajectory(unit_id=1, settings=rows, sensors=np.zeros((len(rows), 21)))
+        traj = D.RawTrajectory(unit_id=1, channels=np.hstack([rows, np.zeros((len(rows), 21))]))
         cm = D.cluster_conditions([traj], k=6, seed=1)
         # Brute-force oracle: each generated point's nearest true center.
         found = sorted(tuple(np.round(c, 1)) for c in cm.centroids)
@@ -189,9 +190,7 @@ class TestClusterConditions:
         assert dist.max() <= 1e-3 * span
 
     def test_too_few_distinct_points(self):
-        traj = D.RawTrajectory(
-            unit_id=1, settings=np.zeros((50, 3)), sensors=np.zeros((50, 21))
-        )
+        traj = D.RawTrajectory(unit_id=1, channels=np.zeros((50, 24)))
         with pytest.raises(ClusteringError):
             D.cluster_conditions([traj], k=2, seed=0)
 
@@ -208,7 +207,7 @@ class TestClusterConditions:
         rng = np.random.default_rng(0)
         channels = np.hstack([rng.integers(0, 2, (40, 3)) * 10.0, rng.standard_normal((40, 21))])
         channels[5, column], channels[6, column] = values
-        traj = D.RawTrajectory(unit_id=1, settings=channels[:, :3], sensors=channels[:, 3:])
+        traj = D.RawTrajectory(unit_id=1, channels=channels)
         with pytest.raises(ClusteringError) as err:
             D.cluster_conditions([traj], k=k, seed=0)
         if kind != "setting" or k == 1:
@@ -245,10 +244,10 @@ class TestNormalize:
     def test_channel_equal_to_mean_maps_to_zero(self):
         settings = np.tile([1.0, 2.0, 3.0], (10, 1))
         sensors = np.arange(210, dtype=float).reshape(10, 21)
-        traj = D.RawTrajectory(unit_id=1, settings=settings, sensors=sensors)
+        traj = D.RawTrajectory(unit_id=1, channels=np.hstack([settings, sensors]))
         cm = D.cluster_conditions([traj], k=1, seed=0)
         sensors_at_mean = np.tile(sensors.mean(axis=0), (10, 1))
-        at_mean = D.RawTrajectory(unit_id=1, settings=settings, sensors=sensors_at_mean)
+        at_mean = D.RawTrajectory(unit_id=1, channels=np.hstack([settings, sensors_at_mean]))
         normed = D.normalize(at_mean, cm)
         np.testing.assert_allclose(normed.sensors, 0.0, atol=1e-12)
 
@@ -338,8 +337,7 @@ class TestWindowSplit:
         rng = np.random.default_rng(total)
         return D.RawTrajectory(
             unit_id=1,
-            settings=rng.standard_normal((total, 3)),
-            sensors=rng.standard_normal((total, 21)),
+            channels=np.hstack([rng.standard_normal((total, 3)), rng.standard_normal((total, 21))]),
         )
 
     def test_spec_count_192_30(self):
@@ -384,6 +382,26 @@ class TestWindowSplit:
             chosen.matrix,
             traj.channels[end - 5 : end].T.astype(np.float32),
         )
+
+    def test_empty_window_or_trajectory_is_contract_error(self):
+        with pytest.raises(ContractError):
+            D.window_split(self._traj(5), 0, 125)
+        with pytest.raises(ContractError):
+            D.window_split(D.RawTrajectory(unit_id=1, channels=np.zeros((0, 24))), 5, 125)
+
+    @given(total=st.integers(1, 120), window=st.integers(1, 40), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_windows_match_slice_and_pad_reference(self, total, window, data):
+        channels = self._traj(total).channels
+        ends = D.window_ends(total, window)
+        assert ends.tolist() == (list(range(window, total + 1)) if window <= total else [total])
+        cycles = data.draw(st.lists(st.integers(1, total), max_size=10))
+        for chosen in (ends, np.array(cycles, dtype=np.int64)):
+            built = D.windows_ending_at(channels, chosen, window)
+            assert built.shape == (len(chosen), 24, window) and built.dtype == np.float32
+            assert built.flags.c_contiguous
+            for matrix, end in zip(built, chosen.tolist()):
+                assert matrix.tobytes() == window_ending_at(channels, end, window).tobytes()
 
     def test_windows_file_round_trip(self, tmp_path):
         samples = D.window_split(self._traj(45), 8, 125)
@@ -437,7 +455,7 @@ def window_lists(draw):
         cells = np.array(
             draw(st.lists(cell, min_size=length * (3 + n_sensors), max_size=length * (3 + n_sensors)))
         ).reshape(length, 3 + n_sensors)
-        traj = D.RawTrajectory(unit_id=unit, settings=cells[:, :3], sensors=cells[:, 3:])
+        traj = D.RawTrajectory(unit_id=unit, channels=cells)
         samples += D.window_split(traj, window, draw(st.sampled_from([125.0, 3.0])))
     keep = draw(st.lists(st.booleans(), min_size=len(samples), max_size=len(samples)))
     samples = [s for s, k in zip(samples, keep) if k] or samples[:1]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_tiny_model
+from conftest import build_tiny_model, window_ending_at
 from rulnet import CapabilityError, ContractError
 from rulnet import data as D
 from rulnet.checkpoint import Bundle
@@ -111,8 +111,7 @@ def make_test_trajs(n=5, seed=1, length=40):
     return [
         D.RawTrajectory(
             unit_id=i + 1,
-            settings=rng.standard_normal((length, 3)),
-            sensors=rng.standard_normal((length, 21)),
+            channels=np.hstack([rng.standard_normal((length, 3)), rng.standard_normal((length, 21))]),
         )
         for i in range(n)
     ]
@@ -241,10 +240,8 @@ def reference_export_attention(bundle, trajectory, cycles=None, matrix_cycles=No
     feature_rows = []
     cycle_sums = []
     predictions = []
-    from rulnet.data import _window_ending_at  # same windowing as evaluation
-
     for cycle in cycles:
-        window = _window_ending_at(chans, cycle, model.window)
+        window = window_ending_at(chans, cycle, model.window)
         pred = float(model.predict(window))
         predictions.append((cycle, pred))
         heads = list(model.attention_weights("feature")[0].astype(np.float64))
