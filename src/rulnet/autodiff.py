@@ -103,9 +103,6 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 

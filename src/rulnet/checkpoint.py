@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .data import N_CHANNELS, N_SETTINGS, ConditionModel
 from .errors import CheckpointError, ConfigurationError, RulnetError
 from .model import RulModel
@@ -42,15 +43,11 @@ class Bundle:
 
     model: RulModel
     condition_model: ConditionModel
-    config: dict
+    config: ExperimentConfig
 
     @property
     def window(self) -> int:
         return self.model.window
-
-    @property
-    def r_max(self) -> float:
-        return float(self.config.get("r_max", 125.0))
 
     def require_window(self, window: int) -> None:
         if window != self.model.window:
@@ -60,6 +57,8 @@ class Bundle:
 
 
 def save_bundle(path: str | Path, model: RulModel, cm: ConditionModel, config: dict) -> None:
+    """Write a bundle whose header records ``config``, a dict of
+    :class:`ExperimentConfig` fields (``ExperimentConfig.to_dict()``)."""
     tensors = model.state_arrays()
     table = []
     offset = 0
@@ -104,8 +103,10 @@ def load_bundle(path: str | Path) -> Bundle:
     dtype is not a float, whose shape is not a list of non-negative
     integers, whose nbytes is not its shape's size in bytes, or whose
     offset leaves a gap or overlap; a buffer past the end of the file;
-    bytes after the last buffer; and a model or condition model that the
-    header cannot rebuild.
+    bytes after the last buffer; a config key that is not an
+    :class:`ExperimentConfig` field; and a model or condition model that
+    the header cannot rebuild.  Fields the header leaves out take their
+    defaults.
     """
     try:
         raw = Path(path).read_bytes()
@@ -130,6 +131,9 @@ def load_bundle(path: str | Path) -> Bundle:
         if not isinstance(header.get(key), kind):
             raise CheckpointError(f"{path}: header has no {key!r} {kind.__name__}")
 
+    unknown = sorted(set(header["config"]) - set(ExperimentConfig.field_names()))
+    if unknown:
+        raise CheckpointError(f"{path}: unknown config keys {unknown}")
     arrays = _read_tensors(path, header["tensors"], raw, body_start)
     try:
         model = RulModel.from_hyperparams(header["hyperparams"])
@@ -139,7 +143,7 @@ def load_bundle(path: str | Path) -> Bundle:
     return Bundle(
         model=model,
         condition_model=_read_condition_model(path, header["condition_model"]),
-        config=header["config"],
+        config=ExperimentConfig(**header["config"]),
     )
 
 

@@ -27,6 +27,7 @@ from .checkpoint import Bundle, load_bundle, save_bundle
 from .config import SWEEPABLE, ExperimentConfig, SweepSpec
 from .data import (
     ConditionModel,
+    RawTrajectory,
     cluster_conditions,
     normalize,
     pair_test_truth,
@@ -145,11 +146,13 @@ def _prepare(cfg: ExperimentConfig, train_trajs) -> tuple[ConditionModel, list]:
     return cm, samples
 
 
-def _config_path(cfg_like: dict, key: str) -> str:
-    """A data path from a checkpoint's config, after any flag override."""
-    if not cfg_like.get(key):
-        raise ConfigurationError(f"no {key}: the checkpoint's config does not name one")
-    return cfg_like[key]
+def _test_pairs(cfg: ExperimentConfig) -> list[tuple[RawTrajectory, int]]:
+    """The test units of ``cfg.test_path`` paired with the final RULs of
+    ``cfg.truth_path``, for a checkpoint's config after any flag override."""
+    for key in ("test_path", "truth_path"):
+        if not getattr(cfg, key):
+            raise ConfigurationError(f"no {key}: the checkpoint's config does not name one")
+    return pair_test_truth(parse_cmapss(cfg.test_path), parse_rul_truth(cfg.truth_path))
 
 
 def _blas_build() -> dict[str, str]:
@@ -164,18 +167,24 @@ def _blas_build() -> dict[str, str]:
     }
 
 
-def _train_once(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
-    """Run one training; writes checkpoint, log, manifest. Returns summary."""
+def _train_once(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    """Run one training with the config's first seed; writes checkpoint,
+    log, manifest. Returns summary.
+
+    The model is built first, so that its size and dropout checks also
+    fail before any output or any data read.
+    """
+    seed = cfg.seeds[0]
+    model = RulModel(**cfg.model_kwargs(), init_rng=generator(seed, "init"))
     out_dir.mkdir(parents=True, exist_ok=True)
     train_trajs, _, _ = _load_raw(cfg)
     cm, samples = _prepare(cfg, train_trajs)
 
-    model = RulModel(**cfg.model_kwargs(), init_rng=generator(seed, "init"))
     started = time.perf_counter()
-    result = fit(model, samples, cfg.train_config(seed))
+    result = fit(model, samples, cfg)
     wall = time.perf_counter() - started
 
-    bundle_config = dict(cfg.to_dict(), seeds=[seed])
+    bundle_config = cfg.override(seeds=[seed]).to_dict()
     checkpoint_path = out_dir / "checkpoint.bin"
     save_bundle(checkpoint_path, model, cm, bundle_config)
 
@@ -222,9 +231,9 @@ def _train_once(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     }
 
 
-def _evaluate_bundle(bundle: Bundle, cfg_like: dict, out_dir: Path, clip: bool | None = None) -> dict:
-    test = parse_cmapss(_config_path(cfg_like, "test_path"))
-    truth = parse_rul_truth(_config_path(cfg_like, "truth_path"))
+def _evaluate_bundle(bundle: Bundle, cfg: ExperimentConfig, out_dir: Path, clip: bool | None = None) -> dict:
+    pairs = _test_pairs(cfg)
+    test, truth = [t for t, _ in pairs], [r for _, r in pairs]
     report = predict_test_set(bundle, test, truth, clip_truth=clip)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_predictions_csv(report, out_dir / "predictions.csv")
@@ -272,24 +281,18 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     cfg.validate()
-    seed = cfg.seeds[0]
-    summary = _train_once(cfg, seed, Path(cfg.out_dir))
+    summary = _train_once(cfg, Path(cfg.out_dir))
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.checkpoint)
-    cfg_like = dict(bundle.config)
-    if args.test_path:
-        cfg_like["test_path"] = args.test_path
-    if args.truth_path:
-        cfg_like["truth_path"] = args.truth_path
+    cfg = bundle.config.override(test_path=args.test_path, truth_path=args.truth_path)
     if args.window is not None:
         bundle.require_window(args.window)
-    clip = args.clip_test_rul
-    out_dir = Path(args.out or cfg_like.get("out_dir", "runs"))
-    metrics = _evaluate_bundle(bundle, cfg_like, out_dir, clip=clip)
+    out_dir = Path(args.out or cfg.out_dir)
+    metrics = _evaluate_bundle(bundle, cfg, out_dir, clip=args.clip_test_rul)
     print(json.dumps(metrics, sort_keys=True, indent=2))
     return 0
 
@@ -311,15 +314,10 @@ def _cycle_range(text: str, length: int) -> range:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.checkpoint)
-    cfg_like = dict(bundle.config)
-    if args.test_path:
-        cfg_like["test_path"] = args.test_path
-    test_path = _config_path(cfg_like, "test_path")
-    truth_path = _config_path(cfg_like, "truth_path")
-    pairs = pair_test_truth(parse_cmapss(test_path), parse_rul_truth(truth_path))
-    by_unit = {traj.unit_id: (traj, final_rul) for traj, final_rul in pairs}
+    cfg = bundle.config.override(test_path=args.test_path, truth_path=args.truth_path)
+    by_unit = {traj.unit_id: (traj, final_rul) for traj, final_rul in _test_pairs(cfg)}
     if args.unit not in by_unit:
-        raise UnitLookupError(f"unit {args.unit} not found in {test_path}")
+        raise UnitLookupError(f"unit {args.unit} not found in {cfg.test_path}")
     traj, final_rul = by_unit[args.unit]
 
     cycles = None
@@ -335,7 +333,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             ) from None
 
     export = export_attention(bundle, traj, cycles=cycles, matrix_cycles=matrix_cycles)
-    out_dir = Path(args.out or cfg_like.get("out_dir", "runs"))
+    out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = write_attention_csvs(export, out_dir)
 
@@ -388,9 +386,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "error": "",
             }
             try:
-                summary = _train_once(run_cfg, seed, run_dir)
+                summary = _train_once(run_cfg, run_dir)
                 bundle = load_bundle(run_dir / "checkpoint.bin")
-                metrics = _evaluate_bundle(bundle, run_cfg.to_dict(), run_dir)
+                metrics = _evaluate_bundle(bundle, run_cfg, run_dir)
                 row.update(
                     rmse=repr(metrics["rmse"]),
                     score=repr(metrics["score"]),
@@ -398,9 +396,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     wall_time_s=f"{summary['wall_time_s']:.2f}",
                 )
                 if spec.parameter == "r_max":
-                    unclipped = _evaluate_bundle(
-                        bundle, run_cfg.to_dict(), run_dir / "unclipped", clip=False
-                    )
+                    unclipped = _evaluate_bundle(bundle, run_cfg, run_dir / "unclipped", clip=False)
                     row["rmse_unclipped"] = repr(unclipped["rmse"])
                     row["score_unclipped"] = repr(unclipped["score"])
             except Exception as exc:  # record and continue with the next run
@@ -484,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--matrix-cycles", default=None,
                            help="comma-separated cycles to emit full matrices for (default: all)")
     p_explain.add_argument("--test-path", default=None)
+    p_explain.add_argument("--truth-path", default=None)
     p_explain.add_argument("--out", default=None)
     p_explain.set_defaults(func=cmd_explain)
 

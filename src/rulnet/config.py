@@ -1,23 +1,24 @@
 """Experiment configuration: JSON file + command-line overrides.
 
-Every field of :class:`ExperimentConfig` can appear in the config file
-and be overridden by a flag of the same name.  Validation happens before
-any compute: paths must exist and head counts must be non-negative and
-divide their embedding widths (window for feature heads, channel count for
-sequence heads).
+:class:`ExperimentConfig` is the one config type: the command line, the
+training loop and a bundle's header all use it, and its field defaults
+are the paper's published setup.  Every field can appear in the config
+file and be overridden by a flag of the same name.  Validation happens
+before any compute: :meth:`ExperimentConfig.validate` checks every
+numeric range and, unless told otherwise, that the data paths exist.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import N_CHANNELS
 from .errors import ConfigurationError
 from .model import resolve_blocks
-from .training import TrainConfig
 
 SWEEPABLE = ("feature_heads", "sequence_heads", "window", "r_max", "mode")
 
@@ -81,12 +82,23 @@ class ExperimentConfig:
         return resolve_blocks(self.mode, self.feature_heads, self.sequence_heads)[1:]
 
     def validate(self, require_paths: bool = True) -> None:
-        if self.window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {self.window}")
-        if self.r_max <= 0:
-            raise ConfigurationError(f"r_max must be positive, got {self.r_max}")
-        if self.k_conditions < 1:
-            raise ConfigurationError(f"k_conditions must be >= 1, got {self.k_conditions}")
+        """Raise ConfigurationError on the first field out of range; each
+        check is written so that NaN fails it.  Layer sizes and dropout
+        are checked where the model is built."""
+        counts = ("window", "k_conditions", "batch_size", "early_stop_patience", "max_epochs")
+        for name in counts:
+            if not getattr(self, name) >= 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.r_max < math.inf:
+            raise ConfigurationError(f"r_max must be positive and finite, got {self.r_max}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigurationError(
+                f"learning_rate must be >= 0 and finite, got {self.learning_rate}"
+            )
+        if not 0 < self.validation_fraction < 1:
+            raise ConfigurationError(
+                f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
+            )
         if not self.seeds:
             raise ConfigurationError("seed list is empty")
         fh, sh = self.effective_heads()
@@ -105,19 +117,11 @@ class ExperimentConfig:
                     raise ConfigurationError(f"{label} is not set")
                 if not Path(value).exists():
                     raise ConfigurationError(f"{label} does not exist: {value}")
-        # TrainConfig re-checks its own numeric ranges.
-        self.train_config(self.seeds[0])
 
     # -- conversions --------------------------------------------------------
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            early_stop_patience=self.early_stop_patience,
-            max_epochs=self.max_epochs,
-            validation_fraction=self.validation_fraction,
-            seed=seed,
-        )
+    def train_config(self, seed: int) -> "ExperimentConfig":
+        """This config training with ``seed`` alone."""
+        return self.override(seeds=[seed])
 
     def model_kwargs(self) -> dict:
         blocks = resolve_blocks(self.mode, self.feature_heads, self.sequence_heads)

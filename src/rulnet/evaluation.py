@@ -61,7 +61,6 @@ class UnitRecord:
 @dataclass
 class EvaluationReport:
     records: list[UnitRecord]
-    config: dict
 
     @property
     def errors(self) -> list[float]:
@@ -97,12 +96,13 @@ def predict_test_set(
     """Evaluate each test unit's final window through the bundle.
 
     Negative predictions are clamped to zero (and counted); the truth
-    labels are clipped at the bundle's r_max unless disabled.
+    labels are clipped at the bundle's r_max when ``clip_truth``, which
+    defaults to the bundle's ``clip_test_rul``.
     """
     if clip_truth is None:
-        clip_truth = bool(bundle.config.get("clip_test_rul", True))
+        clip_truth = bundle.config.clip_test_rul
     pairs = pair_test_truth(test_trajectories, truth)
-    r_max = bundle.r_max
+    r_max = bundle.config.r_max
 
     x = np.concatenate([
         windows_ending_at(normalize(traj, bundle.condition_model).channels, [len(traj)], bundle.window)
@@ -120,7 +120,7 @@ def predict_test_set(
                 clamped=bool(clamped),
             )
         )
-    return EvaluationReport(records=records, config=dict(bundle.config, clip_test_rul=clip_truth))
+    return EvaluationReport(records=records)
 
 
 def write_predictions_csv(report: EvaluationReport, path: str | Path) -> None:
@@ -135,20 +135,6 @@ def write_metrics_json(report: EvaluationReport, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as out:
         json.dump(report.metrics(), out, sort_keys=True, indent=2)
         out.write("\n")
-
-
-def read_predictions_csv(path: str | Path) -> list[UnitRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                UnitRecord(
-                    unit_id=int(row["unit_id"]),
-                    true_rul=float(row["true_rul"]),
-                    pred_rul=float(row["pred_rul"]),
-                )
-            )
-    return records
 
 
 # ---------------------------------------------------------------------

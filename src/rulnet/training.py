@@ -12,6 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
+from .config import ExperimentConfig
 from .data import WindowedSample, windows_to_arrays
 from .errors import ContractError, NumericInputError
 from .model import RulModel
@@ -19,26 +20,6 @@ from .seeding import generator
 
 # Windows per inference forward: bounds an untaped forward's activations.
 PREDICT_BATCH = 256
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.0002
-    batch_size: int = 128
-    early_stop_patience: int = 50
-    max_epochs: int = 500
-    validation_fraction: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ContractError(
-                f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
-            )
-        if self.early_stop_patience < 1:
-            raise ContractError(f"patience must be >= 1, got {self.early_stop_patience}")
 
 
 def mse_loss(pred: Tensor, truth: Tensor) -> Tensor:
@@ -221,33 +202,37 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
-def fit(model: RulModel, samples: Sequence[WindowedSample], config: TrainConfig) -> FitResult:
+def fit(model: RulModel, samples: Sequence[WindowedSample], config: ExperimentConfig) -> FitResult:
     """Train the model; returns the log and restores best-validation weights.
 
-    The unit split, batch shuffling, and dropout masks each draw from a
-    named stream of ``config.seed``, so identical configs replay exactly.
+    ``config`` is validated first (without its data paths), so a bad
+    range is a ConfigurationError before any compute.  The unit split,
+    batch shuffling, and dropout masks each draw from a named stream of
+    ``config.seeds[0]``, so identical configs replay exactly.
     A non-finite batch loss, or a gradient norm that is not finite in the
     model's dtype, raises NumericInputError naming the epoch and 1-based
     batch, before it can reach the weights.  Training keeps freed memory
     in the process (see :func:`_keep_freed_memory`).
     """
+    config.validate(require_paths=False)
     if not samples:
         raise ContractError("empty training set")
+    seed = config.seeds[0]
     _keep_freed_memory()
     x_all, y_all, units_all, _ = windows_to_arrays(samples)
     if x_all.shape[1:] != (model.n_features, model.window):
         raise ContractError(
             f"samples are {x_all.shape[1:]}, model expects {(model.n_features, model.window)}"
         )
-    train_units, val_units = split_units(units_all, config.validation_fraction, config.seed)
+    train_units, val_units = split_units(units_all, config.validation_fraction, seed)
     in_val = np.isin(units_all, val_units)
     x_train, y_train = x_all[~in_val], y_all[~in_val]
     x_val, y_val = x_all[in_val], y_all[in_val]
 
     params = [p for _, p in model.parameters()]
     state = AdamState(params)
-    shuffle_rng = generator(config.seed, "shuffle")
-    dropout_rng = generator(config.seed, "dropout")
+    shuffle_rng = generator(seed, "shuffle")
+    dropout_rng = generator(seed, "dropout")
 
     best_val = math.inf
     best_epoch = 0

@@ -27,10 +27,11 @@ from rulnet.autodiff import gradcheck
 from rulnet.cli import main as cli_main
 from rulnet.evaluation import phm_score, predict_test_set, rmse
 from rulnet.checkpoint import Bundle
+from rulnet.config import ExperimentConfig
 from rulnet.model import MultiHeadAttention
 from rulnet.seeding import generator
 from rulnet.synthetic import generate_dataset
-from rulnet.training import TrainConfig, fit
+from rulnet.training import fit
 
 
 def report(criterion: int, name: str, verdict: str) -> None:
@@ -232,7 +233,7 @@ def test_criterion_6_attention_invariants():
     traj = D.RawTrajectory(
         unit_id=1, channels=np.hstack([rng.standard_normal((8, 3)), rng.standard_normal((8, 21))])
     )
-    bundle = Bundle(model=model, condition_model=cm, config={"window": 6, "r_max": 125.0})
+    bundle = Bundle(model=model, condition_model=cm, config=ExperimentConfig(window=6))
     export = export_attention(bundle, traj, cycles=[4, 8])
     row_sums = export.weights.sum(axis=-1)
     assert row_sums.size and np.all(np.abs(row_sums - 1.0) < 1e-6)
@@ -258,9 +259,9 @@ def _run_training(root, dataset, seed, mode, feature_heads, sequence_heads, k):
         lstm_hidden=100, lstm_layers=3, mlp_hidden=100, dropout=0.5,
         init_rng=generator(seed, "init"),
     )
-    fit(model, samples, TrainConfig(seed=seed))
-    bundle = Bundle(model=model, condition_model=cm,
-                    config={"window": 30, "r_max": 125.0, "clip_test_rul": True})
+    config = ExperimentConfig(window=30, r_max=125.0, seeds=[seed])
+    fit(model, samples, config)
+    bundle = Bundle(model=model, condition_model=cm, config=config)
     rep = predict_test_set(bundle, test, truth)
     return rep.rmse, rep.score
 

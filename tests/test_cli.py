@@ -11,7 +11,7 @@ import pytest
 from rulnet import BLAS_THREAD_VARS, cli
 from rulnet.checkpoint import load_bundle, save_bundle
 from rulnet.cli import main
-from rulnet.data import parse_cmapss
+from rulnet.data import parse_cmapss, parse_rul_truth
 from rulnet.synthetic import generate_dataset
 
 FAST_FLAGS = [
@@ -203,6 +203,20 @@ class TestTrain:
         assert code == 1
         assert not (workspace["root"] / "badheads" / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-size", "0"), ("--validation-fraction", "1.5"), ("--early-stop-patience", "0"),
+        ("--max-epochs", "0"), ("--learning-rate", "-1"), ("--learning-rate", "nan"),
+        ("--r-max", "nan"), ("--lstm-hidden", "0"), ("--dropout", "1.0"),
+    ])
+    def test_bad_training_value_is_config_error_before_any_output(self, workspace, tmp_path,
+                                                                    capsys, flag, value):
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(workspace["config"]), "--out", str(out)]
+                    + FAST_FLAGS + [flag, value])
+        assert code == 1
+        assert "configuration error: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_head_count_is_config_error(self, workspace, capsys):
         code = main(
             ["train", "--config", str(workspace["config"]), "--out",
@@ -309,6 +323,17 @@ class TestEvaluate:
         code = main(["evaluate", "--checkpoint", str(workspace["root"] / "none.bin")])
         assert code == 2
 
+    def test_unknown_config_key_is_checkpoint_error(self, trained, tmp_path, capsys):
+        bundle = load_bundle(trained / "checkpoint.bin")
+        checkpoint = tmp_path / "extra_key.bin"
+        save_bundle(checkpoint, bundle.model, bundle.condition_model,
+                    dict(bundle.config.to_dict(), seed=3))
+        out = tmp_path / "out"
+        code = main(["evaluate", "--checkpoint", str(checkpoint), "--out", str(out)])
+        assert code == 2
+        assert f"CheckpointError: {checkpoint}: unknown config keys ['seed']" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flags, missing", [
         (["evaluate"], [], "test_path"),
         (["evaluate"], ["--test-path"], "truth_path"),
@@ -400,13 +425,30 @@ class TestExplain:
         short_truth.write_text("5\n7\n")
         checkpoint = tmp_path / "short_truth.bin"
         save_bundle(checkpoint, bundle.model, bundle.condition_model,
-                    dict(bundle.config, truth_path=str(short_truth)))
+                    bundle.config.override(truth_path=str(short_truth)).to_dict())
         out = tmp_path / "out"
         code = main(["explain", "--checkpoint", str(checkpoint), "--unit", str(unit),
                      "--out", str(out)])
         assert code == 2
         assert "IntegrityError: 4 test units but 2 truth values" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_truth_path_flag_pairs_another_test_set(self, workspace, trained, tmp_path):
+        # Another set with the same unit count: its units must be paired
+        # with its own truth file, not with the one the bundle names.
+        other = generate_dataset(tmp_path, name="OT", n_train=2, n_test=4, seed=9)
+        own_truth = parse_rul_truth(workspace["raw"]["truth_path"])
+        other_truth = parse_rul_truth(other.truth_path)
+        assert own_truth[1] != other_truth[1]
+        length = next(len(t) for t in parse_cmapss(other.test_path) if t.unit_id == 2)
+        out = tmp_path / "out"
+        code = main(["explain", "--checkpoint", str(trained / "checkpoint.bin"), "--unit", "2",
+                     "--test-path", str(other.test_path), "--truth-path", str(other.truth_path),
+                     "--out", str(out)])
+        assert code == 0
+        rows = (out / "predictions.csv").read_text().splitlines()[1:]
+        true_rul = [int(row.split(",")[2]) for row in rows]
+        assert true_rul == [other_truth[1] + length - cycle for cycle in range(1, length + 1)]
 
     def test_mode_l_checkpoint_is_capability_error(self, workspace):
         checkpoint = workspace["root"] / "mode_l" / "checkpoint.bin"

@@ -11,7 +11,8 @@ from rulnet.checkpoint import Bundle, load_bundle, save_bundle
 from rulnet.evaluation import export_attention, predict_test_set
 from rulnet.seeding import generator
 from rulnet.synthetic import generate_dataset
-from rulnet.training import TrainConfig, fit
+from rulnet.config import ExperimentConfig
+from rulnet.training import fit
 
 
 @pytest.fixture(scope="module")
@@ -34,13 +35,12 @@ def e2e(tmp_path_factory):
         lstm_hidden=48, lstm_layers=2, mlp_hidden=48, dropout=0.5,
         init_rng=generator(seed, "init"),
     )
-    config = TrainConfig(
-        learning_rate=0.002, batch_size=128, early_stop_patience=40, max_epochs=35,
-        validation_fraction=0.15, seed=seed,
+    config = ExperimentConfig(
+        window=window, r_max=r_max, learning_rate=0.002, batch_size=128,
+        early_stop_patience=40, max_epochs=35, validation_fraction=0.15, seeds=[seed],
     )
     result = fit(model, samples, config)
-    bundle = Bundle(model=model, condition_model=cm,
-                    config={"window": window, "r_max": r_max, "clip_test_rul": True})
+    bundle = Bundle(model=model, condition_model=cm, config=config)
     report = predict_test_set(bundle, test, truth)
     return {
         "root": root, "train": train, "test": test, "truth": truth,
@@ -81,7 +81,7 @@ def test_checkpoint_round_trip_preserves_report(e2e, tmp_path):
 
 def test_explain_runs_on_trained_bundle(e2e):
     bundle = Bundle(model=e2e["model"], condition_model=e2e["cm"],
-                    config={"window": e2e["window"], "r_max": e2e["r_max"]})
+                    config=ExperimentConfig(window=e2e["window"], r_max=e2e["r_max"]))
     traj = e2e["test"][0]
     export = export_attention(bundle, traj, cycles=[1, len(traj)], matrix_cycles=[len(traj)])
     assert export.cycle_sums.shape == (2, 24)

@@ -12,6 +12,7 @@ from conftest import build_tiny_model, window_ending_at
 from rulnet import CapabilityError, ContractError
 from rulnet import data as D
 from rulnet.checkpoint import Bundle
+from rulnet.config import ExperimentConfig
 from rulnet.evaluation import (
     AttentionExport,
     EvaluationReport,
@@ -19,7 +20,6 @@ from rulnet.evaluation import (
     export_attention,
     phm_score,
     predict_test_set,
-    read_predictions_csv,
     rmse,
     write_attention_csvs,
     write_metrics_json,
@@ -86,8 +86,7 @@ def make_bundle(mode="F+T", seed=0, window=6):
         means=np.zeros((1, 24)),
         stds=np.ones((1, 24)),
     )
-    config = {"window": window, "r_max": 125.0, "clip_test_rul": True}
-    return Bundle(model=model, condition_model=cm, config=config)
+    return Bundle(model=model, condition_model=cm, config=ExperimentConfig(window=window))
 
 
 def four_channel_bundle(mode="F+T"):
@@ -103,7 +102,7 @@ def four_channel_bundle(mode="F+T"):
     cm = D.ConditionModel(
         centroids=np.zeros((1, 3)), means=np.zeros((1, 24)), stds=np.ones((1, 24))
     )
-    return Bundle(model=model, condition_model=cm, config={"window": 6, "r_max": 125.0})
+    return Bundle(model=model, condition_model=cm, config=ExperimentConfig(window=6))
 
 
 def make_test_trajs(n=5, seed=1, length=40):
@@ -184,8 +183,9 @@ class TestPredictTestSet:
         report = predict_test_set(bundle, trajs, truth)
         path = tmp_path / "predictions.csv"
         write_predictions_csv(report, path)
-        rows = read_predictions_csv(path)
-        errors = [r.pred_rul - r.true_rul for r in rows]
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        errors = [float(r["pred_rul"]) - float(r["true_rul"]) for r in rows]
         assert rmse(errors) == report.rmse
         assert phm_score(errors) == report.score
         write_metrics_json(report, tmp_path / "metrics.json")
@@ -203,7 +203,7 @@ class TestReportInvariants:
             UnitRecord(unit_id=1, true_rul=50.0, pred_rul=47.0),
             UnitRecord(unit_id=2, true_rul=20.0, pred_rul=30.0),
         ]
-        report = EvaluationReport(records=records, config={})
+        report = EvaluationReport(records=records)
         assert report.rmse == rmse([-3.0, 10.0])
         assert report.score == phm_score([-3.0, 10.0])
 

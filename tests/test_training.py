@@ -28,7 +28,6 @@ from rulnet.data import ConditionModel, WindowedSample
 from rulnet.seeding import generator
 from rulnet.training import (
     AdamState,
-    TrainConfig,
     _keep_freed_memory,
     adam_step,
     fit,
@@ -152,22 +151,29 @@ class TestAdam:
 
 class TestTrainConfig:
     def test_defaults_match_published_setup(self):
-        cfg = TrainConfig()
+        cfg = ExperimentConfig()
         assert cfg.learning_rate == 0.0002
         assert cfg.batch_size == 128
         assert cfg.early_stop_patience == 50
-        experiment = ExperimentConfig()
-        assert experiment.window == 30
-        assert experiment.r_max == 125.0
-        assert (experiment.feature_heads, experiment.sequence_heads) == (5, 4)
+        assert cfg.window == 30
+        assert cfg.r_max == 125.0
+        assert (cfg.feature_heads, cfg.sequence_heads) == (5, 4)
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ContractError):
-            TrainConfig(batch_size=0)
-        with pytest.raises(ContractError):
-            TrainConfig(validation_fraction=1.0)
-        with pytest.raises(ContractError):
-            TrainConfig(early_stop_patience=0)
+        for bad in (dict(batch_size=0), dict(validation_fraction=1.0),
+                    dict(early_stop_patience=0)):
+            with pytest.raises(ConfigurationError):
+                ExperimentConfig(**bad).validate(require_paths=False)
+
+    @pytest.mark.parametrize("bad", [
+        dict(batch_size=0), dict(max_epochs=0), dict(learning_rate=float("nan")),
+    ], ids=["batch-size", "max-epochs", "learning-rate"])
+    def test_fit_validates_before_any_compute(self, tiny_model, bad):
+        before = [a.copy() for _, a in tiny_model.state_arrays()]
+        with pytest.raises(ConfigurationError):
+            fit(tiny_model, tiny_samples(), tiny_fit_config(**bad))
+        for (_, a), b in zip(tiny_model.state_arrays(), before):
+            assert np.array_equal(a, b)
 
 
 def tiny_samples(n_units=6, length=24, window=6, seed=0):
@@ -197,10 +203,10 @@ def tiny_fit_config(**overrides):
         early_stop_patience=10,
         max_epochs=6,
         validation_fraction=0.2,
-        seed=0,
+        seeds=[0],
     )
     defaults.update(overrides)
-    return TrainConfig(**defaults)
+    return ExperimentConfig(**defaults)
 
 
 class TestSplitUnits:
@@ -275,9 +281,9 @@ class TestFit:
         samples = tiny_samples()
         config = tiny_fit_config()
         units = np.array([s.unit_id for s in samples])
-        train_units, _ = split_units(units, config.validation_fraction, config.seed)
+        train_units, _ = split_units(units, config.validation_fraction, config.seeds[0])
         train_rows = np.flatnonzero(np.isin(units, train_units))
-        order = generator(config.seed, "shuffle").permutation(len(train_rows))
+        order = generator(config.seeds[0], "shuffle").permutation(len(train_rows))
         last_batch = (len(order) - 1) // config.batch_size
         samples[train_rows[order[last_batch * config.batch_size]]].matrix[1, 2] = np.nan
         model, _ = build_tiny_model(seed=7, mode="L", dtype=np.float32)
@@ -402,7 +408,7 @@ class TestCheckpoint:
         assert np.array_equal(loaded.model.predict(x), before)
         np.testing.assert_array_equal(loaded.condition_model.centroids, cm.centroids)
         np.testing.assert_array_equal(loaded.condition_model.stds, cm.stds)
-        assert loaded.config == config
+        assert loaded.config == ExperimentConfig(**config)
 
     def test_truncated_file_rejected(self, tmp_path):
         model, cm, config, _ = self._bundle_parts()
@@ -529,7 +535,7 @@ class TestCheckpoint:
         save_bundle(path, model, cm, config)
         bundle = load_bundle(path)
         assert bundle.window == 6
-        assert bundle.r_max == 20.0
+        assert bundle.config.r_max == 20.0
         bundle.require_window(6)
         with pytest.raises(ConfigurationError):
             bundle.require_window(30)
