@@ -88,11 +88,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def values(self) -> np.ndarray:
-        """Flat row-major view of the value buffer."""
-        return self.data.reshape(-1)
-
     def __repr__(self) -> str:
         tag = f" name={self.name}" if self.name else ""
         req = " grad" if self.requires_grad else ""

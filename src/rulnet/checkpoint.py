@@ -104,9 +104,11 @@ def load_bundle(path: str | Path) -> Bundle:
     integers, whose nbytes is not its shape's size in bytes, or whose
     offset leaves a gap or overlap; a buffer past the end of the file;
     bytes after the last buffer; a config key that is not an
-    :class:`ExperimentConfig` field; and a model or condition model that
-    the header cannot rebuild.  Fields the header leaves out take their
-    defaults.
+    :class:`ExperimentConfig` field, or a config value of the wrong type
+    for its field; and a model or condition model that the header cannot
+    rebuild.  Fields the header leaves out take their defaults.  Config
+    values are not range-checked here, so a bundle saved with a partial
+    config still loads.
     """
     try:
         raw = Path(path).read_bytes()
@@ -131,9 +133,10 @@ def load_bundle(path: str | Path) -> Bundle:
         if not isinstance(header.get(key), kind):
             raise CheckpointError(f"{path}: header has no {key!r} {kind.__name__}")
 
-    unknown = sorted(set(header["config"]) - set(ExperimentConfig.field_names()))
-    if unknown:
-        raise CheckpointError(f"{path}: unknown config keys {unknown}")
+    try:
+        config = ExperimentConfig.from_dict(header["config"])
+    except ConfigurationError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     arrays = _read_tensors(path, header["tensors"], raw, body_start)
     try:
         model = RulModel.from_hyperparams(header["hyperparams"])
@@ -143,7 +146,7 @@ def load_bundle(path: str | Path) -> Bundle:
     return Bundle(
         model=model,
         condition_model=_read_condition_model(path, header["condition_model"]),
-        config=ExperimentConfig(**header["config"]),
+        config=config,
     )
 
 

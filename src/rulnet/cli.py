@@ -2,9 +2,10 @@
 
 Commands: preprocess, train, evaluate, explain, sweep, plus synth-data
 for generating demo datasets.  Global flags --config/--seed/--out; every
-ExperimentConfig field is also a flag of the same name.  Exit codes:
-0 success, 1 usage or configuration error, 2 data error, 3 runtime
-failure.
+ExperimentConfig field is also a flag of the same name, whose text
+``ExperimentConfig.parse_field`` parses.  Exit codes: 0 success, 1 usage
+or configuration error (a bad flag or flag value included), 2 data
+error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import BLAS_THREAD_VARS, __version__
 from .checkpoint import Bundle, load_bundle, save_bundle
-from .config import SWEEPABLE, ExperimentConfig, SweepSpec
+from .config import SWEEPABLE, ExperimentConfig
 from .data import (
     ConditionModel,
     RawTrajectory,
@@ -69,13 +71,15 @@ WINDOWS_FILE = "windows_train.txt"
 # argument plumbing
 # ---------------------------------------------------------------------
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 1); subparsers share the class."""
+
+    def error(self, message: str):
+        raise ConfigurationError(message)
+
+
+def _field_type(name: str):
+    return functools.partial(ExperimentConfig.parse_field, name)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -83,37 +87,16 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="replace the seed list with one seed")
     parser.add_argument("--out", metavar="DIR", help="output directory (out_dir)")
     for f in dataclasses.fields(ExperimentConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.name == "out_dir":
-            continue
-        if f.name == "seeds":
-            parser.add_argument(flag, type=lambda s: [int(v) for v in s.split(",")],
-                                help="comma-separated seed list", default=None)
-        elif f.type == "bool":
-            parser.add_argument(flag, type=_parse_bool, default=None, metavar="BOOL")
-        elif f.type == "int":
-            parser.add_argument(flag, type=int, default=None)
-        elif f.type == "float":
-            parser.add_argument(flag, type=float, default=None)
-        else:
-            parser.add_argument(flag, default=None)
+        if f.name != "out_dir":
+            parser.add_argument("--" + f.name.replace("_", "-"), type=_field_type(f.name))
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name == "out_dir":
-            continue
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    cfg = cfg.override(**overrides)
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg) if f.name != "out_dir"}
     if args.seed is not None:
-        cfg = cfg.override(seeds=[args.seed])
-    if args.out is not None:
-        cfg = cfg.override(out_dir=args.out)
-    return cfg
+        overrides["seeds"] = [args.seed]
+    return cfg.override(**overrides, out_dir=args.out)
 
 
 def _sha256(path: str | Path) -> str:
@@ -360,23 +343,31 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Train and evaluate ``--repeats`` runs per value; every value's full
+    config is parsed and validated before ``--out`` is created."""
     cfg = _build_config(args)
     cfg.validate()
-    values = [v for v in args.values.split(",") if v]
-    spec = SweepSpec(parameter=args.param, values=values, repetitions=args.repeats, base=cfg)
-    spec.validate()
+    if args.repeats < 1:
+        raise ConfigurationError(f"--repeats must be >= 1, got {args.repeats}")
+    values = []
+    for text in (v for v in args.values.split(",") if v):
+        value_cfg = cfg.override(**{args.param: ExperimentConfig.parse_field(args.param, text)})
+        value_cfg.validate(require_paths=False)
+        values.append((text, value_cfg))
+    if not values:
+        raise ConfigurationError("--values needs at least one value")
 
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
     failures = 0
-    for value in spec.values:
-        for rep in range(spec.repetitions):
-            seed = spec.seed_for(rep)
-            run_cfg = spec.config_for(value).override(seeds=[seed])
-            run_dir = out_root / f"{spec.parameter}={value}" / f"seed={seed}"
+    for value, value_cfg in values:
+        for rep in range(args.repeats):
+            seed = cfg.seeds[rep] if rep < len(cfg.seeds) else cfg.seeds[0] + rep
+            run_cfg = value_cfg.train_config(seed)
+            run_dir = out_root / f"{args.param}={value}" / f"seed={seed}"
             row = {
-                "parameter": spec.parameter,
+                "parameter": args.param,
                 "value": value,
                 "seed": seed,
                 "rmse": "",
@@ -395,7 +386,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     epochs=summary["epochs"],
                     wall_time_s=f"{summary['wall_time_s']:.2f}",
                 )
-                if spec.parameter == "r_max":
+                if args.param == "r_max":
                     unclipped = _evaluate_bundle(bundle, run_cfg, run_dir / "unclipped", clip=False)
                     row["rmse_unclipped"] = repr(unclipped["rmse"])
                     row["score_unclipped"] = repr(unclipped["score"])
@@ -403,11 +394,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 failures += 1
                 row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
-            print(f"[sweep] {spec.parameter}={value} seed={seed} "
+            print(f"[sweep] {args.param}={value} seed={seed} "
                   + (f"FAILED: {row['error']}" if row["error"] else f"rmse={row['rmse']} score={row['score']}"))
 
     fieldnames = ["parameter", "value", "seed", "rmse", "score", "epochs", "wall_time_s", "error"]
-    if spec.parameter == "r_max":
+    if args.param == "r_max":
         fieldnames += ["rmse_unclipped", "score_unclipped"]
     with open(out_root / "sweep_results.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
@@ -451,7 +442,7 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rulnet", description=__doc__)
+    parser = _Parser(prog="rulnet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rulnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -468,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--test-path", default=None)
     p_eval.add_argument("--truth-path", default=None)
-    p_eval.add_argument("--window", type=int, default=None, help="assert the expected window length")
-    p_eval.add_argument("--clip-test-rul", type=_parse_bool, default=None, metavar="BOOL")
+    p_eval.add_argument("--window", type=_field_type("window"), help="assert the expected window length")
+    p_eval.add_argument("--clip-test-rul", type=_field_type("clip_test_rul"), metavar="BOOL")
     p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -504,9 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -3,9 +3,11 @@
 :class:`ExperimentConfig` is the one config type: the command line, the
 training loop and a bundle's header all use it, and its field defaults
 are the paper's published setup.  Every field can appear in the config
-file and be overridden by a flag of the same name.  Validation happens
-before any compute: :meth:`ExperimentConfig.validate` checks every
-numeric range and, unless told otherwise, that the data paths exist.
+file and be overridden by a flag of the same name.  Every value is
+type-checked against its field's annotation when a config is built;
+:meth:`ExperimentConfig.parse_field` turns a flag's text into a value,
+and :meth:`ExperimentConfig.validate` checks every range, and unless
+told otherwise that the data paths exist, before any compute.
 """
 
 from __future__ import annotations
@@ -18,9 +20,28 @@ from pathlib import Path
 
 from .data import N_CHANNELS
 from .errors import ConfigurationError
-from .model import resolve_blocks
+from .model import RulModel, resolve_blocks
 
 SWEEPABLE = ("feature_heads", "sequence_heads", "window", "r_max", "mode")
+
+# Each annotation a field may have: the words its errors use, the Python
+# types its values may have, and the parser of its command-line text.  An
+# int is accepted for a float field; a bool only for a bool field.
+KINDS = {
+    "int": ("an integer", int, int),
+    "float": ("a number", (int, float), float),
+    "bool": ("a boolean", bool, lambda text: BOOL_WORDS[text.strip().lower()]),
+    "str": ("a string", str, str),
+    "list[int]": ("a list of integers", list, lambda text: [int(v) for v in text.split(",")]),
+}
+BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
+
+
+def _is_kind(kind: str, value) -> bool:
+    if kind == "list[int]":
+        return isinstance(value, list) and all(_is_kind("int", v) for v in value)
+    return isinstance(value, KINDS[kind][1]) and isinstance(value, bool) == (kind == "bool")
 
 
 @dataclass
@@ -47,10 +68,21 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [0])
     out_dir: str = "runs"
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _is_kind(f.type, value):
+                raise ConfigurationError(f"{f.name} must be {KINDS[f.type][0]}, got {value!r}")
+
     # -- construction -----------------------------------------------------
     @classmethod
-    def field_names(cls) -> list[str]:
-        return [f.name for f in dataclasses.fields(cls)]
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """A config from a dict of field values; fields it leaves out take
+        their defaults."""
+        unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown config keys {unknown}")
+        return cls(**raw)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -62,18 +94,23 @@ class ExperimentConfig:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigurationError("config file must hold a JSON object")
-        unknown = set(raw) - set(cls.field_names())
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        return cls.from_dict(raw)
+
+    @classmethod
+    def parse_field(cls, name: str, text: str):
+        """The value of field ``name`` written as command-line text: a
+        number for a number field, one of :data:`BOOL_WORDS` for a bool,
+        comma-separated integers for ``seeds``, and a string as it is."""
+        words, _, parse = KINDS[{f.name: f.type for f in dataclasses.fields(cls)}[name]]
+        try:
+            return parse(text)
+        except (ValueError, KeyError):
+            raise ConfigurationError(f"{name} must be {words}, got {text!r}") from None
 
     def override(self, **updates) -> "ExperimentConfig":
         """New config with the given non-None fields replaced."""
         clean = {k: v for k, v in updates.items() if v is not None}
-        unknown = set(clean) - set(self.field_names())
-        if unknown:
-            raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-        return dataclasses.replace(self, **clean)
+        return self.from_dict({**self.to_dict(), **clean})
 
     # -- derived views ------------------------------------------------------
     def effective_heads(self) -> tuple[int, int]:
@@ -83,8 +120,8 @@ class ExperimentConfig:
 
     def validate(self, require_paths: bool = True) -> None:
         """Raise ConfigurationError on the first field out of range; each
-        check is written so that NaN fails it.  Layer sizes and dropout
-        are checked where the model is built."""
+        check is written so that NaN fails it.  Layer sizes, head counts
+        and dropout are checked by building the model's skeleton."""
         counts = ("window", "k_conditions", "batch_size", "early_stop_patience", "max_epochs")
         for name in counts:
             if not getattr(self, name) >= 1:
@@ -101,15 +138,7 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ConfigurationError("seed list is empty")
-        fh, sh = self.effective_heads()
-        if fh and self.window % fh != 0:
-            raise ConfigurationError(
-                f"feature head count {fh} does not divide window length {self.window}"
-            )
-        if sh and N_CHANNELS % sh != 0:
-            raise ConfigurationError(
-                f"sequence head count {sh} does not divide channel count {N_CHANNELS}"
-            )
+        RulModel(**self.model_kwargs())
         if require_paths:
             for label in ("train_path", "test_path", "truth_path"):
                 value = getattr(self, label)
@@ -138,37 +167,3 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-
-@dataclass
-class SweepSpec:
-    """One swept parameter, its values, and repetitions per value."""
-
-    parameter: str
-    values: list
-    repetitions: int
-    base: ExperimentConfig
-
-    def validate(self) -> None:
-        if self.parameter not in SWEEPABLE:
-            raise ConfigurationError(
-                f"sweep parameter must be one of {SWEEPABLE}, got {self.parameter!r}"
-            )
-        if not self.values:
-            raise ConfigurationError("sweep needs at least one value")
-        if self.repetitions < 1:
-            raise ConfigurationError("repetitions must be >= 1")
-        for value in self.values:
-            self.config_for(value).validate(require_paths=False)
-
-    def config_for(self, value) -> ExperimentConfig:
-        if self.parameter == "mode":
-            return self.base.override(mode=str(value))
-        if self.parameter == "r_max":
-            return self.base.override(r_max=float(value))
-        return self.base.override(**{self.parameter: int(value)})
-
-    def seed_for(self, repetition: int) -> int:
-        seeds = self.base.seeds
-        if repetition < len(seeds):
-            return seeds[repetition]
-        return seeds[0] + repetition

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -194,15 +194,16 @@ class ConditionModel:
     centroids: np.ndarray  # (k, 3)
     means: np.ndarray  # (k, 24)
     stds: np.ndarray  # (k, 24)
-    constant_mask: np.ndarray = field(default=None)  # (k, 24) bool
 
     def __post_init__(self):
         self.centroids = np.asarray(self.centroids, dtype=np.float64)
         self.means = np.asarray(self.means, dtype=np.float64)
         self.stds = np.asarray(self.stds, dtype=np.float64)
-        if self.constant_mask is None:
-            self.constant_mask = self.stds < CONSTANT_SIGMA
-        self.constant_mask = np.asarray(self.constant_mask, dtype=bool)
+
+    @property
+    def constant_mask(self) -> np.ndarray:
+        """(k, 24) bool: the channels each condition normalizes to 0."""
+        return self.stds < CONSTANT_SIGMA
 
     @property
     def k(self) -> int:
@@ -355,7 +356,6 @@ def cluster_conditions(
         raise ClusteringError(f"condition {j}, channel {i}: the readings' mean or std overflows")
     if not np.isfinite(centroids).all():
         raise ClusteringError("a condition centroid overflows")
-    model.constant_mask = model.stds < CONSTANT_SIGMA
     return model
 
 

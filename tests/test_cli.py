@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +11,8 @@ import pytest
 
 from rulnet import BLAS_THREAD_VARS, cli
 from rulnet.checkpoint import load_bundle, save_bundle
-from rulnet.cli import main
+from rulnet.cli import build_parser, main
+from rulnet.config import KINDS, ExperimentConfig
 from rulnet.data import parse_cmapss, parse_rul_truth
 from rulnet.synthetic import generate_dataset
 
@@ -547,3 +549,87 @@ class TestConfigPrecedence:
         payload["nonsense"] = 1
         bad.write_text(json.dumps(payload))
         assert main(["preprocess", "--config", str(bad)]) == 1
+
+
+BAD_CONFIG_VALUES = [("batch_size", "64"), ("window", 30.0), ("clip_test_rul", "no"),
+                     ("seeds", [1.5]), ("k_conditions", True)]
+# Small sizes, so that a bad value that is let through trains briefly.
+CONFIG_ARGS = ["--config", "{config}", "--out", "{out}", "--max-epochs", "1",
+               "--lstm-hidden", "4", "--lstm-layers", "1", "--mlp-hidden", "4"]
+
+# (argv, config file values, bundle header values, exit code, the flag or
+# field the error line must name).  "{config}" is the workspace config with
+# the given values, "{bundle}" the trained checkpoint with the given header
+# config values, and "{out}" a directory that must not be created.
+ENTRY_POINT_CASES = [
+    *[pytest.param([command, *CONFIG_ARGS], {name: value}, {}, 1, name,
+                   id=f"{command}-config-{name}")
+      for name, value in BAD_CONFIG_VALUES for command in ("train", "preprocess")],
+    *[pytest.param(["train", *CONFIG_ARGS, flag, text], {}, {}, 1, name, id=f"flag-{name}")
+      for flag, text, name in [("--window", "abc", "window"),
+                               ("--clip-test-rul", "maybe", "clip_test_rul"),
+                               ("--seeds", "1,x", "seeds")]],
+    pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", "abc"], {}, {}, 1,
+                 "window", id="sweep-value"),
+    pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", "10",
+                  "--lstm-hidden", "0"], {}, {}, 1, "lstm_hidden", id="sweep-layer-size"),
+    *[pytest.param(["evaluate", "--checkpoint", "{bundle}", "--out", "{out}"], {}, {name: value},
+                   2, name, id=f"bundle-{name}")
+      for name, value in [("r_max", "abc"), ("clip_test_rul", "no")]],
+    pytest.param(["train", *CONFIG_ARGS, "--bogus"], {}, {}, 1, "--bogus", id="unknown-flag"),
+    pytest.param(["evaluate", "--out", "{out}"], {}, {}, 1, "--checkpoint",
+                 id="missing-checkpoint"),
+    pytest.param(["explain", "--checkpoint", "{bundle}", "--out", "{out}"], {}, {}, 1, "--unit",
+                 id="missing-unit"),
+    pytest.param(["sweep", *CONFIG_ARGS, "--values", "10"], {}, {}, 1, "--param",
+                 id="missing-param"),
+    pytest.param(["explain", "--checkpoint", "{bundle}", "--unit", "abc", "--out", "{out}"],
+                 {}, {}, 1, "--unit", id="explain-unit"),
+    pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", "10", "--repeats", "x"],
+                 {}, {}, 1, "--repeats", id="sweep-repeats"),
+    pytest.param(["synth-data", "--out", "{out}", "--units", "x"], {}, {}, 1, "--units",
+                 id="synth-units"),
+]
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("argv, config, header, code, name", ENTRY_POINT_CASES)
+    def test_bad_input_is_one_error_line(self, workspace, trained, tmp_path, capsys,
+                                         argv, config, header, code, name):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**workspace["raw"], **config}))
+        bundle = load_bundle(trained / "checkpoint.bin")
+        bundle_path = tmp_path / "bundle.bin"
+        save_bundle(bundle_path, bundle.model, bundle.condition_model,
+                    {**bundle.config.to_dict(), **header})
+        out = tmp_path / "out"
+        paths = {"{config}": str(config_path), "{bundle}": str(bundle_path), "{out}": str(out)}
+        assert main([paths.get(arg, arg) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith("configuration error: " if code == 1 else "data error: ")
+        assert name in line
+        assert not out.exists()
+
+    def test_int_for_float_field_is_kept(self, workspace, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**workspace["raw"], "r_max": 125}))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out)] + FAST_FLAGS) == 0
+        assert '"r_max": 125,\n' in (out / "resolved_config.json").read_text()
+
+    def test_every_field_has_a_kind_and_a_flag(self):
+        samples = {"int": "7", "float": "0.5", "bool": "no", "str": "x", "list[int]": "1,2"}
+        assert set(samples) == set(KINDS)
+        extra = {"train": [], "preprocess": [], "sweep": ["--param", "window", "--values", "10"]}
+        for f in dataclasses.fields(ExperimentConfig):
+            assert f.type in KINDS, f"{f.name}: no type or text rule for {f.type!r}"
+            value = ExperimentConfig.parse_field(f.name, samples[f.type])
+            assert getattr(ExperimentConfig(**{f.name: value}), f.name) == value
+            if f.name == "out_dir":
+                continue
+            flag = "--" + f.name.replace("_", "-")
+            for command, args in extra.items():
+                parsed = build_parser().parse_args([command, flag, samples[f.type], *args])
+                assert getattr(parsed, f.name) == value, (command, flag)
