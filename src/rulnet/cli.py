@@ -36,6 +36,7 @@ from .data import (
     parse_cmapss,
     parse_rul_truth,
     save_windows,
+    window_arrays,
     window_split,
 )
 from .errors import (
@@ -118,15 +119,13 @@ def _load_raw(cfg: ExperimentConfig):
     return train, test, truth
 
 
-def _prepare(cfg: ExperimentConfig, train_trajs) -> tuple[ConditionModel, list]:
-    """The condition model and the training windows, built from the raw rows."""
+def _prepare(cfg: ExperimentConfig, train_trajs) -> tuple[ConditionModel, list[RawTrajectory]]:
+    """The condition model and the normalized training trajectories,
+    built from the raw rows."""
     # The pipeline seed is the first configured seed, so preprocess
     # exports and training runs agree for every training seed.
     cm = cluster_conditions(train_trajs, cfg.k_conditions, seed=cfg.seeds[0])
-    samples = [
-        s for traj in train_trajs for s in window_split(normalize(traj, cm), cfg.window, cfg.r_max)
-    ]
-    return cm, samples
+    return cm, [normalize(traj, cm) for traj in train_trajs]
 
 
 def _test_pairs(cfg: ExperimentConfig) -> list[tuple[RawTrajectory, int]]:
@@ -161,10 +160,11 @@ def _train_once(cfg: ExperimentConfig, out_dir: Path) -> dict:
     model = RulModel(**cfg.model_kwargs(), init_rng=generator(seed, "init"))
     out_dir.mkdir(parents=True, exist_ok=True)
     train_trajs, _, _ = _load_raw(cfg)
-    cm, samples = _prepare(cfg, train_trajs)
+    cm, normed = _prepare(cfg, train_trajs)
+    windows = window_arrays(normed, cfg.window, cfg.r_max)
 
     started = time.perf_counter()
-    result = fit(model, samples, cfg)
+    result = fit(model, windows, cfg)
     wall = time.perf_counter() - started
 
     bundle_config = cfg.override(seeds=[seed]).to_dict()
@@ -235,7 +235,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     train_trajs, test_trajs, truth = _load_raw(cfg)
     pair_test_truth(test_trajs, truth)
-    cm, samples = _prepare(cfg, train_trajs)
+    cm, normed = _prepare(cfg, train_trajs)
+    samples = [s for traj in normed for s in window_split(traj, cfg.window, cfg.r_max)]
     cm.save_text(out_dir / CONDITION_MODEL_FILE)
     if not args.skip_windows:
         save_windows(samples, out_dir / WINDOWS_FILE)
@@ -344,7 +345,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Train and evaluate ``--repeats`` runs per value; every value's full
-    config is parsed and validated before ``--out`` is created."""
+    config is parsed and validated, and two values that parse to equal
+    configs are rejected, before ``--out`` is created."""
     cfg = _build_config(args)
     cfg.validate()
     if args.repeats < 1:
@@ -353,6 +355,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for text in (v for v in args.values.split(",") if v):
         value_cfg = cfg.override(**{args.param: ExperimentConfig.parse_field(args.param, text)})
         value_cfg.validate(require_paths=False)
+        repeated = next((t for t, c in values if c == value_cfg), None)
+        if repeated is not None:
+            raise ConfigurationError(f"--values {text!r} gives the same config as {repeated!r}")
         values.append((text, value_cfg))
     if not values:
         raise ConfigurationError("--values needs at least one value")

@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -61,6 +61,17 @@ class WindowedSample:
     label: float
     unit_id: int
     end_cycle: int
+
+
+class Windows(NamedTuple):
+    """Training windows as arrays, one row per window: ``x`` (N, F, T)
+    float32, ``y`` (N,) float32 capped RUL labels, and ``units`` and
+    ``ends`` (N,) int64, each window's unit id and 1-based end cycle."""
+
+    x: np.ndarray
+    y: np.ndarray
+    units: np.ndarray
+    ends: np.ndarray
 
 
 def _open(source: str | Path | TextIO) -> tuple[TextIO, bool]:
@@ -375,13 +386,17 @@ def normalize(trajectory: RawTrajectory, cm: ConditionModel) -> RawTrajectory:
 # labels and windows
 # ---------------------------------------------------------------------
 
-def piecewise_rul(t_total: int, t: int, r_max: float) -> float:
-    """Capped linear RUL: min(r_max, t_total - t)."""
+def piecewise_rul(t_total: int, t, r_max: float):
+    """Capped linear RUL: min(r_max, t_total - t), a float for one cycle
+    ``t`` and a float64 array for an array of cycles."""
     if r_max <= 0:
         raise ContractError(f"r_max must be positive, got {r_max}")
-    if not 1 <= t <= t_total:
-        raise ContractError(f"cycle {t} outside 1..{t_total}")
-    return float(min(r_max, t_total - t))
+    t = np.asarray(t)
+    outside = (t < 1) | (t > t_total)
+    if outside.any():
+        raise ContractError(f"cycle {t[outside].flat[0]} outside 1..{t_total}")
+    rul = np.minimum(r_max, t_total - t, dtype=np.float64)
+    return float(rul) if rul.ndim == 0 else rul
 
 
 def window_ends(total: int, window: int) -> np.ndarray:
@@ -402,25 +417,44 @@ def windows_ending_at(channels: np.ndarray, ends: Sequence[int], window: int) ->
     return np.take(sliding_window_view(padded, window, axis=0), np.asarray(ends) - 1, axis=0)
 
 
-def window_split(trajectory: RawTrajectory, window: int, r_max: float) -> list[WindowedSample]:
-    """Slide a stride-1 window over one trajectory: one training sample
-    per window position, labeled with the capped linear RUL.  Sequences
-    shorter than the window produce a single sample padded by repeating
-    the first cycle.
-    """
+def _checked_ends(trajectory: RawTrajectory, window: int) -> np.ndarray:
     total = len(trajectory)
     if min(window, total) < 1:
         raise ContractError(f"window length and cycle count must be >= 1, got {window} and {total}")
-    ends = window_ends(total, window)
+    return window_ends(total, window)
+
+
+def window_arrays(trajectories: Iterable[RawTrajectory], window: int, r_max: float) -> Windows:
+    """Every stride-1 window of every trajectory, in trajectory order, as
+    one preallocated (N, F, T) array plus labels, unit ids and end
+    cycles.  Each window is labeled with the capped linear RUL of its end
+    cycle; a trajectory shorter than the window gives one window padded
+    by repeating its first cycle (see :func:`windows_ending_at`)."""
+    trajectories = list(trajectories)
+    ends = [_checked_ends(t, window) for t in trajectories]
+    counts = [len(e) for e in ends]
+    n_features = trajectories[0].channels.shape[1] if trajectories else 0
+    x = np.empty((sum(counts), n_features, window), dtype=np.float32)
+    y = np.empty(len(x), dtype=np.float32)
+    lo = 0
+    for traj, e in zip(trajectories, ends):
+        x[lo : lo + len(e)] = windows_ending_at(traj.channels, e, window)
+        y[lo : lo + len(e)] = piecewise_rul(len(traj), e, r_max)
+        lo += len(e)
+    units = np.repeat(np.array([t.unit_id for t in trajectories], dtype=np.int64), counts)
+    return Windows(x, y, units, np.concatenate(ends or [[]]).astype(np.int64))
+
+
+def window_split(trajectory: RawTrajectory, window: int, r_max: float) -> list[WindowedSample]:
+    """One trajectory's windows and labels, by the rule of
+    :func:`window_arrays`, as one sample per window; the labels keep
+    their float64 values."""
+    ends = _checked_ends(trajectory, window)
     matrices = windows_ending_at(trajectory.channels, ends, window)
+    labels = piecewise_rul(len(trajectory), ends, r_max).tolist()
     return [
-        WindowedSample(
-            matrix=matrix,
-            label=piecewise_rul(total, end, r_max),
-            unit_id=trajectory.unit_id,
-            end_cycle=end,
-        )
-        for matrix, end in zip(matrices, ends.tolist())
+        WindowedSample(matrix=matrix, label=label, unit_id=trajectory.unit_id, end_cycle=end)
+        for matrix, label, end in zip(matrices, labels, ends.tolist())
     ]
 
 
@@ -429,15 +463,15 @@ def expected_sample_count(t_total: int, window: int) -> int:
     return len(window_ends(t_total, window))
 
 
-def windows_to_arrays(
-    samples: Sequence[WindowedSample],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack samples into (X, y, unit_ids, end_cycles) arrays."""
-    x = np.stack([s.matrix for s in samples]).astype(np.float32)
-    y = np.array([s.label for s in samples], dtype=np.float32)
-    units = np.array([s.unit_id for s in samples], dtype=np.int64)
-    ends = np.array([s.end_cycle for s in samples], dtype=np.int64)
-    return x, y, units, ends
+def windows_to_arrays(samples: Sequence[WindowedSample]) -> Windows:
+    """Stack samples into one :class:`Windows`; no samples give
+    zero-length arrays."""
+    return Windows(
+        np.array([s.matrix for s in samples], dtype=np.float32),
+        np.array([s.label for s in samples], dtype=np.float32),
+        np.array([s.unit_id for s in samples], dtype=np.int64),
+        np.array([s.end_cycle for s in samples], dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------------

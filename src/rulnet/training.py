@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .config import ExperimentConfig
-from .data import WindowedSample, windows_to_arrays
+from .data import Windows
 from .errors import ContractError, NumericInputError
 from .model import RulModel
 from .seeding import generator
@@ -202,8 +202,9 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
-def fit(model: RulModel, samples: Sequence[WindowedSample], config: ExperimentConfig) -> FitResult:
-    """Train the model; returns the log and restores best-validation weights.
+def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResult:
+    """Train the model on ``windows``; returns the log and restores
+    best-validation weights.
 
     ``config`` is validated first (without its data paths), so a bad
     range is a ConfigurationError before any compute.  The unit split,
@@ -213,21 +214,24 @@ def fit(model: RulModel, samples: Sequence[WindowedSample], config: ExperimentCo
     model's dtype, raises NumericInputError naming the epoch and 1-based
     batch, before it can reach the weights.  Training keeps freed memory
     in the process (see :func:`_keep_freed_memory`).
+
+    Batches are gathered from ``windows.x`` by index; the validation
+    windows are the only copy of it that training makes.
     """
     config.validate(require_paths=False)
-    if not samples:
+    x, y, units, _ = windows
+    if not len(x):
         raise ContractError("empty training set")
     seed = config.seeds[0]
     _keep_freed_memory()
-    x_all, y_all, units_all, _ = windows_to_arrays(samples)
-    if x_all.shape[1:] != (model.n_features, model.window):
+    if x.shape[1:] != (model.n_features, model.window):
         raise ContractError(
-            f"samples are {x_all.shape[1:]}, model expects {(model.n_features, model.window)}"
+            f"windows are {x.shape[1:]}, model expects {(model.n_features, model.window)}"
         )
-    train_units, val_units = split_units(units_all, config.validation_fraction, seed)
-    in_val = np.isin(units_all, val_units)
-    x_train, y_train = x_all[~in_val], y_all[~in_val]
-    x_val, y_val = x_all[in_val], y_all[in_val]
+    train_units, val_units = split_units(units, config.validation_fraction, seed)
+    in_val = np.isin(units, val_units)
+    train_idx = np.flatnonzero(~in_val)
+    x_val, y_val = x[in_val], y[in_val]
 
     params = [p for _, p in model.parameters()]
     state = AdamState(params)
@@ -242,12 +246,12 @@ def fit(model: RulModel, samples: Sequence[WindowedSample], config: ExperimentCo
     stopped_early = False
 
     for epoch in range(1, config.max_epochs + 1):
-        order = shuffle_rng.permutation(len(x_train))
+        order = shuffle_rng.permutation(len(train_idx))
         total_loss = 0.0
         for batch, start in enumerate(range(0, len(order), config.batch_size), start=1):
-            idx = order[start : start + config.batch_size]
-            xb = Tensor(x_train[idx].astype(model.dtype, copy=False))
-            yb = Tensor(y_train[idx].astype(model.dtype, copy=False))
+            idx = train_idx[order[start : start + config.batch_size]]
+            xb = Tensor(x[idx].astype(model.dtype, copy=False))
+            yb = Tensor(y[idx].astype(model.dtype, copy=False))
             with Tape() as tape:
                 pred = model.forward(xb, training=True, dropout_rng=dropout_rng)
                 loss = mse_loss(pred, yb)
@@ -268,7 +272,7 @@ def fit(model: RulModel, samples: Sequence[WindowedSample], config: ExperimentCo
             total_loss += loss_value * len(idx)
 
         val_rmse = _validation_rmse(model, x_val, y_val)
-        log.append(EpochRecord(epoch, total_loss / len(x_train), val_rmse))
+        log.append(EpochRecord(epoch, total_loss / len(train_idx), val_rmse))
 
         if val_rmse < best_val:
             best_val = val_rmse

@@ -260,7 +260,7 @@ def _run_training(root, dataset, seed, mode, feature_heads, sequence_heads, k):
         init_rng=generator(seed, "init"),
     )
     config = ExperimentConfig(window=30, r_max=125.0, seeds=[seed])
-    fit(model, samples, config)
+    fit(model, D.windows_to_arrays(samples), config)
     bundle = Bundle(model=model, condition_model=cm, config=config)
     rep = predict_test_set(bundle, test, truth)
     return rep.rmse, rep.score

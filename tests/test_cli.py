@@ -573,6 +573,9 @@ ENTRY_POINT_CASES = [
                  "window", id="sweep-value"),
     pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", "10",
                   "--lstm-hidden", "0"], {}, {}, 1, "lstm_hidden", id="sweep-layer-size"),
+    *[pytest.param(["sweep", *CONFIG_ARGS, "--param", "r_max", "--values", values], {}, {}, 1,
+                   "--values", id=f"sweep-repeated-{values}")
+      for values in ("50,50", "50,50.0", "40,50,40")],
     *[pytest.param(["evaluate", "--checkpoint", "{bundle}", "--out", "{out}"], {}, {name: value},
                    2, name, id=f"bundle-{name}")
       for name, value in [("r_max", "abc"), ("clip_test_rul", "no")]],

@@ -414,6 +414,42 @@ class TestWindowSplit:
             np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
+class TestWindowArrays:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_stacked_window_split(self, data):
+        window = data.draw(st.integers(1, 35), label="window")
+        r_max = data.draw(st.sampled_from([125.0, 3.0]), label="r_max")
+        units = data.draw(st.lists(st.integers(1, 500), min_size=1, max_size=4, unique=True))
+        if len(units) > 1:
+            units = data.draw(st.permutations(units).filter(lambda u: u != sorted(u)), label="units")
+        rng = np.random.default_rng(len(units))
+        trajs = [
+            D.RawTrajectory(unit_id=u, channels=rng.standard_normal((data.draw(st.integers(1, 60)), 24)))
+            for u in units
+        ]
+        built = D.window_arrays(trajs, window, r_max)
+        stacked = D.windows_to_arrays([s for t in trajs for s in D.window_split(t, window, r_max)])
+        assert isinstance(built, D.Windows) and isinstance(stacked, D.Windows)
+        for name, a, b in zip(D.Windows._fields, built, stacked):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        assert built.units[0] == units[0] and built.units[-1] == units[-1]
+
+    def test_labels_use_the_scalar_rule(self):
+        traj = TestWindowSplit._traj(40)
+        w = D.window_arrays([traj], 5, 17.5)
+        assert w.y.tolist() == [np.float32(D.piecewise_rul(40, e, 17.5)) for e in w.ends.tolist()]
+
+    def test_empty_window_or_trajectory_is_contract_error(self):
+        with pytest.raises(ContractError):
+            D.window_arrays([TestWindowSplit._traj(5)], 0, 125)
+        with pytest.raises(ContractError):
+            D.window_arrays([D.RawTrajectory(unit_id=1, channels=np.zeros((0, 24)))], 5, 125)
+        with pytest.raises(ContractError):
+            D.window_arrays([TestWindowSplit._traj(5)], 3, 0.0)
+
+
 def reference_save_windows(samples, path):
     """The writer that formats every cell of every window."""
     if not samples:

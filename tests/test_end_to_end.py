@@ -39,7 +39,7 @@ def e2e(tmp_path_factory):
         window=window, r_max=r_max, learning_rate=0.002, batch_size=128,
         early_stop_patience=40, max_epochs=35, validation_fraction=0.15, seeds=[seed],
     )
-    result = fit(model, samples, config)
+    result = fit(model, D.windows_to_arrays(samples), config)
     bundle = Bundle(model=model, condition_model=cm, config=config)
     report = predict_test_set(bundle, test, truth)
     return {

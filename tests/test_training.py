@@ -3,6 +3,7 @@ import json
 import platform
 import re
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -24,7 +25,7 @@ from rulnet import (
 from rulnet import autodiff as ad
 from rulnet.checkpoint import load_bundle, save_bundle
 from rulnet.config import ExperimentConfig
-from rulnet.data import ConditionModel, WindowedSample
+from rulnet.data import ConditionModel, RawTrajectory, WindowedSample, window_arrays, windows_to_arrays
 from rulnet.seeding import generator
 from rulnet.training import (
     AdamState,
@@ -171,7 +172,7 @@ class TestTrainConfig:
     def test_fit_validates_before_any_compute(self, tiny_model, bad):
         before = [a.copy() for _, a in tiny_model.state_arrays()]
         with pytest.raises(ConfigurationError):
-            fit(tiny_model, tiny_samples(), tiny_fit_config(**bad))
+            fit(tiny_model, windows_to_arrays(tiny_samples()), tiny_fit_config(**bad))
         for (_, a), b in zip(tiny_model.state_arrays(), before):
             assert np.array_equal(a, b)
 
@@ -230,14 +231,14 @@ class TestSplitUnits:
 class TestFit:
     def test_empty_set_rejected(self, tiny_model):
         with pytest.raises(ContractError):
-            fit(tiny_model, [], tiny_fit_config())
+            fit(tiny_model, windows_to_arrays([]), tiny_fit_config())
 
     def test_deterministic_replay(self):
         samples = tiny_samples()
 
         def run():
             model, _ = build_tiny_model(seed=1, dtype=np.float32, dropout=0.5)
-            fit(model, samples, tiny_fit_config(max_epochs=3))
+            fit(model, windows_to_arrays(samples), tiny_fit_config(max_epochs=3))
             return model.state_arrays()
 
         first = run()
@@ -248,7 +249,7 @@ class TestFit:
 
     def test_loss_decreases_on_learnable_signal(self):
         model, _ = build_tiny_model(seed=2, dtype=np.float32)
-        result = fit(model, tiny_samples(), tiny_fit_config(max_epochs=5))
+        result = fit(model, windows_to_arrays(tiny_samples()), tiny_fit_config(max_epochs=5))
         losses = [r.train_loss for r in result.log]
         assert len(losses) == 5
         assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -256,7 +257,7 @@ class TestFit:
     def test_patience_one_with_frozen_metric_stops_after_two_epochs(self):
         model, _ = build_tiny_model(seed=3, dtype=np.float32)
         config = tiny_fit_config(learning_rate=0.0, early_stop_patience=1, max_epochs=50)
-        result = fit(model, tiny_samples(), config)
+        result = fit(model, windows_to_arrays(tiny_samples()), config)
         assert result.epochs_run == 2
         assert result.stopped_early
 
@@ -264,8 +265,7 @@ class TestFit:
         samples = tiny_samples()
         model, _ = build_tiny_model(seed=4, dtype=np.float32)
         config = tiny_fit_config(max_epochs=8, early_stop_patience=50)
-        result = fit(model, samples, config)
-        from rulnet.data import windows_to_arrays
+        result = fit(model, windows_to_arrays(samples), config)
         from rulnet.training import predict_batched
 
         x, y, units, _ = windows_to_arrays(samples)
@@ -288,7 +288,7 @@ class TestFit:
         samples[train_rows[order[last_batch * config.batch_size]]].matrix[1, 2] = np.nan
         model, _ = build_tiny_model(seed=7, mode="L", dtype=np.float32)
         with pytest.raises(NumericInputError, match=f"epoch 1, batch {last_batch + 1}$"):
-            fit(model, samples, config)
+            fit(model, windows_to_arrays(samples), config)
         assert last_batch > 0
         assert all(np.isfinite(a).all() for _, a in model.state_arrays())
 
@@ -306,7 +306,7 @@ class TestFit:
 
         monkeypatch.setattr(Tape, "backward", plant_inf_in_second_batch)
         with pytest.raises(NumericInputError, match="gradient norm is inf at epoch 1, batch 2$"):
-            fit(model, tiny_samples(), tiny_fit_config())
+            fit(model, windows_to_arrays(tiny_samples()), tiny_fit_config())
         for (name, now), before in zip(model.state_arrays(), planted["weights"]):
             assert np.array_equal(now, before), name
 
@@ -370,9 +370,30 @@ class TestFit:
             if was_enabled:
                 gc.enable()
 
+    def test_fit_copies_only_the_validation_windows(self):
+        # 20 units of 180 windows each; the default 10% split holds out 2.
+        # Batches are gathered by index, so fit's heap peak is the held-out
+        # copy plus one batch's and one validation chunk's activations.
+        rng = np.random.default_rng(0)
+        trajs = [RawTrajectory(unit_id=u, channels=rng.standard_normal((209, 24))) for u in range(1, 21)]
+        windows = window_arrays(trajs, 30, 125.0)
+        assert len(windows.x) == 3600
+        model = RulModel(n_features=24, window=30, mode="L", feature_heads=1, sequence_heads=1,
+                         lstm_hidden=4, lstm_layers=1, mlp_hidden=4, dropout=0.0,
+                         init_rng=np.random.default_rng(1))
+        config = ExperimentConfig(window=30, max_epochs=1, batch_size=32, seeds=[0])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fit(model, windows, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 0.5 * windows.x.nbytes, (peak - start) / windows.x.nbytes
+
     def test_unit_level_leakage_guard(self):
         model, _ = build_tiny_model(seed=5, dtype=np.float32)
-        result = fit(model, tiny_samples(), tiny_fit_config(max_epochs=1))
+        result = fit(model, windows_to_arrays(tiny_samples()), tiny_fit_config(max_epochs=1))
         assert not set(result.train_units) & set(result.val_units)
 
     def test_epoch_touches_every_window_once(self):
