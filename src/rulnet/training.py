@@ -210,6 +210,7 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
     range is a ConfigurationError before any compute.  The unit split,
     batch shuffling, and dropout masks each draw from a named stream of
     ``config.seeds[0]``, so identical configs replay exactly.
+    The head's output bias starts at the mean training label.
     A non-finite batch loss, or a gradient norm that is not finite in the
     model's dtype, raises NumericInputError naming the epoch and 1-based
     batch, before it can reach the weights.  Training keeps freed memory
@@ -232,6 +233,10 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
     in_val = np.isin(units, val_units)
     train_idx = np.flatnonzero(~in_val)
     x_val, y_val = x[in_val], y[in_val]
+    # Start the output at the mean training label, so that the first steps
+    # fit the labels' spread instead of chasing their offset, which
+    # saturates the attention modes into a constant prediction.
+    model.head.b2.data[...] = np.mean(y[train_idx], dtype=np.float64)
 
     params = [p for _, p in model.parameters()]
     state = AdamState(params)

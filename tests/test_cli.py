@@ -247,7 +247,7 @@ class TestTrain:
 
         def poisoned_model(*args, **kwargs):
             model = real_model(*args, **kwargs)
-            model.head.b2.data[:] = np.nan
+            model.head.w2.data[:] = np.nan
             return model
 
         monkeypatch.setattr(cli, "RulModel", poisoned_model)

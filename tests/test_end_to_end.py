@@ -12,7 +12,9 @@ from rulnet.evaluation import export_attention, predict_test_set
 from rulnet.seeding import generator
 from rulnet.synthetic import generate_dataset
 from rulnet.config import ExperimentConfig
-from rulnet.training import fit
+from rulnet.training import fit, predict_batched
+
+WINDOW, R_MAX = 20, 125.0
 
 
 @pytest.fixture(scope="module")
@@ -23,30 +25,44 @@ def e2e(tmp_path_factory):
     test = D.parse_cmapss(ds.test_path)
     truth = D.parse_rul_truth(ds.truth_path)
 
-    window, r_max = 20, 125.0
+    window, r_max = WINDOW, R_MAX
     cm = D.cluster_conditions(train, k=1, seed=0)
     samples = []
     for traj in train:
         samples.extend(D.window_split(D.normalize(traj, cm), window, r_max))
 
-    seed = 3
-    model = RulModel(
-        n_features=24, window=window, mode="F+T", feature_heads=4, sequence_heads=4,
-        lstm_hidden=48, lstm_layers=2, mlp_hidden=48, dropout=0.5,
-        init_rng=generator(seed, "init"),
-    )
-    config = ExperimentConfig(
-        window=window, r_max=r_max, learning_rate=0.002, batch_size=128,
-        early_stop_patience=40, max_epochs=35, validation_fraction=0.15, seeds=[seed],
-    )
-    result = fit(model, D.windows_to_arrays(samples), config)
+    windows = D.windows_to_arrays(samples)
+    model, config = e2e_model("F+T")
+    result = fit(model, windows, config)
     bundle = Bundle(model=model, condition_model=cm, config=config)
     report = predict_test_set(bundle, test, truth)
     return {
         "root": root, "train": train, "test": test, "truth": truth,
-        "samples": samples, "model": model, "cm": cm, "result": result,
+        "samples": samples, "windows": windows, "model": model, "cm": cm, "result": result,
         "report": report, "window": window, "r_max": r_max,
     }
+
+
+def e2e_model(mode):
+    """The fixture's model of ``mode`` and its training config."""
+    seed = 3
+    model = RulModel(
+        n_features=24, window=WINDOW, mode=mode, feature_heads=4, sequence_heads=4,
+        lstm_hidden=48, lstm_layers=2, mlp_hidden=48, dropout=0.5,
+        init_rng=generator(seed, "init"),
+    )
+    config = ExperimentConfig(
+        window=WINDOW, r_max=R_MAX, learning_rate=0.002, batch_size=128,
+        early_stop_patience=40, max_epochs=35, validation_fraction=0.15, seeds=[seed],
+    )
+    return model, config
+
+
+def training_spread(model, windows, train_units):
+    """Standard deviations of the predictions and of the labels over the
+    training units' windows."""
+    rows = np.isin(windows.units, train_units)
+    return float(predict_batched(model, windows.x[rows]).std()), float(windows.y[rows].std())
 
 
 def test_training_reduces_loss(e2e):
@@ -93,3 +109,33 @@ def test_validation_rmse_tracks_training(e2e):
     # Later-epoch validation should improve on the untrained start.
     val = [r.val_rmse for r in e2e["result"].log]
     assert min(val) < 0.75 * val[0]
+
+
+def test_predictions_spread_like_the_labels(e2e):
+    # A model that collapses to one constant prediction has a spread near 0.
+    pred_std, label_std = training_spread(e2e["model"], e2e["windows"], e2e["result"].train_units)
+    assert pred_std >= 0.5 * label_std, (pred_std, label_std)
+
+
+def test_attention_model_within_reach_of_lstm_only(e2e):
+    # Mode L (no attention), trained on the same windows with the same settings.
+    model, config = e2e_model("L")
+    lstm_only = fit(model, e2e["windows"], config)
+    assert e2e["result"].best_val_rmse <= 1.5 * lstm_only.best_val_rmse, (
+        e2e["result"].best_val_rmse, lstm_only.best_val_rmse)
+
+
+@pytest.mark.parametrize("mode", ["F", "F+T"])
+def test_attention_modes_train_without_collapse(synth1, mode):
+    train = synth1["train"]
+    cm = D.cluster_conditions(train, k=1, seed=0)
+    windows = D.window_arrays([D.normalize(t, cm) for t in train], 10, 125.0)
+    model = RulModel(
+        n_features=24, window=10, mode=mode, feature_heads=2, sequence_heads=2,
+        lstm_hidden=32, lstm_layers=3, mlp_hidden=32, dropout=0.5,
+        init_rng=generator(0, "init"),
+    )
+    config = ExperimentConfig(window=10, learning_rate=0.002, batch_size=64, max_epochs=6, seeds=[0])
+    result = fit(model, windows, config)
+    pred_std, label_std = training_spread(model, windows, result.train_units)
+    assert pred_std >= 0.5 * label_std, (pred_std, label_std)

@@ -248,11 +248,13 @@ class TestFit:
             assert np.array_equal(a1, a2), n1
 
     def test_loss_decreases_on_learnable_signal(self):
+        # The head starts at the mean label, so the first epoch's loss is
+        # about the labels' variance; only learning the signal goes below it.
         model, _ = build_tiny_model(seed=2, dtype=np.float32)
-        result = fit(model, windows_to_arrays(tiny_samples()), tiny_fit_config(max_epochs=5))
+        result = fit(model, windows_to_arrays(tiny_samples()), tiny_fit_config(max_epochs=15))
         losses = [r.train_loss for r in result.log]
-        assert len(losses) == 5
-        assert all(b < a for a, b in zip(losses, losses[1:]))
+        assert len(losses) == 15
+        assert losses[-1] < 0.5 * losses[0]
 
     def test_patience_one_with_frozen_metric_stops_after_two_epochs(self):
         model, _ = build_tiny_model(seed=3, dtype=np.float32)
