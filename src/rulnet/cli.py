@@ -21,6 +21,7 @@ import platform
 import sys
 import time
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -119,13 +120,13 @@ def _load_raw(cfg: ExperimentConfig):
     return train, test, truth
 
 
-def _prepare(cfg: ExperimentConfig, train_trajs) -> tuple[ConditionModel, list[RawTrajectory]]:
-    """The condition model and the normalized training trajectories,
-    built from the raw rows."""
+def _prepare(cfg: ExperimentConfig, train_trajs) -> tuple[ConditionModel, Iterator[RawTrajectory]]:
+    """The condition model fitted on the raw rows, and the training
+    trajectories it normalizes, made one at a time as they are read."""
     # The pipeline seed is the first configured seed, so preprocess
     # exports and training runs agree for every training seed.
     cm = cluster_conditions(train_trajs, cfg.k_conditions, seed=cfg.seeds[0])
-    return cm, [normalize(traj, cm) for traj in train_trajs]
+    return cm, (normalize(traj, cm) for traj in train_trajs)
 
 
 def _test_pairs(cfg: ExperimentConfig) -> list[tuple[RawTrajectory, int]]:

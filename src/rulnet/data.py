@@ -431,10 +431,11 @@ def window_arrays(trajectories: Iterable[RawTrajectory], window: int, r_max: flo
     cycle; a trajectory shorter than the window gives one window padded
     by repeating its first cycle (see :func:`windows_ending_at`)."""
     trajectories = list(trajectories)
+    if not trajectories:
+        raise ContractError("no trajectories to window")
     ends = [_checked_ends(t, window) for t in trajectories]
     counts = [len(e) for e in ends]
-    n_features = trajectories[0].channels.shape[1] if trajectories else 0
-    x = np.empty((sum(counts), n_features, window), dtype=np.float32)
+    x = np.empty((sum(counts), trajectories[0].channels.shape[1], window), dtype=np.float32)
     y = np.empty(len(x), dtype=np.float32)
     lo = 0
     for traj, e in zip(trajectories, ends):
@@ -442,7 +443,7 @@ def window_arrays(trajectories: Iterable[RawTrajectory], window: int, r_max: flo
         y[lo : lo + len(e)] = piecewise_rul(len(traj), e, r_max)
         lo += len(e)
     units = np.repeat(np.array([t.unit_id for t in trajectories], dtype=np.int64), counts)
-    return Windows(x, y, units, np.concatenate(ends or [[]]).astype(np.int64))
+    return Windows(x, y, units, np.concatenate(ends).astype(np.int64))
 
 
 def window_split(trajectory: RawTrajectory, window: int, r_max: float) -> list[WindowedSample]:

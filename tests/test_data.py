@@ -448,6 +448,8 @@ class TestWindowArrays:
             D.window_arrays([D.RawTrajectory(unit_id=1, channels=np.zeros((0, 24)))], 5, 125)
         with pytest.raises(ContractError):
             D.window_arrays([TestWindowSplit._traj(5)], 3, 0.0)
+        with pytest.raises(ContractError):
+            D.window_arrays([], 3, 125)
 
 
 def reference_save_windows(samples, path):
