@@ -624,15 +624,13 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def attention(
-    x: Tensor, w_q: Sequence[Tensor], w_k: Sequence[Tensor], w_v: Sequence[Tensor], w_o: Tensor
-) -> tuple[Tensor, np.ndarray]:
+def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
     """Multi-head self-attention over the tokens of ``x``, shape (B, N, d)
     or a single (N, d) sample.
 
-    Head ``i`` projects the tokens with ``w_q[i]``, ``w_k[i]`` and
-    ``w_v[i]``, each (d, d_h), and attends with
-    softmax(q kᵀ / sqrt(d_h)) v, the softmax taken over each row.  The
+    ``w_qkv`` (d, 3·h·d_h) holds the query columns of heads 1..h, then
+    their key columns, then their value columns; head ``i`` attends with
+    softmax(q_i k_iᵀ / sqrt(d_h)) v_i, the softmax taken over each row.  The
     heads' outputs, concatenated in head order, go through ``w_o``
     (h·d_h, d_out).  Returns the output, (B, N, d_out) or (N, d_out), and
     the softmax weights as a plain array, (B, h, N, N) or (h, N, N).
@@ -642,31 +640,23 @@ def attention(
     backward is written by hand.  The forward arithmetic is that of a
     per-head evaluation, so its results do not depend on the batching.
     """
-    heads = len(w_q)
-    if heads < 1 or len(w_k) != heads or len(w_v) != heads:
-        raise ContractError(
-            f"attention needs equal, non-empty head lists, got {len(w_q)}/{len(w_k)}/{len(w_v)}"
-        )
     if x.ndim not in (2, 3):
         raise DimensionError(f"attention expects (batch, tokens, width) or (tokens, width), got {x.shape}")
     tokens, width = x.shape[-2:]
-    d_head = w_q[0].shape[-1]
-    if width == 0 or d_head == 0:
-        raise ContractError(f"attention needs non-zero widths, got input {x.shape}, heads of {d_head}")
-    for w in (*w_q, *w_k, *w_v):
-        if w.shape != (width, d_head):
-            raise DimensionError(f"attention head weight {w.shape} for input {x.shape}, heads of {d_head}")
+    if heads < 1 or not (tokens and width and w_qkv.size):
+        raise ContractError(f"attention needs heads, tokens and widths, got {heads}, {x.shape}, {w_qkv.shape}")
+    if w_qkv.ndim != 2 or w_qkv.shape[0] != width or w_qkv.shape[1] % (3 * heads):
+        raise DimensionError(f"attention projection {w_qkv.shape} for input {x.shape} and {heads} heads")
+    d_head = w_qkv.shape[1] // (3 * heads)
     if w_o.ndim != 2 or w_o.shape[0] != heads * d_head:
         raise DimensionError(f"attention output weight {w_o.shape} for {heads} heads of {d_head}")
-    projections = (*w_q, *w_k, *w_v)
-    _check_dtypes(x, *projections, w_o)
+    _check_dtypes(x, w_qkv, w_o)
     dtype = x.data.dtype
-    tape = _tape_for(x, *projections, w_o)
+    tape = _tape_for(x, w_qkv, w_o)
 
     rows = x.data.reshape(-1, width)  # (B·N, d)
     batch = rows.shape[0] // tokens
-    w_qkv = np.concatenate([w.data for w in projections], axis=1)
-    qkv = _matmul_data(rows, w_qkv).reshape(batch, tokens, 3, heads, d_head)
+    qkv = _matmul_data(rows, w_qkv.data).reshape(batch, tokens, 3, heads, d_head)
     q, k, v = qkv.transpose(2, 0, 3, 1, 4)  # each (B, h, N, d_h)
     scale = dtype.type(1.0 / math.sqrt(d_head))
     weights = _matmul_data(q, _swap_last(k))
@@ -707,13 +697,10 @@ def attention(
             _matmul_data(ds, k, out=d_q)
             _matmul_data(_swap_last(ds), q, out=d_k)
             d_qkv = d_qkv.reshape(batch * tokens, 3 * heads * d_head)
-            if any(w.requires_grad for w in projections):
-                d_w = _matmul_data(rows.T, d_qkv)
-                for i, w in enumerate(projections):
-                    if w.requires_grad:
-                        contribs.append((w, d_w[:, i * d_head : (i + 1) * d_head]))
+            if w_qkv.requires_grad:
+                contribs.append((w_qkv, _matmul_data(rows.T, d_qkv)))
             if x.requires_grad:
-                contribs.append((x, _matmul_data(d_qkv, w_qkv.T).reshape(x.shape)))
+                contribs.append((x, _matmul_data(d_qkv, w_qkv.data.T).reshape(x.shape)))
             return contribs
 
         tape._record(out, backward)

@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     bytes 0..7    magic  b"RULBNDL\\x00"
-    bytes 8..11   format version (uint32, currently 1)
+    bytes 8..11   format version (uint32, currently 2; 1 is still read)
     bytes 12..19  header length H (uint64)
     bytes 20..    H bytes of UTF-8 JSON (sorted keys): model hyperparams,
                   experiment config snapshot, condition model (centroids,
@@ -29,11 +29,11 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import N_CHANNELS, N_SETTINGS, ConditionModel
-from .errors import CheckpointError, ConfigurationError, RulnetError
+from .errors import CheckpointError, ConfigurationError, DimensionError, RulnetError
 from .model import RulModel
 
 MAGIC = b"RULBNDL\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 HEADER_SCHEMA = {"hyperparams": dict, "config": dict, "condition_model": dict, "tensors": list}
 
 
@@ -103,7 +103,8 @@ def load_bundle(path: str | Path) -> Bundle:
     dtype is not a float, whose shape is not a list of non-negative
     integers, whose nbytes is not its shape's size in bytes, or whose
     offset leaves a gap or overlap; a buffer past the end of the file;
-    bytes after the last buffer; a config key that is not an
+    bytes after the last buffer; a tensor name that is repeated or that
+    the model does not have; a config key that is not an
     :class:`ExperimentConfig` field, or a config value of the wrong type
     for its field; and a model or condition model that the header cannot
     rebuild.  Fields the header leaves out take their defaults.  Config
@@ -117,7 +118,7 @@ def load_bundle(path: str | Path) -> Bundle:
     if len(raw) < 20 or raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a rulnet bundle (bad magic)")
     (version,) = struct.unpack_from("<I", raw, 8)
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise CheckpointError(f"{path}: unsupported bundle version {version}")
     (header_len,) = struct.unpack_from("<Q", raw, 12)
     body_start = 20 + header_len
@@ -140,7 +141,7 @@ def load_bundle(path: str | Path) -> Bundle:
     arrays = _read_tensors(path, header["tensors"], raw, body_start)
     try:
         model = RulModel.from_hyperparams(header["hyperparams"])
-        model.load_state_arrays(arrays)
+        model.load_state_arrays(_join_v1_heads(model, arrays) if version == 1 else arrays)
     except (RulnetError, TypeError, ValueError, SyntaxError) as exc:
         raise CheckpointError(f"{path}: cannot rebuild the model: {exc!r}") from None
     return Bundle(
@@ -168,6 +169,8 @@ def _read_tensors(path, table: list, raw: bytes, body_start: int) -> dict[str, n
             raise CheckpointError(f"{path}: bad tensor entry: {exc!r}") from None
         if not (isinstance(name, str) and isinstance(shape, list) and all(map(_is_count, shape))):
             raise CheckpointError(f"{path}: bad name or shape in tensor entry {name!r}")
+        if name in arrays:
+            raise CheckpointError(f"{path}: repeated tensor name {name!r}")
         if dtype.kind != "f" or not _is_count(nbytes) or entry_offset != offset:
             raise CheckpointError(f"{path}: bad dtype, nbytes or offset in tensor {name!r}")
         if nbytes != math.prod(shape) * dtype.itemsize:
@@ -183,6 +186,21 @@ def _read_tensors(path, table: list, raw: bytes, body_start: int) -> dict[str, n
     if body_start + offset != len(raw):
         extra = len(raw) - body_start - offset
         raise CheckpointError(f"{path}: {extra} bytes after the last tensor")
+    return arrays
+
+
+def _join_v1_heads(model: RulModel, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A version-1 table, which stored each head's projections, under v2
+    names: ``<block>.h<i>.wq``, ``.wk``, ``.wv`` joined into ``<block>.wqkv``."""
+    arrays = dict(arrays)
+    for block, attn in (("fa", model.feature_attention), ("sa", model.sequence_attention)):
+        if attn is None or f"{block}.wqkv" in arrays:  # the heads left are unknown names
+            continue
+        shape = (attn.d_model, attn.d_head)
+        parts = [arrays.pop(f"{block}.h{i}.w{p}", None) for p in "qkv" for i in range(attn.heads)]
+        if any(part is None or part.shape != shape for part in parts):
+            raise DimensionError(f"version-1 {block} needs {attn.heads} heads of q, k and v, each {shape}")
+        arrays[f"{block}.wqkv"] = np.concatenate(parts, axis=1)
     return arrays
 
 

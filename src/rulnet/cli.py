@@ -316,6 +316,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 f"--matrix-cycles must be comma-separated cycles, got {args.matrix_cycles!r}"
             ) from None
+        if not all(1 <= c <= len(traj) for c in matrix_cycles):
+            raise ConfigurationError(
+                f"--matrix-cycles {args.matrix_cycles} must satisfy 1 <= cycle <= {len(traj)}, "
+                "the unit's cycle count"
+            )
 
     export = export_attention(bundle, traj, cycles=cycles, matrix_cycles=matrix_cycles)
     out_dir = Path(args.out or cfg.out_dir)

@@ -182,7 +182,7 @@ def parse_rul_truth(source: str | Path | TextIO) -> list[int]:
                 value = int(float(text))
                 if float(text) != value:
                     raise ValueError
-            except ValueError:
+            except (ValueError, OverflowError):  # int() of ±inf overflows
                 raise ParseError(f"expected an integer RUL, got {text!r}", line=line_no) from None
             if value < 0:
                 raise ParseError(f"RUL must be non-negative, got {value}", line=line_no)

@@ -70,13 +70,13 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
 
 
 class MultiHeadAttention:
-    """Multi-head self-attention with per-head q/k/v projections.
+    """Multi-head self-attention; ``w_qkv`` (d_model, 3·d_model) holds the
+    query columns of heads 1..h, then their key and their value columns.
 
     Head count must divide the embedding width; the output projection maps
     the concatenated heads back to ``d_model`` so the shape is preserved.
-    The softmax weights of the most recent forward pass are retained as
-    one plain (B, h, N, N) array, (h, N, N) for a single sample, for
-    interpretability export.
+    The last forward pass's softmax weights are kept as one (B, h, N, N)
+    array, (h, N, N) for a single sample, for interpretability export.
     """
 
     def __init__(self, d_model: int, heads: int, rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
@@ -89,9 +89,9 @@ class MultiHeadAttention:
         self.d_model = d_model
         self.heads = heads
         self.d_head = d_model // heads
-        self.w_q = [_uniform_init(rng, (d_model, self.d_head), d_model, dtype) for _ in range(heads)]
-        self.w_k = [_uniform_init(rng, (d_model, self.d_head), d_model, dtype) for _ in range(heads)]
-        self.w_v = [_uniform_init(rng, (d_model, self.d_head), d_model, dtype) for _ in range(heads)]
+        # One draw per head and projection, in column order.
+        blocks = [_uniform_init(rng, (d_model, self.d_head), d_model, dtype) for _ in range(3 * heads)]
+        self.w_qkv = Tensor(np.concatenate([b.data for b in blocks], axis=1), requires_grad=True)
         self.w_o = _uniform_init(rng, (d_model, d_model), d_model, dtype)
         self.last_weights: np.ndarray | None = None
 
@@ -100,14 +100,11 @@ class MultiHeadAttention:
             raise DimensionError(
                 f"attention expects width {self.d_model}, got input shape {x.shape}"
             )
-        out, self.last_weights = ad.attention(x, self.w_q, self.w_k, self.w_v, self.w_o)
+        out, self.last_weights = ad.attention(x, self.w_qkv, self.w_o, self.heads)
         return out
 
     def parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for i in range(self.heads):
-            yield f"h{i}.wq", self.w_q[i]
-            yield f"h{i}.wk", self.w_k[i]
-            yield f"h{i}.wv", self.w_v[i]
+        yield "wqkv", self.w_qkv
         yield "wo", self.w_o
 
 
@@ -330,7 +327,13 @@ class RulModel:
         return [(name, p.data) for name, p in self.parameters()]
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, p in self.parameters():
+        """Copy every parameter from ``arrays``, which must hold exactly
+        the model's parameter names."""
+        params = self.parameters()
+        unknown = sorted(set(arrays) - {name for name, _ in params})
+        if unknown:
+            raise ContractError(f"unknown parameters {unknown} in state")
+        for name, p in params:
             if name not in arrays:
                 raise ContractError(f"missing parameter {name!r} in state")
             src = arrays[name]

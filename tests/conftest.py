@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -125,6 +127,14 @@ def per_head_attention(x, w_q, w_k, w_v, w_o):
     return merged @ w_o, np.stack(weights, axis=-3)
 
 
+def head_blocks(w_qkv, heads):
+    """Each head's column blocks of a fused (d, 3·h·d_h) projection, as
+    per-head lists ``w_q``, ``w_k``, ``w_v`` of new (d, d_h) leaf tensors:
+    the input of :func:`per_head_attention`."""
+    blocks = [Tensor(b.copy(), requires_grad=True) for b in np.split(w_qkv.data, 3 * heads, axis=1)]
+    return blocks[:heads], blocks[heads : 2 * heads], blocks[2 * heads :]
+
+
 def window_ending_at(channels, end, window):
     """Reference for ``windows_ending_at``: the (F, T) window of the
     cycles ending at ``end`` (1-based), sliced from row-per-cycle storage
@@ -136,3 +146,16 @@ def window_ending_at(channels, end, window):
         pad = np.repeat(channels[0:1], -start, axis=0)
         block = np.vstack([pad, channels[:end]])
     return np.ascontiguousarray(block.T, dtype=np.float32)
+
+
+def with_extra_tensor(blob, name):
+    """A bundle's bytes with one more tensor named ``name`` at the end of
+    its table: a copy of the first tensor's entry and bytes."""
+    (header_len,) = struct.unpack_from("<Q", blob, 12)
+    header = json.loads(blob[20 : 20 + header_len])
+    first = header["tensors"][0]
+    end = sum(t["nbytes"] for t in header["tensors"])
+    header["tensors"].append(dict(first, name=name, offset=end))
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = blob[20 + header_len :]
+    return blob[:12] + struct.pack("<Q", len(text)) + text + body + body[: first["nbytes"]]

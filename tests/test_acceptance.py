@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_tiny_model, per_head_attention
+from conftest import build_tiny_model, head_blocks, per_head_attention
 from rulnet import RulModel, Tensor
 from rulnet import autodiff as ad
 from rulnet import data as D
@@ -213,10 +213,10 @@ def test_criterion_6_attention_invariants():
                 assert np.all(weights >= 0.0)
 
     layer = MultiHeadAttention(d_model=6, heads=1, rng=rng, dtype=np.float64)
-    for w in (layer.w_q[0], layer.w_k[0], layer.w_v[0], layer.w_o):
-        w.data = np.eye(6)
+    layer.w_qkv.data = np.tile(np.eye(6), 3)
+    layer.w_o.data = np.eye(6)
     x = Tensor(rng.standard_normal((9, 6)), dtype=np.float64)
-    raw, _ = per_head_attention(x, layer.w_q, layer.w_k, layer.w_v, layer.w_o)
+    raw, _ = per_head_attention(x, *head_blocks(layer.w_qkv, 1), layer.w_o)
     assert np.array_equal(layer(x).data, raw.data)
 
     # Exported surfaces obey the same row-sum bound.

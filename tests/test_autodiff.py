@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import per_head_attention, rand_tensor, scalar_loss
+from conftest import head_blocks, per_head_attention, rand_tensor, scalar_loss
 from rulnet import ContractError, DimensionError, NumericInputError, Tape, TapeError, Tensor
 from rulnet import autodiff as ad
 from rulnet.autodiff import exact_arithmetic, gradcheck
@@ -97,7 +97,7 @@ def attend(x, w_q, w_k, w_v, w_o=None):
     t = lambda a: Tensor(np.asarray(a, dtype=np.float64), dtype=np.float64)
     if w_o is None:
         w_o = np.eye(np.shape(w_v)[1])
-    out, weights = ad.attention(t(x), [t(w_q)], [t(w_k)], [t(w_v)], t(w_o))
+    out, weights = ad.attention(t(x), t(np.hstack([w_q, w_k, w_v])), t(w_o), 1)
     return out.data, weights[0]
 
 
@@ -115,7 +115,7 @@ class TestSoftmax:
         eye = np.eye(3)
         for dtype in (np.float32, np.float64):
             t = lambda a: Tensor(a, dtype=dtype)
-            out, weights = ad.attention(t(x), [t(eye)], [t(eye)], [t(eye)], t(eye))
+            out, weights = ad.attention(t(x), t(np.tile(eye, 3)), t(eye), 1)
             assert np.all(np.isfinite(weights)) and np.all(np.isfinite(out.data))
             np.testing.assert_allclose(weights, 1 / 3, atol=1e-7)
 
@@ -136,45 +136,48 @@ class TestSoftmax:
     def test_slices_sum_to_one(self, tokens, width, heads, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((2, tokens, width)) * 10, dtype=np.float64)
-        w = [Tensor(rng.standard_normal((width, 2)), dtype=np.float64) for _ in range(3 * heads)]
+        w_qkv = Tensor(np.hstack([rng.standard_normal((width, 2)) for _ in range(3 * heads)]))
         w_o = Tensor(rng.standard_normal((2 * heads, width)), dtype=np.float64)
-        _, weights = ad.attention(x, w[:heads], w[heads : 2 * heads], w[2 * heads :], w_o)
+        _, weights = ad.attention(x, w_qkv, w_o, heads)
         assert weights.shape == (2, heads, tokens, tokens)
         assert np.all(weights >= 0)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_non_finite_rejected(self):
         eye = Tensor(np.eye(2, dtype=np.float32))
+        w_qkv = Tensor(np.tile(eye.data, 3))
         for bad in (np.nan, np.inf, -np.inf):
             x = Tensor(np.array([[1.0, 0.0], [bad, 1.0]], dtype=np.float32))
             with pytest.raises(NumericInputError), np.errstate(invalid="ignore"):
-                ad.attention(x, [eye], [eye], [eye], eye)
+                ad.attention(x, w_qkv, eye, 1)
         # Finite tokens whose scores overflow float32 are rejected too.
         huge = Tensor(np.full((2, 2), 3e19, dtype=np.float32))
         with pytest.raises(NumericInputError), np.errstate(over="ignore"):
-            ad.attention(huge, [eye], [eye], [eye], eye)
+            ad.attention(huge, w_qkv, eye, 1)
 
     def test_gradients(self):
         rng = np.random.default_rng(6)
         x = rand_tensor(rng, 3, 5)
-        w = [rand_tensor(rng, 5, 5) for _ in range(3)]
+        w_qkv = Tensor(np.hstack([rng.standard_normal((5, 5)) for _ in range(3)]), requires_grad=True)
         readout = Tensor(rng.standard_normal((3, 5)), dtype=np.float64)
         eye = Tensor(np.eye(5))
-        loss = lambda: ad.mean(ad.mul(ad.attention(x, w[:1], w[1:2], w[2:], eye)[0], readout))
-        gradcheck(loss, [x, *w])
+        loss = lambda: ad.mean(ad.mul(ad.attention(x, w_qkv, eye, 1)[0], readout))
+        gradcheck(loss, [x, w_qkv])
 
 
 def attention_setup(shape, heads, seed, dtype=np.float64, x_grad=True):
-    """Input of ``shape`` (..., N, d) and per-head weights of width d / heads."""
+    """Input of ``shape`` (..., N, d), the fused projection of ``heads``
+    heads of width d / heads, drawn one head block at a time, and the
+    output weight."""
     rng = np.random.default_rng(seed)
     width = shape[-1]
     d_head = width // heads
     x = Tensor(rng.standard_normal(shape), requires_grad=x_grad, dtype=dtype)
     bound = 1.0 / np.sqrt(width)
-    w = [Tensor(rng.uniform(-bound, bound, (width, d_head)), requires_grad=True, dtype=dtype)
-         for _ in range(3 * heads)]
+    blocks = [rng.uniform(-bound, bound, (width, d_head)) for _ in range(3 * heads)]
+    w_qkv = Tensor(np.hstack(blocks), requires_grad=True, dtype=dtype)
     w_o = Tensor(rng.uniform(-bound, bound, (width, width)), requires_grad=True, dtype=dtype)
-    return x, (w[:heads], w[heads : 2 * heads], w[2 * heads :], w_o)
+    return x, w_qkv, w_o
 
 
 def attention_grads(run, params, readout):
@@ -197,63 +200,69 @@ class TestAttention:
         ((3, 24, 30), 5, False),  # data input, as the feature block trains
     ])
     def test_matches_per_head_reference(self, shape, heads, x_grad):
-        x, weights = attention_setup(shape, heads, seed=sum(shape) + heads, x_grad=x_grad)
-        w_q, w_k, w_v, w_o = weights
-        params = [x, *w_q, *w_k, *w_v, w_o]
+        # The reference runs on each head's column blocks of w_qkv; the
+        # fused w_qkv gradient is their per-head gradients joined.
+        x, w_qkv, w_o = attention_setup(shape, heads, seed=sum(shape) + heads, x_grad=x_grad)
+        w_q, w_k, w_v = head_blocks(w_qkv, heads)
         readout = Tensor(np.random.default_rng(0).standard_normal(shape) * np.prod(shape))
-        fused = attention_grads(lambda: ad.attention(x, *weights), params, readout)
-        ref = attention_grads(lambda: per_head_attention(x, *weights), params, readout)
+        fused = attention_grads(lambda: ad.attention(x, w_qkv, w_o, heads), [x, w_qkv, w_o], readout)
+        ref = attention_grads(lambda: per_head_attention(x, w_q, w_k, w_v, w_o),
+                              [x, *w_q, *w_k, *w_v, w_o], readout)
         assert fused[1].shape == shape[:-2] + (heads, shape[-2], shape[-2])
         np.testing.assert_allclose(fused[0], ref[0], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(fused[1], ref[1], rtol=1e-12, atol=1e-12)
-        for got, want in zip(fused[2], ref[2]):
-            if want is None:
-                assert got is None
-            else:
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        d_x, d_qkv, d_o = fused[2]
+        if x_grad:
+            np.testing.assert_allclose(d_x, ref[2][0], rtol=1e-12, atol=1e-12)
+        else:
+            assert d_x is None and ref[2][0] is None
+        assert d_qkv.shape == w_qkv.shape
+        np.testing.assert_allclose(d_qkv, np.hstack(ref[2][1:-1]), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(d_o, ref[2][-1], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("batch", [1, 7, 128])
     @pytest.mark.parametrize("tokens, width, heads", [(24, 30, 5), (30, 24, 4)])
     def test_float32_forward_bit_identical_to_reference(self, batch, tokens, width, heads):
-        x, weights = attention_setup((batch, tokens, width), heads, seed=batch, dtype=np.float32)
-        out, w = ad.attention(x, *weights)
-        ref_out, ref_w = per_head_attention(x, *weights)
+        x, w_qkv, w_o = attention_setup((batch, tokens, width), heads, seed=batch, dtype=np.float32)
+        out, w = ad.attention(x, w_qkv, w_o, heads)
+        ref_out, ref_w = per_head_attention(x, *head_blocks(w_qkv, heads), w_o)
         assert out.dtype == np.float32 and w.dtype == np.float32
         assert np.array_equal(out.data, ref_out.data)
         assert np.array_equal(w, ref_w)
 
     def test_gradcheck(self):
-        x, weights = attention_setup((2, 4, 6), 2, seed=31)
-        params = [x, *weights[0], *weights[1], *weights[2], weights[3]]
+        x, w_qkv, w_o = attention_setup((2, 4, 6), 2, seed=31)
         readout = Tensor(np.random.default_rng(1).standard_normal((2, 4, 6)))
-        loss = lambda: ad.mean(ad.mul(ad.attention(x, *weights)[0], readout))
-        gradcheck(loss, params)
+        loss = lambda: ad.mean(ad.mul(ad.attention(x, w_qkv, w_o, 2)[0], readout))
+        gradcheck(loss, [x, w_qkv, w_o])
         with exact_arithmetic():
-            gradcheck(loss, params)
+            gradcheck(loss, [x, w_qkv, w_o])
 
     def test_records_one_node_and_nothing_without_a_tape(self):
-        x, weights = attention_setup((2, 4, 6), 2, seed=32)
-        out, _ = ad.attention(x, *weights)
+        x, w_qkv, w_o = attention_setup((2, 4, 6), 2, seed=32)
+        out, _ = ad.attention(x, w_qkv, w_o, 2)
         assert out._tape is None and not out.requires_grad
         with Tape() as tape:
-            out, _ = ad.attention(x, *weights)
+            out, _ = ad.attention(x, w_qkv, w_o, 2)
         assert len(tape) == 1 and out.requires_grad
-        w_q, w_k, w_v, w_o = weights
-        frozen = lambda ws: [Tensor(w.data) for w in ws]
         with Tape() as tape:
-            ad.attention(Tensor(x.data), frozen(w_q), frozen(w_k), frozen(w_v), Tensor(w_o.data))
+            ad.attention(Tensor(x.data), Tensor(w_qkv.data), Tensor(w_o.data), 2)
         assert len(tape) == 0
 
     def test_weight_shapes_checked(self):
-        x, (w_q, w_k, w_v, w_o) = attention_setup((2, 4, 6), 2, seed=33)
+        x, w_qkv, w_o = attention_setup((2, 4, 6), 2, seed=33)
         with pytest.raises(ContractError):
-            ad.attention(x, w_q, w_k[:1], w_v, w_o)
+            ad.attention(x, w_qkv, w_o, 0)
         with pytest.raises(DimensionError):
-            ad.attention(x, w_q, w_k, [w_v[0], w_o], w_o)
+            ad.attention(x, w_qkv, w_o, 4)  # 18 columns are not 3 · 4 equal heads
         with pytest.raises(DimensionError):
-            ad.attention(x, w_q, w_k, w_v, Tensor(np.zeros((4, 6))))
+            ad.attention(x, Tensor(w_qkv.data[:, :-1]), w_o, 2)
         with pytest.raises(DimensionError):
-            ad.attention(Tensor(np.zeros(6)), w_q, w_k, w_v, w_o)
+            ad.attention(x, Tensor(w_qkv.data[:-1]), w_o, 2)
+        with pytest.raises(DimensionError):
+            ad.attention(x, w_qkv, Tensor(np.zeros((4, 6))), 2)
+        with pytest.raises(DimensionError):
+            ad.attention(Tensor(np.zeros(6)), w_qkv, w_o, 2)
 
 
 class TestElementwise:
@@ -363,8 +372,11 @@ class TestBackward:
             rng = np.random.default_rng(11)
             a = Tensor(rng.standard_normal((6, 6)), requires_grad=True, dtype=np.float64)
             b = Tensor(rng.standard_normal((6, 6)), requires_grad=True, dtype=np.float64)
+            # q, k, v projections a, b, a, placed by exact one-hot products.
+            eye, zero = np.eye(6), np.zeros((6, 6))
+            place_a, place_b = Tensor(np.hstack([eye, zero, eye])), Tensor(np.hstack([zero, eye, zero]))
             with Tape() as tape:
-                out, _ = ad.attention(a @ b, [a], [b], [a], b)
+                out, _ = ad.attention(a @ b, a @ place_a + b @ place_b, b, 1)
                 loss = ad.mean(ad.mul(out, a @ b))
             tape.backward(loss)
             return a.grad.copy(), b.grad.copy()

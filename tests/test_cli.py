@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import with_extra_tensor
 from rulnet import BLAS_THREAD_VARS, cli
 from rulnet.checkpoint import load_bundle, save_bundle
 from rulnet.cli import build_parser, main
@@ -389,7 +390,8 @@ class TestExplain:
 
     @pytest.mark.parametrize("flag, value", [
         ("--cycles", "5"), ("--cycles", "a:b"), ("--cycles", "0:3"), ("--cycles", "1:L+1"),
-        ("--cycles", "6:3"), ("--matrix-cycles", "3,x"),
+        ("--cycles", "6:3"), ("--matrix-cycles", "3,x"), ("--matrix-cycles", "0"),
+        ("--matrix-cycles", "1,L+1"),
     ])
     def test_bad_cycles_argument_is_usage_error(self, workspace, trained, flag, value, capsys):
         test = parse_cmapss(workspace["raw"]["test_path"])
@@ -400,6 +402,7 @@ class TestExplain:
         )
         assert code == 1
         assert f"configuration error: {flag}" in capsys.readouterr().err
+        assert not (trained / "explain_bad").exists()
 
     def test_last_cycle_is_in_range(self, workspace, trained):
         test = parse_cmapss(workspace["raw"]["test_path"])
@@ -411,6 +414,16 @@ class TestExplain:
         )
         assert code == 0
         assert len((out / "predictions.csv").read_text().splitlines()) == 2
+
+    def test_bundle_with_unknown_tensor_is_checkpoint_error(self, trained, tmp_path, capsys):
+        checkpoint = tmp_path / "extra.bin"
+        blob = (trained / "checkpoint.bin").read_bytes()
+        checkpoint.write_bytes(with_extra_tensor(blob, "bogus.extra"))
+        out = tmp_path / "out"
+        code = main(["explain", "--checkpoint", str(checkpoint), "--unit", "2", "--out", str(out)])
+        assert code == 2
+        assert f"CheckpointError: {checkpoint}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_unit_is_data_error(self, trained):
         code = main(

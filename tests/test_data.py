@@ -147,6 +147,11 @@ class TestParseTruth:
         with pytest.raises(ParseError):
             D.parse_rul_truth(io.StringIO("12.5\n"))
 
+    @pytest.mark.parametrize("text", ["1e400", "inf", "-inf"])
+    def test_overflowing_value_rejected(self, text):
+        with pytest.raises(ParseError, match=f"line 2: expected an integer RUL, got '{text}'"):
+            D.parse_rul_truth(io.StringIO(f"7\n{text}\n"))
+
     def test_count_mismatch_with_test_set(self, synth1):
         with pytest.raises(IntegrityError):
             D.pair_test_truth(synth1["test"], [])

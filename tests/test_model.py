@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import build_tiny_model, per_head_attention, sigmoid, tanh
+from conftest import build_tiny_model, head_blocks, per_head_attention, sigmoid, tanh
 from rulnet import (
     CapabilityError,
     ConfigurationError,
@@ -32,10 +32,8 @@ def attention_oracle(q, k, v):
 def multi_head_oracle(layer, x):
     """Per-head decomposition: independent single-head runs, concatenated."""
     outs = []
-    for i in range(layer.heads):
-        out, _ = attention_oracle(
-            x @ layer.w_q[i].data, x @ layer.w_k[i].data, x @ layer.w_v[i].data
-        )
+    for w_q, w_k, w_v in zip(*head_blocks(layer.w_qkv, layer.heads)):
+        out, _ = attention_oracle(x @ w_q.data, x @ w_k.data, x @ w_v.data)
         outs.append(out)
     return np.concatenate(outs, axis=1) @ layer.w_o.data
 
@@ -44,7 +42,7 @@ def single_head(q_in, w_q, w_k, w_v):
     """``ad.attention`` with one head and an identity output projection,
     on float64 arrays: scaled dot-product attention of the projections."""
     t = lambda a: Tensor(np.asarray(a, dtype=np.float64), dtype=np.float64)
-    out, weights = ad.attention(t(q_in), [t(w_q)], [t(w_k)], [t(w_v)], t(np.eye(np.shape(w_v)[1])))
+    out, weights = ad.attention(t(q_in), t(np.hstack([w_q, w_k, w_v])), t(np.eye(np.shape(w_v)[1])), 1)
     return out.data, weights[0]
 
 
@@ -78,7 +76,9 @@ class TestScaledDotProductAttention:
         empty = Tensor(np.zeros((2, 0)))
         no_width = Tensor(np.zeros((0, 0)))
         with pytest.raises(ContractError):
-            ad.attention(empty, [no_width], [no_width], [no_width], no_width)
+            ad.attention(empty, no_width, no_width, 1)
+        with pytest.raises(ContractError):
+            ad.attention(Tensor(np.zeros((2, 0, 3))), Tensor(np.zeros((3, 9))), Tensor(np.zeros((3, 3))), 1)
 
 
 class TestMultiHeadAttention:
@@ -86,10 +86,10 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(2)
         layer = MultiHeadAttention(d_model=3, heads=1, rng=rng, dtype=np.float64)
         eye = np.eye(3)
-        for w in (layer.w_q[0], layer.w_k[0], layer.w_v[0], layer.w_o):
-            w.data = eye.copy()
+        layer.w_qkv.data = np.tile(eye, 3)
+        layer.w_o.data = eye.copy()
         x = Tensor(rng.standard_normal((4, 3)), dtype=np.float64)
-        raw, _ = per_head_attention(x, layer.w_q, layer.w_k, layer.w_v, layer.w_o)
+        raw, _ = per_head_attention(x, *head_blocks(layer.w_qkv, 1), layer.w_o)
         assert np.array_equal(layer(x).data, raw.data)
 
     def test_matches_per_head_decomposition_oracle(self):
@@ -108,6 +108,17 @@ class TestMultiHeadAttention:
         assert layer(x).shape == (n, d_model)
         batched = Tensor(rng.standard_normal((2, n, d_model)), dtype=np.float64)
         assert layer(batched).shape == (2, n, d_model)
+
+    def test_projection_is_the_head_blocks_drawn_in_column_order(self):
+        # w_qkv joins 3·h (d, d_h) draws: the queries of heads 1..h, then
+        # the keys, then the values; the output weight is drawn after them.
+        layer = MultiHeadAttention(d_model=6, heads=2, rng=np.random.default_rng(9))
+        rng, bound = np.random.default_rng(9), 1 / math.sqrt(6)
+        blocks = [rng.uniform(-bound, bound, (6, 3)).astype(np.float32) for _ in range(6)]
+        assert layer.w_qkv.shape == (6, 18) and layer.w_qkv.requires_grad
+        assert np.array_equal(layer.w_qkv.data, np.hstack(blocks))
+        assert np.array_equal(layer.w_o.data, rng.uniform(-bound, bound, (6, 6)).astype(np.float32))
+        assert [n for n, _ in layer.parameters()] == ["wqkv", "wo"]
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -378,6 +389,12 @@ class TestRulModel:
         model, _ = build_tiny_model(mode="A")
         assert model.feature_attention.heads == 1
         assert model.sequence_attention is None
+
+    def test_default_model_has_17_parameter_tensors(self):
+        # Two per attention block, three per LSTM layer, four in the head.
+        names = [n for n, _ in RulModel(n_features=24, window=30).parameters()]
+        assert len(names) == 17
+        assert names[:4] == ["fa.wqkv", "fa.wo", "sa.wqkv", "sa.wo"]
 
     def test_disabled_blocks_have_no_parameters(self):
         model, _ = build_tiny_model(mode="L")

@@ -1,17 +1,20 @@
 import gc
+import hashlib
 import json
+import math
 import platform
 import re
 import struct
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_tiny_model
+from conftest import build_tiny_model, with_extra_tensor
 from rulnet import (
     CheckpointError,
     ConfigurationError,
@@ -24,9 +27,11 @@ from rulnet import (
 )
 from rulnet import autodiff as ad
 from rulnet.checkpoint import load_bundle, save_bundle
+from rulnet.cli import main
 from rulnet.config import ExperimentConfig
 from rulnet.data import ConditionModel, RawTrajectory, WindowedSample, window_arrays, windows_to_arrays
 from rulnet.seeding import generator
+from rulnet.synthetic import generate_dataset
 from rulnet.training import (
     AdamState,
     _keep_freed_memory,
@@ -409,6 +414,120 @@ class TestFit:
         assert sorted(seen.tolist()) == list(range(100))
 
 
+# A version-1 bundle, written by the code before bundle version 2 stored
+# each attention block's q/k/v as one tensor.  It was made by `rulnet train`
+# on the v1_dataset files below with `--seed 2 --window 6 --feature-heads 2
+# --sequence-heads 2 --lstm-hidden 4 --lstm-layers 1 --mlp-hidden 4
+# --max-epochs 8 --dropout 0 --learning-rate 0.01 --batch-size 32`, then
+# saved again with its config's data paths blanked.
+V1_BUNDLE = Path(__file__).parent / "fixtures" / "bundle_v1.bin"
+
+# sha256 of what that code wrote for `evaluate`, and for `explain --unit 2
+# --matrix-cycles 1,7`, on the v1 bundle and the v1_dataset test files, with
+# numpy 2.4 on OpenBLAS (x86-64, one thread); another BLAS build may round
+# the float32 products differently.
+V1_DIGESTS = {
+    "eval/metrics.json": "2de6d0d6ba264fd2bf2d5ce2392e550f1145e65df8682dfcac55cc75dc45e556",
+    "eval/predictions.csv": "dfd8784e7e242aad182cde1e52dd8e1edeafcb5ee14e8b6b827dddec4d3d3dfb",
+    "explain/attention_cycle_sums.csv":
+        "fb311916cc3329cc3158c9724773db012080aae37b79026be70190f7eba55d31",
+    "explain/attention_feature.csv":
+        "2f1e8f5451945058d18f8835e85f7cf20af5139b843de2d8bc7c48c1d44e466e",
+    "explain/predictions.csv": "5246c309e6197f01b07d2ee4b79c0a188386a2948f2ee3658032423485aeac24",
+}
+
+
+def v1_dataset(root):
+    return generate_dataset(root, name="V1", n_train=6, n_test=3, n_conditions=1, seed=11)
+
+
+def read_v1_bundle():
+    """The v1 bundle's header without its tensor table, and its tensors
+    in table order."""
+    blob = V1_BUNDLE.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 12)
+    header = json.loads(blob[20 : 20 + header_len])
+    body = 20 + header_len
+    tensors = [
+        (t["name"], np.frombuffer(blob, t["dtype"], math.prod(t["shape"]), body + t["offset"])
+         .reshape(t["shape"]))
+        for t in header.pop("tensors")
+    ]
+    return header, tensors
+
+
+def write_v1_bundle(path, header, tensors):
+    """A version-1 bundle of ``header`` and the named ``tensors``."""
+    table, offset = [], 0
+    for name, arr in tensors:
+        table.append({"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str,
+                      "offset": offset, "nbytes": arr.nbytes})
+        offset += arr.nbytes
+    text = json.dumps(dict(header, tensors=table), sort_keys=True, separators=(",", ":")).encode()
+    body = b"".join(arr.tobytes() for _, arr in tensors)
+    path.write_bytes(b"RULBNDL\x00" + struct.pack("<IQ", 1, len(text)) + text + body)
+
+
+def _replace(tensors, name, *extra):
+    """``tensors`` without ``name``, with the ``extra`` (name, array) pairs
+    in its place."""
+    i = [n for n, _ in tensors].index(name)
+    return tensors[:i] + list(extra) + tensors[i + 1 :]
+
+
+class TestBundleV1:
+    def test_loads_to_the_joined_head_columns(self):
+        model = load_bundle(V1_BUNDLE).model
+        arrays = dict(read_v1_bundle()[1])
+        for block in ("fa", "sa"):
+            joined = np.hstack([arrays.pop(f"{block}.h{i}.w{p}") for p in "qkv" for i in range(2)])
+            arrays[f"{block}.wqkv"] = joined
+        assert sorted(n for n, _ in model.parameters()) == sorted(arrays)
+        for name, p in model.parameters():
+            assert p.dtype == arrays[name].dtype and np.array_equal(p.data, arrays[name]), name
+
+    def test_evaluate_and_explain_keep_their_bytes(self, tmp_path):
+        ds = v1_dataset(tmp_path / "data")
+        paths = ["--test-path", str(ds.test_path), "--truth-path", str(ds.truth_path)]
+        assert main(["evaluate", "--checkpoint", str(V1_BUNDLE),
+                     "--out", str(tmp_path / "eval"), *paths]) == 0
+        assert main(["explain", "--checkpoint", str(V1_BUNDLE), "--unit", "2",
+                     "--matrix-cycles", "1,7", "--out", str(tmp_path / "explain"), *paths]) == 0
+        digests = {
+            f"{d}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+            for d in ("eval", "explain") for f in (tmp_path / d).iterdir()
+        }
+        assert digests == V1_DIGESTS
+
+    def test_writer_reproduces_the_bundle(self, tmp_path):
+        # So each malformed case below differs from a good bundle only by its edit.
+        path = tmp_path / "v1.bin"
+        write_v1_bundle(path, *read_v1_bundle())
+        assert path.read_bytes() == V1_BUNDLE.read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda t: _replace(t, "fa.h1.wk"), id="missing-head"),
+        pytest.param(lambda t: _replace(t, "sa.h0.wv", ("sa.h0.wv", np.zeros((23, 12), "<f4"))),
+                     id="short-head"),
+        # Widths 4 and 2 fill the 6 query columns of two heads of 3.
+        pytest.param(lambda t: _replace(_replace(t, "fa.h0.wq", ("fa.h0.wq", np.zeros((6, 4), "<f4"))),
+                                        "fa.h1.wq", ("fa.h1.wq", np.zeros((6, 2), "<f4"))),
+                     id="unequal-heads"),
+        pytest.param(lambda t: t + [("fa.h2.wq", np.zeros((6, 3), "<f4"))], id="leftover-head"),
+        pytest.param(lambda t: t + [("fa.wqkv", np.zeros((6, 18), "<f4"))], id="version-2-name"),
+    ])
+    def test_malformed_heads_are_checkpoint_errors(self, tmp_path, capsys, edit):
+        header, tensors = read_v1_bundle()
+        path = tmp_path / "v1.bin"
+        write_v1_bundle(path, header, edit(tensors))
+        out = tmp_path / "out"
+        code = main(["explain", "--checkpoint", str(path), "--unit", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"data error: CheckpointError: {path}: " in err
+        assert not out.exists()
+
+
 class TestCheckpoint:
     @staticmethod
     def _bundle_parts():
@@ -512,6 +631,19 @@ class TestCheckpoint:
         path.write_bytes(self._with_header(path.read_bytes(), edit))
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_bundle(path)
+
+    @pytest.mark.parametrize("name, message", [
+        ("bogus.extra", "unknown parameters ['bogus.extra']"),
+        ("fa.wqkv", "repeated tensor name 'fa.wqkv'"),
+    ], ids=["unknown", "repeated"])
+    def test_extra_tensor_names_the_path(self, tmp_path, name, message):
+        model, cm, config, _ = self._bundle_parts()
+        path = tmp_path / "bundle.bin"
+        save_bundle(path, model, cm, config)
+        path.write_bytes(with_extra_tensor(path.read_bytes(), name))
+        with pytest.raises(CheckpointError, match=re.escape(str(path))) as err:
+            load_bundle(path)
+        assert message in str(err.value)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         model, cm, config, _ = self._bundle_parts()
