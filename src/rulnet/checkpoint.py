@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import N_CHANNELS, N_SETTINGS, ConditionModel
+from .data import ConditionModel
 from .errors import CheckpointError, ConfigurationError, DimensionError, RulnetError
 from .model import RulModel
 
@@ -78,11 +78,7 @@ def save_bundle(path: str | Path, model: RulModel, cm: ConditionModel, config: d
     header = {
         "hyperparams": model.hyperparams(),
         "config": config,
-        "condition_model": {
-            "centroids": cm.centroids.tolist(),
-            "means": cm.means.tolist(),
-            "stds": cm.stds.tolist(),
-        },
+        "condition_model": cm.to_dict(),
         "tensors": table,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -144,11 +140,11 @@ def load_bundle(path: str | Path) -> Bundle:
         model.load_state_arrays(_join_v1_heads(model, arrays) if version == 1 else arrays)
     except (RulnetError, TypeError, ValueError, SyntaxError) as exc:
         raise CheckpointError(f"{path}: cannot rebuild the model: {exc!r}") from None
-    return Bundle(
-        model=model,
-        condition_model=_read_condition_model(path, header["condition_model"]),
-        config=config,
-    )
+    try:
+        cm = ConditionModel.from_dict(header["condition_model"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad condition model: {exc}") from None
+    return Bundle(model=model, condition_model=cm, config=config)
 
 
 def _is_count(value) -> bool:
@@ -203,20 +199,3 @@ def _join_v1_heads(model: RulModel, arrays: dict[str, np.ndarray]) -> dict[str, 
         arrays[f"{block}.wqkv"] = np.concatenate(parts, axis=1)
     return arrays
 
-
-def _read_condition_model(path, data: dict) -> ConditionModel:
-    try:
-        centroids, means, stds = (
-            np.array(data[key], dtype=np.float64) for key in ("centroids", "means", "stds")
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: bad condition model: {exc!r}") from None
-    k = len(centroids) if centroids.ndim else 0
-    if not (
-        k >= 1
-        and centroids.shape == (k, N_SETTINGS)
-        and means.shape == stds.shape == (k, N_CHANNELS)
-        and all(np.isfinite(a).all() for a in (centroids, means, stds))
-    ):
-        raise CheckpointError(f"{path}: bad condition model shapes or values")
-    return ConditionModel(centroids=centroids, means=means, stds=stds)

@@ -4,8 +4,8 @@ Commands: preprocess, train, evaluate, explain, sweep, plus synth-data
 for generating demo datasets.  Global flags --config/--seed/--out; every
 ExperimentConfig field is also a flag of the same name, whose text
 ``ExperimentConfig.parse_field`` parses.  Exit codes: 0 success, 1 usage
-or configuration error (a bad flag or flag value included), 2 data
-error, 3 runtime failure.
+or configuration error (a bad flag or flag value, or a named path that
+cannot be read or created, included), 2 data error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ USAGE_EXIT = 1
 DATA_EXIT = 2
 RUNTIME_EXIT = 3
 
-CONDITION_MODEL_FILE = "condition_model.txt"
+CONDITION_MODEL_FILE = "condition_model.json"
 WINDOWS_FILE = "windows_train.txt"
 
 
@@ -150,9 +150,9 @@ def _blas_build() -> dict[str, str]:
     }
 
 
-def _train_once(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def _train_once(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, Bundle]:
     """Run one training with the config's first seed; writes checkpoint,
-    log, manifest. Returns summary.
+    log, manifest. Returns the summary and the bundle it saved.
 
     The model is built first, so that its size and dropout checks also
     fail before any output or any data read.
@@ -168,7 +168,8 @@ def _train_once(cfg: ExperimentConfig, out_dir: Path) -> dict:
     result = fit(model, windows, cfg)
     wall = time.perf_counter() - started
 
-    bundle_config = cfg.override(seeds=[seed]).to_dict()
+    bundle = Bundle(model, cm, cfg.override(seeds=[seed]))
+    bundle_config = bundle.config.to_dict()
     checkpoint_path = out_dir / "checkpoint.bin"
     save_bundle(checkpoint_path, model, cm, bundle_config)
 
@@ -212,7 +213,7 @@ def _train_once(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "epochs": result.epochs_run,
         "best_val_rmse": result.best_val_rmse,
         "wall_time_s": wall,
-    }
+    }, bundle
 
 
 def _evaluate_bundle(bundle: Bundle, cfg: ExperimentConfig, out_dir: Path, clip: bool | None = None) -> dict:
@@ -266,7 +267,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     cfg.validate()
-    summary = _train_once(cfg, Path(cfg.out_dir))
+    summary, _ = _train_once(cfg, Path(cfg.out_dir))
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
 
@@ -308,6 +309,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     cycles = None
     if args.cycles and args.cycles != "all":
         cycles = _cycle_range(args.cycles, len(traj))
+    selected = cycles or range(1, len(traj) + 1)
     matrix_cycles = None
     if args.matrix_cycles:
         try:
@@ -316,10 +318,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 f"--matrix-cycles must be comma-separated cycles, got {args.matrix_cycles!r}"
             ) from None
-        if not all(1 <= c <= len(traj) for c in matrix_cycles):
+        if not all(c in selected for c in matrix_cycles):
             raise ConfigurationError(
-                f"--matrix-cycles {args.matrix_cycles} must satisfy 1 <= cycle <= {len(traj)}, "
-                "the unit's cycle count"
+                f"--matrix-cycles {args.matrix_cycles} must be among the explained cycles "
+                f"{selected.start}:{selected.stop - 1}"
             )
 
     export = export_attention(bundle, traj, cycles=cycles, matrix_cycles=matrix_cycles)
@@ -388,8 +390,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "error": "",
             }
             try:
-                summary = _train_once(run_cfg, run_dir)
-                bundle = load_bundle(run_dir / "checkpoint.bin")
+                summary, bundle = _train_once(run_cfg, run_dir)
                 metrics = _evaluate_bundle(bundle, run_cfg, run_dir)
                 row.update(
                     rmse=repr(metrics["rmse"]),
@@ -480,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--unit", type=int, required=True)
     p_explain.add_argument("--cycles", default="all", help='"all" or "first:last" (1-based, inclusive)')
     p_explain.add_argument("--matrix-cycles", default=None,
-                           help="comma-separated cycles to emit full matrices for (default: all)")
+                           help="comma-separated cycles, among --cycles, to emit full matrices for "
+                                "(default: all)")
     p_explain.add_argument("--test-path", default=None)
     p_explain.add_argument("--truth-path", default=None)
     p_explain.add_argument("--out", default=None)
@@ -518,6 +520,9 @@ def main(argv: list[str] | None = None) -> int:
     except RulnetError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
+    except OSError as exc:  # a path the user named cannot be read or created
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
 
 
 if __name__ == "__main__":

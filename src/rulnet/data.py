@@ -8,7 +8,9 @@ carry one non-negative integer per line, ordered like the test units.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -226,63 +228,51 @@ class ConditionModel:
         d2 = ((settings[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
         return d2.argmin(axis=1)
 
-    # -- text serialization (format: see README "Condition model file") --
+    def to_dict(self) -> dict:
+        """The model as nested lists: the ``condition_model`` object of a
+        bundle header and the content of ``condition_model.json``."""
+        return {"centroids": self.centroids.tolist(), "means": self.means.tolist(),
+                "stds": self.stds.tolist()}
+
+    @classmethod
+    def from_dict(cls, data) -> "ConditionModel":
+        """Rebuild a model from :meth:`to_dict` output.  A missing or extra
+        key, k < 1, a row of the wrong length, or a value that is not a
+        finite number is a ValueError."""
+        widths = {"centroids": N_SETTINGS, "means": N_CHANNELS, "stds": N_CHANNELS}
+        if not isinstance(data, dict) or set(data) != set(widths):
+            raise ValueError(f"expected exactly the keys {sorted(widths)}")
+        k = len(data["centroids"]) if isinstance(data["centroids"], list) else 0
+        for key, width in widths.items():
+            rows = data[key]
+            if k < 1 or not (isinstance(rows, list) and len(rows) == k and all(
+                isinstance(row, list) and len(row) == width for row in rows
+            )):
+                raise ValueError(f"{key} must be k >= 1 rows of {width} values, k = {k}")
+            # bool is not a number here; an int past the float range is not finite.
+            if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                       for row in rows for v in row):
+                raise ValueError(f"{key} holds a value that is not a finite number")
+        return cls(**data)
+
+    # -- condition_model.json, the export of ``rulnet preprocess`` --
     def save_text(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as out:
-            out.write("conditionmodel v1\n")
-            out.write(f"k {self.k}\n")
-            out.write("centroids\n")
-            for row in self.centroids:
-                out.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-            out.write("stats mean std\n")
-            for j in range(self.k):
-                for i in range(self.means.shape[1]):
-                    out.write(
-                        f"{j} {i} {self.means[j, i]:.17g} {self.stds[j, i]:.17g}\n"
-                    )
+        Path(path).write_text(
+            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
 
     @classmethod
     def load_text(cls, path: str | Path) -> "ConditionModel":
-        """Read a conditionmodel v1 file.  A malformed or truncated file,
-        including one whose last line lacks its newline, or a missing,
-        repeated or non-finite statistic, is a ParseError naming the path."""
+        """Read a file written by :meth:`save_text`.  Bytes that are not
+        UTF-8 JSON ending in a newline, or that :meth:`from_dict` rejects,
+        are a ParseError naming the path."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            lines = text.split("\n")
-            if lines[0] != "conditionmodel v1":
-                raise ParseError(f"{path}: not a conditionmodel v1 file")
+            text = Path(path).read_text(encoding="utf-8")
             if not text.endswith("\n"):
-                raise ParseError(f"{path}: truncated: the last line has no newline")
-            tag, k = lines[1].split()
-            k = int(k)
-            if tag != "k" or k < 1 or lines[2] != "centroids":
-                raise ValueError("bad k or centroids line")
-            centroids = np.array(
-                [[float(v) for v in lines[3 + j].split()] for j in range(k)]
-            )
-            if centroids.shape != (k, N_SETTINGS) or lines[3 + k] != "stats mean std":
-                raise ValueError("bad centroids section")
-            means = np.zeros((k, N_CHANNELS))
-            stds = np.zeros((k, N_CHANNELS))
-            seen = np.zeros((k, N_CHANNELS), dtype=bool)
-            for ln in lines[4 + k :]:
-                if not ln:
-                    continue
-                j, i, mu, sigma = ln.split()
-                j, i = int(j), int(i)
-                if not (0 <= j < k and 0 <= i < N_CHANNELS) or seen[j, i]:
-                    raise ValueError(f"condition {j} channel {i} out of range or repeated")
-                means[j, i], stds[j, i], seen[j, i] = float(mu), float(sigma), True
-        except ValueError as exc:  # a bad number or field count, or undecodable bytes
+                raise ValueError("truncated: the last line has no newline")
+            return cls.from_dict(json.loads(text))
+        except ValueError as exc:  # bad JSON or undecodable bytes included
             raise ParseError(f"{path}: malformed condition model: {exc}") from None
-        except IndexError:
-            raise ParseError(f"{path}: truncated condition model") from None
-        if not seen.all():
-            raise ParseError(f"{path}: truncated: {int((~seen).sum())} statistics missing")
-        if not (np.isfinite(centroids).all() and np.isfinite(means).all() and np.isfinite(stds).all()):
-            raise ParseError(f"{path}: non-finite condition statistics")
-        return cls(centroids=centroids, means=means, stds=stds)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -174,9 +174,10 @@ def export_attention(
 
     ``cycles`` defaults to every cycle of the trajectory (windows ending
     before cycle T are padded backward).  Full F x F matrices are kept
-    for ``matrix_cycles`` (default: all requested cycles); the per-cycle
-    column-sum view always covers every requested cycle.  Windows go
-    through the model in batches of at most ``PREDICT_BATCH``.
+    for ``matrix_cycles`` (default: all requested cycles), each of which
+    must be a requested cycle; the per-cycle column-sum view always
+    covers every requested cycle.  Windows go through the model in
+    batches of at most ``PREDICT_BATCH``.
     """
     model = bundle.model
     if model.feature_attention is None:
@@ -188,11 +189,13 @@ def export_attention(
     outside = cycles[(cycles < 1) | (cycles > total)]
     if outside.size:
         raise ContractError(f"cycle {outside[0]} outside 1..{total}")
-    in_matrix = (
-        np.ones(len(cycles), dtype=bool)
-        if matrix_cycles is None
-        else np.isin(cycles, [int(c) for c in matrix_cycles])
-    )
+    in_matrix = np.ones(len(cycles), dtype=bool)
+    if matrix_cycles is not None:
+        matrix_cycles = np.array([int(c) for c in matrix_cycles], dtype=np.int64)
+        missing = matrix_cycles[~np.isin(matrix_cycles, cycles)]
+        if missing.size:
+            raise ContractError(f"matrix cycle {missing[0]} is not among the requested cycles")
+        in_matrix = np.isin(cycles, matrix_cycles)
 
     chans = normalize(trajectory, bundle.condition_model).channels
     n_heads, n_features = model.feature_attention.heads, model.n_features

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -68,7 +69,7 @@ class TestPreprocess:
         assert summary["train_units"] == 8
         assert summary["test_units"] == 4
         assert summary["conditions"] == 1
-        assert (out / "condition_model.txt").exists()
+        assert (out / "condition_model.json").exists()
         assert (out / "windows_train.txt").exists()
 
     def test_skip_windows_flag(self, workspace):
@@ -134,8 +135,19 @@ class TestPreprocess:
         digest = hashlib.sha256((out / "windows_train.txt").read_bytes()).hexdigest()
         assert digest == "bb9004e6ecb13e918a557f610d1972eb62d8500c5bf95344935fb36b42a9faa6"
 
-    @pytest.mark.parametrize("corrupt", [(), ("windows_train.txt",), ("condition_model.txt",),
-                                         ("windows_train.txt", "condition_model.txt")],
+    def test_condition_model_export_is_the_bundle_header_object(self, workspace, trained,
+                                                                 tmp_path):
+        out = tmp_path / "prep"
+        assert main(["preprocess", "--config", str(workspace["config"]), "--out", str(out),
+                     "--seed", "3", "--skip-windows"] + FAST_FLAGS) == 0
+        blob = (trained / "checkpoint.bin").read_bytes()
+        (header_len,) = struct.unpack_from("<Q", blob, 12)
+        header = json.loads(blob[20 : 20 + header_len])
+        exported = json.loads((out / "condition_model.json").read_text(encoding="utf-8"))
+        assert exported == header["condition_model"]
+
+    @pytest.mark.parametrize("corrupt", [(), ("windows_train.txt",), ("condition_model.json",),
+                                         ("windows_train.txt", "condition_model.json")],
                              ids=["exports", "windows", "condition-model", "both"])
     def test_train_ignores_preprocess_exports(self, workspace, tmp_path, corrupt):
         # The exports of a preprocess with another r_max, whole or corrupt,
@@ -404,6 +416,14 @@ class TestExplain:
         assert f"configuration error: {flag}" in capsys.readouterr().err
         assert not (trained / "explain_bad").exists()
 
+    def test_matrix_cycle_outside_cycles_is_usage_error(self, trained, capsys):
+        out = trained / "explain_bad"
+        code = main(["explain", "--checkpoint", str(trained / "checkpoint.bin"), "--unit", "2",
+                     "--cycles", "1:2", "--matrix-cycles", "3", "--out", str(out)])
+        assert code == 1
+        assert "configuration error: --matrix-cycles 3 " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_last_cycle_is_in_range(self, workspace, trained):
         test = parse_cmapss(workspace["raw"]["test_path"])
         length = next(len(t) for t in test if t.unit_id == 2)
@@ -573,7 +593,8 @@ CONFIG_ARGS = ["--config", "{config}", "--out", "{out}", "--max-epochs", "1",
 # (argv, config file values, bundle header values, exit code, the flag or
 # field the error line must name).  "{config}" is the workspace config with
 # the given values, "{bundle}" the trained checkpoint with the given header
-# config values, and "{out}" a directory that must not be created.
+# config values, "{missing}" a file that does not exist, and "{out}" a
+# directory that must not be created.
 ENTRY_POINT_CASES = [
     *[pytest.param([command, *CONFIG_ARGS], {name: value}, {}, 1, name,
                    id=f"{command}-config-{name}")
@@ -605,6 +626,10 @@ ENTRY_POINT_CASES = [
                  {}, {}, 1, "--repeats", id="sweep-repeats"),
     pytest.param(["synth-data", "--out", "{out}", "--units", "x"], {}, {}, 1, "--units",
                  id="synth-units"),
+    *[pytest.param([command, "--checkpoint", "{bundle}", *unit, flag, "{missing}",
+                    "--out", "{out}"], {}, {}, 1, "missing.txt", id=f"{command}-missing-{flag[2:]}")
+      for command, unit in [("evaluate", []), ("explain", ["--unit", "1"])]
+      for flag in ("--test-path", "--truth-path")],
 ]
 
 
@@ -619,7 +644,8 @@ class TestEntryPoints:
         save_bundle(bundle_path, bundle.model, bundle.condition_model,
                     {**bundle.config.to_dict(), **header})
         out = tmp_path / "out"
-        paths = {"{config}": str(config_path), "{bundle}": str(bundle_path), "{out}": str(out)}
+        paths = {"{config}": str(config_path), "{bundle}": str(bundle_path), "{out}": str(out),
+                 "{missing}": str(tmp_path / "missing.txt")}
         assert main([paths.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -627,6 +653,22 @@ class TestEntryPoints:
         assert line.startswith("configuration error: " if code == 1 else "data error: ")
         assert name in line
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "evaluate", "explain"])
+    def test_out_naming_a_file_is_one_error_line(self, workspace, trained, tmp_path, capsys,
+                                                 command):
+        out = tmp_path / "afile"
+        out.write_text("kept\n")
+        argv = {
+            "preprocess": ["--config", str(workspace["config"]), "--window", "10"],
+            "train": ["--config", str(workspace["config"]), "--max-epochs", "1"],
+            "evaluate": ["--checkpoint", str(trained / "checkpoint.bin")],
+            "explain": ["--checkpoint", str(trained / "checkpoint.bin"), "--unit", "1"],
+        }[command]
+        assert main([command, *argv, "--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("configuration error: ") and str(out) in line
+        assert out.read_text() == "kept\n"
 
     def test_int_for_float_field_is_kept(self, workspace, tmp_path):
         config_path = tmp_path / "config.json"

@@ -541,20 +541,22 @@ class TestWindowsFileText:
             assert str(path) in str(err.value)
 
     def test_corrupt_text_artifacts_name_the_path(self, tmp_path, synth1):
-        cm_path = tmp_path / "cm.txt"
+        cm_path = tmp_path / "cm.json"
         D.cluster_conditions(synth1["train"], k=1, seed=0).save_text(cm_path)
         win_path = tmp_path / "w.txt"
         D.save_windows(D.window_split(TestWindowSplit._traj(4), 2, 125), win_path)
+        first_value = r"(\[\s*\[\s*)[^,\s]+"  # the first number of the first array
         corruptions = {
-            cm_path: [(r"\nk 1", "\nk one"), (r"\n0 5 ", "\n0 99 "), (r"\n0 7 ", "\n0 6 "),
-                      (r"\n0 3 \S+", "\n0 3 nan")],
+            cm_path: [(first_value, r"\1NaN"), (first_value, r'\1"1.5"'),
+                      (r'("means": \[)\s*\[[^\]]*\]', r"\1"),  # the only row of means
+                      (r"^\{", '{\n  "k": 1,')],
             win_path: [("count 3", "count x"), ("window 2", "window 0"), (r"\n1 3 \S+", "\n1 3 abc")],
         }
         for path, edits in corruptions.items():
             loader = D.load_windows if path == win_path else D.ConditionModel.load_text
             good = path.read_text()
             for pattern, replacement in edits:
-                bad = re.sub(pattern, replacement, good, count=1)
+                bad = re.sub(pattern, replacement, good, count=1, flags=re.M)
                 assert bad != good
                 path.write_text(bad)
                 with pytest.raises(ParseError, match=re.escape(str(path))):

@@ -354,6 +354,12 @@ class TestExportAttention:
         with pytest.raises(ContractError):
             export_attention(bundle, make_test_trajs(1, length=5)[0], cycles=[9])
 
+    def test_matrix_cycle_outside_cycles(self):
+        bundle = four_channel_bundle()
+        traj = make_test_trajs(1, length=12)[0]
+        with pytest.raises(ContractError, match="matrix cycle 2 "):
+            export_attention(bundle, traj, cycles=range(4, 9), matrix_cycles=[2, 5, 8, 11])
+
     def test_csv_files_written(self, tmp_path):
         bundle = four_channel_bundle()
         traj = make_test_trajs(1, length=8)[0]
@@ -373,7 +379,7 @@ class TestExportAttention:
         "cycle-subset": (12, [2, 7, 12], None),
         "unsorted-repeated": (12, [9, 3, 9, 1], None),
         "matrix-subset": (12, None, [1, 6, 12]),
-        "matrix-outside-cycles": (12, range(4, 9), [2, 5, 8, 11]),
+        "matrix-within-cycles": (12, range(4, 9), [5, 8]),
         "shorter-than-window": (4, None, None),
     }
 
