@@ -155,14 +155,16 @@ def _train_once(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, Bundle]:
     log, manifest. Returns the summary and the bundle it saved.
 
     The model is built first, so that its size and dropout checks also
-    fail before any output or any data read.
+    fail before any output or any data read.  ``out_dir`` is made once
+    the windows are built, so a data error leaves no directory, and
+    before training, so an uncreatable one fails without a wasted fit.
     """
     seed = cfg.seeds[0]
     model = RulModel(**cfg.model_kwargs(), init_rng=generator(seed, "init"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_trajs, _, _ = _load_raw(cfg)
     cm, normed = _prepare(cfg, train_trajs)
     windows = window_arrays(normed, cfg.window, cfg.r_max)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
     result = fit(model, windows, cfg)
@@ -233,12 +235,12 @@ def _evaluate_bundle(bundle: Bundle, cfg: ExperimentConfig, out_dir: Path, clip:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     cfg.validate()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_trajs, test_trajs, truth = _load_raw(cfg)
     pair_test_truth(test_trajs, truth)
     cm, normed = _prepare(cfg, train_trajs)
     samples = [s for traj in normed for s in window_split(traj, cfg.window, cfg.r_max)]
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     cm.save_text(out_dir / CONDITION_MODEL_FILE)
     if not args.skip_windows:
         save_windows(samples, out_dir / WINDOWS_FILE)

@@ -283,15 +283,16 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            raise ClusteringError(f"fewer than {k} distinct setting points")
-        if not np.isfinite(total):
-            raise ClusteringError("the squared distances between setting points overflow")
-        centroids[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    with np.errstate(over="ignore"):  # an overflowing total is checked below
+        d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+        for j in range(1, k):
+            total = d2.sum()
+            if total <= 0:
+                raise ClusteringError(f"fewer than {k} distinct setting points")
+            if not np.isfinite(total):
+                raise ClusteringError("the squared distances between setting points overflow")
+            centroids[j] = points[rng.choice(n, p=d2 / total)]
+            d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
     return centroids
 
 
@@ -305,16 +306,18 @@ def _lloyd(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(points, k, rng)
     assignment = None
-    for _ in range(KMEANS_MAX_ITER):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_assignment = d2.argmin(axis=1)
-        if assignment is not None and np.array_equal(new_assignment, assignment):
-            break
-        assignment = new_assignment
-        for j in range(k):
-            members = points[assignment == j]
-            if len(members):  # empty clusters keep their previous centroid
-                centroids[j] = members.mean(axis=0)
+    # An overflowing centroid is a ClusteringError in cluster_conditions.
+    with np.errstate(over="ignore"):
+        for _ in range(KMEANS_MAX_ITER):
+            d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            new_assignment = d2.argmin(axis=1)
+            if assignment is not None and np.array_equal(new_assignment, assignment):
+                break
+            assignment = new_assignment
+            for j in range(k):
+                members = points[assignment == j]
+                if len(members):  # empty clusters keep their previous centroid
+                    centroids[j] = members.mean(axis=0)
     return centroids
 
 

@@ -229,9 +229,13 @@ def write_attention_csvs(export: AttentionExport, out_dir: str | Path) -> dict[s
     """Write attention_feature.csv and attention_cycle_sums.csv.
 
     The rows are what ``csv.writer`` makes of (cycle, head, row sensor,
-    column sensor, repr(weight)) and (cycle, sensor, repr(weight sum)):
-    comma-separated, CRLF-terminated, no field needing quotes.  Each
-    cycle's rows are formatted as one string and written as it is made.
+    column sensor, "%.9g" % weight) and (cycle, sensor, "%.9g" % weight
+    sum): comma-separated, CRLF-terminated, no field needing quotes.
+    Nine significant digits round-trip every float32, so each head
+    weight parses back to the exact value the model produced; the
+    float64 mean rows and column sums are printed rounded to nine digits.
+    Each cycle's rows are formatted as one string and written as it is
+    made.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,10 +260,10 @@ def write_attention_csvs(export: AttentionExport, out_dir: str | Path) -> dict[s
 
 def _write_rows(path: Path, header: str, cycles: np.ndarray, values: np.ndarray,
                 suffixes: list[str]) -> None:
-    """Row k of cycle c's block is ``c + suffixes[k] + repr(value k)``, CRLF-terminated."""
-    # One cycle's rows as a %-template: "\0" stands for the cycle, and
-    # %r formats a float exactly as repr() does.
-    template = "".join("\0" + suffix + "%r\r\n" for suffix in suffixes)
+    """Row k of cycle c's block is ``c + suffixes[k] + "%.9g" % value k``, CRLF-terminated."""
+    # One cycle's rows as a %-template: "\0" stands for the cycle.  %.9g
+    # is the float32 round-trip width, and about 3x faster than %r.
+    template = "".join("\0" + suffix + "%.9g\r\n" for suffix in suffixes)
     with open(path, "w", newline="", encoding="utf-8") as out:
         out.write(header + "\r\n")
         for cycle, block in zip(cycles.tolist(), values):

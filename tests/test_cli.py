@@ -97,7 +97,7 @@ class TestPreprocess:
         )
         assert code == 2
         assert "condition 0, channel 7: " in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_missing_truth_file_fails_before_compute(self, workspace):
         out = workspace["root"] / "prep_bad"
@@ -593,8 +593,8 @@ CONFIG_ARGS = ["--config", "{config}", "--out", "{out}", "--max-epochs", "1",
 # (argv, config file values, bundle header values, exit code, the flag or
 # field the error line must name).  "{config}" is the workspace config with
 # the given values, "{bundle}" the trained checkpoint with the given header
-# config values, "{missing}" a file that does not exist, and "{out}" a
-# directory that must not be created.
+# config values, "{missing}" a file that does not exist, "{short}" a one-line
+# train file of 3 columns, and "{out}" a directory that must not be created.
 ENTRY_POINT_CASES = [
     *[pytest.param([command, *CONFIG_ARGS], {name: value}, {}, 1, name,
                    id=f"{command}-config-{name}")
@@ -630,6 +630,9 @@ ENTRY_POINT_CASES = [
                     "--out", "{out}"], {}, {}, 1, "missing.txt", id=f"{command}-missing-{flag[2:]}")
       for command, unit in [("evaluate", []), ("explain", ["--unit", "1"])]
       for flag in ("--test-path", "--truth-path")],
+    *[pytest.param([command, *CONFIG_ARGS, "--train-path", "{short}"], {}, {}, 2,
+                   "expected 26 columns, found 3", id=f"{command}-short-rows")
+      for command in ("preprocess", "train")],
 ]
 
 
@@ -644,8 +647,10 @@ class TestEntryPoints:
         save_bundle(bundle_path, bundle.model, bundle.condition_model,
                     {**bundle.config.to_dict(), **header})
         out = tmp_path / "out"
+        short_path = tmp_path / "short.txt"
+        short_path.write_text("1 1 0.5\n")
         paths = {"{config}": str(config_path), "{bundle}": str(bundle_path), "{out}": str(out),
-                 "{missing}": str(tmp_path / "missing.txt")}
+                 "{missing}": str(tmp_path / "missing.txt"), "{short}": str(short_path)}
         assert main([paths.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -213,7 +214,8 @@ class TestClusterConditions:
         channels = np.hstack([rng.integers(0, 2, (40, 3)) * 10.0, rng.standard_normal((40, 21))])
         channels[5, column], channels[6, column] = values
         traj = D.RawTrajectory(unit_id=1, channels=channels)
-        with pytest.raises(ClusteringError) as err:
+        with warnings.catch_warnings(), pytest.raises(ClusteringError) as err:
+            warnings.simplefilter("error", RuntimeWarning)  # the overflow shows only as the error
             D.cluster_conditions([traj], k=k, seed=0)
         if kind != "setting" or k == 1:
             assert re.search(rf"condition \d, channel {column}: ", str(err.value))

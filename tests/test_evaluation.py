@@ -268,7 +268,8 @@ def reference_export_attention(bundle, trajectory, cycles=None, matrix_cycles=No
 
 
 def reference_write_attention_csvs(export, out_dir):
-    """The csv.writer version of the attention CSVs."""
+    """The csv.writer version of the attention CSVs, each value in
+    nine significant digits."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     feature_path = out_dir / "attention_feature.csv"
@@ -277,12 +278,12 @@ def reference_write_attention_csvs(export, out_dir):
         writer = csv.writer(out)
         writer.writerow(["cycle", "head", "row_sensor", "col_sensor", "weight"])
         for row in export.feature_rows:
-            writer.writerow([row[0], row[1], row[2], row[3], repr(row[4])])
+            writer.writerow([row[0], row[1], row[2], row[3], "%.9g" % row[4]])
     with open(sums_path, "w", newline="", encoding="utf-8") as out:
         writer = csv.writer(out)
         writer.writerow(["cycle", "sensor", "weight_sum"])
         for cycle, sensor, weight in export.cycle_sums:
-            writer.writerow([cycle, sensor, repr(weight)])
+            writer.writerow([cycle, sensor, "%.9g" % weight])
     return {"feature": feature_path, "cycle_sums": sums_path}
 
 
@@ -422,6 +423,28 @@ class TestExportAttention:
         ref = reference_write_attention_csvs(as_reference(export), tmp_path / "ref")
         for name in ("feature", "cycle_sums"):
             assert new[name].read_bytes() == ref[name].read_bytes()
+
+    def test_csv_gives_back_every_float32_weight(self, tmp_path):
+        bundle = four_channel_bundle()  # float32 weights
+        export = export_attention(bundle, make_test_trajs(1, length=12)[0])
+        paths = write_attention_csvs(export, tmp_path)
+        with open(paths["feature"], newline="") as fh:
+            feature = list(csv.DictReader(fh))
+        with open(paths["cycle_sums"], newline="") as fh:
+            sums = list(csv.DictReader(fh))
+        heads = bundle.model.feature_attention.heads
+        head_rows = [r for r in feature if r["head"] != "mean"]
+        assert len(head_rows) == 12 * heads * 24 * 24
+        parsed = np.array([np.float32(float(r["weight"])) for r in head_rows])
+        expected = export.weights[:, :heads].astype(np.float32).ravel()
+        np.testing.assert_array_equal(parsed, expected)
+        for text in [r["weight"] for r in feature] + [r["weight_sum"] for r in sums]:
+            mantissa = text.lstrip("-").partition("e")[0].replace(".", "").lstrip("0")
+            assert len(mantissa) <= 9, text
+        totals = np.zeros(12)
+        for r in sums:
+            totals[int(r["cycle"]) - 1] += float(r["weight_sum"])
+        np.testing.assert_allclose(totals, 24.0, rtol=1e-6)
 
     @given(
         blocks=st.integers(1, 3),

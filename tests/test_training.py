@@ -422,17 +422,20 @@ class TestFit:
 # saved again with its config's data paths blanked.
 V1_BUNDLE = Path(__file__).parent / "fixtures" / "bundle_v1.bin"
 
-# sha256 of what that code wrote for `evaluate`, and for `explain --unit 2
-# --matrix-cycles 1,7`, on the v1 bundle and the v1_dataset test files, with
-# numpy 2.4 on OpenBLAS (x86-64, one thread); another BLAS build may round
-# the float32 products differently.
+# sha256 of what `evaluate`, and `explain --unit 2 --matrix-cycles 1,7`, write
+# on the v1 bundle and the v1_dataset test files, with numpy 2.4 on OpenBLAS
+# (x86-64, one thread); another BLAS build may round the float32 products
+# differently.  The `eval/*` and `explain/predictions.csv` digests are those
+# of the code that wrote the bundle.  The two attention CSVs are those of the
+# nine-significant-digit format; the code that wrote the bundle printed the
+# same weights with repr.
 V1_DIGESTS = {
     "eval/metrics.json": "2de6d0d6ba264fd2bf2d5ce2392e550f1145e65df8682dfcac55cc75dc45e556",
     "eval/predictions.csv": "dfd8784e7e242aad182cde1e52dd8e1edeafcb5ee14e8b6b827dddec4d3d3dfb",
     "explain/attention_cycle_sums.csv":
-        "fb311916cc3329cc3158c9724773db012080aae37b79026be70190f7eba55d31",
+        "6dfb97c4a7eeee5db2c950c677476766c26c04bf2e45364bab6b2576b53f4b63",
     "explain/attention_feature.csv":
-        "2f1e8f5451945058d18f8835e85f7cf20af5139b843de2d8bc7c48c1d44e466e",
+        "a6cf38f699feb7741b9bf63130247014ee49d472b88dcc62dba03ee2f0440aae",
     "explain/predictions.csv": "5246c309e6197f01b07d2ee4b79c0a188386a2948f2ee3658032423485aeac24",
 }
 
