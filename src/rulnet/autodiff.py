@@ -4,9 +4,9 @@ recorded on a define-by-run tape and differentiated in reverse.
 Tensors wrap a numpy array (float32 by default, float64 for verification
 work).  While a :class:`Tape` is active, every operation whose inputs
 require gradients appends a node; ``Tape.backward`` replays the node list
-in reverse, which is a valid topological order by construction.  Recorded
-tensors refer to their tape only weakly, so a pass's whole graph is freed
-as soon as its last reference goes, without the cycle collector.
+in reverse, which is a valid topological order by construction.  Tensors
+hold no reference to the tape that recorded them, so a pass's whole graph
+is freed as soon as its last reference goes, without the cycle collector.
 
 Matrix products have two kernels.  The default delegates to BLAS.  The
 "exact" kernel accumulates over the contraction index sequentially, in
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -48,13 +47,13 @@ class Tensor:
     """Dense numeric array plus an optional gradient buffer.
 
     ``data`` is always a C-contiguous-compatible ndarray; ``grad`` is either
-    None or an ndarray of the same shape.  A tensor created by a recorded
-    operation holds a weak reference to the tape that produced it.
+    None or an ndarray of the same shape.  ``requires_grad`` is set on
+    parameters and on every tensor a tape records.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_tape", "name")
+    __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, np.ndarray) and dtype is None and data.dtype.kind == "f":
             arr = data  # hot path: ops hand in ready float arrays
         else:
@@ -68,8 +67,6 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._tape: "weakref.ref[Tape] | None" = None
-        self.name = name
 
     # -- introspection -------------------------------------------------
     @property
@@ -89,9 +86,8 @@ class Tensor:
         return self.data.dtype
 
     def __repr__(self) -> str:
-        tag = f" name={self.name}" if self.name else ""
         req = " grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{req}{tag})"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{req})"
 
     def item(self) -> float:
         if self.size != 1:
@@ -101,39 +97,15 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        """Propagate d(self)=1 through the tape that recorded this tensor."""
-        tape = None if self._tape is None else self._tape()
-        if tape is None:
-            raise TapeError("tensor is not attached to a live tape (detached loss)")
-        tape.backward(self)
-
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
+        return mul(self, other)
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def transpose(self) -> "Tensor":
-        return transpose(self)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
 
 
 Backward = Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]]
@@ -145,16 +117,14 @@ class Tape:
     Each node is an output tensor plus its gradient rule, which maps the
     upstream gradient to (input, contribution) pairs.  Execution order is
     a topological order, so reverse iteration visits every consumer of a
-    tensor before its producer.  Gradients propagate through per-call
-    scratch buffers and are then added into each requiring tensor's
-    persistent ``grad``, so calling backward twice accumulates additively.
+    tensor before its producer.  :meth:`backward` sums each tensor's
+    contributions for the call, then adds the sum into the persistent
+    ``grad`` of every tensor that requires one, so calling it twice
+    accumulates additively.
     """
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, Backward]] = []
-        # The one back-reference recorded tensors hold; being weak, it
-        # leaves no tape <-> tensor cycle for the collector to find.
-        self._ref = weakref.ref(self)
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -172,49 +142,37 @@ class Tape:
 
     def _record(self, out: Tensor, backward: Backward) -> None:
         out.requires_grad = True
-        out._tape = self._ref
         self._nodes.append((out, backward))
 
     def backward(self, loss: Tensor) -> None:
+        """Propagate d(loss)=1 back through every recorded node; ``loss``
+        must be a scalar this tape recorded."""
         if loss.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if loss._tape is not self._ref:
+        if not any(out is loss for out, _ in reversed(self._nodes)):
             raise TapeError("loss was not recorded on this tape")
 
-        # Scratch gradients keyed by tensor identity.  Scratch buffers are
-        # only mutated in place while exclusively owned, so contributions
-        # may be views; flushing into .grad uses out-of-place adds, which
-        # keeps repeated backward calls correct even when buffers alias.
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        owned: dict[int, bool] = {id(loss): True}
-        holders: dict[int, Tensor] = {id(loss): loss}
-
-        def _flush(tensor: Tensor, g: np.ndarray) -> None:
-            if tensor.requires_grad:
-                tensor.grad = g if tensor.grad is None else tensor.grad + g
-
+        # Summed gradients keyed by tensor identity.  Contributions may be
+        # views of other buffers, so every sum is taken out of place.
+        grads: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
         for out, backward in reversed(self._nodes):
-            g = grads.pop(id(out), None)
-            if g is None:
+            entry = grads.pop(id(out), None)
+            if entry is None:
                 continue
-            del owned[id(out)], holders[id(out)]
+            g = entry[1]
             _flush(out, g)
             for tensor, contrib in backward(g):
-                tkey = id(tensor)
-                if tkey in grads:
-                    if owned[tkey]:
-                        grads[tkey] += contrib
-                    else:
-                        grads[tkey] = grads[tkey] + contrib
-                        owned[tkey] = True
-                else:
-                    grads[tkey] = contrib
-                    owned[tkey] = False
-                    holders[tkey] = tensor
+                held = grads.get(id(tensor))
+                grads[id(tensor)] = (tensor, contrib if held is None else held[1] + contrib)
 
         # Whatever remains was produced outside this tape: the leaves.
-        for tkey, g in grads.items():
-            _flush(holders[tkey], g)
+        for tensor, g in grads.values():
+            _flush(tensor, g)
+
+
+def _flush(tensor: Tensor, g: np.ndarray) -> None:
+    if tensor.requires_grad:
+        tensor.grad = g if tensor.grad is None else tensor.grad + g
 
 
 def _tape_for(*tensors: Tensor) -> "Tape | None":
@@ -750,7 +708,7 @@ def gradcheck(
         loss = loss_fn()
     tape.backward(loss)
     worst = 0.0
-    for p in params:
+    for n, p in enumerate(params):
         analytic = np.zeros(p.shape, dtype=np.float64) if p.grad is None else p.grad.astype(np.float64)
         numeric = numeric_gradient(lambda: loss_fn().item(), p, eps=eps)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
@@ -759,7 +717,7 @@ def gradcheck(
         if rel.max() > rtol:
             idx = np.unravel_index(int(rel.argmax()), rel.shape)
             raise AssertionError(
-                f"gradient mismatch for {p.name or 'tensor'}{list(idx)}: "
+                f"gradient mismatch for parameter {n}{list(idx)}: "
                 f"analytic={analytic[idx]:.8g} numeric={numeric[idx]:.8g} rel={rel.max():.3g}"
             )
     return worst

@@ -97,15 +97,16 @@ def load_bundle(path: str | Path) -> Bundle:
     Anything that is not such a bundle is a CheckpointError naming the
     path: a bad magic, version or header schema; a tensor entry whose
     dtype is not a float, whose shape is not a list of non-negative
-    integers, whose nbytes is not its shape's size in bytes, or whose
-    offset leaves a gap or overlap; a buffer past the end of the file;
-    bytes after the last buffer; a tensor name that is repeated or that
-    the model does not have; a config key that is not an
-    :class:`ExperimentConfig` field, or a config value of the wrong type
-    for its field; and a model or condition model that the header cannot
-    rebuild.  Fields the header leaves out take their defaults.  Config
-    values are not range-checked here, so a bundle saved with a partial
-    config still loads.
+    integers or is one numpy cannot represent, whose nbytes is not its
+    shape's size in bytes, or whose offset leaves a gap or overlap; a
+    buffer past the end of the file; bytes after the last buffer; a
+    tensor name that is repeated or that the model does not have; a
+    config key that is not an :class:`ExperimentConfig` field, or a
+    config value of the wrong type for its field; and a model (one too
+    large to allocate included) or condition model that the header
+    cannot rebuild.  Fields the header leaves out take their defaults.
+    Config values are not range-checked here, so a bundle saved with a
+    partial config still loads.
     """
     try:
         raw = Path(path).read_bytes()
@@ -138,7 +139,7 @@ def load_bundle(path: str | Path) -> Bundle:
     try:
         model = RulModel.from_hyperparams(header["hyperparams"])
         model.load_state_arrays(_join_v1_heads(model, arrays) if version == 1 else arrays)
-    except (RulnetError, TypeError, ValueError, SyntaxError) as exc:
+    except (RulnetError, TypeError, ValueError, SyntaxError, MemoryError) as exc:
         raise CheckpointError(f"{path}: cannot rebuild the model: {exc!r}") from None
     try:
         cm = ConditionModel.from_dict(header["condition_model"])
@@ -177,7 +178,10 @@ def _read_tensors(path, table: list, raw: bytes, body_start: int) -> dict[str, n
         start = body_start + offset
         if start + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
-        arrays[name] = np.frombuffer(raw, dtype, math.prod(shape), start).reshape(shape)
+        try:
+            arrays[name] = np.frombuffer(raw, dtype, math.prod(shape), start).reshape(shape)
+        except ValueError as exc:  # a dimension numpy cannot index
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}: {exc}") from None
         offset += nbytes
     if body_start + offset != len(raw):
         extra = len(raw) - body_start - offset

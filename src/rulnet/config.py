@@ -121,7 +121,8 @@ class ExperimentConfig:
     def validate(self, require_paths: bool = True) -> None:
         """Raise ConfigurationError on the first field out of range; each
         check is written so that NaN fails it.  Layer sizes, head counts
-        and dropout are checked by building the model's skeleton."""
+        and dropout are checked by building the model's skeleton, which also
+        rejects layer sizes too large to allocate."""
         counts = ("window", "k_conditions", "batch_size", "early_stop_patience", "max_epochs")
         for name in counts:
             if not getattr(self, name) >= 1:
@@ -138,7 +139,14 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ConfigurationError("seed list is empty")
-        RulModel(**self.model_kwargs())
+        if min(self.seeds) < 0:
+            raise ConfigurationError(f"seeds must be >= 0, got {self.seeds}")
+        kwargs = self.model_kwargs()
+        try:
+            RulModel(**kwargs)
+        except (ValueError, MemoryError) as exc:
+            sizes = ", ".join(f"{k} {kwargs[k]}" for k in ("window", "lstm_hidden", "mlp_hidden"))
+            raise ConfigurationError(f"model too large to build ({sizes}): {exc}") from None
         if require_paths:
             for label in ("train_path", "test_path", "truth_path"):
                 value = getattr(self, label)

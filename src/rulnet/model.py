@@ -96,10 +96,6 @@ class MultiHeadAttention:
         self.last_weights: np.ndarray | None = None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.d_model:
-            raise DimensionError(
-                f"attention expects width {self.d_model}, got input shape {x.shape}"
-            )
         out, self.last_weights = ad.attention(x, self.w_qkv, self.w_o, self.heads)
         return out
 
@@ -142,10 +138,6 @@ class LstmStack:
         """(B, F, T) -> (B, hidden_size); a single (F, T) sample -> (hidden_size,)."""
         if x.ndim == 2:
             return ad.reshape(self(ad.reshape(x, (1,) + x.shape)), (self.hidden_size,))
-        if x.ndim != 3 or x.shape[1] != self.input_size:
-            raise DimensionError(
-                f"lstm expects (batch, {self.input_size}, T), got {x.shape}"
-            )
         return ad.lstm(x, self.w_x, self.w_h, self.bias)
 
     def parameters(self) -> Iterator[tuple[str, Tensor]]:

@@ -88,10 +88,10 @@ def generate_dataset(
     life_range: tuple[int, int] = (120, 220),
 ) -> SyntheticDataset:
     """Write train_<name>.txt, test_<name>.txt, RUL_<name>.txt to out_dir."""
-    if not 1 <= n_conditions <= len(_CONDITION_CENTERS) or min(n_train, n_test) < 1:
+    if not 1 <= n_conditions <= len(_CONDITION_CENTERS) or min(n_train, n_test) < 1 or seed < 0:
         raise ConfigurationError(
-            f"need 1..{len(_CONDITION_CENTERS)} conditions and >= 1 train and test units,"
-            f" got {n_conditions}, {n_train} and {n_test}"
+            f"need 1..{len(_CONDITION_CENTERS)} conditions, >= 1 train and test units and"
+            f" a seed >= 0, got {n_conditions}, {n_train}, {n_test} and seed {seed}"
         )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

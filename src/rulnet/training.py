@@ -35,6 +35,11 @@ def mse_loss(pred: Tensor, truth: Tensor) -> Tensor:
 # Elements per pass of the Adam update, so that its float64 scratch stays
 # in cache.
 ADAM_CHUNK = 16384
+# Adam's moment decay rates beta1 and beta2 and denominator offset eps: the
+# usual defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class AdamState:
@@ -42,10 +47,7 @@ class AdamState:
     float64 buffer in parameter order, plus the shared step counter and a
     flat gradient buffer in the parameters' dtype."""
 
-    def __init__(self, params: Sequence[Tensor], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: Sequence[Tensor]):
         self.step_count = 0
         ends = np.cumsum([p.size for p in params], dtype=np.int64).tolist()
         self.slices = [slice(end - p.size, end) for p, end in zip(params, ends)]
@@ -83,29 +85,28 @@ def adam_step(
     if grad is None:
         grad = state.gather(params)
     state.step_count += 1
-    beta1, beta2 = state.beta1, state.beta2
-    bc1 = 1.0 - beta1**state.step_count
-    bc2 = 1.0 - beta2**state.step_count
+    bc1 = 1.0 - ADAM_BETA1**state.step_count
+    bc2 = 1.0 - ADAM_BETA2**state.step_count
     unused = [(part, state.m[part].copy(), state.v[part].copy())
               for p, part in zip(params, state.slices) if p.grad is None]
     for lo in range(0, grad.size, ADAM_CHUNK):
         m, v, g, step = (a[lo : lo + ADAM_CHUNK] for a in (state.m, state.v, grad, state._step))
         num, den = state._num[: g.size], state._den[: g.size]
         # m = beta1 m + (1 - beta1) g, the product in the gradient's dtype
-        np.multiply(g, 1.0 - beta1, out=step)
-        m *= beta1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+        m *= ADAM_BETA1
         num[...] = step
         m += num
         # v = beta2 v + (1 - beta2) g², in float64
         num[...] = g
         np.square(num, out=num)
-        num *= 1.0 - beta2
-        v *= beta2
+        num *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += num
         # step = lr m̂ / (sqrt(v̂) + eps), rounded to the parameters' dtype
         np.divide(v, bc2, out=den)
         np.sqrt(den, out=den)
-        den += state.eps
+        den += ADAM_EPS
         np.divide(m, bc1, out=num)
         num *= lr
         num /= den

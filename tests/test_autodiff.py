@@ -241,7 +241,7 @@ class TestAttention:
     def test_records_one_node_and_nothing_without_a_tape(self):
         x, w_qkv, w_o = attention_setup((2, 4, 6), 2, seed=32)
         out, _ = ad.attention(x, w_qkv, w_o, 2)
-        assert out._tape is None and not out.requires_grad
+        assert not out.requires_grad
         with Tape() as tape:
             out, _ = ad.attention(x, w_qkv, w_o, 2)
         assert len(tape) == 1 and out.requires_grad
@@ -339,14 +339,18 @@ class TestBackward:
             tape.backward(y)
 
     def test_detached_loss_rejected(self):
-        x = Tensor(np.array([1.0]), requires_grad=True)
-        with pytest.raises(TapeError):
-            x.backward()
+        leaf = Tensor(np.array([1.0]), requires_grad=True)
         with Tape() as tape:
             pass
+        with pytest.raises(TapeError):
+            tape.backward(leaf)
         loose = ad.mean(Tensor(np.ones(2), requires_grad=True))
         with pytest.raises(TapeError):
             tape.backward(loose)
+        with Tape():
+            other = ad.mean(Tensor(np.ones(2), requires_grad=True))
+        with pytest.raises(TapeError):
+            tape.backward(other)
 
     def test_tapes_do_not_nest(self):
         with Tape():
@@ -365,7 +369,7 @@ class TestBackward:
     def test_no_recording_outside_tape(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
         y = ad.mul(x, x)
-        assert y._tape is None and not y.requires_grad
+        assert not y.requires_grad
 
     def test_gradients_are_bit_deterministic(self):
         def run():

@@ -603,6 +603,17 @@ ENTRY_POINT_CASES = [
       for flag, text, name in [("--window", "abc", "window"),
                                ("--clip-test-rul", "maybe", "clip_test_rul"),
                                ("--seeds", "1,x", "seeds")]],
+    *[pytest.param([command, *CONFIG_ARGS], {"seeds": [-1]}, {}, 1, "seeds",
+                   id=f"{command}-config-negative-seed") for command in ("train", "preprocess")],
+    pytest.param(["train", *CONFIG_ARGS, "--seeds", "-1"], {}, {}, 1, "seeds",
+                 id="flag-negative-seed"),
+    pytest.param(["synth-data", "--out", "{out}", "--seed", "-1"], {}, {}, 1, "seed -1",
+                 id="synth-negative-seed"),
+    # Sizes whose first weight array is past the 2**47-byte address space,
+    # so that nothing is allocated.
+    *[pytest.param(["train", *CONFIG_ARGS, flag, "1000000000000"], {}, {}, 1,
+                   f"{name} 1000000000000", id=f"flag-unbuildable-{name}")
+      for flag, name in [("--window", "window"), ("--lstm-hidden", "lstm_hidden")]],
     pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", "abc"], {}, {}, 1,
                  "window", id="sweep-value"),
     pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", "10",

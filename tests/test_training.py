@@ -607,6 +607,9 @@ class TestCheckpoint:
             pytest.param(lambda h: h["hyperparams"].update(lstm_hidden="8"), id="text-hyperparam"),
             pytest.param(lambda h: h["hyperparams"].update(lstm_hidden=9), id="shape-mismatch"),
             pytest.param(lambda h: h["hyperparams"].update(mlp_hidden=0), id="zero-width"),
+            # The first LSTM weight array would be past the 2**47-byte
+            # address space, so nothing is allocated.
+            pytest.param(lambda h: h["hyperparams"].update(lstm_hidden=10**13), id="unbuildable-width"),
             pytest.param(lambda h: h["hyperparams"].update(dtype="<f$"), id="unparsable-model-dtype"),
             pytest.param(lambda h: h["hyperparams"].update(dtype="<i4"), id="integer-model"),
             pytest.param(lambda h: h["condition_model"].update(means=[[0.0] * 24]),
@@ -622,6 +625,8 @@ class TestCheckpoint:
             pytest.param(_set_first_tensor("shape", [-1, 4]), id="negative-shape"),
             pytest.param(_set_first_tensor("shape", "4"), id="text-shape"),
             pytest.param(_set_first_tensor("shape", [2.5, 4]), id="float-shape"),
+            pytest.param(lambda h: h["tensors"].insert(0, {"name": "empty", "shape": [2**70, 0],
+                         "dtype": "<f4", "offset": 0, "nbytes": 0}), id="unrepresentable-shape"),
             pytest.param(_set_first_tensor("nbytes", 0), id="nbytes-mismatch"),
             pytest.param(_set_first_tensor("offset", 4), id="offset-gap"),
             pytest.param(_set_first_tensor("name", 7), id="numeric-name"),
