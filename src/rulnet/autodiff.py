@@ -411,6 +411,12 @@ def _sigmoid_inplace(z: np.ndarray) -> None:
     np.reciprocal(z, out=z)
 
 
+def lstm_weight_shapes(width: int, hidden: int, layer: int) -> tuple[tuple[int, ...], ...]:
+    """Layer ``layer``'s w_x, w_h and bias shapes; layer 0 reads ``width`` features."""
+    fan_in = width if layer == 0 else hidden
+    return (fan_in, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,)
+
+
 def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence[Tensor]) -> Tensor:
     """Stacked LSTM over a (B, F, T) batch; returns the top layer's last
     hidden state, shape (B, H).
@@ -443,10 +449,9 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
     batch, width, steps = x.shape
     hidden = w_h[0].shape[0]
     for layer in range(layers):
-        fan_in = width if layer == 0 else hidden
         shapes = (w_x[layer].shape, w_h[layer].shape, bias[layer].shape)
-        if shapes != ((fan_in, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,)):
-            raise DimensionError(f"lstm layer {layer}: weight shapes {shapes} for input width {fan_in}")
+        if shapes != lstm_weight_shapes(width, hidden, layer):
+            raise DimensionError(f"lstm layer {layer}: weight shapes {shapes} for input width {width}")
     _check_dtypes(x, *w_x, *w_h, *bias)
     dtype = x.data.dtype
     tape = _tape_for(x, *w_x, *w_h, *bias)

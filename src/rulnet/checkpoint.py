@@ -29,8 +29,8 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import ConditionModel
-from .errors import CheckpointError, ConfigurationError, DimensionError, RulnetError
-from .model import RulModel
+from .errors import CheckpointError, ConfigurationError
+from .model import RulModel, parameter_shapes, resolve_blocks
 
 MAGIC = b"RULBNDL\x00"
 FORMAT_VERSION = 2
@@ -100,13 +100,13 @@ def load_bundle(path: str | Path) -> Bundle:
     integers or is one numpy cannot represent, whose nbytes is not its
     shape's size in bytes, or whose offset leaves a gap or overlap; a
     buffer past the end of the file; bytes after the last buffer; a
-    tensor name that is repeated or that the model does not have; a
     config key that is not an :class:`ExperimentConfig` field, or a
-    config value of the wrong type for its field; and a model (one too
-    large to allocate included) or condition model that the header
-    cannot rebuild.  Fields the header leaves out take their defaults.
-    Config values are not range-checked here, so a bundle saved with a
-    partial config still loads.
+    config value of the wrong type for its field; hyperparameters that
+    :func:`rulnet.model.parameter_shapes` rejects, or a tensor table (a
+    version-1 one once joined) without exactly that plan's names and
+    shapes, both before the model is built; and a bad condition model.
+    Fields the header leaves out take their defaults.  Config values are
+    not range-checked here, so a bundle saved with a partial config loads.
     """
     try:
         raw = Path(path).read_bytes()
@@ -136,11 +136,21 @@ def load_bundle(path: str | Path) -> Bundle:
     except ConfigurationError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     arrays = _read_tensors(path, header["tensors"], raw, body_start)
-    try:
-        model = RulModel.from_hyperparams(header["hyperparams"])
-        model.load_state_arrays(_join_v1_heads(model, arrays) if version == 1 else arrays)
-    except (RulnetError, TypeError, ValueError, SyntaxError, MemoryError) as exc:
+    hp = header["hyperparams"]
+    try:  # TypeError: a missing or unknown name, "batch_size" too; np.dtype raises the last three
+        plan = dict(parameter_shapes(**hp, batch_size=1))
+    except (ConfigurationError, TypeError, ValueError, SyntaxError) as exc:
         raise CheckpointError(f"{path}: cannot rebuild the model: {exc!r}") from None
+    if version == 1:
+        blocks = resolve_blocks(hp["mode"], hp["feature_heads"], hp["sequence_heads"])
+        arrays = _join_v1_heads(path, arrays, plan, blocks)
+    table = {name: arr.shape for name, arr in arrays.items()}
+    if table != plan:
+        unknown = sorted(set(table) - set(plan))
+        wrong = {name: shape for name, shape in plan.items() if table.get(name) != shape}
+        raise CheckpointError(f"{path}: unknown parameters {unknown}; missing or misshapen {wrong}")
+    model = RulModel(**hp)
+    model.load_state_arrays(arrays)
     try:
         cm = ConditionModel.from_dict(header["condition_model"])
     except ValueError as exc:
@@ -189,17 +199,17 @@ def _read_tensors(path, table: list, raw: bytes, body_start: int) -> dict[str, n
     return arrays
 
 
-def _join_v1_heads(model: RulModel, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def _join_v1_heads(path, arrays: dict[str, np.ndarray], shapes: dict, blocks) -> dict[str, np.ndarray]:
     """A version-1 table, which stored each head's projections, under v2
     names: ``<block>.h<i>.wq``, ``.wk``, ``.wv`` joined into ``<block>.wqkv``."""
     arrays = dict(arrays)
-    for block, attn in (("fa", model.feature_attention), ("sa", model.sequence_attention)):
-        if attn is None or f"{block}.wqkv" in arrays:  # the heads left are unknown names
+    for block, heads in (("fa", blocks.feature_heads), ("sa", blocks.sequence_heads)):
+        if not heads or f"{block}.wqkv" in arrays:  # the heads left are unknown names
             continue
-        shape = (attn.d_model, attn.d_head)
-        parts = [arrays.pop(f"{block}.h{i}.w{p}", None) for p in "qkv" for i in range(attn.heads)]
+        shape = (shapes[f"{block}.wqkv"][0], shapes[f"{block}.wqkv"][1] // (3 * heads))
+        parts = [arrays.pop(f"{block}.h{i}.w{p}", None) for p in "qkv" for i in range(heads)]
         if any(part is None or part.shape != shape for part in parts):
-            raise DimensionError(f"version-1 {block} needs {attn.heads} heads of q, k and v, each {shape}")
+            raise CheckpointError(f"{path}: version-1 {block} needs {heads} heads of q, k, v, each {shape}")
         arrays[f"{block}.wqkv"] = np.concatenate(parts, axis=1)
     return arrays
 

@@ -154,10 +154,9 @@ def _train_once(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, Bundle]:
     """Run one training with the config's first seed; writes checkpoint,
     log, manifest. Returns the summary and the bundle it saved.
 
-    The model is built first, so that its size and dropout checks also
-    fail before any output or any data read.  ``out_dir`` is made once
-    the windows are built, so a data error leaves no directory, and
-    before training, so an uncreatable one fails without a wasted fit.
+    ``out_dir`` is made once the windows are built, so a data error
+    leaves no directory, and before training, so an uncreatable one
+    fails without a wasted fit.
     """
     seed = cfg.seeds[0]
     model = RulModel(**cfg.model_kwargs(), init_rng=generator(seed, "init"))

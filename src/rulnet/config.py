@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .data import N_CHANNELS
 from .errors import ConfigurationError
-from .model import RulModel, resolve_blocks
+from .model import parameter_shapes, resolve_blocks
 
 SWEEPABLE = ("feature_heads", "sequence_heads", "window", "r_max", "mode")
 
@@ -120,9 +120,9 @@ class ExperimentConfig:
 
     def validate(self, require_paths: bool = True) -> None:
         """Raise ConfigurationError on the first field out of range; each
-        check is written so that NaN fails it.  Layer sizes, head counts
-        and dropout are checked by building the model's skeleton, which also
-        rejects layer sizes too large to allocate."""
+        check is written so that NaN fails it.  Layer sizes, head counts,
+        dropout and the model's size at ``batch_size`` are checked by
+        :func:`rulnet.model.parameter_shapes`, which allocates nothing."""
         counts = ("window", "k_conditions", "batch_size", "early_stop_patience", "max_epochs")
         for name in counts:
             if not getattr(self, name) >= 1:
@@ -141,12 +141,7 @@ class ExperimentConfig:
             raise ConfigurationError("seed list is empty")
         if min(self.seeds) < 0:
             raise ConfigurationError(f"seeds must be >= 0, got {self.seeds}")
-        kwargs = self.model_kwargs()
-        try:
-            RulModel(**kwargs)
-        except (ValueError, MemoryError) as exc:
-            sizes = ", ".join(f"{k} {kwargs[k]}" for k in ("window", "lstm_hidden", "mlp_hidden"))
-            raise ConfigurationError(f"model too large to build ({sizes}): {exc}") from None
+        parameter_shapes(**self.model_kwargs(), batch_size=self.batch_size)
         if require_paths:
             for label in ("train_path", "test_path", "truth_path"):
                 value = getattr(self, label)
@@ -161,16 +156,9 @@ class ExperimentConfig:
         return self.override(seeds=[seed])
 
     def model_kwargs(self) -> dict:
-        blocks = resolve_blocks(self.mode, self.feature_heads, self.sequence_heads)
-        return {
-            "n_features": N_CHANNELS,
-            "window": self.window,
-            **blocks.construction_args(),
-            "lstm_hidden": self.lstm_hidden,
-            "lstm_layers": self.lstm_layers,
-            "mlp_hidden": self.mlp_hidden,
-            "dropout": self.dropout,
-        }
+        names = ("window", "mode", "feature_heads", "sequence_heads", "lstm_hidden", "lstm_layers",
+                 "mlp_hidden", "dropout")
+        return {"n_features": N_CHANNELS, **{name: getattr(self, name) for name in names}}
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

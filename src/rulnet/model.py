@@ -21,6 +21,9 @@ from .autodiff import Tensor
 from .errors import CapabilityError, ConfigurationError, ContractError, DimensionError
 
 MODES = ("L", "A", "F", "F+T")
+# Fixed caps, the same on every host, on a model's size (see parameter_shapes).
+MAX_PARAMETERS = 2**27
+MAX_ACTIVATIONS = 2**28
 
 
 class Blocks(NamedTuple):
@@ -30,15 +33,6 @@ class Blocks(NamedTuple):
     mode: str
     feature_heads: int
     sequence_heads: int
-
-    def construction_args(self) -> dict:
-        """Mode and head arguments as bundles record them: a block that is
-        not built is recorded with one head."""
-        return {
-            "mode": self.mode,
-            "feature_heads": max(self.feature_heads, 1),
-            "sequence_heads": max(self.sequence_heads, 1),
-        }
 
 
 def resolve_blocks(mode: str, feature_heads: int, sequence_heads: int) -> Blocks:
@@ -52,6 +46,8 @@ def resolve_blocks(mode: str, feature_heads: int, sequence_heads: int) -> Blocks
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
     for name, heads in (("feature_heads", feature_heads), ("sequence_heads", sequence_heads)):
+        if not _is_int(heads):
+            raise ConfigurationError(f"{name} must be an integer, got {heads!r}")
         if heads < 0:
             raise ConfigurationError(f"{name} must be >= 0, got {heads}")
     fh = {"L": 0, "A": 1}.get(mode, feature_heads)
@@ -63,10 +59,79 @@ def resolve_blocks(mode: str, feature_heads: int, sequence_heads: int) -> Blocks
     return Blocks(mode, fh, sh)
 
 
-def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype) -> Tensor:
-    bound = 1.0 / math.sqrt(fan_in)
-    data = rng.uniform(-bound, bound, size=shape).astype(dtype)
-    return Tensor(data, requires_grad=True)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def attention_shapes(d_model: int, heads: int) -> list:
+    """One attention block's parameters; the head count must divide the width."""
+    if heads < 1:
+        raise ConfigurationError(f"head count must be >= 1, got {heads}")
+    if d_model % heads != 0:
+        raise ConfigurationError(f"head count {heads} does not divide embedding width {d_model}")
+    return [("wqkv", (d_model, 3 * d_model)), ("wo", (d_model, d_model))]
+
+
+def _lstm_shapes(n_features: int, lstm_hidden: int, layer: int) -> list:
+    names = (f"lstm.l{layer}.wx", f"lstm.l{layer}.wh", f"lstm.l{layer}.b")
+    return list(zip(names, ad.lstm_weight_shapes(n_features, lstm_hidden, layer)))
+
+
+def head_shapes(input_size: int, hidden_size: int) -> list:
+    return [("w1", (input_size, hidden_size)), ("b1", (hidden_size,)), ("w2", (hidden_size, 1)), ("b2", (1,))]
+
+
+def _count(shapes: list) -> int:
+    return sum(math.prod(shape) for _, shape in shapes)
+
+
+def parameter_shapes(n_features: int, window: int, mode: str, feature_heads: int, sequence_heads: int,
+                     lstm_hidden: int, lstm_layers: int, mlp_hidden: int, dropout: float,
+                     dtype=ad.DEFAULT_DTYPE, batch_size: int = 1) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape in :meth:`RulModel.parameters` order,
+    from the hyperparameters alone, allocating nothing.  The one size rule:
+    sizes are positive ints (not bools), head counts resolve by
+    :func:`resolve_blocks` and divide their token width, dropout is in [0, 1),
+    the dtype is a float, and the model stays within :data:`MAX_PARAMETERS`
+    and, at ``batch_size``, :data:`MAX_ACTIVATIONS`; else ConfigurationError."""
+    sizes = {"n_features": n_features, "window": window, "lstm_hidden": lstm_hidden,
+             "lstm_layers": lstm_layers, "mlp_hidden": mlp_hidden, "batch_size": batch_size}
+    for name, size in sizes.items():
+        if not _is_int(size) or size < 1:
+            raise ConfigurationError(f"{name} must be a positive integer, got {size!r}")
+    if isinstance(dropout, bool) or not isinstance(dropout, (int, float)) or not 0 <= dropout < 1:
+        raise ConfigurationError(f"dropout must be a number in [0, 1), got {dropout!r}")
+    if np.dtype(dtype).kind != "f":
+        raise ConfigurationError(f"model dtype must be a float type, got {np.dtype(dtype)}")
+    blocks = resolve_blocks(mode, feature_heads, sequence_heads)
+    attention = [(f"{prefix}.{name}", shape) for prefix, width, heads in
+                 (("fa", window, blocks.feature_heads), ("sa", n_features, blocks.sequence_heads))
+                 if heads for name, shape in attention_shapes(width, heads)]
+    head = [(f"head.{name}", shape) for name, shape in head_shapes(lstm_hidden, mlp_hidden)]
+    # Every LSTM layer above the first has the second's shapes.
+    parameters = (_count(attention + _lstm_shapes(n_features, lstm_hidden, 0) + head)
+                  + (lstm_layers - 1) * _count(_lstm_shapes(n_features, lstm_hidden, 1)))
+    # Per LSTM layer and step: 4H gate pre-activations and the H-wide cell,
+    # tanh(cell) and hidden state.
+    activations = batch_size * (n_features * window + blocks.feature_heads * n_features**2
+                                + blocks.sequence_heads * window**2 + lstm_layers * window * 7 * lstm_hidden)
+    for what, count, cap in (("parameters", parameters, MAX_PARAMETERS),
+                             ("activations per batch", activations, MAX_ACTIVATIONS)):
+        if count > cap:
+            listed = ", ".join(f"{name} {size}" for name, size in sizes.items())
+            raise ConfigurationError(f"model too large ({listed}): {count} {what}, the cap is {cap}")
+    lstm = [entry for layer in range(lstm_layers) for entry in _lstm_shapes(n_features, lstm_hidden, layer)]
+    return attention + lstm + head
+
+
+def _init(rng: np.random.Generator, shape: tuple[int, ...], dtype, pieces: int = 1) -> Tensor:
+    """A vector starts at zero; a matrix is drawn uniform in ±1/sqrt(rows),
+    as ``pieces`` equal column blocks, one draw each, in column order."""
+    if len(shape) == 1:
+        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+    bound = 1.0 / math.sqrt(shape[0])
+    draws = [rng.uniform(-bound, bound, size=(shape[0], shape[1] // pieces)) for _ in range(pieces)]
+    return Tensor(np.concatenate(draws, axis=1).astype(dtype), requires_grad=True)
 
 
 class MultiHeadAttention:
@@ -80,19 +145,11 @@ class MultiHeadAttention:
     """
 
     def __init__(self, d_model: int, heads: int, rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
-        if heads < 1:
-            raise ConfigurationError(f"head count must be >= 1, got {heads}")
-        if d_model % heads != 0:
-            raise ConfigurationError(
-                f"head count {heads} does not divide embedding width {d_model}"
-            )
-        self.d_model = d_model
+        (_, qkv), (_, out) = attention_shapes(d_model, heads)
         self.heads = heads
-        self.d_head = d_model // heads
         # One draw per head and projection, in column order.
-        blocks = [_uniform_init(rng, (d_model, self.d_head), d_model, dtype) for _ in range(3 * heads)]
-        self.w_qkv = Tensor(np.concatenate([b.data for b in blocks], axis=1), requires_grad=True)
-        self.w_o = _uniform_init(rng, (d_model, d_model), d_model, dtype)
+        self.w_qkv = _init(rng, qkv, dtype, pieces=3 * heads)
+        self.w_o = _init(rng, out, dtype)
         self.last_weights: np.ndarray | None = None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -120,19 +177,13 @@ class LstmStack:
         rng: np.random.Generator,
         dtype=ad.DEFAULT_DTYPE,
     ):
-        self.input_size = input_size
         self.hidden_size = hidden_size
         self.num_layers = layers
-        self.w_x: list[Tensor] = []
-        self.w_h: list[Tensor] = []
-        self.bias: list[Tensor] = []
-        for layer in range(layers):
-            fan_in = input_size if layer == 0 else hidden_size
-            self.w_x.append(_uniform_init(rng, (fan_in, 4 * hidden_size), fan_in, dtype))
-            self.w_h.append(_uniform_init(rng, (hidden_size, 4 * hidden_size), hidden_size, dtype))
-            b = np.zeros(4 * hidden_size, dtype=dtype)
-            b[hidden_size : 2 * hidden_size] = 1.0  # forget gate starts open
-            self.bias.append(Tensor(b, requires_grad=True))
+        shapes = [ad.lstm_weight_shapes(input_size, hidden_size, layer) for layer in range(layers)]
+        params = [[_init(rng, shape, dtype) for shape in layer] for layer in shapes]
+        self.w_x, self.w_h, self.bias = ([layer[i] for layer in params] for i in range(3))
+        for bias in self.bias:
+            bias.data[hidden_size : 2 * hidden_size] = 1.0  # forget gate starts open
 
     def __call__(self, x: Tensor) -> Tensor:
         """(B, F, T) -> (B, hidden_size); a single (F, T) sample -> (hidden_size,)."""
@@ -158,13 +209,9 @@ class MlpHead:
         rng: np.random.Generator,
         dtype=ad.DEFAULT_DTYPE,
     ):
-        if not 0.0 <= dropout < 1.0:
-            raise ConfigurationError(f"dropout must be in [0, 1), got {dropout}")
         self.dropout = dropout
-        self.w1 = _uniform_init(rng, (input_size, hidden_size), input_size, dtype)
-        self.b1 = Tensor(np.zeros(hidden_size, dtype=dtype), requires_grad=True)
-        self.w2 = _uniform_init(rng, (hidden_size, 1), hidden_size, dtype)
-        self.b2 = Tensor(np.zeros(1, dtype=dtype), requires_grad=True)
+        shapes = head_shapes(input_size, hidden_size)
+        self.w1, self.b1, self.w2, self.b2 = (_init(rng, shape, dtype) for _, shape in shapes)
 
     def __call__(self, x: Tensor, training: bool, rng: np.random.Generator | None) -> Tensor:
         hidden = ad.relu(x @ self.w1 + self.b1)
@@ -206,32 +253,19 @@ class RulModel:
         init_rng: np.random.Generator | None = None,
         dtype=ad.DEFAULT_DTYPE,
     ):
-        blocks = resolve_blocks(mode, feature_heads, sequence_heads)
-        sizes = {"n_features": n_features, "window": window, "lstm_hidden": lstm_hidden,
-                 "lstm_layers": lstm_layers, "mlp_hidden": mlp_hidden}
-        for name, size in sizes.items():
-            if not isinstance(size, (int, np.integer)) or size < 1:
-                raise ConfigurationError(f"{name} must be a positive integer, got {size!r}")
+        parameter_shapes(n_features, window, mode, feature_heads, sequence_heads, lstm_hidden,
+                         lstm_layers, mlp_hidden, dropout, dtype)
         if init_rng is None:
             init_rng = np.random.default_rng(0)
         self.n_features = n_features
         self.window = window
-        self.mode, self.feature_heads, self.sequence_heads = blocks
+        self.mode, self.feature_heads, self.sequence_heads = resolve_blocks(mode, feature_heads, sequence_heads)
         self.dtype = np.dtype(dtype)
-        if self.dtype.kind != "f":
-            raise ConfigurationError(f"model dtype must be a float type, got {self.dtype}")
 
         # Channel tokens have width T, time-step tokens have width F.
-        self.feature_attention = (
-            MultiHeadAttention(window, blocks.feature_heads, init_rng, dtype)
-            if blocks.feature_heads
-            else None
-        )
-        self.sequence_attention = (
-            MultiHeadAttention(n_features, blocks.sequence_heads, init_rng, dtype)
-            if blocks.sequence_heads
-            else None
-        )
+        fh, sh = self.feature_heads, self.sequence_heads
+        self.feature_attention = MultiHeadAttention(window, fh, init_rng, dtype) if fh else None
+        self.sequence_attention = MultiHeadAttention(n_features, sh, init_rng, dtype) if sh else None
         self.lstm = LstmStack(n_features, lstm_hidden, lstm_layers, init_rng, dtype)
         self.head = MlpHead(lstm_hidden, mlp_hidden, dropout, init_rng, dtype)
 
@@ -319,37 +353,21 @@ class RulModel:
         return [(name, p.data) for name, p in self.parameters()]
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy every parameter from ``arrays``, which must hold exactly
-        the model's parameter names."""
-        params = self.parameters()
-        unknown = sorted(set(arrays) - {name for name, _ in params})
-        if unknown:
-            raise ContractError(f"unknown parameters {unknown} in state")
-        for name, p in params:
-            if name not in arrays:
-                raise ContractError(f"missing parameter {name!r} in state")
-            src = arrays[name]
-            if src.shape != p.shape:
-                raise DimensionError(
-                    f"parameter {name!r}: stored shape {src.shape} != model shape {p.shape}"
-                )
-            p.data = src.astype(self.dtype, copy=True)
+        """Copy every parameter from ``arrays``, which matches :func:`parameter_shapes`."""
+        for name, p in self.parameters():
+            p.data = arrays[name].astype(self.dtype, copy=True)
 
     def hyperparams(self) -> dict:
-        """Construction arguments needed to rebuild an identical skeleton."""
+        """Construction arguments that rebuild this skeleton; an unbuilt block records one head."""
         return {
             "n_features": self.n_features,
             "window": self.window,
-            **Blocks(self.mode, self.feature_heads, self.sequence_heads).construction_args(),
+            "mode": self.mode,
+            "feature_heads": max(self.feature_heads, 1),
+            "sequence_heads": max(self.sequence_heads, 1),
             "lstm_hidden": self.lstm.hidden_size,
             "lstm_layers": self.lstm.num_layers,
             "mlp_hidden": self.head.w1.shape[1],
             "dropout": self.head.dropout,
             "dtype": self.dtype.str,
         }
-
-    @classmethod
-    def from_hyperparams(cls, hp: dict) -> "RulModel":
-        hp = dict(hp)
-        dtype = np.dtype(hp.pop("dtype", "<f4"))
-        return cls(dtype=dtype, **hp)

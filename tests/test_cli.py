@@ -609,11 +609,15 @@ ENTRY_POINT_CASES = [
                  id="flag-negative-seed"),
     pytest.param(["synth-data", "--out", "{out}", "--seed", "-1"], {}, {}, 1, "seed -1",
                  id="synth-negative-seed"),
-    # Sizes whose first weight array is past the 2**47-byte address space,
-    # so that nothing is allocated.
-    *[pytest.param(["train", *CONFIG_ARGS, flag, "1000000000000"], {}, {}, 1,
-                   f"{name} 1000000000000", id=f"flag-unbuildable-{name}")
-      for flag, name in [("--window", "window"), ("--lstm-hidden", "lstm_hidden")]],
+    # Sizes of 10**12, far over the model's caps, which are checked by
+    # arithmetic, so that nothing is allocated.  In mode L no block reads
+    # the window, which only the activation cap then bounds.
+    *[pytest.param(["train", *CONFIG_ARGS, *flags, "1000000000000"], {}, {}, 1,
+                   f"{name} 1000000000000", id=f"flag-unbuildable-{case}")
+      for flags, name, case in [(["--window"], "window", "window"),
+                                (["--lstm-hidden"], "lstm_hidden", "lstm_hidden"),
+                                (["--lstm-layers"], "lstm_layers", "lstm_layers"),
+                                (["--mode", "L", "--window"], "window", "L-window")]],
     pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", "abc"], {}, {}, 1,
                  "window", id="sweep-value"),
     pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", "10",
@@ -668,6 +672,22 @@ class TestEntryPoints:
         [line] = err.splitlines()
         assert line.startswith("configuration error: " if code == 1 else "data error: ")
         assert name in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, value", [("window", True), ("lstm_layers", 10**12)],
+                             ids=["bool-window", "huge-depth"])
+    def test_bad_model_size_in_bundle_is_exit_2(self, trained, tmp_path, capsys, name, value):
+        blob = (trained / "checkpoint.bin").read_bytes()
+        (header_len,) = struct.unpack_from("<Q", blob, 12)
+        header = json.loads(blob[20 : 20 + header_len])
+        header["hyperparams"][name] = value
+        text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path = tmp_path / "bundle.bin"
+        path.write_bytes(blob[:12] + struct.pack("<Q", len(text)) + text + blob[20 + header_len :])
+        out = tmp_path / "out"
+        assert main(["evaluate", "--checkpoint", str(path), "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"data error: CheckpointError: {path}: ") and name in line
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["preprocess", "train", "evaluate", "explain"])

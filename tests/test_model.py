@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from rulnet import (
 from rulnet import autodiff as ad
 from rulnet.autodiff import exact_arithmetic, gradcheck
 from rulnet.config import ExperimentConfig
-from rulnet.model import MODES, resolve_blocks
+from rulnet.model import MAX_PARAMETERS, MODES, parameter_shapes, resolve_blocks
 
 
 def attention_oracle(q, k, v):
@@ -501,7 +503,7 @@ class TestResolveBlocks:
         built = tuple(0 if block is None else block.heads
                       for block in (model.feature_attention, model.sequence_attention))
         assert (model.mode,) + built == expected
-        rebuilt = RulModel.from_hyperparams(model.hyperparams())
+        rebuilt = RulModel(**model.hyperparams())
         assert rebuilt.hyperparams() == model.hyperparams()
         assert [n for n, _ in rebuilt.parameters()] == [n for n, _ in model.parameters()]
 
@@ -518,3 +520,67 @@ class TestResolveBlocks:
         else:
             assert resolve_blocks(mode, fh, sh) == expected
             assert resolve_blocks(*expected) == expected
+
+
+# The paper's sizes, and small ones whose heads divide window 12 and 24
+# channels.
+PLAN_SIZES = [
+    dict(n_features=24, window=30, feature_heads=5, sequence_heads=4, lstm_hidden=100,
+         lstm_layers=3, mlp_hidden=100, dropout=0.5),
+    dict(n_features=24, window=12, feature_heads=3, sequence_heads=2, lstm_hidden=7,
+         lstm_layers=4, mlp_hidden=5, dropout=0.0),
+]
+
+
+class TestParameterShapes:
+    @pytest.mark.parametrize("sizes", PLAN_SIZES, ids=["paper", "small"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_plan_is_the_model(self, mode, sizes):
+        kwargs = dict(sizes, mode=mode)
+        assert parameter_shapes(**kwargs) == [(n, p.shape) for n, p in RulModel(**kwargs).parameters()]
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("window", True, "window must be a positive integer, got True"),
+        ("lstm_layers", 2.0, "lstm_layers must be a positive integer, got 2.0"),
+        ("feature_heads", 2.0, "feature_heads must be an integer, got 2.0"),
+        ("sequence_heads", False, "sequence_heads must be an integer, got False"),
+        ("dropout", True, "dropout must be a number in [0, 1), got True"),
+        ("dtype", np.int32, "model dtype must be a float type, got int32"),
+        # Sizes of 10**12 or more, so that nothing is allocated.
+        ("lstm_layers", 10**12, "lstm_layers 1000000000000"),
+        ("lstm_hidden", 10**12, "parameters, the cap is 134217728"),
+    ])
+    def test_bad_size_is_a_configuration_error(self, name, value, message):
+        kwargs = dict(PLAN_SIZES[1], mode="F+T", **{name: value})
+        for build in (parameter_shapes, RulModel):
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                build(**kwargs)
+
+    @pytest.mark.parametrize("name", ["window", "batch_size"])
+    def test_mode_l_window_and_batch_meet_the_activation_cap(self, name):
+        # No parameter of mode L depends on the window or the batch size.
+        kwargs = dict(PLAN_SIZES[1], mode="L", **{name: 10**12})
+        with pytest.raises(ConfigurationError, match=r"activations per batch, the cap is 268435456"):
+            parameter_shapes(**kwargs)
+
+    def test_parameter_cap_is_the_planned_count(self):
+        # The deepest paper-width LSTM under the cap plans, one layer more
+        # does not; the count is worked out without listing the layers.
+        kwargs = dict(PLAN_SIZES[0], mode="F+T", lstm_layers=1)
+        one = sum(math.prod(shape) for _, shape in parameter_shapes(**kwargs))
+        per_layer = 8 * 100 * 100 + 4 * 100  # w_x and w_h (100, 400), bias (400,)
+        layers = 1 + (MAX_PARAMETERS - one) // per_layer
+        plan = parameter_shapes(**dict(kwargs, lstm_layers=layers))
+        assert one + (layers - 1) * per_layer == sum(math.prod(s) for _, s in plan) <= MAX_PARAMETERS
+        with pytest.raises(ConfigurationError, match="parameters, the cap is"):
+            parameter_shapes(**dict(kwargs, lstm_layers=layers + 1))
+
+    def test_validate_builds_no_model(self):
+        cfg = ExperimentConfig()
+        tracemalloc.start()
+        try:
+            cfg.validate(require_paths=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024

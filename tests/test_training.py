@@ -607,9 +607,14 @@ class TestCheckpoint:
             pytest.param(lambda h: h["hyperparams"].update(lstm_hidden="8"), id="text-hyperparam"),
             pytest.param(lambda h: h["hyperparams"].update(lstm_hidden=9), id="shape-mismatch"),
             pytest.param(lambda h: h["hyperparams"].update(mlp_hidden=0), id="zero-width"),
-            # The first LSTM weight array would be past the 2**47-byte
-            # address space, so nothing is allocated.
+            # Sizes far over the model's caps, which are checked before
+            # anything is allocated.
             pytest.param(lambda h: h["hyperparams"].update(lstm_hidden=10**13), id="unbuildable-width"),
+            pytest.param(lambda h: h["hyperparams"].update(lstm_layers=10**12), id="unbuildable-depth"),
+            pytest.param(lambda h: h["hyperparams"].update(window=10**12), id="unbuildable-window"),
+            pytest.param(lambda h: h["hyperparams"].update(window=True), id="bool-window"),
+            pytest.param(lambda h: h["hyperparams"].update(feature_heads=2.0), id="float-heads"),
+            pytest.param(lambda h: h["hyperparams"].update(batch_size=1), id="batch-size-hyperparam"),
             pytest.param(lambda h: h["hyperparams"].update(dtype="<f$"), id="unparsable-model-dtype"),
             pytest.param(lambda h: h["hyperparams"].update(dtype="<i4"), id="integer-model"),
             pytest.param(lambda h: h["condition_model"].update(means=[[0.0] * 24]),
