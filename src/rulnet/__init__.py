@@ -30,7 +30,7 @@ from .errors import (
     TapeError,
     UnitLookupError,
 )
-from .model import LstmStack, MlpHead, MultiHeadAttention, RulModel
+from .model import RulModel
 
 __version__ = "0.1.0"
 
@@ -40,9 +40,6 @@ __all__ = [
     "exact_arithmetic",
     "gradcheck",
     "RulModel",
-    "MultiHeadAttention",
-    "LstmStack",
-    "MlpHead",
     "RulnetError",
     "DimensionError",
     "ContractError",

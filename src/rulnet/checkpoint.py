@@ -123,7 +123,7 @@ def load_bundle(path: str | Path) -> Bundle:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[20:body_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past Python's digit limit
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")

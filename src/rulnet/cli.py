@@ -355,11 +355,16 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Train and evaluate ``--repeats`` runs per value; every value's full
     config is parsed and validated, and two values that parse to equal
-    configs are rejected, before ``--out`` is created."""
+    configs or two runs with one seed are rejected, before ``--out`` is
+    created."""
     cfg = _build_config(args)
     cfg.validate()
     if args.repeats < 1:
         raise ConfigurationError(f"--repeats must be >= 1, got {args.repeats}")
+    seeds = [cfg.seeds[rep] if rep < len(cfg.seeds) else cfg.seeds[0] + rep for rep in range(args.repeats)]
+    twice = [seed for seed in seeds if seeds.count(seed) > 1]
+    if twice:
+        raise ConfigurationError(f"seeds {cfg.seeds} with --repeats {args.repeats} run seed {twice[0]} twice")
     values = []
     for text in (v for v in args.values.split(",") if v):
         value_cfg = cfg.override(**{args.param: ExperimentConfig.parse_field(args.param, text)})
@@ -376,8 +381,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     failures = 0
     for value, value_cfg in values:
-        for rep in range(args.repeats):
-            seed = cfg.seeds[rep] if rep < len(cfg.seeds) else cfg.seeds[0] + rep
+        for seed in seeds:
             run_cfg = value_cfg.train_config(seed)
             run_dir = out_root / f"{args.param}={value}" / f"seed={seed}"
             row = {

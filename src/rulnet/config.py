@@ -90,7 +90,7 @@ class ExperimentConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigurationError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
             raise ConfigurationError(f"config is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigurationError("config file must hold a JSON object")

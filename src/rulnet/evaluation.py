@@ -180,7 +180,7 @@ def export_attention(
     batches of at most ``PREDICT_BATCH``.
     """
     model = bundle.model
-    if model.feature_attention is None:
+    if not model.feature_heads:
         raise CapabilityError(f"mode {model.mode!r} retains no attention weights")
     total = len(trajectory)
     cycles = np.array(
@@ -198,7 +198,7 @@ def export_attention(
         in_matrix = np.isin(cycles, matrix_cycles)
 
     chans = normalize(trajectory, bundle.condition_model).channels
-    n_heads, n_features = model.feature_attention.heads, model.n_features
+    n_heads, n_features = model.feature_heads, model.n_features
     predictions = np.empty(len(cycles))
     cycle_sums = np.empty((len(cycles), n_features))
     weights = np.empty((int(in_matrix.sum()), n_heads + 1, n_features, n_features))

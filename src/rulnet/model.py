@@ -5,14 +5,14 @@ A sample is an F x T matrix: F channels (operational settings + sensors),
 T consecutive cycles.  The feature block treats each channel's T-step
 series as one token (width T); the sequence block transposes and treats
 each time step's F readings as one token (width F).  Neither block changes
-the input shape.  All forward paths accept a single (F, T) sample or a
-stacked (B, F, T) batch.
+the input shape.  The model and its attention blocks accept a single
+(F, T) sample or a stacked (B, F, T) batch.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,22 +63,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def attention_shapes(d_model: int, heads: int) -> list:
-    """One attention block's parameters; the head count must divide the width."""
-    if heads < 1:
-        raise ConfigurationError(f"head count must be >= 1, got {heads}")
-    if d_model % heads != 0:
-        raise ConfigurationError(f"head count {heads} does not divide embedding width {d_model}")
-    return [("wqkv", (d_model, 3 * d_model)), ("wo", (d_model, d_model))]
-
-
 def _lstm_shapes(n_features: int, lstm_hidden: int, layer: int) -> list:
     names = (f"lstm.l{layer}.wx", f"lstm.l{layer}.wh", f"lstm.l{layer}.b")
     return list(zip(names, ad.lstm_weight_shapes(n_features, lstm_hidden, layer)))
-
-
-def head_shapes(input_size: int, hidden_size: int) -> list:
-    return [("w1", (input_size, hidden_size)), ("b1", (hidden_size,)), ("w2", (hidden_size, 1)), ("b2", (1,))]
 
 
 def _count(shapes: list) -> int:
@@ -104,10 +91,13 @@ def parameter_shapes(n_features: int, window: int, mode: str, feature_heads: int
     if np.dtype(dtype).kind != "f":
         raise ConfigurationError(f"model dtype must be a float type, got {np.dtype(dtype)}")
     blocks = resolve_blocks(mode, feature_heads, sequence_heads)
-    attention = [(f"{prefix}.{name}", shape) for prefix, width, heads in
-                 (("fa", window, blocks.feature_heads), ("sa", n_features, blocks.sequence_heads))
-                 if heads for name, shape in attention_shapes(width, heads)]
-    head = [(f"head.{name}", shape) for name, shape in head_shapes(lstm_hidden, mlp_hidden)]
+    attention = []
+    for prefix, width, heads in (("fa", window, blocks.feature_heads), ("sa", n_features, blocks.sequence_heads)):
+        if heads and width % heads:
+            raise ConfigurationError(f"head count {heads} does not divide embedding width {width}")
+        attention += [(f"{prefix}.wqkv", (width, 3 * width)), (f"{prefix}.wo", (width, width))] if heads else []
+    head = [("head.w1", (lstm_hidden, mlp_hidden)), ("head.b1", (mlp_hidden,)),
+            ("head.w2", (mlp_hidden, 1)), ("head.b2", (1,))]
     # Every LSTM layer above the first has the second's shapes.
     parameters = (_count(attention + _lstm_shapes(n_features, lstm_hidden, 0) + head)
                   + (lstm_layers - 1) * _count(_lstm_shapes(n_features, lstm_hidden, 1)))
@@ -134,109 +124,17 @@ def _init(rng: np.random.Generator, shape: tuple[int, ...], dtype, pieces: int =
     return Tensor(np.concatenate(draws, axis=1).astype(dtype), requires_grad=True)
 
 
-class MultiHeadAttention:
-    """Multi-head self-attention; ``w_qkv`` (d_model, 3·d_model) holds the
-    query columns of heads 1..h, then their key and their value columns.
-
-    Head count must divide the embedding width; the output projection maps
-    the concatenated heads back to ``d_model`` so the shape is preserved.
-    The last forward pass's softmax weights are kept as one (B, h, N, N)
-    array, (h, N, N) for a single sample, for interpretability export.
-    """
-
-    def __init__(self, d_model: int, heads: int, rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
-        (_, qkv), (_, out) = attention_shapes(d_model, heads)
-        self.heads = heads
-        # One draw per head and projection, in column order.
-        self.w_qkv = _init(rng, qkv, dtype, pieces=3 * heads)
-        self.w_o = _init(rng, out, dtype)
-        self.last_weights: np.ndarray | None = None
-
-    def __call__(self, x: Tensor) -> Tensor:
-        out, self.last_weights = ad.attention(x, self.w_qkv, self.w_o, self.heads)
-        return out
-
-    def parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "wqkv", self.w_qkv
-        yield "wo", self.w_o
-
-
-class LstmStack:
-    """Stacked LSTM; upper layers consume the lower layer's hidden sequence.
-
-    Gate layout in the fused weight matrices is [input, forget, cell, output].
-    Hidden and cell states start at zero for every sample; the final
-    top-layer hidden state is the feature vector.
-    """
-
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        layers: int,
-        rng: np.random.Generator,
-        dtype=ad.DEFAULT_DTYPE,
-    ):
-        self.hidden_size = hidden_size
-        self.num_layers = layers
-        shapes = [ad.lstm_weight_shapes(input_size, hidden_size, layer) for layer in range(layers)]
-        params = [[_init(rng, shape, dtype) for shape in layer] for layer in shapes]
-        self.w_x, self.w_h, self.bias = ([layer[i] for layer in params] for i in range(3))
-        for bias in self.bias:
-            bias.data[hidden_size : 2 * hidden_size] = 1.0  # forget gate starts open
-
-    def __call__(self, x: Tensor) -> Tensor:
-        """(B, F, T) -> (B, hidden_size); a single (F, T) sample -> (hidden_size,)."""
-        if x.ndim == 2:
-            return ad.reshape(self(ad.reshape(x, (1,) + x.shape)), (self.hidden_size,))
-        return ad.lstm(x, self.w_x, self.w_h, self.bias)
-
-    def parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for layer in range(self.num_layers):
-            yield f"l{layer}.wx", self.w_x[layer]
-            yield f"l{layer}.wh", self.w_h[layer]
-            yield f"l{layer}.b", self.bias[layer]
-
-
-class MlpHead:
-    """Hidden rectified layer with inverted dropout, then one output node."""
-
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        dropout: float,
-        rng: np.random.Generator,
-        dtype=ad.DEFAULT_DTYPE,
-    ):
-        self.dropout = dropout
-        shapes = head_shapes(input_size, hidden_size)
-        self.w1, self.b1, self.w2, self.b2 = (_init(rng, shape, dtype) for _, shape in shapes)
-
-    def __call__(self, x: Tensor, training: bool, rng: np.random.Generator | None) -> Tensor:
-        hidden = ad.relu(x @ self.w1 + self.b1)
-        if training and self.dropout > 0.0:
-            if rng is None:
-                raise ContractError("training-mode forward needs a dropout generator")
-            keep = rng.random(hidden.shape) >= self.dropout
-            mask = (keep / (1.0 - self.dropout)).astype(hidden.data.dtype)
-            hidden = hidden * Tensor(mask)
-        return hidden @ self.w2 + self.b2
-
-    def parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "w1", self.w1
-        yield "b1", self.b1
-        yield "w2", self.w2
-        yield "b2", self.b2
-
-
 class RulModel:
     """Full network: optional attention blocks, LSTM stack, MLP head.
 
     ``mode`` selects the active blocks: "L" plain LSTM, "A" single-head
     attention on channels, "F" multi-head attention on channels, "F+T"
     attention on channels then on time steps (see :func:`resolve_blocks`).
-    Disabled blocks are not constructed, so they contribute no parameters.
+    ``params`` maps every name of :func:`parameter_shapes` to its tensor,
+    in plan order, so a disabled block has no parameters.  An attention
+    block's ``wqkv`` (d, 3·d) holds the query columns of heads 1..h, then
+    their key and their value columns; an LSTM layer's gates are laid out
+    [input, forget, cell, output].
     """
 
     def __init__(
@@ -253,21 +151,23 @@ class RulModel:
         init_rng: np.random.Generator | None = None,
         dtype=ad.DEFAULT_DTYPE,
     ):
-        parameter_shapes(n_features, window, mode, feature_heads, sequence_heads, lstm_hidden,
-                         lstm_layers, mlp_hidden, dropout, dtype)
+        plan = parameter_shapes(n_features, window, mode, feature_heads, sequence_heads, lstm_hidden,
+                                lstm_layers, mlp_hidden, dropout, dtype)
         if init_rng is None:
             init_rng = np.random.default_rng(0)
         self.n_features = n_features
         self.window = window
         self.mode, self.feature_heads, self.sequence_heads = resolve_blocks(mode, feature_heads, sequence_heads)
+        self.lstm_hidden, self.lstm_layers, self.mlp_hidden = lstm_hidden, lstm_layers, mlp_hidden
+        self.dropout = dropout
         self.dtype = np.dtype(dtype)
-
-        # Channel tokens have width T, time-step tokens have width F.
-        fh, sh = self.feature_heads, self.sequence_heads
-        self.feature_attention = MultiHeadAttention(window, fh, init_rng, dtype) if fh else None
-        self.sequence_attention = MultiHeadAttention(n_features, sh, init_rng, dtype) if sh else None
-        self.lstm = LstmStack(n_features, lstm_hidden, lstm_layers, init_rng, dtype)
-        self.head = MlpHead(lstm_hidden, mlp_hidden, dropout, init_rng, dtype)
+        # One draw per head and projection in a wqkv, in column order.
+        pieces = {"fa.wqkv": 3 * self.feature_heads, "sa.wqkv": 3 * self.sequence_heads}
+        self.params = {name: _init(init_rng, shape, dtype, pieces.get(name, 1)) for name, shape in plan}
+        for layer in range(lstm_layers):
+            self.params[f"lstm.l{layer}.b"].data[lstm_hidden : 2 * lstm_hidden] = 1.0  # forget gate starts open
+        # The last forward pass's softmax weights, (B, h, N, N), by block prefix "fa" or "sa".
+        self.last_weights: dict[str, np.ndarray] = {}
 
     # -- forward ---------------------------------------------------------
     def _check_input(self, x: Tensor) -> Tensor:
@@ -279,17 +179,41 @@ class RulModel:
             )
         return x
 
+    def _attend(self, prefix: str, heads: int, x: Tensor) -> Tensor:
+        """Block ``prefix``'s self-attention over the tokens of ``x``; identity without heads."""
+        if not heads:
+            return x
+        params = self.params[f"{prefix}.wqkv"], self.params[f"{prefix}.wo"]
+        out, self.last_weights[prefix] = ad.attention(x, *params, heads)
+        return out
+
     def apply_feature_attention(self, x: Tensor) -> Tensor:
         """Attention across channels; identity when the block is disabled."""
-        if self.feature_attention is None:
-            return x
-        return self.feature_attention(x)
+        return self._attend("fa", self.feature_heads, x)
 
     def apply_sequence_attention(self, x: Tensor) -> Tensor:
         """Attention across time steps; identity when the block is disabled."""
-        if self.sequence_attention is None:
+        if not self.sequence_heads:
             return x
-        return ad.transpose(self.sequence_attention(ad.transpose(x)))
+        return ad.transpose(self._attend("sa", self.sequence_heads, ad.transpose(x)))
+
+    def lstm(self, x: Tensor) -> Tensor:
+        """The stacked LSTM's last top-layer hidden state, (B, F, T) -> (B, H);
+        see :func:`rulnet.autodiff.lstm`."""
+        layers = range(self.lstm_layers)
+        w_x, w_h, bias = ([self.params[f"lstm.l{i}.{kind}"] for i in layers] for kind in ("wx", "wh", "b"))
+        return ad.lstm(x, w_x, w_h, bias)
+
+    def head(self, x: Tensor, training: bool, rng: np.random.Generator | None) -> Tensor:
+        """Hidden rectified layer with inverted dropout, then one output node."""
+        hidden = ad.relu(x @ self.params["head.w1"] + self.params["head.b1"])
+        if training and self.dropout > 0.0:
+            if rng is None:
+                raise ContractError("training-mode forward needs a dropout generator")
+            keep = rng.random(hidden.shape) >= self.dropout
+            mask = (keep / (1.0 - self.dropout)).astype(hidden.data.dtype)
+            hidden = hidden * Tensor(mask)
+        return hidden @ self.params["head.w2"] + self.params["head.b2"]
 
     def forward(
         self,
@@ -326,35 +250,28 @@ class RulModel:
         ``block`` is "feature" or "sequence".  Raises CapabilityError when
         that block is disabled, ContractError before any forward pass.
         """
-        attn = self.feature_attention if block == "feature" else self.sequence_attention
-        if attn is None:
+        prefix, heads = ("fa", self.feature_heads) if block == "feature" else ("sa", self.sequence_heads)
+        if not heads:
             raise CapabilityError(f"model mode {self.mode!r} has no {block} attention block")
-        if attn.last_weights is None:
+        if prefix not in self.last_weights:
             raise ContractError("no forward pass has been run yet")
-        return attn.last_weights
+        return self.last_weights[prefix]
 
     # -- parameters --------------------------------------------------------
     def parameters(self) -> list[tuple[str, Tensor]]:
-        """Stable (name, tensor) list over every trainable parameter."""
-        named: list[tuple[str, Tensor]] = []
-        if self.feature_attention is not None:
-            named += [(f"fa.{n}", p) for n, p in self.feature_attention.parameters()]
-        if self.sequence_attention is not None:
-            named += [(f"sa.{n}", p) for n, p in self.sequence_attention.parameters()]
-        named += [(f"lstm.{n}", p) for n, p in self.lstm.parameters()]
-        named += [(f"head.{n}", p) for n, p in self.head.parameters()]
-        return named
+        """Stable (name, tensor) list over every trainable parameter, in plan order."""
+        return list(self.params.items())
 
     def zero_grad(self) -> None:
-        for _, p in self.parameters():
+        for p in self.params.values():
             p.zero_grad()
 
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, p.data) for name, p in self.parameters()]
+        return [(name, p.data) for name, p in self.params.items()]
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy every parameter from ``arrays``, which matches :func:`parameter_shapes`."""
-        for name, p in self.parameters():
+        for name, p in self.params.items():
             p.data = arrays[name].astype(self.dtype, copy=True)
 
     def hyperparams(self) -> dict:
@@ -365,9 +282,9 @@ class RulModel:
             "mode": self.mode,
             "feature_heads": max(self.feature_heads, 1),
             "sequence_heads": max(self.sequence_heads, 1),
-            "lstm_hidden": self.lstm.hidden_size,
-            "lstm_layers": self.lstm.num_layers,
-            "mlp_hidden": self.head.w1.shape[1],
-            "dropout": self.head.dropout,
+            "lstm_hidden": self.lstm_hidden,
+            "lstm_layers": self.lstm_layers,
+            "mlp_hidden": self.mlp_hidden,
+            "dropout": self.dropout,
             "dtype": self.dtype.str,
         }

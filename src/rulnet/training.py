@@ -237,7 +237,7 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
     # Start the output at the mean training label, so that the first steps
     # fit the labels' spread instead of chasing their offset, which
     # saturates the attention modes into a constant prediction.
-    model.head.b2.data[...] = np.mean(y[train_idx], dtype=np.float64)
+    model.params["head.b2"].data[...] = np.mean(y[train_idx], dtype=np.float64)
 
     params = [p for _, p in model.parameters()]
     state = AdamState(params)

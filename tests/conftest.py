@@ -29,8 +29,25 @@ def build_tiny_model(seed=0, mode="F+T", dtype=np.float64, dropout=0.0):
     )
     # Keep every rectifier preactivation away from its kink so central
     # finite differences stay valid around the test point.
-    model.head.b1.data += 0.05
+    model.params["head.b1"].data += 0.05
     return model, rng
+
+
+def lstm_weights(width, hidden, layers, rng, dtype=np.float64):
+    """Leaf ``w_x``, ``w_h`` and ``bias`` lists for ``ad.lstm``, drawn in the
+    order and way ``RulModel`` draws its LSTM: per layer, each matrix
+    uniform in ±1/sqrt(rows), then a zero bias whose forget-gate rows are 1."""
+    params = []
+    for layer in range(layers):
+        for shape in ad.lstm_weight_shapes(width, hidden, layer):
+            if len(shape) == 1:
+                data = np.zeros(shape)
+                data[hidden : 2 * hidden] = 1.0
+            else:
+                bound = 1.0 / math.sqrt(shape[0])
+                data = rng.uniform(-bound, bound, size=shape)
+            params.append(Tensor(data.astype(dtype), requires_grad=True))
+    return params[0::3], params[1::3], params[2::3]
 
 
 @pytest.fixture

@@ -28,7 +28,6 @@ from rulnet.cli import main as cli_main
 from rulnet.evaluation import phm_score, predict_test_set, rmse
 from rulnet.checkpoint import Bundle
 from rulnet.config import ExperimentConfig
-from rulnet.model import MultiHeadAttention
 from rulnet.seeding import generator
 from rulnet.synthetic import generate_dataset
 from rulnet.training import fit
@@ -212,12 +211,11 @@ def test_criterion_6_attention_invariants():
                 np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
                 assert np.all(weights >= 0.0)
 
-    layer = MultiHeadAttention(d_model=6, heads=1, rng=rng, dtype=np.float64)
-    layer.w_qkv.data = np.tile(np.eye(6), 3)
-    layer.w_o.data = np.eye(6)
+    w_qkv = Tensor(np.tile(np.eye(6), 3), dtype=np.float64)
+    w_o = Tensor(np.eye(6), dtype=np.float64)
     x = Tensor(rng.standard_normal((9, 6)), dtype=np.float64)
-    raw, _ = per_head_attention(x, *head_blocks(layer.w_qkv, 1), layer.w_o)
-    assert np.array_equal(layer(x).data, raw.data)
+    raw, _ = per_head_attention(x, *head_blocks(w_qkv, 1), w_o)
+    assert np.array_equal(ad.attention(x, w_qkv, w_o, 1)[0].data, raw.data)
 
     # Exported surfaces obey the same row-sum bound.
     from rulnet.evaluation import export_attention

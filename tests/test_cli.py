@@ -260,7 +260,7 @@ class TestTrain:
 
         def poisoned_model(*args, **kwargs):
             model = real_model(*args, **kwargs)
-            model.head.w2.data[:] = np.nan
+            model.params["head.w2"].data[:] = np.nan
             return model
 
         monkeypatch.setattr(cli, "RulModel", poisoned_model)
@@ -625,6 +625,11 @@ ENTRY_POINT_CASES = [
     *[pytest.param(["sweep", *CONFIG_ARGS, "--param", "r_max", "--values", values], {}, {}, 1,
                    "--values", id=f"sweep-repeated-{values}")
       for values in ("50,50", "50,50.0", "40,50,40")],
+    # The third of three runs takes seeds[0] + 2.
+    *[pytest.param(["sweep", *CONFIG_ARGS, "--param", "r_max", "--values", "50", "--seeds", seeds,
+                    "--repeats", repeats], {}, {}, 1, f"seed {seed} twice",
+                   id=f"sweep-repeated-seed-{seeds}")
+      for seeds, repeats, seed in [("0,2", "3", 2), ("3,3", "2", 3)]],
     *[pytest.param(["evaluate", "--checkpoint", "{bundle}", "--out", "{out}"], {}, {name: value},
                    2, name, id=f"bundle-{name}")
       for name, value in [("r_max", "abc"), ("clip_test_rul", "no")]],
@@ -688,6 +693,34 @@ class TestEntryPoints:
         assert main(["evaluate", "--checkpoint", str(path), "--out", str(out)]) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"data error: CheckpointError: {path}: ") and name in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["config", "bundle"])
+    def test_integer_past_the_digit_limit_is_one_error_line(self, workspace, trained, tmp_path,
+                                                            capsys, source):
+        # Python parses no JSON integer of more than 4,300 digits.
+        digits = "1" * 5000
+        out = tmp_path / "out"
+        if source == "config":
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps({**workspace["raw"], "window": 0}).replace('"window": 0',
+                                                                                   f'"window": {digits}'))
+            argv, code, start = ["train", "--config", str(path)], 1, "configuration error: "
+        else:
+            blob = (trained / "checkpoint.bin").read_bytes()
+            (header_len,) = struct.unpack_from("<Q", blob, 12)
+            header = json.loads(blob[20 : 20 + header_len])
+            header["hyperparams"]["lstm_hidden"] = 0
+            text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+            text = text.replace('"lstm_hidden":0', f'"lstm_hidden":{digits}').encode()
+            path = tmp_path / "bundle.bin"
+            path.write_bytes(blob[:12] + struct.pack("<Q", len(text)) + text + blob[20 + header_len :])
+            argv, code, start = ["evaluate", "--checkpoint", str(path)], 2, f"data error: CheckpointError: {path}: "
+        assert main([*argv, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith(start) and "4300" in line
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["preprocess", "train", "evaluate", "explain"])

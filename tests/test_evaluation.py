@@ -223,7 +223,7 @@ class ReferenceExport:
 def reference_export_attention(bundle, trajectory, cycles=None, matrix_cycles=None):
     """The per-cycle export: a batch-1 forward and row tuples per cycle."""
     model = bundle.model
-    if model.feature_attention is None:
+    if not model.feature_heads:
         raise CapabilityError(f"mode {model.mode!r} retains no attention weights")
     total = len(trajectory)
     if cycles is None:
@@ -328,7 +328,7 @@ class TestExportAttention:
         bundle = four_channel_bundle()
         traj = make_test_trajs(1, length=12)[0]
         export = export_attention(bundle, traj, cycles=[3, 12])
-        heads = bundle.model.feature_attention.heads
+        heads = bundle.model.feature_heads
         # one (cycle, head) block per head plus the averaged block
         assert export.weights.shape == (2, heads + 1, 24, 24)
         assert export.weights.dtype == np.float64
@@ -368,7 +368,7 @@ class TestExportAttention:
         paths = write_attention_csvs(export, tmp_path)
         feature_lines = paths["feature"].read_text().splitlines()
         assert feature_lines[0] == "cycle,head,row_sensor,col_sensor,weight"
-        heads = bundle.model.feature_attention.heads
+        heads = bundle.model.feature_heads
         assert len(feature_lines) == 1 + (heads + 1) * 24 * 24
         sums_lines = paths["cycle_sums"].read_text().splitlines()
         assert sums_lines[0] == "cycle,sensor,weight_sum"
@@ -432,7 +432,7 @@ class TestExportAttention:
             feature = list(csv.DictReader(fh))
         with open(paths["cycle_sums"], newline="") as fh:
             sums = list(csv.DictReader(fh))
-        heads = bundle.model.feature_attention.heads
+        heads = bundle.model.feature_heads
         head_rows = [r for r in feature if r["head"] != "mean"]
         assert len(head_rows) == 12 * heads * 24 * 24
         parsed = np.array([np.float32(float(r["weight"])) for r in head_rows])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tracemalloc
@@ -5,14 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import build_tiny_model, head_blocks, per_head_attention, sigmoid, tanh
+from conftest import build_tiny_model, head_blocks, lstm_weights, per_head_attention, sigmoid, tanh
 from rulnet import (
     CapabilityError,
     ConfigurationError,
     ContractError,
     DimensionError,
-    LstmStack,
-    MultiHeadAttention,
     RulModel,
     Tape,
     Tensor,
@@ -31,13 +30,21 @@ def attention_oracle(q, k, v):
     return w @ v, w
 
 
-def multi_head_oracle(layer, x):
-    """Per-head decomposition: independent single-head runs, concatenated."""
+def multi_head_oracle(model, x):
+    """Per-head decomposition of the feature block: independent
+    single-head runs, concatenated."""
     outs = []
-    for w_q, w_k, w_v in zip(*head_blocks(layer.w_qkv, layer.heads)):
+    for w_q, w_k, w_v in zip(*head_blocks(model.params["fa.wqkv"], model.feature_heads)):
         out, _ = attention_oracle(x @ w_q.data, x @ w_k.data, x @ w_v.data)
         outs.append(out)
-    return np.concatenate(outs, axis=1) @ layer.w_o.data
+    return np.concatenate(outs, axis=1) @ model.params["fa.wo"].data
+
+
+def feature_block(tokens, width, heads, rng, dtype=np.float64):
+    """A mode-F model whose feature block attends over ``tokens`` tokens of
+    ``width``; its first draws are that block's ``wqkv`` and ``wo``."""
+    return RulModel(n_features=tokens, window=width, mode="F", feature_heads=heads, lstm_hidden=2,
+                    lstm_layers=1, mlp_hidden=2, dropout=0.0, init_rng=rng, dtype=dtype)
 
 
 def single_head(q_in, w_q, w_k, w_v):
@@ -86,80 +93,83 @@ class TestScaledDotProductAttention:
 class TestMultiHeadAttention:
     def test_single_head_identity_projections_equal_raw_attention(self):
         rng = np.random.default_rng(2)
-        layer = MultiHeadAttention(d_model=3, heads=1, rng=rng, dtype=np.float64)
+        model = feature_block(4, 3, 1, rng)
         eye = np.eye(3)
-        layer.w_qkv.data = np.tile(eye, 3)
-        layer.w_o.data = eye.copy()
+        model.params["fa.wqkv"].data = np.tile(eye, 3)
+        model.params["fa.wo"].data = eye.copy()
         x = Tensor(rng.standard_normal((4, 3)), dtype=np.float64)
-        raw, _ = per_head_attention(x, *head_blocks(layer.w_qkv, 1), layer.w_o)
-        assert np.array_equal(layer(x).data, raw.data)
+        raw, _ = per_head_attention(x, *head_blocks(model.params["fa.wqkv"], 1), model.params["fa.wo"])
+        assert np.array_equal(model.apply_feature_attention(x).data, raw.data)
 
     def test_matches_per_head_decomposition_oracle(self):
         rng = np.random.default_rng(3)
-        layer = MultiHeadAttention(d_model=4, heads=2, rng=rng, dtype=np.float64)
+        model = feature_block(5, 4, 2, rng)
         x = rng.standard_normal((5, 4))
         np.testing.assert_allclose(
-            layer(Tensor(x, dtype=np.float64)).data, multi_head_oracle(layer, x), atol=1e-12
+            model.apply_feature_attention(Tensor(x, dtype=np.float64)).data,
+            multi_head_oracle(model, x), atol=1e-12
         )
 
     @pytest.mark.parametrize("n,d_model,heads", [(1, 4, 1), (7, 6, 2), (24, 30, 5), (30, 24, 4), (3, 8, 8)])
     def test_shape_preserved(self, n, d_model, heads):
         rng = np.random.default_rng(4)
-        layer = MultiHeadAttention(d_model, heads, rng, dtype=np.float64)
+        model = feature_block(n, d_model, heads, rng)
         x = Tensor(rng.standard_normal((n, d_model)), dtype=np.float64)
-        assert layer(x).shape == (n, d_model)
+        assert model.apply_feature_attention(x).shape == (n, d_model)
         batched = Tensor(rng.standard_normal((2, n, d_model)), dtype=np.float64)
-        assert layer(batched).shape == (2, n, d_model)
+        assert model.apply_feature_attention(batched).shape == (2, n, d_model)
 
     def test_projection_is_the_head_blocks_drawn_in_column_order(self):
         # w_qkv joins 3·h (d, d_h) draws: the queries of heads 1..h, then
         # the keys, then the values; the output weight is drawn after them.
-        layer = MultiHeadAttention(d_model=6, heads=2, rng=np.random.default_rng(9))
+        # They are a model's first draws.
+        model = feature_block(4, 6, 2, np.random.default_rng(9), dtype=np.float32)
+        w_qkv, w_o = model.params["fa.wqkv"], model.params["fa.wo"]
         rng, bound = np.random.default_rng(9), 1 / math.sqrt(6)
         blocks = [rng.uniform(-bound, bound, (6, 3)).astype(np.float32) for _ in range(6)]
-        assert layer.w_qkv.shape == (6, 18) and layer.w_qkv.requires_grad
-        assert np.array_equal(layer.w_qkv.data, np.hstack(blocks))
-        assert np.array_equal(layer.w_o.data, rng.uniform(-bound, bound, (6, 6)).astype(np.float32))
-        assert [n for n, _ in layer.parameters()] == ["wqkv", "wo"]
+        assert w_qkv.shape == (6, 18) and w_qkv.requires_grad
+        assert np.array_equal(w_qkv.data, np.hstack(blocks))
+        assert np.array_equal(w_o.data, rng.uniform(-bound, bound, (6, 6)).astype(np.float32))
+        assert [n for n, _ in model.parameters()][:2] == ["fa.wqkv", "fa.wo"]
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigurationError):
-            MultiHeadAttention(d_model=30, heads=4, rng=np.random.default_rng(0))
+            feature_block(4, 30, 4, np.random.default_rng(0))
 
     def test_width_mismatch_rejected(self):
-        layer = MultiHeadAttention(d_model=6, heads=2, rng=np.random.default_rng(0))
+        model = feature_block(3, 6, 2, np.random.default_rng(0), dtype=np.float32)
         with pytest.raises(DimensionError):
-            layer(Tensor(np.zeros((3, 5), dtype=np.float32)))
+            model.apply_feature_attention(Tensor(np.zeros((3, 5), dtype=np.float32)))
 
     def test_retains_row_stochastic_weights(self):
         rng = np.random.default_rng(5)
-        layer = MultiHeadAttention(d_model=6, heads=3, rng=rng, dtype=np.float64)
-        layer(Tensor(rng.standard_normal((4, 6)), dtype=np.float64))
-        assert layer.last_weights.shape == (3, 4, 4)
-        for w in layer.last_weights:
+        model = feature_block(4, 6, 3, rng)
+        model.apply_feature_attention(Tensor(rng.standard_normal((4, 6)), dtype=np.float64))
+        assert model.attention_weights("feature").shape == (3, 4, 4)
+        for w in model.attention_weights("feature"):
             assert w.shape == (4, 4)
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
 
 
-def lstm_scalar_oracle(stack, x):
+def lstm_scalar_oracle(w_x, w_h, bias, x):
     """Step-by-step scalar-loop evaluation of the gate equations."""
 
     def sig(z):
         return 1.0 / (1.0 + math.exp(-z))
 
-    hidden = stack.hidden_size
+    hidden = w_h[0].shape[0]
     inputs = [x[:, t].astype(np.float64) for t in range(x.shape[1])]
-    for layer in range(stack.num_layers):
-        wx = stack.w_x[layer].data
-        wh = stack.w_h[layer].data
-        bias = stack.bias[layer].data
+    for layer in range(len(w_x)):
+        wx = w_x[layer].data
+        wh = w_h[layer].data
+        b = bias[layer].data
         h = np.zeros(hidden)
         c = np.zeros(hidden)
         outs = []
         for step, x_t in enumerate(inputs):
             z = np.zeros(4 * hidden)
             for j in range(4 * hidden):
-                acc = float(bias[j])
+                acc = float(b[j])
                 for i in range(len(x_t)):
                     acc += float(x_t[i]) * float(wx[i, j])
                 if step > 0:
@@ -225,20 +235,18 @@ class TestFusedLstm:
     def _setup(batch, steps, layers, seed, width=5, hidden=3):
         # Input width differs from hidden width, so layer 0's w_x is not square.
         rng = np.random.default_rng(seed)
-        stack = LstmStack(width, hidden, layers, rng, dtype=np.float64)
+        weights = lstm_weights(width, hidden, layers, rng)
         x = Tensor(rng.standard_normal((batch, width, steps)), requires_grad=True, dtype=np.float64)
         readout = Tensor(rng.standard_normal((batch, hidden)), dtype=np.float64)
-        return stack, x, readout, [x] + [p for _, p in stack.parameters()]
+        return weights, x, readout, [x] + [p for layer in zip(*weights) for p in layer]
 
     @staticmethod
-    def _check_against_references(stack, x, readout, params):
-        fused, fused_grads = lstm_loss_and_grads(lambda: stack(x), params, readout)
-        ref, ref_grads = lstm_loss_and_grads(
-            lambda: per_step_lstm(x, stack.w_x, stack.w_h, stack.bias), params, readout
-        )
+    def _check_against_references(weights, x, readout, params):
+        fused, fused_grads = lstm_loss_and_grads(lambda: ad.lstm(x, *weights), params, readout)
+        ref, ref_grads = lstm_loss_and_grads(lambda: per_step_lstm(x, *weights), params, readout)
         np.testing.assert_allclose(fused, ref, rtol=1e-13, atol=1e-15)
         for b in range(x.shape[0]):
-            np.testing.assert_allclose(fused[b], lstm_scalar_oracle(stack, x.data[b]), atol=1e-12)
+            np.testing.assert_allclose(fused[b], lstm_scalar_oracle(*weights, x.data[b]), atol=1e-12)
         for got, want in zip(fused_grads, ref_grads):
             if want is None:  # w_h never acts when T == 1
                 assert got is None
@@ -261,8 +269,8 @@ class TestFusedLstm:
         # Width 24, T 30 and a 3×100 stack: the float32 op sums each weight
         # and bias gradient over the 30 steps; each result stays within
         # 1e-5 of the float64 one, relative to the largest float64 entry.
-        stack, x, readout, params = self._setup(4, 30, 3, seed=26, width=24, hidden=100)
-        out64, grads64 = lstm_loss_and_grads(lambda: stack(x), params, readout)
+        weights, x, readout, params = self._setup(4, 30, 3, seed=26, width=24, hidden=100)
+        out64, grads64 = lstm_loss_and_grads(lambda: ad.lstm(x, *weights), params, readout)
         params32 = [Tensor(p.data, requires_grad=True, dtype=np.float32) for p in params]
         x32, w32 = params32[0], params32[1:]
         out32, grads32 = lstm_loss_and_grads(
@@ -275,75 +283,76 @@ class TestFusedLstm:
             assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
     def test_gradcheck(self):
-        stack, x, readout, params = self._setup(batch=2, steps=4, layers=3, seed=21)
-        gradcheck(lambda: ad.mean(ad.mul(stack(x), readout)), params)
+        weights, x, readout, params = self._setup(batch=2, steps=4, layers=3, seed=21)
+        gradcheck(lambda: ad.mean(ad.mul(ad.lstm(x, *weights), readout)), params)
 
     def test_exact_arithmetic_agrees_with_oracle(self):
-        stack, x, readout, params = self._setup(batch=3, steps=4, layers=2, seed=22)
-        fast, fast_grads = lstm_loss_and_grads(lambda: stack(x), params, readout)
+        weights, x, readout, params = self._setup(batch=3, steps=4, layers=2, seed=22)
+        fast, fast_grads = lstm_loss_and_grads(lambda: ad.lstm(x, *weights), params, readout)
         with exact_arithmetic():
-            exact, exact_grads = lstm_loss_and_grads(lambda: stack(x), params, readout)
+            exact, exact_grads = lstm_loss_and_grads(lambda: ad.lstm(x, *weights), params, readout)
         for b in range(3):
-            np.testing.assert_allclose(exact[b], lstm_scalar_oracle(stack, x.data[b]), atol=1e-13)
+            np.testing.assert_allclose(exact[b], lstm_scalar_oracle(*weights, x.data[b]), atol=1e-13)
         np.testing.assert_allclose(exact, fast, rtol=1e-13, atol=1e-15)
         for got, want in zip(exact_grads, fast_grads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_records_one_node_and_nothing_without_a_tape(self):
-        stack, x, _, _ = self._setup(batch=2, steps=3, layers=3, seed=23)
-        out = stack(x)
+        weights, x, _, _ = self._setup(batch=2, steps=3, layers=3, seed=23)
+        out = ad.lstm(x, *weights)
         assert not out.requires_grad
         with Tape() as tape:
-            out = stack(x)
+            out = ad.lstm(x, *weights)
         assert len(tape) == 1 and out.requires_grad
-        frozen = [Tensor(p.data) for p in (*stack.w_x, *stack.w_h, *stack.bias)]
+        frozen = [Tensor(p.data) for group in weights for p in group]
         with Tape() as tape:
             ad.lstm(Tensor(x.data), frozen[:3], frozen[3:6], frozen[6:])
         assert len(tape) == 0
 
     def test_weight_shape_mismatch_rejected(self):
-        stack, x, _, _ = self._setup(batch=2, steps=3, layers=2, seed=24)
+        (w_x, w_h, bias), x, _, _ = self._setup(batch=2, steps=3, layers=2, seed=24)
         with pytest.raises(DimensionError):
-            ad.lstm(x, stack.w_x[::-1], stack.w_h, stack.bias)
+            ad.lstm(x, w_x[::-1], w_h, bias)
         with pytest.raises(ContractError):
-            ad.lstm(x, stack.w_x, stack.w_h[:1], stack.bias)
+            ad.lstm(x, w_x, w_h[:1], bias)
 
 
 class TestLstm:
     def test_all_zero_weights_fixed_point(self):
         rng = np.random.default_rng(6)
-        stack = LstmStack(4, 5, 3, rng, dtype=np.float64)
-        for _, p in stack.parameters():
-            p.data[...] = 0.0
-        out = stack(Tensor(rng.standard_normal((4, 7)), dtype=np.float64))
-        np.testing.assert_array_equal(out.data, np.zeros(5))
+        weights = lstm_weights(4, 5, 3, rng)
+        for group in weights:
+            for p in group:
+                p.data[...] = 0.0
+        out = ad.lstm(Tensor(rng.standard_normal((1, 4, 7)), dtype=np.float64), *weights)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 5)))
 
     def test_single_step_equals_cell_equations(self):
         rng = np.random.default_rng(7)
-        stack = LstmStack(3, 4, 1, rng, dtype=np.float64)
+        w_x, w_h, bias = lstm_weights(3, 4, 1, rng)
         x = rng.standard_normal((3, 1))
-        out = stack(Tensor(x, dtype=np.float64))
-        z = x[:, 0] @ stack.w_x[0].data + stack.bias[0].data
+        out = ad.lstm(Tensor(x[None], dtype=np.float64), w_x, w_h, bias)
+        z = x[:, 0] @ w_x[0].data + bias[0].data
         i_g = 1 / (1 + np.exp(-z[:4]))
         g_c = np.tanh(z[8:12])
         o_g = 1 / (1 + np.exp(-z[12:]))
         expected = o_g * np.tanh(i_g * g_c)
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(8)
-        stack = LstmStack(3, 4, 3, rng, dtype=np.float64)
+        weights = lstm_weights(3, 4, 3, rng)
         x = rng.standard_normal((3, 3))
-        out = stack(Tensor(x, dtype=np.float64))
-        np.testing.assert_allclose(out.data, lstm_scalar_oracle(stack, x), atol=1e-10)
+        out = ad.lstm(Tensor(x[None], dtype=np.float64), *weights)
+        np.testing.assert_allclose(out.data[0], lstm_scalar_oracle(*weights, x), atol=1e-10)
 
     def test_batched_equals_per_sample(self):
         rng = np.random.default_rng(9)
-        stack = LstmStack(3, 4, 2, rng, dtype=np.float64)
+        weights = lstm_weights(3, 4, 2, rng)
         xs = rng.standard_normal((5, 3, 6))
-        batched = stack(Tensor(xs, dtype=np.float64)).data
+        batched = ad.lstm(Tensor(xs, dtype=np.float64), *weights).data
         for b in range(5):
-            single = stack(Tensor(xs[b], dtype=np.float64)).data
+            single = ad.lstm(Tensor(xs[b : b + 1], dtype=np.float64), *weights).data[0]
             np.testing.assert_allclose(batched[b], single, atol=1e-12)
 
 
@@ -383,14 +392,14 @@ class TestRulModel:
         x = Tensor(rng.standard_normal((4, 6)), dtype=np.float64)
         assert model.apply_feature_attention(x) is x
         assert model.apply_sequence_attention(x) is x
-        features = ad.reshape(model.lstm(x), (1, model.lstm.hidden_size))
+        features = model.lstm(ad.reshape(x, (1, 4, 6)))
         direct = model.head(features, training=False, rng=None)
         np.testing.assert_array_equal(model.forward(x).data, direct.data.reshape(()))
 
     def test_mode_a_forces_single_head(self):
         model, _ = build_tiny_model(mode="A")
-        assert model.feature_attention.heads == 1
-        assert model.sequence_attention is None
+        assert (model.feature_heads, model.sequence_heads) == (1, 0)
+        assert "fa.wqkv" in model.params and not any(n.startswith("sa.") for n in model.params)
 
     def test_default_model_has_17_parameter_tensors(self):
         # Two per attention block, three per LSTM layer, four in the head.
@@ -431,7 +440,7 @@ class TestRulModel:
         x = rng.standard_normal((4, 6))
         out = model.apply_feature_attention(Tensor(x, dtype=np.float64))
         np.testing.assert_allclose(
-            out.data, multi_head_oracle(model.feature_attention, x), atol=1e-12
+            out.data, multi_head_oracle(model, x), atol=1e-12
         )
 
     def test_retained_attention_rows_sum_to_one(self):
@@ -473,6 +482,30 @@ class TestRulModel:
         assert np.array_equal(clone.predict(x), before)
 
 
+
+# The sha256 of a tiny float32 model's initial parameters, per mode: name,
+# dtype and shape, then the bytes, of every parameter in plan order.  No
+# BLAS call draws them, so they are the same on every host, and a change
+# to them changes every trained byte.
+INIT_DIGESTS = {
+    "L": "18b84c73b5edeed7cea9a094024ed84d08c04b9f33c4780b57410b4a9c98834c",
+    "A": "e0e257b776c7b32f1d7a8c12d09365cdb0684f1dbf84699589978a78beb5842e",
+    "F": "48ccf7675568ac340cd9e7929d39e5127d7ef3505b36a6da95684ddbfe902182",
+    "F+T": "08fef605bb53f2a4afe835e35bbe14d2f6272150d23ab0be30f5c0020b420207",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_init_draws_keep_their_bytes(mode):
+    model = RulModel(n_features=4, window=6, mode=mode, feature_heads=2, sequence_heads=2,
+                     lstm_hidden=8, lstm_layers=3, mlp_hidden=8, dropout=0.5,
+                     init_rng=np.random.default_rng(7), dtype=np.float32)
+    digest = hashlib.sha256()
+    for name, arr in model.state_arrays():
+        digest.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == INIT_DIGESTS[mode]
+
 # Window 10 and 24 channels: 2 heads divide both token widths, 7 neither.
 # Each entry is the resolved (mode, feature heads, sequence heads), or the
 # message of the ConfigurationError that validate() raises.
@@ -500,9 +533,9 @@ class TestResolveBlocks:
         assert resolve_blocks(mode, heads, heads) == expected
         assert cfg.effective_heads() == expected[1:]
         model = RulModel(**cfg.model_kwargs())
-        built = tuple(0 if block is None else block.heads
-                      for block in (model.feature_attention, model.sequence_attention))
-        assert (model.mode,) + built == expected
+        assert (model.mode, model.feature_heads, model.sequence_heads) == expected
+        built = tuple(f"{prefix}.wqkv" in model.params for prefix in ("fa", "sa"))
+        assert built == (expected[1] > 0, expected[2] > 0)
         rebuilt = RulModel(**model.hyperparams())
         assert rebuilt.hyperparams() == model.hyperparams()
         assert [n for n, _ in rebuilt.parameters()] == [n for n, _ in model.parameters()]

@@ -308,7 +308,7 @@ class TestFit:
             backward(tape, loss)
             planted["calls"] = planted.get("calls", 0) + 1
             if planted["calls"] == 2:
-                model.lstm.w_x[0].grad[0, 0] = np.inf
+                model.params["lstm.l0.wx"].grad[0, 0] = np.inf
                 planted["weights"] = [a.copy() for _, a in model.state_arrays()]
 
         monkeypatch.setattr(Tape, "backward", plant_inf_in_second_batch)
