@@ -428,16 +428,22 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
     below.
 
     The whole stack is one tape node.  State is kept feature × batch, so
-    each gate's slice of a time step is one contiguous (H, B) block: gate
-    pre-activations are (T, 4H, B), and cell, tanh(cell) and hidden are
-    (T, H, B).  Per layer, the forward pass does the input product
-    w_xᵀ @ input[t] for all T steps in one batched call, then runs the
-    recurrence in place.  The backward pass is hand-written BPTT over one
-    reused (4H, B) step gradient dz.  At each step, while dz is in cache,
-    it adds dz @ input[t]ᵀ, dz @ h[t-1]ᵀ and dz into the w_x, w_h and bias
-    gradient sums (kept as (4H, ·) and transposed once per layer) and
-    computes the step's input gradient w_x @ dz, so no whole-sequence gate
-    gradient is stored.
+    each gate's slice of a time step is one contiguous (H, B) block.  At
+    each step the forward pass does the input product w_xᵀ @ input[t] into
+    that step's (4H, B) gate block, adds the bias block and the recurrent
+    product, and runs the cell update in place.  While a tape records, it
+    keeps the (T, 4H, B) gate activations and the (T, H, B) cell,
+    tanh(cell) and hidden sequences the backward reads.  Without a tape it
+    keeps one step's gates and tanh(cell), the last two cells and the
+    hidden sequence, which the layer above reads; the arithmetic, and so
+    every output bit, is the same either way.
+
+    The backward pass is hand-written BPTT over one reused (4H, B) step
+    gradient dz.  At each step, while dz is in cache, it adds
+    dz @ input[t]ᵀ, dz @ h[t-1]ᵀ and dz into the w_x, w_h and bias gradient
+    sums (kept as (4H, ·) and transposed once per layer) and computes the
+    step's input gradient w_x @ dz, so no whole-sequence gate gradient is
+    stored.
     """
     layers = len(w_x)
     if layers < 1 or len(w_h) != layers or len(bias) != layers:
@@ -458,30 +464,36 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
 
     seq = np.ascontiguousarray(x.data.transpose(2, 1, 0))  # (T, F, B)
     rec = np.empty((4 * hidden, batch), dtype)  # one step's recurrent product
+    # The backward reads every step's gates, cell and tanh(cell); without a
+    # tape only the previous cell is read again, so those buffers hold one
+    # step (two for the cell) and step t uses row t modulo their length.
+    kept = steps if tape is not None else 1
     saved = []
     with np.errstate(over="ignore"):
         for layer in range(layers):
-            gates = _matmul_data(w_x[layer].data.T, seq)
+            w_x_t, w_h_t = w_x[layer].data.T, w_h[layer].data.T
             # A contiguous (4H, B) bias block adds faster than a broadcast column.
-            gates += np.repeat(bias[layer].data[:, None], batch, axis=1)
-            w_h_t = w_h[layer].data.T
-            cell = np.empty((steps, hidden, batch), dtype)
-            tanh_cell = np.empty_like(cell)
-            hid = np.empty_like(cell)
+            bias_block = np.repeat(bias[layer].data[:, None], batch, axis=1)
+            gates = np.empty((kept, 4 * hidden, batch), dtype)
+            cell = np.empty((min(steps, kept + 1), hidden, batch), dtype)
+            tanh_cell = np.empty((kept, hidden, batch), dtype)
+            hid = np.empty((steps, hidden, batch), dtype)
             for t in range(steps):
-                z = gates[t]
+                z = _matmul_data(w_x_t, seq[t], out=gates[t % kept])
+                z += bias_block
                 if t:
                     z += _matmul_data(w_h_t, hid[t - 1], out=rec)
+                c, th = cell[t % len(cell)], tanh_cell[t % kept]
                 i, f, g, o = z.reshape(4, hidden, batch)
-                np.tanh(g, out=tanh_cell[t])  # scratch until tanh(cell) lands
+                np.tanh(g, out=th)  # scratch until tanh(cell) lands
                 _sigmoid_inplace(z)
-                g[...] = tanh_cell[t]
-                np.multiply(i, g, out=cell[t])
+                g[...] = th
+                np.multiply(i, g, out=c)
                 if t:
-                    np.multiply(f, cell[t - 1], out=hid[t])  # scratch until hidden lands
-                    cell[t] += hid[t]
-                np.tanh(cell[t], out=tanh_cell[t])
-                np.multiply(o, tanh_cell[t], out=hid[t])
+                    np.multiply(f, cell[(t - 1) % len(cell)], out=hid[t])  # scratch until hidden lands
+                    c += hid[t]
+                np.tanh(c, out=th)
+                np.multiply(o, th, out=hid[t])
             if tape is not None:
                 saved.append((seq, gates, cell, tanh_cell, hid))
             seq = hid

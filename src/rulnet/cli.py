@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -138,8 +139,35 @@ def _test_pairs(cfg: ExperimentConfig) -> list[tuple[RawTrajectory, int]]:
     return pair_test_truth(parse_cmapss(cfg.test_path), parse_rul_truth(cfg.truth_path))
 
 
-def _blas_build() -> dict[str, str]:
-    """Name and version of the BLAS that numpy was built against."""
+# Thread-count getters of the OpenBLAS builds numpy wheels bundle.
+_OPENBLAS_THREAD_SYMBOLS = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+def _openblas_threads() -> int | None:
+    """Threads the OpenBLAS bundled with numpy will use, or None when
+    there is no such library or it cannot be asked."""
+    libdir = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, symbol):
+                get = getattr(lib, symbol)
+                get.argtypes = []
+                get.restype = ctypes.c_int
+                return int(get())
+    return None
+
+
+def _blas_build() -> dict:
+    """Name and version of the BLAS that numpy was built against, and the
+    threads it uses in this process (None when it cannot be asked)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.25 has no "dicts" mode
@@ -147,6 +175,7 @@ def _blas_build() -> dict[str, str]:
     return {
         "blas_name": str(blas.get("name", "unknown")),
         "blas_version": str(blas.get("version", "unknown")),
+        "blas_threads_in_effect": _openblas_threads(),
     }
 
 

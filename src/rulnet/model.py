@@ -101,8 +101,9 @@ def parameter_shapes(n_features: int, window: int, mode: str, feature_heads: int
     # Every LSTM layer above the first has the second's shapes.
     parameters = (_count(attention + _lstm_shapes(n_features, lstm_hidden, 0) + head)
                   + (lstm_layers - 1) * _count(_lstm_shapes(n_features, lstm_hidden, 1)))
-    # Per LSTM layer and step: 4H gate pre-activations and the H-wide cell,
-    # tanh(cell) and hidden state.
+    # A taped batch, per LSTM layer and step: 4H gate activations and the
+    # H-wide cell, tanh(cell) and hidden state.  An untaped forward holds
+    # about 2·T·H·B of LSTM state: two layers' hidden sequences.
     activations = batch_size * (n_features * window + blocks.feature_heads * n_features**2
                                 + blocks.sequence_heads * window**2 + lstm_layers * window * 7 * lstm_hidden)
     for what, count, cap in (("parameters", parameters, MAX_PARAMETERS),

@@ -186,6 +186,8 @@ class TestTrain:
         for key in ("numpy_version", "python_version", "blas_name", "blas_version"):
             assert isinstance(manifest[key], str) and manifest[key], key
         assert manifest["numpy_version"] == np.__version__
+        threads = manifest["blas_threads_in_effect"]
+        assert threads is None or (isinstance(threads, int) and threads >= 1)
 
     @pytest.mark.parametrize(
         "entry",
@@ -209,6 +211,7 @@ class TestTrain:
         assert proc.returncode == 0, proc.stderr
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["blas_threads"] == {var: "1" for var in BLAS_THREAD_VARS}
+        assert manifest["blas_threads_in_effect"] in (1, None)
 
     def test_invalid_head_combination_fails_fast(self, workspace):
         code = main(

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import re
@@ -5,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_tiny_model, head_blocks, lstm_weights, per_head_attention, sigmoid, tanh
 from rulnet import (
@@ -308,6 +311,42 @@ class TestFusedLstm:
         with Tape() as tape:
             ad.lstm(Tensor(x.data), frozen[:3], frozen[3:6], frozen[6:])
         assert len(tape) == 0
+
+    @given(batch=st.integers(1, 5), steps=st.integers(1, 8), layers=st.integers(1, 3),
+           dtype=st.sampled_from([np.float32, np.float64]), exact=st.booleans(),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_untaped_forward_matches_taped_bit_for_bit(self, batch, steps, layers, dtype, exact, seed):
+        # Without a tape the op keeps one step's gates and a two-step cell;
+        # the arithmetic is the same, so every output bit is too.
+        weights = lstm_weights(5, 3, layers, np.random.default_rng(seed), dtype=dtype)
+        x = Tensor(np.random.default_rng(seed + 1).standard_normal((batch, 5, steps)).astype(dtype))
+        with exact_arithmetic() if exact else contextlib.nullcontext():
+            untaped = ad.lstm(x, *weights)
+            with Tape():
+                taped = ad.lstm(x, *weights)
+        assert taped.requires_grad and not untaped.requires_grad
+        assert untaped.dtype == dtype
+        assert untaped.data.tobytes() == taped.data.tobytes()
+
+    def test_untaped_forward_keeps_no_whole_sequence_gates(self):
+        # Keeping each layer's (T, 4H, B) gates and (T, H, B) cell and
+        # tanh(cell), as a taped forward must, peaks near 12 T·H·B values
+        # here; an untaped forward holds two layers' hidden sequences and
+        # the input, under 4.
+        batch, width, steps, hidden = 64, 24, 30, 32
+        rng = np.random.default_rng(27)
+        weights = lstm_weights(width, hidden, 3, rng, dtype=np.float32)
+        x = Tensor(rng.standard_normal((batch, width, steps)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ad.lstm(x, *weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sequence = steps * hidden * batch * np.dtype(np.float32).itemsize
+        assert peak - start < 4 * sequence, (peak - start) / sequence
 
     def test_weight_shape_mismatch_rejected(self):
         (w_x, w_h, bias), x, _, _ = self._setup(batch=2, steps=3, layers=2, seed=24)

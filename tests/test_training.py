@@ -444,6 +444,34 @@ def v1_dataset(root):
     return generate_dataset(root, name="V1", n_train=6, n_test=3, n_conditions=1, seed=11)
 
 
+# sha256 of what `rulnet train` writes with TRAIN_FLAGS on the v1_dataset
+# files, run from their parent directory so the bundle's config records the
+# same relative paths on every host.  Each epoch's validation RMSE comes
+# from an untaped forward, so the log pins inference as well as the taped
+# training step.  Recorded with numpy 2.4 on OpenBLAS (x86-64, one thread);
+# as with V1_DIGESTS, another BLAS build may round the float32 products
+# differently.
+TRAIN_FLAGS = ["--seed", "2", "--mode", "F+T", "--window", "6", "--feature-heads", "2",
+               "--sequence-heads", "2", "--lstm-hidden", "4", "--lstm-layers", "2",
+               "--mlp-hidden", "4", "--max-epochs", "3", "--learning-rate", "0.01",
+               "--batch-size", "32"]
+TRAIN_DIGESTS = {
+    "checkpoint.bin": "086364e7b85b243159be516297f2e1fbe0f96565f8231929250679776d453fd6",
+    "training_log.csv": "64e377986f62bb8b90f458b68495b443b0cb6893e38a4672568d474f9741cacd",
+}
+
+
+def test_training_keeps_its_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ds = v1_dataset(Path("data"))
+    paths = ["--train-path", str(ds.train_path), "--test-path", str(ds.test_path),
+             "--truth-path", str(ds.truth_path), "--k-conditions", "1"]
+    assert main(["train", "--out", "run", *paths, *TRAIN_FLAGS]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+               for name in TRAIN_DIGESTS}
+    assert digests == TRAIN_DIGESTS
+
+
 def read_v1_bundle():
     """The v1 bundle's header without its tensor table, and its tensors
     in table order."""
