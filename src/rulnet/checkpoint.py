@@ -59,22 +59,22 @@ class Bundle:
 def save_bundle(path: str | Path, model: RulModel, cm: ConditionModel, config: dict) -> None:
     """Write a bundle whose header records ``config``, a dict of
     :class:`ExperimentConfig` fields (``ExperimentConfig.to_dict()``)."""
-    tensors = model.state_arrays()
+    buffers = []  # each tensor as a contiguous little-endian array, converted once
     table = []
     offset = 0
-    for name, arr in tensors:
-        little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        nbytes = little.nbytes
+    for name, arr in model.state_arrays():
+        little = np.ascontiguousarray(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
+        buffers.append(little)
         table.append(
             {
                 "name": name,
                 "shape": list(arr.shape),
-                "dtype": np.dtype(arr.dtype).str.replace(">", "<"),
+                "dtype": little.dtype.str,
                 "offset": offset,
-                "nbytes": nbytes,
+                "nbytes": little.nbytes,
             }
         )
-        offset += nbytes
+        offset += little.nbytes
     header = {
         "hyperparams": model.hyperparams(),
         "config": config,
@@ -87,8 +87,8 @@ def save_bundle(path: str | Path, model: RulModel, cm: ConditionModel, config: d
         out.write(struct.pack("<I", FORMAT_VERSION))
         out.write(struct.pack("<Q", len(blob)))
         out.write(blob)
-        for _, arr in tensors:
-            out.write(np.ascontiguousarray(arr.astype(arr.dtype.newbyteorder("<"), copy=False)).tobytes())
+        for little in buffers:
+            out.write(little.tobytes())
 
 
 def load_bundle(path: str | Path) -> Bundle:

@@ -54,7 +54,6 @@ from .evaluation import (
     export_attention,
     predict_test_set,
     write_attention_csvs,
-    write_metrics_json,
     write_predictions_csv,
 )
 from .model import RulModel
@@ -100,6 +99,16 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.seed is not None:
         overrides["seeds"] = [args.seed]
     return cfg.override(**overrides, out_dir=args.out)
+
+
+def _write_json(obj, path: str | Path | None = None) -> None:
+    """Write ``obj`` as JSON with sorted keys, a two-space indent and a
+    final newline, to ``path`` or, when it is None, to stdout."""
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _sha256(path: str | Path) -> str:
@@ -209,10 +218,7 @@ def _train_once(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, Bundle]:
         for record in result.log:
             writer.writerow([record.epoch, repr(record.train_loss), repr(record.val_rmse)])
 
-    resolved = out_dir / "resolved_config.json"
-    resolved.write_text(
-        json.dumps(bundle_config, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(bundle_config, out_dir / "resolved_config.json")
     manifest = {
         "version": __version__,
         "seed": seed,
@@ -235,9 +241,7 @@ def _train_once(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, Bundle]:
         "python_version": platform.python_version(),
         **_blas_build(),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(manifest, out_dir / "manifest.json")
     return {
         "checkpoint": str(checkpoint_path),
         "epochs": result.epochs_run,
@@ -252,8 +256,9 @@ def _evaluate_bundle(bundle: Bundle, cfg: ExperimentConfig, out_dir: Path, clip:
     report = predict_test_set(bundle, test, truth, clip_truth=clip)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_predictions_csv(report, out_dir / "predictions.csv")
-    write_metrics_json(report, out_dir / "metrics.json")
-    return report.metrics()
+    metrics = report.metrics()
+    _write_json(metrics, out_dir / "metrics.json")
+    return metrics
 
 
 # ---------------------------------------------------------------------
@@ -269,7 +274,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     samples = [s for traj in normed for s in window_split(traj, cfg.window, cfg.r_max)]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cm.save_text(out_dir / CONDITION_MODEL_FILE)
+    _write_json(cm.to_dict(), out_dir / CONDITION_MODEL_FILE)
     if not args.skip_windows:
         save_windows(samples, out_dir / WINDOWS_FILE)
 
@@ -287,10 +292,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         "rows_per_condition": assignment_counts.tolist(),
         "constant_channels_per_condition": cm.constant_mask.sum(axis=1).tolist(),
     }
-    (out_dir / "preprocess_summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    _write_json(summary, out_dir / "preprocess_summary.json")
+    _write_json(summary)
     return 0
 
 
@@ -298,7 +301,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     cfg.validate()
     summary, _ = _train_once(cfg, Path(cfg.out_dir))
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    _write_json(summary)
     return 0
 
 
@@ -308,8 +311,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.window is not None:
         bundle.require_window(args.window)
     out_dir = Path(args.out or cfg.out_dir)
-    metrics = _evaluate_bundle(bundle, cfg, out_dir, clip=args.clip_test_rul)
-    print(json.dumps(metrics, sort_keys=True, indent=2))
+    _write_json(_evaluate_bundle(bundle, cfg, out_dir, clip=args.clip_test_rul))
     return 0
 
 
@@ -366,18 +368,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
         for cycle, pred in zip(export.cycles.tolist(), export.predictions.tolist()):
             true_rul = final_rul + (len(traj) - cycle)
             writer.writerow([args.unit, cycle, true_rul, repr(pred), repr(pred - true_rul)])
-    print(
-        json.dumps(
-            {
-                "unit": args.unit,
-                "cycles": len(export.predictions),
-                "attention_feature": str(paths["feature"]),
-                "attention_cycle_sums": str(paths["cycle_sums"]),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    _write_json({
+        "unit": args.unit,
+        "cycles": len(export.predictions),
+        "attention_feature": str(paths["feature"]),
+        "attention_cycle_sums": str(paths["cycle_sums"]),
+    })
     return 0
 
 
@@ -471,15 +467,13 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
         out_dir=str(Path(args.out or "data-synth") / "runs"),
     )
     config_path = Path(args.out or "data-synth") / "config.json"
-    config_path.write_text(
-        json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    print(json.dumps({
+    _write_json(config.to_dict(), config_path)
+    _write_json({
         "train": str(ds.train_path),
         "test": str(ds.test_path),
         "truth": str(ds.truth_path),
         "config": str(config_path),
-    }, indent=2, sort_keys=True))
+    })
     return 0
 
 

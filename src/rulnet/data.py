@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,32 +77,22 @@ class Windows(NamedTuple):
     ends: np.ndarray
 
 
-def _open(source: str | Path | TextIO) -> tuple[TextIO, bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8"), True
-    return source, False
-
-
-def parse_cmapss(source: str | Path | TextIO) -> list[RawTrajectory]:
-    """Parse a C-MAPSS-format stream into per-unit trajectories.
+def parse_cmapss(path: str | Path) -> list[RawTrajectory]:
+    """Parse a C-MAPSS-format file into per-unit trajectories.
 
     Every reading must be a finite number; ``nan``, ``inf`` and comment
     lines are ParseErrors naming the line.  Units appear in
     first-occurrence order.  Each unit's cycles must run 1, 2, 3, ...
     with no gaps; anything else is an IntegrityError.
     """
-    # From a path, loadtxt reads the file in chunks; the lines are read
-    # into memory only to name a bad one.
-    lines = None if isinstance(source, (str, Path)) else source.readlines()
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(
-                source if lines is None else lines,
-                dtype=np.float64, ndmin=2, comments=None, encoding="utf-8",
-            )
+            # A path only (os.fspath rejects a stream): loadtxt reads the file
+            # in chunks, and its lines are read into memory only to name a bad one.
+            table = np.loadtxt(os.fspath(path), dtype=np.float64, ndmin=2, comments=None, encoding="utf-8")
     except ValueError as exc:  # includes UnicodeDecodeError
-        raise _line_error(source, lines, str(exc)) from None
+        raise _line_error(path, str(exc)) from None
     if table.size == 0:
         return []
     units = table[:, 0]
@@ -110,7 +101,7 @@ def parse_cmapss(source: str | Path | TextIO) -> list[RawTrajectory]:
         or not np.isfinite(table).all()
         or not np.all((units >= 1) & (units == np.trunc(units)))
     ):
-        raise _line_error(source, lines, "malformed rows")
+        raise _line_error(path, "malformed rows")
 
     _, first, inverse = np.unique(units, return_index=True, return_inverse=True)
     # Row indices grouped by unit, each group in file order.  Each unit
@@ -129,20 +120,20 @@ def parse_cmapss(source: str | Path | TextIO) -> list[RawTrajectory]:
     return trajectories
 
 
-def _line_error(
-    source: str | Path | TextIO, lines: list[str] | None, fallback: str
-) -> ParseError:
-    """The ParseError for the first line that breaks a row rule, found by
-    scanning the input that the bulk parse rejected (``lines``, or the
-    file at ``source`` when None).  When every line passes on its own,
-    the error carries ``fallback`` and no line."""
-    if lines is None:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            return ParseError(f"not UTF-8 text: {exc}")
-    for line_no, line in enumerate(lines, start=1):
+def _utf8_lines(path: str | Path) -> list[str]:
+    """The lines of a text file; bytes that are not UTF-8 are a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
+
+
+def _line_error(path: str | Path, fallback: str) -> ParseError:
+    """The ParseError for the first line of the file at ``path`` that
+    breaks a row rule, found by scanning the file the bulk parse rejected.
+    When every line passes on its own, the error carries ``fallback``."""
+    for line_no, line in enumerate(_utf8_lines(path), start=1):
         parts = line.split()
         if not parts:
             continue
@@ -162,36 +153,29 @@ def _line_error(
 
 def write_cmapss(trajectories: Sequence[RawTrajectory], path: str | Path) -> None:
     """Serialize trajectories back to the 26-column text format."""
+    template = "%d %d" + " %.17g" * N_CHANNELS + "\n"
     with open(path, "w", encoding="utf-8") as out:
         for traj in trajectories:
-            chans = traj.channels
-            for t in range(len(traj)):
-                fields = [str(traj.unit_id), str(t + 1)]
-                fields += [f"{v:.17g}" for v in chans[t]]
-                out.write(" ".join(fields) + "\n")
+            for cycle, row in enumerate(traj.channels, start=1):
+                out.write(template % (traj.unit_id, cycle, *row.tolist()))
 
 
-def parse_rul_truth(source: str | Path | TextIO) -> list[int]:
+def parse_rul_truth(path: str | Path) -> list[int]:
     """Parse a truth file: one non-negative integer RUL per line."""
-    stream, owns = _open(source)
     values = []
-    try:
-        for line_no, line in enumerate(stream, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = int(float(text))
-                if float(text) != value:
-                    raise ValueError
-            except (ValueError, OverflowError):  # int() of ±inf overflows
-                raise ParseError(f"expected an integer RUL, got {text!r}", line=line_no) from None
-            if value < 0:
-                raise ParseError(f"RUL must be non-negative, got {value}", line=line_no)
-            values.append(value)
-    finally:
-        if owns:
-            stream.close()
+    for line_no, line in enumerate(_utf8_lines(path), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            value = int(float(text))
+            if float(text) != value:
+                raise ValueError
+        except (ValueError, OverflowError):  # int() of ±inf overflows
+            raise ParseError(f"expected an integer RUL, got {text!r}", line=line_no) from None
+        if value < 0:
+            raise ParseError(f"RUL must be non-negative, got {value}", line=line_no)
+        values.append(value)
     return values
 
 
@@ -255,17 +239,11 @@ class ConditionModel:
                 raise ValueError(f"{key} holds a value that is not a finite number")
         return cls(**data)
 
-    # -- condition_model.json, the export of ``rulnet preprocess`` --
-    def save_text(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-
     @classmethod
     def load_text(cls, path: str | Path) -> "ConditionModel":
-        """Read a file written by :meth:`save_text`.  Bytes that are not
-        UTF-8 JSON ending in a newline, or that :meth:`from_dict` rejects,
-        are a ParseError naming the path."""
+        """Read the ``condition_model.json`` of ``rulnet preprocess``.  Bytes
+        that are not UTF-8 JSON ending in a newline, or that :meth:`from_dict`
+        rejects, are a ParseError naming the path."""
         try:
             text = Path(path).read_text(encoding="utf-8")
             if not text.endswith("\n"):

@@ -8,7 +8,6 @@ underestimating with divisor 13, so late predictions cost more.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -129,12 +128,6 @@ def write_predictions_csv(report: EvaluationReport, path: str | Path) -> None:
         writer.writerow(["unit_id", "true_rul", "pred_rul", "error"])
         for r in report.records:
             writer.writerow([r.unit_id, repr(r.true_rul), repr(r.pred_rul), repr(r.error)])
-
-
-def write_metrics_json(report: EvaluationReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        json.dump(report.metrics(), out, sort_keys=True, indent=2)
-        out.write("\n")
 
 
 # ---------------------------------------------------------------------

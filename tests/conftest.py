@@ -1,3 +1,7 @@
+# rulnet before numpy: its BLAS thread cap applies only while numpy is not
+# yet loaded, and pytest imports this file before any test module.
+import rulnet
+
 import json
 import math
 import struct

@@ -597,7 +597,8 @@ CONFIG_ARGS = ["--config", "{config}", "--out", "{out}", "--max-epochs", "1",
 # field the error line must name).  "{config}" is the workspace config with
 # the given values, "{bundle}" the trained checkpoint with the given header
 # config values, "{missing}" a file that does not exist, "{short}" a one-line
-# train file of 3 columns, and "{out}" a directory that must not be created.
+# train file of 3 columns, "{latin1}" a truth file holding the byte 0xB0, and
+# "{out}" a directory that must not be created.
 ENTRY_POINT_CASES = [
     *[pytest.param([command, *CONFIG_ARGS], {name: value}, {}, 1, name,
                    id=f"{command}-config-{name}")
@@ -656,7 +657,21 @@ ENTRY_POINT_CASES = [
     *[pytest.param([command, *CONFIG_ARGS, "--train-path", "{short}"], {}, {}, 2,
                    "expected 26 columns, found 3", id=f"{command}-short-rows")
       for command in ("preprocess", "train")],
+    *[pytest.param([command, *args, "--truth-path", "{latin1}"], {}, {}, 2,
+                   "ParseError: not UTF-8 text", id=f"{command}-truth-not-utf8")
+      for command, args in [("evaluate", ["--checkpoint", "{bundle}", "--out", "{out}"]),
+                            ("explain", ["--checkpoint", "{bundle}", "--unit", "1", "--out", "{out}"]),
+                            ("preprocess", CONFIG_ARGS), ("train", CONFIG_ARGS)]],
 ]
+
+
+def test_suite_runs_openblas_on_one_thread():
+    # The conftest imports rulnet before numpy, so unless the caller set a
+    # thread variable to something else, the package's cap is in effect.
+    if any(os.environ.get(var, "1") != "1" for var in BLAS_THREAD_VARS):
+        pytest.skip("the caller set a BLAS thread count")
+    assert all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
+    assert cli._openblas_threads() in (1, None)
 
 
 class TestEntryPoints:
@@ -672,8 +687,11 @@ class TestEntryPoints:
         out = tmp_path / "out"
         short_path = tmp_path / "short.txt"
         short_path.write_text("1 1 0.5\n")
+        latin1_path = tmp_path / "latin1.txt"
+        latin1_path.write_bytes(b"12\n\xb07\n")
         paths = {"{config}": str(config_path), "{bundle}": str(bundle_path), "{out}": str(out),
-                 "{missing}": str(tmp_path / "missing.txt"), "{short}": str(short_path)}
+                 "{missing}": str(tmp_path / "missing.txt"), "{short}": str(short_path),
+                 "{latin1}": str(latin1_path)}
         assert main([paths.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import window_ending_at
 from rulnet import ClusteringError, ContractError, IntegrityError, ParseError, RulnetError
 from rulnet import data as D
+from rulnet.cli import _write_json as write_json
 from rulnet.synthetic import generate_dataset
 
 
@@ -19,43 +20,56 @@ def make_row(unit, cycle, rng=None, fill=0.5):
     return " ".join(str(v) for v in values)
 
 
+@pytest.fixture
+def text_file(tmp_path):
+    """A function that writes its text to one file under ``tmp_path`` and
+    returns the path; the readers take a path, not a stream."""
+    path = tmp_path / "input.txt"
+
+    def write(text):
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    return write
+
+
 class TestParseCmapss:
-    def test_minimal_two_line_file(self):
+    def test_minimal_two_line_file(self, text_file):
         text = make_row(1, 1) + "\n" + make_row(1, 2) + "\n"
-        trajs = D.parse_cmapss(io.StringIO(text))
+        trajs = D.parse_cmapss(text_file(text))
         assert len(trajs) == 1
         assert trajs[0].unit_id == 1
         assert len(trajs[0]) == 2
         assert trajs[0].channels.shape == (2, 24)
 
-    def test_trailing_whitespace_tolerated(self):
+    def test_trailing_whitespace_tolerated(self, text_file):
         text = make_row(1, 1) + "   \n\n" + make_row(1, 2) + "  \n"
-        assert len(D.parse_cmapss(io.StringIO(text))[0]) == 2
+        assert len(D.parse_cmapss(text_file(text))[0]) == 2
 
-    def test_wrong_column_count_reports_line(self):
+    def test_wrong_column_count_reports_line(self, text_file):
         text = make_row(1, 1) + "\n1 2 3\n"
         with pytest.raises(ParseError) as err:
-            D.parse_cmapss(io.StringIO(text))
+            D.parse_cmapss(text_file(text))
         assert "line 2" in str(err.value)
         assert err.value.line == 2
 
-    def test_non_numeric_field(self):
+    def test_non_numeric_field(self, text_file):
         bad = make_row(1, 1).replace("0.5", "abc", 1)
         with pytest.raises(ParseError):
-            D.parse_cmapss(io.StringIO(bad + "\n"))
+            D.parse_cmapss(text_file(bad + "\n"))
 
-    def test_non_monotone_cycles(self):
+    def test_non_monotone_cycles(self, text_file):
         text = make_row(1, 1) + "\n" + make_row(1, 3) + "\n"
         with pytest.raises(IntegrityError):
-            D.parse_cmapss(io.StringIO(text))
+            D.parse_cmapss(text_file(text))
 
-    def test_cycles_must_start_at_one(self):
+    def test_cycles_must_start_at_one(self, text_file):
         with pytest.raises(IntegrityError):
-            D.parse_cmapss(io.StringIO(make_row(1, 2) + "\n"))
+            D.parse_cmapss(text_file(make_row(1, 2) + "\n"))
 
-    def test_units_in_first_appearance_order(self):
+    def test_units_in_first_appearance_order(self, text_file):
         text = "\n".join([make_row(2, 1), make_row(2, 2), make_row(1, 1)]) + "\n"
-        trajs = D.parse_cmapss(io.StringIO(text))
+        trajs = D.parse_cmapss(text_file(text))
         assert [t.unit_id for t in trajs] == [2, 1]
 
     def test_round_trip(self, tmp_path, synth1):
@@ -70,18 +84,18 @@ class TestParseCmapss:
     @pytest.mark.parametrize(
         "reading", ["nan", "NaN", "-nan", "inf", "+inf", "-Inf", "INFINITY", "-infinity", "1e400"]
     )
-    def test_non_finite_reading_rejected(self, reading):
+    def test_non_finite_reading_rejected(self, text_file, reading):
         fields = make_row(1, 2).split()
         fields[7] = reading
         text = make_row(1, 1) + "\n" + " ".join(fields) + "\n"
         with pytest.raises(ParseError, match="non-finite reading") as err:
-            D.parse_cmapss(io.StringIO(text))
+            D.parse_cmapss(text_file(text))
         assert err.value.line == 2
 
     @pytest.mark.parametrize("line", ["# unit cycle settings sensors", "1 2" + " 0.5" * 23 + " #"])
-    def test_comment_line_rejected(self, line):
+    def test_comment_line_rejected(self, text_file, line):
         with pytest.raises(ParseError) as err:
-            D.parse_cmapss(io.StringIO(make_row(1, 1) + "\n" + line + "\n"))
+            D.parse_cmapss(text_file(make_row(1, 1) + "\n" + line + "\n"))
         assert err.value.line == 2
 
     def test_undecodable_bytes_rejected(self, tmp_path):
@@ -90,12 +104,18 @@ class TestParseCmapss:
         with pytest.raises(ParseError, match="not UTF-8"):
             D.parse_cmapss(path)
 
-    def test_empty_input_has_no_units(self):
-        assert D.parse_cmapss(io.StringIO("\n  \n")) == []
+    def test_empty_input_has_no_units(self, text_file):
+        assert D.parse_cmapss(text_file("\n  \n")) == []
+
+    @pytest.mark.parametrize("reader", [D.parse_cmapss, D.parse_rul_truth])
+    def test_readers_take_a_path_not_a_stream(self, reader):
+        with pytest.raises(TypeError):
+            reader(io.StringIO(make_row(1, 1) + "\n"))
 
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_reference_parser(self, data):
+    # Each example rewrites the fixture's one file, so sharing it is safe.
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_reference_parser(self, text_file, data):
         lengths = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4), label="lengths")
         # A random interleaving of the units' rows; each unit's cycles stay in order.
         order = data.draw(st.permutations([u for u, n in enumerate(lengths, 1) for _ in range(n)]))
@@ -115,7 +135,7 @@ class TestParseCmapss:
             if data.draw(st.booleans()):
                 lines.append(data.draw(st.sampled_from(["", "   ", "\t"])))
         text = "\n".join(lines) + "\n"
-        parsed = D.parse_cmapss(io.StringIO(text))
+        parsed = D.parse_cmapss(text_file(text))
         expected = reference_parse_cmapss(text)
         assert [t.unit_id for t in parsed] == list(expected)
         for traj, rows in zip(parsed, expected.values()):
@@ -134,24 +154,30 @@ def reference_parse_cmapss(text):
 
 
 class TestParseTruth:
-    def test_single_zero(self):
-        assert D.parse_rul_truth(io.StringIO("0\n")) == [0]
+    def test_single_zero(self, text_file):
+        assert D.parse_rul_truth(text_file("0\n")) == [0]
 
-    def test_values_in_order(self):
-        assert D.parse_rul_truth(io.StringIO("112\n98\n20\n")) == [112, 98, 20]
+    def test_values_in_order(self, text_file):
+        assert D.parse_rul_truth(text_file("112\n98\n20\n")) == [112, 98, 20]
 
-    def test_negative_rejected(self):
+    def test_negative_rejected(self, text_file):
         with pytest.raises(ParseError):
-            D.parse_rul_truth(io.StringIO("-3\n"))
+            D.parse_rul_truth(text_file("-3\n"))
 
-    def test_non_integer_rejected(self):
+    def test_non_integer_rejected(self, text_file):
         with pytest.raises(ParseError):
-            D.parse_rul_truth(io.StringIO("12.5\n"))
+            D.parse_rul_truth(text_file("12.5\n"))
 
     @pytest.mark.parametrize("text", ["1e400", "inf", "-inf"])
-    def test_overflowing_value_rejected(self, text):
+    def test_overflowing_value_rejected(self, text_file, text):
         with pytest.raises(ParseError, match=f"line 2: expected an integer RUL, got '{text}'"):
-            D.parse_rul_truth(io.StringIO(f"7\n{text}\n"))
+            D.parse_rul_truth(text_file(f"7\n{text}\n"))
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"12\n\xb07\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            D.parse_rul_truth(path)
 
     def test_count_mismatch_with_test_set(self, synth1):
         with pytest.raises(IntegrityError):
@@ -231,7 +257,7 @@ class TestClusterConditions:
     def test_text_round_trip(self, tmp_path, synth6):
         cm = D.cluster_conditions(synth6["train"], k=6, seed=0)
         path = tmp_path / "cm.txt"
-        cm.save_text(path)
+        write_json(cm.to_dict(), path)
         loaded = D.ConditionModel.load_text(path)
         np.testing.assert_array_equal(loaded.centroids, cm.centroids)
         np.testing.assert_array_equal(loaded.means, cm.means)
@@ -536,7 +562,7 @@ class TestWindowsFileText:
 
     def test_truncated_condition_model_is_rulnet_error(self, tmp_path, synth6):
         path = tmp_path / "cm.txt"
-        D.cluster_conditions(synth6["train"], k=2, seed=0).save_text(path)
+        write_json(D.cluster_conditions(synth6["train"], k=2, seed=0).to_dict(), path)
         for cut in self._every_truncation(path):
             with pytest.raises(RulnetError) as err:
                 D.ConditionModel.load_text(path)
@@ -544,7 +570,7 @@ class TestWindowsFileText:
 
     def test_corrupt_text_artifacts_name_the_path(self, tmp_path, synth1):
         cm_path = tmp_path / "cm.json"
-        D.cluster_conditions(synth1["train"], k=1, seed=0).save_text(cm_path)
+        write_json(D.cluster_conditions(synth1["train"], k=1, seed=0).to_dict(), cm_path)
         win_path = tmp_path / "w.txt"
         D.save_windows(D.window_split(TestWindowSplit._traj(4), 2, 125), win_path)
         first_value = r"(\[\s*\[\s*)[^,\s]+"  # the first number of the first array

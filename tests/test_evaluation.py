@@ -12,6 +12,7 @@ from conftest import build_tiny_model, window_ending_at
 from rulnet import CapabilityError, ContractError
 from rulnet import data as D
 from rulnet.checkpoint import Bundle
+from rulnet.cli import _write_json as write_json
 from rulnet.config import ExperimentConfig
 from rulnet.evaluation import (
     AttentionExport,
@@ -22,7 +23,6 @@ from rulnet.evaluation import (
     predict_test_set,
     rmse,
     write_attention_csvs,
-    write_metrics_json,
     write_predictions_csv,
 )
 from rulnet.training import PREDICT_BATCH
@@ -188,7 +188,7 @@ class TestPredictTestSet:
         errors = [float(r["pred_rul"]) - float(r["true_rul"]) for r in rows]
         assert rmse(errors) == report.rmse
         assert phm_score(errors) == report.score
-        write_metrics_json(report, tmp_path / "metrics.json")
+        write_json(report.metrics(), tmp_path / "metrics.json")
         import json
 
         metrics = json.loads((tmp_path / "metrics.json").read_text())

@@ -444,6 +444,20 @@ def v1_dataset(root):
     return generate_dataset(root, name="V1", n_train=6, n_test=3, n_conditions=1, seed=11)
 
 
+# sha256 of the three files v1_dataset writes.
+V1_DATASET_DIGESTS = {
+    "train_V1.txt": "07df515d0aac41b8ab82e81776594f0850e8e196372c7a10c9ec9776f7be6fb3",
+    "test_V1.txt": "d28487af123f47c838dee3df17d6621c4fcaf22370a507cc2f62dd60375572e4",
+    "RUL_V1.txt": "440c63591ce52899bdfeea58cfb62f42f887d8d0974d917fa5971720fbe5a087",
+}
+
+
+def test_dataset_keeps_its_bytes(tmp_path):
+    v1_dataset(tmp_path)
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert digests == V1_DATASET_DIGESTS
+
+
 # sha256 of what `rulnet train` writes with TRAIN_FLAGS on the v1_dataset
 # files, run from their parent directory so the bundle's config records the
 # same relative paths on every host.  Each epoch's validation RMSE comes
@@ -458,18 +472,34 @@ TRAIN_FLAGS = ["--seed", "2", "--mode", "F+T", "--window", "6", "--feature-heads
 TRAIN_DIGESTS = {
     "checkpoint.bin": "086364e7b85b243159be516297f2e1fbe0f96565f8231929250679776d453fd6",
     "training_log.csv": "64e377986f62bb8b90f458b68495b443b0cb6893e38a4672568d474f9741cacd",
+    "resolved_config.json": "3de206013689b14fec7c6611fa0de582e059715c586285d15df8b118a8de10ec",
+}
+# What `rulnet preprocess` writes with the same flags and files.
+PREPROCESS_DIGESTS = {
+    "condition_model.json": "e070619371a67939ae40dc70e200ddfc6d3f08f1a9ed1d540f54d46bd9f13d1f",
+    "preprocess_summary.json": "fa8b8d4f0ea12d16602647e5dd05cacca15d728da7db7282e024c43d2ecac21a",
 }
 
 
-def test_training_keeps_its_bytes(tmp_path, monkeypatch):
+def run_digests(tmp_path, monkeypatch, command, names):
+    """sha256 of the named files that ``rulnet <command>`` writes with
+    TRAIN_FLAGS on the v1_dataset files, run from their parent directory
+    ``tmp_path``."""
     monkeypatch.chdir(tmp_path)
     ds = v1_dataset(Path("data"))
     paths = ["--train-path", str(ds.train_path), "--test-path", str(ds.test_path),
              "--truth-path", str(ds.truth_path), "--k-conditions", "1"]
-    assert main(["train", "--out", "run", *paths, *TRAIN_FLAGS]) == 0
-    digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
-               for name in TRAIN_DIGESTS}
-    assert digests == TRAIN_DIGESTS
+    assert main([command, "--out", "run", *paths, *TRAIN_FLAGS]) == 0
+    return {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def test_training_keeps_its_bytes(tmp_path, monkeypatch):
+    assert run_digests(tmp_path, monkeypatch, "train", TRAIN_DIGESTS) == TRAIN_DIGESTS
+
+
+def test_preprocess_keeps_its_bytes(tmp_path, monkeypatch):
+    assert run_digests(tmp_path, monkeypatch, "preprocess", PREPROCESS_DIGESTS) == PREPROCESS_DIGESTS
 
 
 def read_v1_bundle():
