@@ -113,9 +113,7 @@ def parse_cmapss(path: str | Path) -> list[RawTrajectory]:
         unit = int(units[first[k]])
         expected = np.arange(1, len(block) + 1, dtype=np.float64)
         if not np.array_equal(block[:, 1], expected):
-            raise IntegrityError(
-                f"unit {unit}: cycles must increase by 1 starting at 1"
-            )
+            raise IntegrityError(f"{path}: unit {unit}: cycles must increase by 1 starting at 1")
         trajectories.append(RawTrajectory(unit_id=unit, channels=block[:, 2:]))
     return trajectories
 
@@ -126,7 +124,7 @@ def _utf8_lines(path: str | Path) -> list[str]:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.readlines()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc}") from None
+        raise ParseError(f"not UTF-8 text: {exc}", path=path) from None
 
 
 def _line_error(path: str | Path, fallback: str) -> ParseError:
@@ -138,17 +136,17 @@ def _line_error(path: str | Path, fallback: str) -> ParseError:
         if not parts:
             continue
         if len(parts) != N_COLUMNS:
-            return ParseError(f"expected {N_COLUMNS} columns, found {len(parts)}", line=line_no)
+            return ParseError(f"expected {N_COLUMNS} columns, found {len(parts)}", line_no, path)
         try:
             values = [float(p) for p in parts]
         except ValueError as exc:
-            return ParseError(f"non-numeric field: {exc}", line=line_no)
+            return ParseError(f"non-numeric field: {exc}", line_no, path)
         for col, (text, value) in enumerate(zip(parts, values), start=1):
             if not math.isfinite(value):
-                return ParseError(f"non-finite reading {text!r} in column {col}", line=line_no)
+                return ParseError(f"non-finite reading {text!r} in column {col}", line_no, path)
         if values[0] < 1 or values[0] != int(values[0]):
-            return ParseError(f"unit id must be a positive integer, got {parts[0]}", line=line_no)
-    return ParseError(fallback)
+            return ParseError(f"unit id must be a positive integer, got {parts[0]}", line_no, path)
+    return ParseError(fallback, path=path)
 
 
 def write_cmapss(trajectories: Sequence[RawTrajectory], path: str | Path) -> None:
@@ -172,9 +170,9 @@ def parse_rul_truth(path: str | Path) -> list[int]:
             if float(text) != value:
                 raise ValueError
         except (ValueError, OverflowError):  # int() of ±inf overflows
-            raise ParseError(f"expected an integer RUL, got {text!r}", line=line_no) from None
+            raise ParseError(f"expected an integer RUL, got {text!r}", line_no, path) from None
         if value < 0:
-            raise ParseError(f"RUL must be non-negative, got {value}", line=line_no)
+            raise ParseError(f"RUL must be non-negative, got {value}", line_no, path)
         values.append(value)
     return values
 
@@ -250,7 +248,7 @@ class ConditionModel:
                 raise ValueError("truncated: the last line has no newline")
             return cls.from_dict(json.loads(text))
         except ValueError as exc:  # bad JSON or undecodable bytes included
-            raise ParseError(f"{path}: malformed condition model: {exc}") from None
+            raise ParseError(f"malformed condition model: {exc}", path=path) from None
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -455,33 +453,51 @@ def save_windows(samples: Sequence[WindowedSample], path: str | Path) -> None:
     header, fields: unit end_cycle label then F*T row-major values.
 
     Stride-1 windows share all but their last column with the window
-    before.  When a window's first T-1 columns are bit-identical to the
-    previous window's last T-1 (compared as raw bytes, so 0.0 and -0.0
-    never share text), their text is reused and only
-    the last column is formatted; the bytes are those of formatting
-    every cell.
+    before.  The samples are split into maximal runs in which each
+    window's first T-1 columns are bit-identical to the previous
+    window's last T-1 (compared as raw bytes, so 0.0 and -0.0 never share
+    text).  A run of n windows has T+n-1 distinct columns; each of their
+    cells is formatted once, into one text per run, and window n's row
+    of each feature is the slice of that text from cell n to cell
+    n+T-1.  The bytes are those of formatting every cell of every
+    window.  Lines are written one at a time, so no more than one run's
+    text is held.
     """
     if not samples:
         raise ContractError("no samples to save")
     f, t = samples[0].matrix.shape
-    prev = None
-    rows: list[list[str]] = []  # the previous window's cells, one list per feature
     with open(path, "w", encoding="utf-8") as out:
         out.write("windows v1\n")
         out.write(f"features {f} window {t} count {len(samples)}\n")
-        for s in samples:
-            m = s.matrix
-            if (
-                prev is not None
-                and (m.shape, m.dtype) == (prev.shape, prev.dtype)
-                and m[:, :-1].tobytes() == prev[:, 1:].tobytes()
-            ):
-                rows = [row[1:] + [f"{v:.9g}"] for row, v in zip(rows, m[:, -1].tolist())]
-            else:
-                rows = [[f"{v:.9g}" for v in row] for row in m.tolist()]
-            prev = m
-            head = f"{s.unit_id} {s.end_cycle} {s.label:.9g}"
-            out.write(head + " " + " ".join(map(" ".join, rows)) + "\n")
+        for run in _runs(samples):
+            # (F, width): the first window's columns, then each later one's last.
+            cells = np.concatenate([run[0].matrix, *(s.matrix[:, -1:] for s in run[1:])], axis=1)
+            width, window = cells.shape[1], run[0].matrix.shape[1]
+            # "%.9g" prints no space, so the spaces of the text mark the cells:
+            # cell i (row-major) is text[starts[i] : starts[i + 1] - 1].
+            text = ("%.9g " * cells.size) % tuple(cells.ravel().tolist())
+            spaces = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord(" "))
+            starts = [0, *(spaces + 1).tolist()]
+            for n, s in enumerate(run):
+                # Window n's row of each feature: that row's cells n .. n+window-1.
+                body = " ".join([text[starts[i] : starts[i + window] - 1]
+                                 for i in range(n, cells.size, width)])
+                out.write(f"{s.unit_id} {s.end_cycle} {s.label:.9g} {body}\n")
+
+
+def _runs(samples: Sequence[WindowedSample]) -> Iterable[list[WindowedSample]]:
+    """The samples in order, split into maximal runs in which each
+    window's matrix has the shape and dtype of the one before and its
+    first T-1 columns are bit-identical to that one's last T-1."""
+    run = [samples[0]]
+    for prev, s in zip(samples, samples[1:]):
+        m, p = s.matrix, prev.matrix
+        if (m.shape, m.dtype) == (p.shape, p.dtype) and m[:, :-1].tobytes() == p[:, 1:].tobytes():
+            run.append(s)
+        else:
+            yield run
+            run = [s]
+    yield run
 
 
 def load_windows(path: str | Path) -> list[WindowedSample]:
@@ -491,7 +507,7 @@ def load_windows(path: str | Path) -> list[WindowedSample]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().rstrip("\n") != "windows v1":
-                raise ParseError(f"{path}: not a windows v1 file")
+                raise ParseError("not a windows v1 file", path=path)
             meta = fh.readline()
             tag_f, f, tag_t, t, tag_n, count = meta.split()
             f, t, count = int(f), int(t), int(count)
@@ -500,7 +516,7 @@ def load_windows(path: str | Path) -> list[WindowedSample]:
                 or min(f, t, count) < 1
                 or not meta.endswith("\n")
             ):
-                raise ParseError(f"{path}: bad size line {meta!r}", line=2)
+                raise ParseError(f"bad size line {meta!r}", 2, path)
             samples = []
             for line_no, line in enumerate(fh, start=3):
                 parts = line.split()
@@ -508,7 +524,7 @@ def load_windows(path: str | Path) -> list[WindowedSample]:
                     continue
                 if len(parts) != 3 + f * t or not line.endswith("\n"):
                     raise ParseError(
-                        f"{path}: expected a complete line of {3 + f * t} fields", line=line_no
+                        f"expected a complete line of {3 + f * t} fields", line_no, path
                     )
                 samples.append(
                     WindowedSample(
@@ -519,7 +535,7 @@ def load_windows(path: str | Path) -> list[WindowedSample]:
                     )
                 )
     except ValueError as exc:  # a bad number or size line, or undecodable bytes
-        raise ParseError(f"{path}: malformed windows file: {exc}") from None
+        raise ParseError(f"malformed windows file: {exc}", path=path) from None
     if len(samples) != count:
         raise IntegrityError(f"{path}: header says {count} samples, found {len(samples)}")
     return samples

@@ -26,12 +26,15 @@ class ConfigurationError(RulnetError):
 
 
 class ParseError(RulnetError):
-    """Malformed input file; carries the offending line number when known."""
+    """Malformed input file; carries the offending line number when known.
+    The message reads ``path: line N: message`` with the parts it is given."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path: object = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
 
 

@@ -4,6 +4,7 @@ fails here first.  The benchmark sources are only parsed, never run."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -40,8 +41,12 @@ def resolves(module, name):
 
 def test_benchmark_imports_from_rulnet_resolve():
     imports = rulnet_imports()
-    assert {"window_split", "windows_to_arrays", "expected_sample_count"} <= {
+    assert {"window_split", "windows_to_arrays", "expected_sample_count", "save_windows"} <= {
         name for _, module, name in imports if module == "rulnet.data"
     }
     missing = [f"{src}: {module}.{name}" for src, module, name in imports if not resolves(module, name)]
     assert not missing, f"names the benchmark imports no longer resolve: {missing}"
+    # perfbench/layers.py calls save_windows(samples, path) with a list of
+    # WindowedSample, not a Windows.
+    save_windows = importlib.import_module("rulnet.data").save_windows
+    assert list(inspect.signature(save_windows).parameters) == ["samples", "path"]

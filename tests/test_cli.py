@@ -135,6 +135,25 @@ class TestPreprocess:
         digest = hashlib.sha256((out / "windows_train.txt").read_bytes()).hexdigest()
         assert digest == "bb9004e6ecb13e918a557f610d1972eb62d8500c5bf95344935fb36b42a9faa6"
 
+    def test_six_regime_windows_file_bytes_are_stable(self, tmp_path):
+        # The benchmark's shape at small size: six regimes, window 30, and
+        # train units of 26-29 (below the window), 30 (at it) and 34 cycles
+        # (above it).  The digest was recorded from the writer that reused
+        # each window's text for the next one.
+        ds = generate_dataset(tmp_path, name="S", n_train=8, n_test=3, n_conditions=6,
+                              seed=1, life_range=(26, 36))
+        out = tmp_path / "out"
+        code = main(
+            ["preprocess", "--train-path", str(ds.train_path), "--test-path", str(ds.test_path),
+             "--truth-path", str(ds.truth_path), "--k-conditions", "6", "--window", "30",
+             "--seed", "0", "--out", str(out)]
+        )
+        assert code == 0
+        summary = json.loads((out / "preprocess_summary.json").read_text())
+        assert summary["train_samples"] == 5 * 1 + 1 + 2 * 5
+        digest = hashlib.sha256((out / "windows_train.txt").read_bytes()).hexdigest()
+        assert digest == "a6166b4991c84d40964d761a0d3fbced6b106228742c1c6d24edb367ff2cfd5c"
+
     def test_condition_model_export_is_the_bundle_header_object(self, workspace, trained,
                                                                  tmp_path):
         out = tmp_path / "prep"
@@ -593,8 +612,9 @@ BAD_CONFIG_VALUES = [("batch_size", "64"), ("window", 30.0), ("clip_test_rul", "
 CONFIG_ARGS = ["--config", "{config}", "--out", "{out}", "--max-epochs", "1",
                "--lstm-hidden", "4", "--lstm-layers", "1", "--mlp-hidden", "4"]
 
-# (argv, config file values, bundle header values, exit code, the flag or
-# field the error line must name).  "{config}" is the workspace config with
+# (argv, config file values, bundle header values, exit code, the flag,
+# field or text the error line must name).  A placeholder stands for the same
+# path in the argv and in that text: "{config}" is the workspace config with
 # the given values, "{bundle}" the trained checkpoint with the given header
 # config values, "{missing}" a file that does not exist, "{short}" a one-line
 # train file of 3 columns, "{latin1}" a truth file holding the byte 0xB0, and
@@ -655,10 +675,10 @@ ENTRY_POINT_CASES = [
       for command, unit in [("evaluate", []), ("explain", ["--unit", "1"])]
       for flag in ("--test-path", "--truth-path")],
     *[pytest.param([command, *CONFIG_ARGS, "--train-path", "{short}"], {}, {}, 2,
-                   "expected 26 columns, found 3", id=f"{command}-short-rows")
+                   "{short}: line 1: expected 26 columns, found 3", id=f"{command}-short-rows")
       for command in ("preprocess", "train")],
     *[pytest.param([command, *args, "--truth-path", "{latin1}"], {}, {}, 2,
-                   "ParseError: not UTF-8 text", id=f"{command}-truth-not-utf8")
+                   "ParseError: {latin1}: not UTF-8 text", id=f"{command}-truth-not-utf8")
       for command, args in [("evaluate", ["--checkpoint", "{bundle}", "--out", "{out}"]),
                             ("explain", ["--checkpoint", "{bundle}", "--unit", "1", "--out", "{out}"]),
                             ("preprocess", CONFIG_ARGS), ("train", CONFIG_ARGS)]],
@@ -697,6 +717,8 @@ class TestEntryPoints:
         assert "Traceback" not in err
         [line] = err.splitlines()
         assert line.startswith("configuration error: " if code == 1 else "data error: ")
+        for key, value in paths.items():
+            name = name.replace(key, value)
         assert name in line
         assert not out.exists()
 

@@ -48,9 +48,10 @@ class TestParseCmapss:
 
     def test_wrong_column_count_reports_line(self, text_file):
         text = make_row(1, 1) + "\n1 2 3\n"
+        path = text_file(text)
         with pytest.raises(ParseError) as err:
-            D.parse_cmapss(text_file(text))
-        assert "line 2" in str(err.value)
+            D.parse_cmapss(path)
+        assert str(err.value) == f"{path}: line 2: expected 26 columns, found 3"
         assert err.value.line == 2
 
     def test_non_numeric_field(self, text_file):
@@ -60,8 +61,9 @@ class TestParseCmapss:
 
     def test_non_monotone_cycles(self, text_file):
         text = make_row(1, 1) + "\n" + make_row(1, 3) + "\n"
-        with pytest.raises(IntegrityError):
-            D.parse_cmapss(text_file(text))
+        path = text_file(text)
+        with pytest.raises(IntegrityError, match=re.escape(f"{path}: unit 1: cycles must")):
+            D.parse_cmapss(path)
 
     def test_cycles_must_start_at_one(self, text_file):
         with pytest.raises(IntegrityError):
@@ -542,6 +544,36 @@ class TestWindowsFileText:
         D.save_windows(samples, tmp_path / "fast.txt")
         reference_save_windows(samples, tmp_path / "reference.txt")
         assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+    def test_long_runs_match_reference_writer(self, tmp_path):
+        # Window 30 over units of 29 and 30 cycles (one window each), 31 (a
+        # run of two) and 70 (a run of 41, broken twice by cells equal in
+        # value but not in bits).  Channel 2 is all zeros and unit 4 holds a
+        # NaN at cycle 40, so windows 10 to 39 of that unit contain it.
+        rng = np.random.default_rng(7)
+        samples = []
+        for unit, length in enumerate([29, 30, 31, 70], start=1):
+            channels = rng.standard_normal((length, 6)).astype(np.float32).astype(np.float64)
+            channels[:, 2] = 0.0
+            if length == 70:
+                channels[39, 5] = np.nan
+            samples += D.window_split(D.RawTrajectory(unit, channels), 30, 125.0)
+        unit4 = samples[4:]
+        assert len(unit4) == 41
+        unit4[8].matrix[2, 15] = -0.0
+        nan_col = 39 - (unit4[25].end_cycle - 30)
+        assert np.isnan(unit4[25].matrix[5, nan_col])
+        unit4[25].matrix[5, nan_col] = np.uint32(0x7FC00001).view(np.float32)
+        for k in (8, 9, 25, 26):
+            now, before = unit4[k].matrix[:, :-1], unit4[k - 1].matrix[:, 1:]
+            assert np.array_equal(now, before, equal_nan=True)
+            assert now.tobytes() != before.tobytes()
+        for order, name in ((samples, "forward"), (samples[::-1], "reversed")):
+            D.save_windows(order, tmp_path / f"{name}.txt")
+            reference_save_windows(order, tmp_path / f"{name}-reference.txt")
+            written = (tmp_path / f"{name}.txt").read_bytes()
+            assert written == (tmp_path / f"{name}-reference.txt").read_bytes()
+            assert written.count(b"\n") == 2 + len(samples)
 
     @staticmethod
     def _every_truncation(path):
