@@ -12,9 +12,10 @@ Layout (all integers little-endian):
     then          the raw little-endian tensor buffers, concatenated in
                   table order
 
-Loading verifies magic, version, the header schema, and that the
-buffers tile the rest of the file exactly; a truncated, extended or
-corrupt file raises CheckpointError without producing a partial model.
+Loading verifies magic, version, the header schema, that the buffers
+tile the rest of the file exactly, and that every tensor value is
+finite; a truncated, extended or corrupt file raises CheckpointError
+without producing a partial model.
 """
 
 from __future__ import annotations
@@ -99,12 +100,14 @@ def load_bundle(path: str | Path) -> Bundle:
     dtype is not a float, whose shape is not a list of non-negative
     integers or is one numpy cannot represent, whose nbytes is not its
     shape's size in bytes, or whose offset leaves a gap or overlap; a
-    buffer past the end of the file; bytes after the last buffer; a
-    config key that is not an :class:`ExperimentConfig` field, or a
-    config value of the wrong type for its field; hyperparameters that
-    :func:`rulnet.model.parameter_shapes` rejects, or a tensor table (a
-    version-1 one once joined) without exactly that plan's names and
-    shapes, both before the model is built; and a bad condition model.
+    buffer past the end of the file; a tensor holding a NaN or an
+    infinity (the first such in table order is named); bytes after the
+    last buffer; a config key that is not an :class:`ExperimentConfig`
+    field, or a config value of the wrong type for its field;
+    hyperparameters that :func:`rulnet.model.parameter_shapes` rejects,
+    or a tensor table (a version-1 one once joined) without exactly that
+    plan's names and shapes, both before the model is built; and a bad
+    condition model.
     Fields the header leaves out take their defaults.  Config values are
     not range-checked here, so a bundle saved with a partial config loads.
     """
@@ -192,6 +195,8 @@ def _read_tensors(path, table: list, raw: bytes, body_start: int) -> dict[str, n
             arrays[name] = np.frombuffer(raw, dtype, math.prod(shape), start).reshape(shape)
         except ValueError as exc:  # a dimension numpy cannot index
             raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}: {exc}") from None
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or an infinity")
         offset += nbytes
     if body_start + offset != len(raw):
         extra = len(raw) - body_start - offset

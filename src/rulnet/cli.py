@@ -33,6 +33,7 @@ from .data import (
     ConditionModel,
     RawTrajectory,
     cluster_conditions,
+    expected_sample_count,
     normalize,
     pair_test_truth,
     parse_cmapss,
@@ -271,11 +272,14 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     train_trajs, test_trajs, truth = _load_raw(cfg)
     pair_test_truth(test_trajs, truth)
     cm, normed = _prepare(cfg, train_trajs)
-    samples = [s for traj in normed for s in window_split(traj, cfg.window, cfg.r_max)]
+    # Built before --out exists, so that a data error leaves none.
+    samples = None if args.skip_windows else [
+        s for traj in normed for s in window_split(traj, cfg.window, cfg.r_max)
+    ]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cm.to_dict(), out_dir / CONDITION_MODEL_FILE)
-    if not args.skip_windows:
+    if samples is not None:
         save_windows(samples, out_dir / WINDOWS_FILE)
 
     assignment_counts = np.bincount(
@@ -285,7 +289,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         "train_units": len(train_trajs),
         "test_units": len(test_trajs),
         "train_rows": int(sum(len(t) for t in train_trajs)),
-        "train_samples": len(samples),
+        "train_samples": sum(expected_sample_count(len(t), cfg.window) for t in train_trajs),
         "window": cfg.window,
         "r_max": cfg.r_max,
         "conditions": cm.k,

@@ -58,7 +58,9 @@ class RawTrajectory:
 
 @dataclass
 class WindowedSample:
-    """One model input: an F x T channel window and its RUL label."""
+    """One model input: an F x T channel window and its RUL label.  From
+    :func:`window_split` the matrix is a read-only view that shares its
+    trajectory's buffer; from :func:`load_windows` it is its own array."""
 
     matrix: np.ndarray  # (F, T) float32
     label: float
@@ -375,15 +377,23 @@ def window_ends(total: int, window: int) -> np.ndarray:
     return np.arange(min(window, total), total + 1)
 
 
-def windows_ending_at(channels: np.ndarray, ends: Sequence[int], window: int) -> np.ndarray:
-    """(N, F, T) float32 windows of the cycles ending at each of ``ends``
-    (1-based), transposed from row-per-cycle storage.  Window n holds
-    rows max(ends[n] - window + j, 0) for j < window, so cycles before
-    the first repeat cycle 1: after ``window - 1`` leading copies of
-    cycle 1, the sliding (F, T) view from row end - 1 is that window."""
+def _window_view(channels: np.ndarray, window: int) -> np.ndarray:
+    """The read-only (L, F, T) float32 sliding view over one trajectory's
+    L cycles: entry ``end - 1`` is the window ending at 1-based cycle
+    ``end``, transposed from row-per-cycle storage.  It holds rows
+    max(end - window + j, 0) for j < window, so cycles before the first
+    repeat cycle 1: the view slides over ``window - 1`` leading copies of
+    cycle 1 and then the rows, all in one float32 buffer."""
     rows = channels.astype(np.float32)
     padded = np.concatenate([np.repeat(rows[:1], window - 1, axis=0), rows])
-    return np.take(sliding_window_view(padded, window, axis=0), np.asarray(ends) - 1, axis=0)
+    return sliding_window_view(padded, window, axis=0)
+
+
+def windows_ending_at(channels: np.ndarray, ends: Sequence[int], window: int) -> np.ndarray:
+    """(N, F, T) float32 windows of the cycles ending at each of ``ends``
+    (1-based, any order and repeats), by the rule of :func:`_window_view`,
+    as one new writable array."""
+    return np.take(_window_view(channels, window), np.asarray(ends) - 1, axis=0)
 
 
 def _checked_ends(trajectory: RawTrajectory, window: int) -> np.ndarray:
@@ -398,7 +408,7 @@ def window_arrays(trajectories: Iterable[RawTrajectory], window: int, r_max: flo
     one preallocated (N, F, T) array plus labels, unit ids and end
     cycles.  Each window is labeled with the capped linear RUL of its end
     cycle; a trajectory shorter than the window gives one window padded
-    by repeating its first cycle (see :func:`windows_ending_at`)."""
+    by repeating its first cycle (see :func:`_window_view`)."""
     trajectories = list(trajectories)
     if not trajectories:
         raise ContractError("no trajectories to window")
@@ -408,7 +418,7 @@ def window_arrays(trajectories: Iterable[RawTrajectory], window: int, r_max: flo
     y = np.empty(len(x), dtype=np.float32)
     lo = 0
     for traj, e in zip(trajectories, ends):
-        x[lo : lo + len(e)] = windows_ending_at(traj.channels, e, window)
+        x[lo : lo + len(e)] = _window_view(traj.channels, window)[e[0] - 1 :]
         y[lo : lo + len(e)] = piecewise_rul(len(traj), e, r_max)
         lo += len(e)
     units = np.repeat(np.array([t.unit_id for t in trajectories], dtype=np.int64), counts)
@@ -418,9 +428,12 @@ def window_arrays(trajectories: Iterable[RawTrajectory], window: int, r_max: flo
 def window_split(trajectory: RawTrajectory, window: int, r_max: float) -> list[WindowedSample]:
     """One trajectory's windows and labels, by the rule of
     :func:`window_arrays`, as one sample per window; the labels keep
-    their float64 values."""
+    their float64 values.  Each sample's matrix is a read-only view into
+    one float32 buffer that all of the trajectory's windows share, so
+    no window is copied; copy a matrix before editing it."""
     ends = _checked_ends(trajectory, window)
-    matrices = windows_ending_at(trajectory.channels, ends, window)
+    # The ends are a contiguous range, so their windows are one slice.
+    matrices = _window_view(trajectory.channels, window)[ends[0] - 1 :]
     labels = piecewise_rul(len(trajectory), ends, r_max).tolist()
     return [
         WindowedSample(matrix=matrix, label=label, unit_id=trajectory.unit_id, end_cycle=end)

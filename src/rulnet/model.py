@@ -103,7 +103,11 @@ def parameter_shapes(n_features: int, window: int, mode: str, feature_heads: int
                   + (lstm_layers - 1) * _count(_lstm_shapes(n_features, lstm_hidden, 1)))
     # A taped batch, per LSTM layer and step: 4H gate activations and the
     # H-wide cell, tanh(cell) and hidden state.  An untaped forward holds
-    # about 2·T·H·B of LSTM state: two layers' hidden sequences.
+    # about 2·T·H·B of LSTM state: two layers' hidden sequences.  The cap
+    # counts these activations, not the scratch buffers the ops allocate:
+    # traced peaks of one taped forward + backward read 1.28-1.32x this
+    # count times the item size, so it bounds about three quarters of a
+    # step's peak memory.
     activations = batch_size * (n_features * window + blocks.feature_heads * n_features**2
                                 + blocks.sequence_heads * window**2 + lstm_layers * window * 7 * lstm_hidden)
     for what, count, cap in (("parameters", parameters, MAX_PARAMETERS),

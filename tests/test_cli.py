@@ -72,14 +72,20 @@ class TestPreprocess:
         assert (out / "condition_model.json").exists()
         assert (out / "windows_train.txt").exists()
 
-    def test_skip_windows_flag(self, workspace):
+    def test_skip_windows_flag(self, workspace, monkeypatch):
+        argv = ["preprocess", "--config", str(workspace["config"]), "--window", "10"]
+        full = workspace["root"] / "prep_full"
+        assert main([*argv, "--out", str(full)]) == 0
+
+        def no_windows(*args):
+            raise AssertionError("--skip-windows built windows")
+
+        monkeypatch.setattr(cli, "window_split", no_windows)
         out = workspace["root"] / "prep_skip"
-        code = main(
-            ["preprocess", "--config", str(workspace["config"]), "--out", str(out),
-             "--window", "10", "--skip-windows"]
-        )
-        assert code == 0
+        assert main([*argv, "--out", str(out), "--skip-windows"]) == 0
         assert not (out / "windows_train.txt").exists()
+        for name in ("preprocess_summary.json", "condition_model.json"):
+            assert (out / name).read_bytes() == (full / name).read_bytes()
 
     def test_overflowing_readings_are_data_error(self, workspace, tmp_path, capsys):
         # Two finite readings whose sum overflows a condition's mean.
@@ -617,8 +623,9 @@ CONFIG_ARGS = ["--config", "{config}", "--out", "{out}", "--max-epochs", "1",
 # path in the argv and in that text: "{config}" is the workspace config with
 # the given values, "{bundle}" the trained checkpoint with the given header
 # config values, "{missing}" a file that does not exist, "{short}" a one-line
-# train file of 3 columns, "{latin1}" a truth file holding the byte 0xB0, and
-# "{out}" a directory that must not be created.
+# train file of 3 columns, "{latin1}" a truth file holding the byte 0xB0,
+# "{nonfinite}" the trained checkpoint with a NaN in head.w2, and "{out}" a
+# directory that must not be created.
 ENTRY_POINT_CASES = [
     *[pytest.param([command, *CONFIG_ARGS], {name: value}, {}, 1, name,
                    id=f"{command}-config-{name}")
@@ -682,6 +689,10 @@ ENTRY_POINT_CASES = [
       for command, args in [("evaluate", ["--checkpoint", "{bundle}", "--out", "{out}"]),
                             ("explain", ["--checkpoint", "{bundle}", "--unit", "1", "--out", "{out}"]),
                             ("preprocess", CONFIG_ARGS), ("train", CONFIG_ARGS)]],
+    *[pytest.param([command, "--checkpoint", "{nonfinite}", *unit, "--out", "{out}"], {}, {}, 2,
+                   "CheckpointError: {nonfinite}: tensor 'head.w2' holds a NaN",
+                   id=f"{command}-nonfinite-bundle")
+      for command, unit in [("evaluate", []), ("explain", ["--unit", "1"])]],
 ]
 
 
@@ -704,6 +715,9 @@ class TestEntryPoints:
         bundle_path = tmp_path / "bundle.bin"
         save_bundle(bundle_path, bundle.model, bundle.condition_model,
                     {**bundle.config.to_dict(), **header})
+        nonfinite_path = tmp_path / "nonfinite.bin"
+        bundle.model.params["head.w2"].data[0, 0] = np.nan
+        save_bundle(nonfinite_path, bundle.model, bundle.condition_model, bundle.config.to_dict())
         out = tmp_path / "out"
         short_path = tmp_path / "short.txt"
         short_path.write_text("1 1 0.5\n")
@@ -711,7 +725,7 @@ class TestEntryPoints:
         latin1_path.write_bytes(b"12\n\xb07\n")
         paths = {"{config}": str(config_path), "{bundle}": str(bundle_path), "{out}": str(out),
                  "{missing}": str(tmp_path / "missing.txt"), "{short}": str(short_path),
-                 "{latin1}": str(latin1_path)}
+                 "{latin1}": str(latin1_path), "{nonfinite}": str(nonfinite_path)}
         assert main([paths.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err

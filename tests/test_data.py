@@ -418,6 +418,15 @@ class TestWindowSplit:
             traj.channels[end - 5 : end].T.astype(np.float32),
         )
 
+    @pytest.mark.parametrize("total", [45, 30, 20], ids=["longer", "equal", "shorter"])
+    def test_matrices_are_read_only_views_of_one_buffer(self, total):
+        traj = self._traj(total)
+        samples = D.window_split(traj, 30, 125)
+        assert np.shares_memory(samples[0].matrix, samples[-1].matrix)
+        for s in samples:
+            assert not s.matrix.flags.writeable
+            assert s.matrix.tobytes() == D.windows_ending_at(traj.channels, [s.end_cycle], 30)[0].tobytes()
+
     def test_empty_window_or_trajectory_is_contract_error(self):
         with pytest.raises(ContractError):
             D.window_split(self._traj(5), 0, 125)
@@ -560,10 +569,15 @@ class TestWindowsFileText:
             samples += D.window_split(D.RawTrajectory(unit, channels), 30, 125.0)
         unit4 = samples[4:]
         assert len(unit4) == 41
-        unit4[8].matrix[2, 15] = -0.0
+
+        def set_cell(sample, index, value):  # on a copy: the matrices are read-only views
+            sample.matrix = sample.matrix.copy()
+            sample.matrix[index] = value
+
+        set_cell(unit4[8], (2, 15), -0.0)
         nan_col = 39 - (unit4[25].end_cycle - 30)
         assert np.isnan(unit4[25].matrix[5, nan_col])
-        unit4[25].matrix[5, nan_col] = np.uint32(0x7FC00001).view(np.float32)
+        set_cell(unit4[25], (5, nan_col), np.uint32(0x7FC00001).view(np.float32))
         for k in (8, 9, 25, 26):
             now, before = unit4[k].matrix[:, :-1], unit4[k - 1].matrix[:, 1:]
             assert np.array_equal(now, before, equal_nan=True)

@@ -716,6 +716,17 @@ class TestCheckpoint:
             load_bundle(path)
         assert message in str(err.value)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_tensor_is_named(self, tmp_path, value):
+        model, cm, config, _ = self._bundle_parts()
+        model.params["head.w2"].data[-1, 0] = value
+        model.params["head.b2"].data[0] = np.nan  # later in the table, so not the one named
+        path = tmp_path / "bundle.bin"
+        save_bundle(path, model, cm, config)
+        with pytest.raises(CheckpointError) as err:
+            load_bundle(path)
+        assert str(err.value) == f"{path}: tensor 'head.w2' holds a NaN or an infinity"
+
     def test_trailing_bytes_rejected(self, tmp_path):
         model, cm, config, _ = self._bundle_parts()
         path = tmp_path / "bundle.bin"
