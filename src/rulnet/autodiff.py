@@ -97,16 +97,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 Backward = Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]]
 
@@ -184,7 +174,7 @@ def _tape_for(*tensors: Tensor) -> "Tape | None":
 
 
 # ---------------------------------------------------------------------
-# matmul
+# matrix products
 # ---------------------------------------------------------------------
 
 def _matmul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -210,47 +200,8 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.
-
-    Supports (m,k)@(k,n), stacked (B,m,k)@(k,n) and (B,m,k)@(B,k,n).
-    """
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs matrices, got shapes {a.shape} and {b.shape}")
-    if a.ndim > 3 or b.ndim > 3 or (a.ndim == 2 and b.ndim == 3):
-        raise DimensionError(f"unsupported matmul ranks: {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
-        raise DimensionError(f"batch dimensions differ: {a.shape} @ {b.shape}")
-    _check_dtypes(a, b)
-
-    out = Tensor(_matmul_data(a.data, b.data))
-    tape = _tape_for(a, b)
-    if tape is not None:
-
-        def backward(g: np.ndarray):
-            contribs = []
-            if a.requires_grad:
-                contribs.append((a, _matmul_data(g, _swap_last(b.data))))
-            if b.requires_grad:
-                if a.ndim == 3 and b.ndim == 2:
-                    # Collapse the batch: dB = sum_i A_i^T g_i.
-                    k = a.shape[-1]
-                    n = g.shape[-1]
-                    contribs.append(
-                        (b, _matmul_data(a.data.reshape(-1, k).T, np.ascontiguousarray(g).reshape(-1, n)))
-                    )
-                else:
-                    contribs.append((b, _matmul_data(_swap_last(a.data), g)))
-            return contribs
-
-        tape._record(out, backward)
-    return out
-
-
 # ---------------------------------------------------------------------
-# elementwise suite
+# elementwise and shape ops
 # ---------------------------------------------------------------------
 
 def _check_dtypes(*tensors: Tensor) -> None:
@@ -262,72 +213,10 @@ def _check_dtypes(*tensors: Tensor) -> None:
             )
 
 
-def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ts) in enumerate(zip(g.shape, shape)) if ts == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def _binary_shape_check(a: Tensor, b: Tensor, op: str) -> None:
-    # Same shape, or a trailing-dims broadcast (bias add style).
-    if a.shape == b.shape:
-        return
-    try:
-        bshape = np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        bshape = None
-    if bshape is None or (bshape != a.shape and bshape != b.shape):
-        raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape_check(a, b, "add")
-    _check_dtypes(a, b)
-    out = Tensor(a.data + b.data)
-    tape = _tape_for(a, b)
-    if tape is not None:
-
-        def backward(g: np.ndarray):
-            contribs = []
-            if a.requires_grad:
-                contribs.append((a, _sum_to_shape(g, a.shape)))
-            if b.requires_grad:
-                contribs.append((b, _sum_to_shape(g, b.shape)))
-            return contribs
-
-        tape._record(out, backward)
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape_check(a, b, "sub")
-    _check_dtypes(a, b)
-    out = Tensor(a.data - b.data)
-    tape = _tape_for(a, b)
-    if tape is not None:
-
-        def backward(g: np.ndarray):
-            contribs = []
-            if a.requires_grad:
-                contribs.append((a, _sum_to_shape(g, a.shape)))
-            if b.requires_grad:
-                contribs.append((b, _sum_to_shape(-g, b.shape)))
-            return contribs
-
-        tape._record(out, backward)
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Hadamard product."""
-    _binary_shape_check(a, b, "mul")
+    """Hadamard product of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     _check_dtypes(a, b)
     out = Tensor(a.data * b.data)
     tape = _tape_for(a, b)
@@ -336,43 +225,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         def backward(g: np.ndarray):
             contribs = []
             if a.requires_grad:
-                contribs.append((a, _sum_to_shape(g * b.data, a.shape)))
+                contribs.append((a, g * b.data))
             if b.requires_grad:
-                contribs.append((b, _sum_to_shape(g * a.data, b.shape)))
+                contribs.append((b, g * a.data))
             return contribs
 
         tape._record(out, backward)
-    return out
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a python constant."""
-    c = a.data.dtype.type(c)
-    out = Tensor(a.data * c)
-    tape = _tape_for(a)
-    if tape is not None:
-        tape._record(out, lambda g: [(a, g * c)])
-    return out
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0))
-    tape = _tape_for(a)
-    if tape is not None:
-        # Subgradient at exactly 0 is taken as 0.
-        mask = a.data > 0
-        tape._record(out, lambda g: [(a, g * mask)])
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.ndim < 2:
-        raise DimensionError(f"transpose needs rank >= 2, got shape {a.shape}")
-    out = Tensor(_swap_last(a.data))
-    tape = _tape_for(a)
-    if tape is not None:
-        tape._record(out, lambda g: [(a, _swap_last(g))])
     return out
 
 
@@ -394,6 +252,91 @@ def mean(a: Tensor) -> Tensor:
 
         def backward(g: np.ndarray):
             return [(a, np.full(a.shape, g * inv, dtype=a.data.dtype))]
+
+        tape._record(out, backward)
+    return out
+
+
+# ---------------------------------------------------------------------
+# fused MLP head and squared-error loss
+# ---------------------------------------------------------------------
+
+def mlp_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+             mask: np.ndarray | None = None) -> Tensor:
+    """Two dense layers over a (B, H) batch: relu(x @ w1 + b1), times the
+    (B, M) dropout ``mask`` when one is given, then @ w2 + b2; (B, O) out.
+
+    One tape node with a hand-written backward.  Both passes make the
+    numpy calls of the matmul, add, relu, mul, matmul, add chain, in its
+    order, so every bit equals that chain's.  The rectifier's gradient at
+    exactly 0 is 0.  A forward that overflows returns inf or NaN without a
+    warning: the caller checks the output.
+    """
+    shapes = [t.shape for t in (x, w1, b1, w2, b2)]
+    if (x.ndim != 2 or w2.ndim != 2
+            or shapes[1:] != [(x.shape[1], w2.shape[0]), (w2.shape[0],), w2.shape, (w2.shape[1],)]
+            or (mask is not None and mask.shape != (x.shape[0], w2.shape[0]))):
+        raise DimensionError(f"mlp_head shapes {shapes}, mask {None if mask is None else mask.shape}")
+    _check_dtypes(x, w1, b1, w2, b2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hidden = _matmul_data(x.data, w1.data)
+        hidden += b1.data
+        active = hidden > 0
+        np.maximum(hidden, 0, out=hidden)
+        if mask is not None:
+            hidden *= mask
+        out = Tensor(_matmul_data(hidden, w2.data))
+        out.data += b2.data
+    tape = _tape_for(x, w1, b1, w2, b2)
+    if tape is not None:
+
+        def backward(g: np.ndarray):
+            contribs = []
+            if b2.requires_grad:
+                contribs.append((b2, g.sum(axis=0)))
+            if w2.requires_grad:
+                contribs.append((w2, _matmul_data(hidden.T, g)))
+            g = _matmul_data(g, w2.data.T)
+            if mask is not None:
+                g = g * mask
+            g = g * active
+            if b1.requires_grad:
+                contribs.append((b1, g.sum(axis=0)))
+            if w1.requires_grad:
+                contribs.append((w1, _matmul_data(x.data.T, g)))
+            if x.requires_grad:
+                contribs.append((x, _matmul_data(g, w1.data.T)))
+            return contribs
+
+        tape._record(out, backward)
+    return out
+
+
+def mse(pred: Tensor, truth: Tensor) -> Tensor:
+    """Mean squared difference of two tensors of one size, as a scalar.
+
+    One tape node; both passes make the numpy calls of the reshape, sub,
+    mul, mean chain, so every bit equals that chain's.
+    """
+    if pred.size != truth.size:
+        raise DimensionError(f"mse of {pred.shape} and {truth.shape}")
+    _check_dtypes(pred, truth)
+    diff = pred.data.reshape(pred.size) - truth.data.reshape(truth.size)
+    out = Tensor(np.asarray((diff * diff).mean(), dtype=diff.dtype))
+    tape = _tape_for(pred, truth)
+    if tape is not None:
+        inv = 1.0 / diff.size
+
+        def backward(g: np.ndarray):
+            # d(diff·diff) is diff's gradient twice, summed as the tape sums two uses.
+            half = np.full(diff.shape, g * inv, dtype=diff.dtype) * diff
+            d_diff = half + half
+            contribs = []
+            if pred.requires_grad:
+                contribs.append((pred, d_diff.reshape(pred.shape)))
+            if truth.requires_grad:
+                contribs.append((truth, (-d_diff).reshape(truth.shape)))
+            return contribs
 
         tape._record(out, backward)
     return out
@@ -599,9 +542,12 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
+              token_axis: int = -2) -> tuple[Tensor, np.ndarray]:
     """Multi-head self-attention over the tokens of ``x``, shape (B, N, d)
-    or a single (N, d) sample.
+    or a single (N, d) sample.  With ``token_axis`` -1 the tokens run
+    along the last axis instead, (B, d, N) or (d, N), and the output is laid
+    out the same way, as a view.
 
     ``w_qkv`` (d, 3·h·d_h) holds the query columns of heads 1..h, then
     their key columns, then their value columns; head ``i`` attends with
@@ -613,11 +559,16 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int) -> tuple[Tensor
     The block is one tape node.  One GEMM gives every head's q, k and v,
     the scores and weights·v run batched over (B, h), and the softmax
     backward is written by hand.  The forward arithmetic is that of a
-    per-head evaluation, so its results do not depend on the batching.
+    per-head evaluation, so its results do not depend on the batching,
+    nor on the token axis: with -1, the op attends over the swapped view of
+    ``x`` and hands back the output and the input gradient as swapped views.
     """
-    if x.ndim not in (2, 3):
-        raise DimensionError(f"attention expects (batch, tokens, width) or (tokens, width), got {x.shape}")
-    tokens, width = x.shape[-2:]
+    if x.ndim not in (2, 3) or token_axis not in (-2, -1):
+        raise DimensionError(f"attention expects (batch, tokens, width) or (tokens, width) with tokens "
+                             f"on axis -2 or -1, got {x.shape} and token axis {token_axis}")
+    swap = _swap_last if token_axis == -1 else lambda a: a
+    data = swap(x.data)  # tokens on axis -2
+    tokens, width = data.shape[-2:]
     if heads < 1 or not (tokens and width and w_qkv.size):
         raise ContractError(f"attention needs heads, tokens and widths, got {heads}, {x.shape}, {w_qkv.shape}")
     if w_qkv.ndim != 2 or w_qkv.shape[0] != width or w_qkv.shape[1] % (3 * heads):
@@ -629,7 +580,7 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int) -> tuple[Tensor
     dtype = x.data.dtype
     tape = _tape_for(x, w_qkv, w_o)
 
-    rows = x.data.reshape(-1, width)  # (B·N, d)
+    rows = data.reshape(-1, width)  # (B·N, d)
     batch = rows.shape[0] // tokens
     qkv = _matmul_data(rows, w_qkv.data).reshape(batch, tokens, 3, heads, d_head)
     q, k, v = qkv.transpose(2, 0, 3, 1, 4)  # each (B, h, N, d_h)
@@ -646,13 +597,12 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int) -> tuple[Tensor
     merged = np.empty((batch, tokens, heads, d_head), dtype)
     _matmul_data(weights, v, out=merged.transpose(0, 2, 1, 3))
     merged = merged.reshape(batch * tokens, heads * d_head)
-    out_shape = x.shape[:-1] + (w_o.shape[1],)
-    out = Tensor(_matmul_data(merged, w_o.data).reshape(out_shape))
+    out = Tensor(swap(_matmul_data(merged, w_o.data).reshape(data.shape[:-1] + (w_o.shape[1],))))
     if tape is not None:
 
         def backward(g: np.ndarray):
             contribs = []
-            g = g.reshape(batch * tokens, -1)
+            g = swap(g).reshape(batch * tokens, -1)
             if w_o.requires_grad:
                 contribs.append((w_o, _matmul_data(merged.T, g)))
             d_merged = _matmul_data(g, w_o.data.T)
@@ -675,11 +625,11 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int) -> tuple[Tensor
             if w_qkv.requires_grad:
                 contribs.append((w_qkv, _matmul_data(rows.T, d_qkv)))
             if x.requires_grad:
-                contribs.append((x, _matmul_data(d_qkv, w_qkv.data.T).reshape(x.shape)))
+                contribs.append((x, swap(_matmul_data(d_qkv, w_qkv.data.T).reshape(data.shape))))
             return contribs
 
         tape._record(out, backward)
-    return out, weights.reshape(x.shape[:-2] + weights.shape[1:])
+    return out, weights.reshape(data.shape[:-2] + weights.shape[1:])
 
 
 # ---------------------------------------------------------------------

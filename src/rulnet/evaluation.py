@@ -11,13 +11,13 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .checkpoint import Bundle
 from .data import RawTrajectory, normalize, pair_test_truth, windows_ending_at
-from .errors import CapabilityError, ContractError
+from .errors import CapabilityError, ContractError, NumericInputError
 from .training import PREDICT_BATCH, predict_batched
 
 SCORE_EARLY_DIVISOR = 13.0  # d < 0: prediction under the true RUL
@@ -35,6 +35,13 @@ def phm_score(errors: Sequence[float]) -> float:
         np.exp(d / SCORE_LATE_DIVISOR) - 1.0,
     )
     return float(per_unit.sum())
+
+
+def _require_finite(predictions: np.ndarray, name: Callable[[int], str]) -> None:
+    """Raise NumericInputError naming the first prediction that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(predictions))
+    if bad.size:
+        raise NumericInputError(f"the prediction for {name(bad[0])} is {predictions[bad[0]]}, not finite")
 
 
 def rmse(errors: Sequence[float]) -> float:
@@ -96,7 +103,8 @@ def predict_test_set(
 
     Negative predictions are clamped to zero (and counted); the truth
     labels are clipped at the bundle's r_max when ``clip_truth``, which
-    defaults to the bundle's ``clip_test_rul``.
+    defaults to the bundle's ``clip_test_rul``.  A prediction that is not
+    finite raises NumericInputError.
     """
     if clip_truth is None:
         clip_truth = bundle.config.clip_test_rul
@@ -108,6 +116,7 @@ def predict_test_set(
         for traj, _ in pairs
     ])
     preds = predict_batched(bundle.model, x).astype(np.float64)
+    _require_finite(preds, lambda i: f"unit {pairs[i][0].unit_id}")
     records = []
     for (traj, true_rul), pred in zip(pairs, preds):
         clamped = pred < 0.0
@@ -170,7 +179,8 @@ def export_attention(
     for ``matrix_cycles`` (default: all requested cycles), each of which
     must be a requested cycle; the per-cycle column-sum view always
     covers every requested cycle.  Windows go through the model in
-    batches of at most ``PREDICT_BATCH``.
+    batches of at most ``PREDICT_BATCH``.  A prediction that is not finite
+    raises NumericInputError.
     """
     model = bundle.model
     if not model.feature_heads:
@@ -207,6 +217,7 @@ def export_attention(
         weights[filled : filled + kept, :n_heads] = heads[keep]
         weights[filled : filled + kept, n_heads] = averaged[keep]
         filled += kept
+    _require_finite(predictions, lambda i: f"unit {trajectory.unit_id}, cycle {cycles[i]}")
 
     return AttentionExport(
         unit_id=trajectory.unit_id,

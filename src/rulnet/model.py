@@ -3,10 +3,10 @@ steps, a stacked LSTM, and a small MLP regression head.
 
 A sample is an F x T matrix: F channels (operational settings + sensors),
 T consecutive cycles.  The feature block treats each channel's T-step
-series as one token (width T); the sequence block transposes and treats
-each time step's F readings as one token (width F).  Neither block changes
-the input shape.  The model and its attention blocks accept a single
-(F, T) sample or a stacked (B, F, T) batch.
+series as one token (width T); the sequence block attends along the time
+axis of the same matrix, each time step's F readings one token (width F).
+Neither block changes the input shape.  The model and its attention
+blocks accept a single (F, T) sample or a stacked (B, F, T) batch.
 """
 
 from __future__ import annotations
@@ -184,23 +184,21 @@ class RulModel:
             )
         return x
 
-    def _attend(self, prefix: str, heads: int, x: Tensor) -> Tensor:
-        """Block ``prefix``'s self-attention over the tokens of ``x``; identity without heads."""
+    def _attend(self, prefix: str, heads: int, x: Tensor, token_axis: int) -> Tensor:
+        """Block ``prefix``'s self-attention along ``token_axis`` of ``x``; identity without heads."""
         if not heads:
             return x
         params = self.params[f"{prefix}.wqkv"], self.params[f"{prefix}.wo"]
-        out, self.last_weights[prefix] = ad.attention(x, *params, heads)
+        out, self.last_weights[prefix] = ad.attention(x, *params, heads, token_axis)
         return out
 
     def apply_feature_attention(self, x: Tensor) -> Tensor:
         """Attention across channels; identity when the block is disabled."""
-        return self._attend("fa", self.feature_heads, x)
+        return self._attend("fa", self.feature_heads, x, -2)
 
     def apply_sequence_attention(self, x: Tensor) -> Tensor:
         """Attention across time steps; identity when the block is disabled."""
-        if not self.sequence_heads:
-            return x
-        return ad.transpose(self._attend("sa", self.sequence_heads, ad.transpose(x)))
+        return self._attend("sa", self.sequence_heads, x, -1)
 
     def lstm(self, x: Tensor) -> Tensor:
         """The stacked LSTM's last top-layer hidden state, (B, F, T) -> (B, H);
@@ -210,15 +208,15 @@ class RulModel:
         return ad.lstm(x, w_x, w_h, bias)
 
     def head(self, x: Tensor, training: bool, rng: np.random.Generator | None) -> Tensor:
-        """Hidden rectified layer with inverted dropout, then one output node."""
-        hidden = ad.relu(x @ self.params["head.w1"] + self.params["head.b1"])
+        """Hidden rectified layer with inverted dropout, then one output node;
+        see :func:`rulnet.autodiff.mlp_head`."""
+        mask = None
         if training and self.dropout > 0.0:
             if rng is None:
                 raise ContractError("training-mode forward needs a dropout generator")
-            keep = rng.random(hidden.shape) >= self.dropout
-            mask = (keep / (1.0 - self.dropout)).astype(hidden.data.dtype)
-            hidden = hidden * Tensor(mask)
-        return hidden @ self.params["head.w2"] + self.params["head.b2"]
+            keep = rng.random((x.shape[0], self.mlp_hidden)) >= self.dropout
+            mask = (keep / (1.0 - self.dropout)).astype(x.dtype)
+        return ad.mlp_head(x, *(self.params[f"head.{name}"] for name in ("w1", "b1", "w2", "b2")), mask)
 
     def forward(
         self,

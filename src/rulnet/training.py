@@ -23,13 +23,12 @@ PREDICT_BATCH = 256
 
 
 def mse_loss(pred: Tensor, truth: Tensor) -> Tensor:
-    """Mean squared error over matching-length vectors."""
+    """Mean squared error over matching-length vectors: one :func:`rulnet.autodiff.mse` node."""
     if pred.size != truth.size:
         raise ContractError(f"length mismatch: {pred.size} predictions vs {truth.size} targets")
     if pred.size < 1:
         raise ContractError("mse_loss needs at least one element")
-    diff = ad.sub(ad.reshape(pred, (pred.size,)), ad.reshape(truth, (truth.size,)))
-    return ad.mean(ad.mul(diff, diff))
+    return ad.mse(pred, truth)
 
 
 # Elements per pass of the Adam update, so that its float64 scratch stays

@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from rulnet import RulModel, Tensor
+from rulnet import DimensionError, RulModel, Tensor
 from rulnet import autodiff as ad
 from rulnet.data import parse_cmapss, parse_rul_truth
 from rulnet.synthetic import generate_dataset
@@ -108,6 +108,119 @@ def _reference_op(a, y, grad):
     return out
 
 
+def _sum_to_shape(g, shape):
+    """Reduce a broadcast gradient back to the operand's shape."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gs, ts) in enumerate(zip(g.shape, shape)) if ts == 1 and gs != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def _binary_op(a, b, sign, name):
+    """Record a + b (``sign`` 1) or a - b (``sign`` -1), where the shapes
+    are equal or one broadcasts to the other (a bias add)."""
+    if a.shape != b.shape:
+        try:
+            shape = np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            shape = None
+        if shape not in (a.shape, b.shape):
+            raise DimensionError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
+    ad._check_dtypes(a, b)
+    out = Tensor(a.data + b.data if sign > 0 else a.data - b.data)
+    tape = ad._tape_for(a, b)
+    if tape is not None:
+
+        def backward(g):
+            contribs = []
+            if a.requires_grad:
+                contribs.append((a, _sum_to_shape(g, a.shape)))
+            if b.requires_grad:
+                contribs.append((b, _sum_to_shape(g if sign > 0 else -g, b.shape)))
+            return contribs
+
+        tape._record(out, backward)
+    return out
+
+
+def add(a, b):
+    return _binary_op(a, b, 1, "add")
+
+
+def sub(a, b):
+    return _binary_op(a, b, -1, "sub")
+
+
+def scale(a, c):
+    """Multiply by a python constant."""
+    c = a.dtype.type(c)
+    return _reference_op(a, a.data * c, lambda g, y: g * c)
+
+
+def relu(a):
+    """Rectifier; its gradient at exactly 0 is taken as 0."""
+    return _reference_op(a, np.maximum(a.data, 0), lambda g, y: g * (a.data > 0))
+
+
+def transpose(a):
+    """Swap the last two axes."""
+    return _reference_op(a, ad._swap_last(a.data), lambda g, y: ad._swap_last(g))
+
+
+def matmul(a, b):
+    """Matrix product, (m,k)@(k,n), (B,m,k)@(k,n) or (B,m,k)@(B,k,n), through
+    ``ad._matmul_data``, so ``exact_arithmetic`` applies."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError(f"matmul needs matrices, got shapes {a.shape} and {b.shape}")
+    if a.ndim > 3 or b.ndim > 3 or (a.ndim == 2 and b.ndim == 3):
+        raise DimensionError(f"unsupported matmul ranks: {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
+        raise DimensionError(f"batch dimensions differ: {a.shape} @ {b.shape}")
+    ad._check_dtypes(a, b)
+    out = Tensor(ad._matmul_data(a.data, b.data))
+    tape = ad._tape_for(a, b)
+    if tape is not None:
+
+        def backward(g):
+            contribs = []
+            if a.requires_grad:
+                contribs.append((a, ad._matmul_data(g, ad._swap_last(b.data))))
+            if b.requires_grad:
+                if a.ndim == 3 and b.ndim == 2:
+                    # Collapse the batch: dB = sum_i A_i^T g_i.
+                    k, n = a.shape[-1], g.shape[-1]
+                    flat_g = np.ascontiguousarray(g).reshape(-1, n)
+                    contribs.append((b, ad._matmul_data(a.data.reshape(-1, k).T, flat_g)))
+                else:
+                    contribs.append((b, ad._matmul_data(ad._swap_last(a.data), g)))
+            return contribs
+
+        tape._record(out, backward)
+    return out
+
+
+def head_chain(x, w1, b1, w2, b2, mask=None):
+    """Reference for ``ad.mlp_head``: matmul, add, relu, dropout mul,
+    matmul, add, one tape node each."""
+    hidden = relu(add(matmul(x, w1), b1))
+    if mask is not None:
+        hidden = ad.mul(hidden, Tensor(mask))
+    return add(matmul(hidden, w2), b2)
+
+
+def mse_chain(pred, truth):
+    """Reference for ``ad.mse``: reshape, sub, mul, mean, one tape node each."""
+    diff = sub(ad.reshape(pred, (pred.size,)), ad.reshape(truth, (truth.size,)))
+    return ad.mean(ad.mul(diff, diff))
+
+
 def sigmoid(a):
     with np.errstate(over="ignore"):
         y = (1.0 / (1.0 + np.exp(-a.data))).astype(a.dtype, copy=False)
@@ -140,12 +253,12 @@ def per_head_attention(x, w_q, w_k, w_v, w_o):
     place = np.eye(heads * d_head, dtype=x.dtype)
     merged, weights = None, []
     for i in range(heads):
-        scores = ad.scale(ad.matmul(x @ w_q[i], ad.transpose(x @ w_k[i])), 1.0 / math.sqrt(d_head))
+        scores = scale(matmul(matmul(x, w_q[i]), transpose(matmul(x, w_k[i]))), 1.0 / math.sqrt(d_head))
         w = softmax_rows(scores)
         weights.append(w.data)
-        head = (w @ (x @ w_v[i])) @ Tensor(place[i * d_head : (i + 1) * d_head])
-        merged = head if merged is None else merged + head
-    return merged @ w_o, np.stack(weights, axis=-3)
+        head = matmul(matmul(w, matmul(x, w_v[i])), Tensor(place[i * d_head : (i + 1) * d_head]))
+        merged = head if merged is None else add(merged, head)
+    return matmul(merged, w_o), np.stack(weights, axis=-3)
 
 
 def head_blocks(w_qkv, heads):

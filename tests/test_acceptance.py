@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_tiny_model, head_blocks, per_head_attention
+from conftest import build_tiny_model, head_blocks, per_head_attention, sub
 from rulnet import RulModel, Tensor
 from rulnet import autodiff as ad
 from rulnet import data as D
@@ -81,7 +81,7 @@ def test_criterion_1_gradient_oracle():
     params = [p for _, p in model.parameters()]
 
     def loss_fn():
-        diff = ad.sub(model.forward(x), target)
+        diff = sub(model.forward(x), target)
         return ad.mean(ad.mul(diff, diff))
 
     worst = gradcheck(loss_fn, params, eps=1e-5, rtol=1e-4)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import head_blocks, per_head_attention, rand_tensor, scalar_loss
+from conftest import (add, head_blocks, head_chain, matmul, mse_chain, per_head_attention, rand_tensor, relu,
+                      scalar_loss, scale, sub, transpose)
 from rulnet import ContractError, DimensionError, NumericInputError, Tape, TapeError, Tensor
 from rulnet import autodiff as ad
 from rulnet.autodiff import exact_arithmetic, gradcheck
@@ -27,12 +28,12 @@ class TestMatmul:
     def test_identity(self):
         eye = Tensor(np.eye(2))
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(ad.matmul(eye, x).data, x.data)
+        assert np.array_equal(matmul(eye, x).data, x.data)
 
     def test_dot_product(self):
         a = Tensor([[1.0, 2.0]])
         b = Tensor([[3.0], [4.0]])
-        assert ad.matmul(a, b).data.tolist() == [[11.0]]
+        assert matmul(a, b).data.tolist() == [[11.0]]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_exact_match_with_triple_loop_oracle(self, dtype):
@@ -40,7 +41,7 @@ class TestMatmul:
         a = Tensor(rng.standard_normal((3, 4)), dtype=dtype)
         b = Tensor(rng.standard_normal((4, 2)), dtype=dtype)
         with exact_arithmetic():
-            got = ad.matmul(a, b).data
+            got = matmul(a, b).data
         assert np.array_equal(got, triple_loop_matmul(a.data, b.data))
 
     @given(
@@ -53,16 +54,16 @@ class TestMatmul:
         a = Tensor(rng.standard_normal((m, k)), dtype=np.float64)
         b = Tensor(rng.standard_normal((k, n)), dtype=np.float64)
         with exact_arithmetic():
-            got = ad.matmul(a, b).data
+            got = matmul(a, b).data
         assert np.array_equal(got, triple_loop_matmul(a.data, b.data))
 
     def test_fast_kernel_agrees_with_exact_to_tolerance(self):
         rng = np.random.default_rng(3)
         a = Tensor(rng.standard_normal((16, 32)), dtype=np.float64)
         b = Tensor(rng.standard_normal((32, 8)), dtype=np.float64)
-        fast = ad.matmul(a, b).data
+        fast = matmul(a, b).data
         with exact_arithmetic():
-            exact = ad.matmul(a, b).data
+            exact = matmul(a, b).data
         np.testing.assert_allclose(fast, exact, rtol=1e-12, atol=1e-12)
 
     def test_batched_matches_einsum(self):
@@ -71,24 +72,24 @@ class TestMatmul:
         b2 = Tensor(rng.standard_normal((4, 2)), dtype=np.float64)
         b3 = Tensor(rng.standard_normal((5, 4, 2)), dtype=np.float64)
         np.testing.assert_allclose(
-            ad.matmul(a, b2).data, np.einsum("bmk,kn->bmn", a.data, b2.data), rtol=1e-12
+            matmul(a, b2).data, np.einsum("bmk,kn->bmn", a.data, b2.data), rtol=1e-12
         )
         np.testing.assert_allclose(
-            ad.matmul(a, b3).data, np.einsum("bmk,bkn->bmn", a.data, b3.data), rtol=1e-12
+            matmul(a, b3).data, np.einsum("bmk,bkn->bmn", a.data, b3.data), rtol=1e-12
         )
 
     def test_shape_mismatch_names_both_shapes(self):
         a = Tensor(np.zeros((2, 3)))
         b = Tensor(np.zeros((2, 3)))
         with pytest.raises(DimensionError) as err:
-            ad.matmul(a, b)
+            matmul(a, b)
         assert "(2, 3)" in str(err.value)
 
     def test_gradients(self):
         rng = np.random.default_rng(5)
         a = rand_tensor(rng, 3, 4)
         b = rand_tensor(rng, 4, 2)
-        gradcheck(lambda: scalar_loss(a @ b), [a, b])
+        gradcheck(lambda: scalar_loss(matmul(a, b)), [a, b])
 
 
 def attend(x, w_q, w_k, w_v, w_o=None):
@@ -230,6 +231,28 @@ class TestAttention:
         assert np.array_equal(out.data, ref_out.data)
         assert np.array_equal(w, ref_w)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, heads", [((128, 30, 24), 4), ((30, 24), 4), ((3, 5, 6), 2)])
+    def test_time_axis_equals_transposed_tokens_bit_for_bit(self, shape, heads, dtype):
+        # The sequence block's (B, F, T) input attended along T, against the
+        # op on the transposed view with a transpose node on either side.
+        tokens_first, w_qkv, w_o = attention_setup(shape, heads, seed=sum(shape), dtype=dtype)
+        x = Tensor(np.ascontiguousarray(np.swapaxes(tokens_first.data, -1, -2)), requires_grad=True)
+        readout = Tensor(np.random.default_rng(2).standard_normal(x.shape).astype(dtype))
+
+        def wrapped():
+            out, weights = ad.attention(transpose(x), w_qkv, w_o, heads)
+            return transpose(out), weights
+
+        params = [x, w_qkv, w_o]
+        fused = attention_grads(lambda: ad.attention(x, w_qkv, w_o, heads, token_axis=-1), params, readout)
+        ref = attention_grads(wrapped, params, readout)
+        assert fused[0].shape == x.shape and fused[1].shape == shape[:-2] + (heads,) + shape[-2:-1] * 2
+        for got, want in zip([fused[0], fused[1], *fused[2]], [ref[0], ref[1], *ref[2]]):
+            assert got.dtype == dtype and np.array_equal(got, want)
+        with pytest.raises(DimensionError):
+            ad.attention(x, w_qkv, w_o, heads, token_axis=0)
+
     def test_gradcheck(self):
         x, w_qkv, w_o = attention_setup((2, 4, 6), 2, seed=31)
         readout = Tensor(np.random.default_rng(1).standard_normal((2, 4, 6)))
@@ -265,6 +288,113 @@ class TestAttention:
             ad.attention(Tensor(np.zeros(6)), w_qkv, w_o, 2)
 
 
+def head_setup(batch, width, hidden, outputs, seed, dtype=np.float64, x_grad=True, masked=True):
+    """Input, parameters (w1, b1, w2, b2) and a dropout mask of rate 0.5,
+    or None, for ``ad.mlp_head``; the biases are drawn, not zero."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((batch, width)), requires_grad=x_grad, dtype=dtype)
+    params = [Tensor(rng.uniform(-1, 1, shape) / np.sqrt(shape[0]), requires_grad=True, dtype=dtype)
+              for shape in ((width, hidden), (hidden,), (hidden, outputs), (outputs,))]
+    mask = ((rng.random((batch, hidden)) >= 0.5) / 0.5).astype(dtype) if masked else None
+    return x, params, mask
+
+
+def taped_grads(loss_fn, tensors):
+    """Loss and every tensor's gradient (None where it got none) of one
+    taped ``loss_fn()``."""
+    for t in tensors:
+        t.zero_grad()
+    with Tape() as tape:
+        loss = loss_fn()
+    tape.backward(loss)
+    return loss.data, [None if t.grad is None else t.grad.copy() for t in tensors]
+
+
+class TestMlpHead:
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_gradcheck(self, masked, x_grad):
+        x, params, mask = head_setup(4, 5, 6, 2, seed=40, x_grad=x_grad, masked=masked)
+        readout = Tensor(np.random.default_rng(41).standard_normal((4, 2)))
+        gradcheck(lambda: ad.mean(ad.mul(ad.mlp_head(x, *params, mask), readout)), [x] * x_grad + params)
+        assert (x.grad is not None) == x_grad
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_float32_bit_identical_to_reference_chain(self, masked):
+        # Paper sizes: a batch of 128 LSTM outputs of 100, an MLP of 100.
+        x, params, mask = head_setup(128, 100, 100, 1, seed=42, dtype=np.float32, masked=masked)
+        readout = Tensor(np.random.default_rng(43).standard_normal((128, 1)).astype(np.float32))
+
+        def run(head):
+            """The head's output, then the gradients of x, w1, b1, w2 and b2."""
+            out = head(x, *params, mask)
+            return [out.data, *taped_grads(lambda: ad.mean(ad.mul(head(x, *params, mask), readout)),
+                                           [x, *params])[1]]
+
+        for got, want in zip(run(ad.mlp_head), run(head_chain)):
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    def test_rectifier_gradient_at_zero_is_zero(self):
+        # A zero input leaves each pre-activation at its bias: 0, -1 and 2.
+        x = Tensor(np.zeros((2, 1)), dtype=np.float64)
+        b1 = Tensor(np.array([0.0, -1.0, 2.0]), requires_grad=True)
+        w1, w2, b2 = Tensor(np.ones((1, 3))), Tensor(np.ones((3, 1))), Tensor(np.zeros(1))
+        with Tape() as tape:
+            loss = ad.mean(ad.mlp_head(x, w1, b1, w2, b2))
+        tape.backward(loss)
+        np.testing.assert_allclose(b1.grad, [0.0, 0.0, 1.0])
+
+    def test_records_one_node_and_nothing_without_a_tape(self):
+        x, params, mask = head_setup(3, 4, 5, 1, seed=44)
+        assert not ad.mlp_head(x, *params, mask).requires_grad
+        with Tape() as tape:
+            out = ad.mlp_head(x, *params, mask)
+        assert len(tape) == 1 and out.requires_grad
+        with Tape() as tape:
+            ad.mlp_head(*(Tensor(t.data) for t in [x, *params]), mask)
+        assert len(tape) == 0
+
+    def test_shapes_and_dtypes_checked(self):
+        x, (w1, b1, w2, b2), mask = head_setup(3, 4, 5, 1, seed=45)
+        for args in [(Tensor(x.data[0]), w1, b1, w2, b2, mask), (x, Tensor(w1.data[1:]), b1, w2, b2, mask),
+                     (x, w1, Tensor(b1.data[1:]), w2, b2, mask), (x, w1, b1, Tensor(w2.data[1:]), b2, mask),
+                     (x, w1, b1, w2, Tensor(np.zeros(2)), mask), (x, w1, b1, w2, b2, mask[1:])]:
+            with pytest.raises(DimensionError):
+                ad.mlp_head(*args)
+        with pytest.raises(ContractError):
+            ad.mlp_head(x, w1, b1, w2, Tensor(b2.data, dtype=np.float32), mask)
+
+
+class TestMse:
+    def test_gradcheck(self):
+        rng = np.random.default_rng(46)
+        pred, truth = rand_tensor(rng, 5, 1), rand_tensor(rng, 5)
+        gradcheck(lambda: ad.mse(pred, truth), [pred, truth])
+
+    @pytest.mark.parametrize("truth_grad", [False, True])
+    def test_float32_bit_identical_to_reference_chain(self, truth_grad):
+        rng = np.random.default_rng(47)
+        pred = Tensor(rng.uniform(0, 125, (128, 1)).astype(np.float32), requires_grad=True)
+        truth = Tensor(rng.uniform(0, 125, 128).astype(np.float32), requires_grad=truth_grad)
+        fused = taped_grads(lambda: ad.mse(pred, truth), [pred, truth])
+        chain = taped_grads(lambda: mse_chain(pred, truth), [pred, truth])
+        for got, want in zip([fused[0], *fused[1]], [chain[0], *chain[1]]):
+            if want is None:
+                assert got is None and not truth_grad
+            else:
+                assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    def test_records_one_node_and_checks_its_inputs(self):
+        pred = Tensor(np.ones((3, 1)), requires_grad=True, dtype=np.float32)
+        with Tape() as tape:
+            ad.mse(pred, Tensor(np.zeros(3), dtype=np.float32))
+        assert len(tape) == 1
+        with pytest.raises(DimensionError):
+            ad.mse(pred, Tensor(np.zeros(4)))
+        with pytest.raises(ContractError):
+            ad.mse(pred, Tensor(np.zeros(3), dtype=np.float64))
+
+
 class TestElementwise:
     # The LSTM's gate sigmoid, computed in place.
     def test_sigmoid_zero(self):
@@ -281,31 +411,31 @@ class TestElementwise:
     def test_relu_gradient_at_zero_is_zero(self):
         x = Tensor([0.0, -1.0, 2.0], requires_grad=True, dtype=np.float64)
         with Tape() as tape:
-            loss = ad.mean(ad.relu(x))
+            loss = ad.mean(relu(x))
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [0.0, 0.0, 1 / 3])
 
     def test_add_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+            add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
     def test_mixed_dtypes_rejected(self):
         with pytest.raises(ContractError):
-            ad.add(Tensor(np.zeros(2), dtype=np.float32), Tensor(np.zeros(2), dtype=np.float64))
+            add(Tensor(np.zeros(2), dtype=np.float32), Tensor(np.zeros(2), dtype=np.float64))
 
     def test_elementwise_gradients(self):
         rng = np.random.default_rng(8)
         x = rand_tensor(rng, 2, 5, shift=0.6)  # inputs shifted off the rectifier's kink
-        gradcheck(lambda: scalar_loss(ad.relu(x)), [x])
+        gradcheck(lambda: scalar_loss(relu(x)), [x])
         x = rand_tensor(rng, 4, 3)
         y = rand_tensor(rng, 4, 3)
-        gradcheck(lambda: ad.mean(ad.mul(ad.sub(x, y), ad.add(x, y))), [x, y])
+        gradcheck(lambda: ad.mean(ad.mul(sub(x, y), add(x, y))), [x, y])
         b = rand_tensor(rng, 3)
-        gradcheck(lambda: scalar_loss(ad.add(x, b)), [x, b])
-        gradcheck(lambda: scalar_loss(ad.scale(x, -1.7)), [x])
+        gradcheck(lambda: scalar_loss(add(x, b)), [x, b])
+        gradcheck(lambda: scalar_loss(scale(x, -1.7)), [x])
         gradcheck(lambda: scalar_loss(ad.reshape(x, (2, 6))), [x])
-        assert np.array_equal(ad.transpose(ad.transpose(x)).data, x.data)
-        gradcheck(lambda: scalar_loss(ad.transpose(x)), [x])
+        assert np.array_equal(transpose(transpose(x)).data, x.data)
+        gradcheck(lambda: scalar_loss(transpose(x)), [x])
 
 
 class TestBackward:
@@ -380,8 +510,8 @@ class TestBackward:
             eye, zero = np.eye(6), np.zeros((6, 6))
             place_a, place_b = Tensor(np.hstack([eye, zero, eye])), Tensor(np.hstack([zero, eye, zero]))
             with Tape() as tape:
-                out, _ = ad.attention(a @ b, a @ place_a + b @ place_b, b, 1)
-                loss = ad.mean(ad.mul(out, a @ b))
+                out, _ = ad.attention(matmul(a, b), add(matmul(a, place_a), matmul(b, place_b)), b, 1)
+                loss = ad.mean(ad.mul(out, matmul(a, b)))
             tape.backward(loss)
             return a.grad.copy(), b.grad.copy()
 

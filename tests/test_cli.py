@@ -624,8 +624,10 @@ CONFIG_ARGS = ["--config", "{config}", "--out", "{out}", "--max-epochs", "1",
 # the given values, "{bundle}" the trained checkpoint with the given header
 # config values, "{missing}" a file that does not exist, "{short}" a one-line
 # train file of 3 columns, "{latin1}" a truth file holding the byte 0xB0,
-# "{nonfinite}" the trained checkpoint with a NaN in head.w2, and "{out}" a
-# directory that must not be created.
+# "{nonfinite}" the trained checkpoint with a NaN in head.w2, "{overflow}" the
+# trained checkpoint with every head.w2 weight at 3e38, finite but so large
+# that the predictions overflow to inf, and "{out}" a directory that must not
+# be created.
 ENTRY_POINT_CASES = [
     *[pytest.param([command, *CONFIG_ARGS], {name: value}, {}, 1, name,
                    id=f"{command}-config-{name}")
@@ -693,6 +695,10 @@ ENTRY_POINT_CASES = [
                    "CheckpointError: {nonfinite}: tensor 'head.w2' holds a NaN",
                    id=f"{command}-nonfinite-bundle")
       for command, unit in [("evaluate", []), ("explain", ["--unit", "1"])]],
+    *[pytest.param([command, "--checkpoint", "{overflow}", *unit, "--out", "{out}"], {}, {}, 3,
+                   f"NumericInputError: the prediction for unit {where} is inf, not finite",
+                   id=f"{command}-overflowing-bundle")
+      for command, unit, where in [("evaluate", [], "1"), ("explain", ["--unit", "1"], "1, cycle 1")]],
 ]
 
 
@@ -718,6 +724,9 @@ class TestEntryPoints:
         nonfinite_path = tmp_path / "nonfinite.bin"
         bundle.model.params["head.w2"].data[0, 0] = np.nan
         save_bundle(nonfinite_path, bundle.model, bundle.condition_model, bundle.config.to_dict())
+        overflow_path = tmp_path / "overflow.bin"
+        bundle.model.params["head.w2"].data[...] = 3e38
+        save_bundle(overflow_path, bundle.model, bundle.condition_model, bundle.config.to_dict())
         out = tmp_path / "out"
         short_path = tmp_path / "short.txt"
         short_path.write_text("1 1 0.5\n")
@@ -725,12 +734,13 @@ class TestEntryPoints:
         latin1_path.write_bytes(b"12\n\xb07\n")
         paths = {"{config}": str(config_path), "{bundle}": str(bundle_path), "{out}": str(out),
                  "{missing}": str(tmp_path / "missing.txt"), "{short}": str(short_path),
-                 "{latin1}": str(latin1_path), "{nonfinite}": str(nonfinite_path)}
+                 "{latin1}": str(latin1_path), "{nonfinite}": str(nonfinite_path),
+                 "{overflow}": str(overflow_path)}
         assert main([paths.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
         [line] = err.splitlines()
-        assert line.startswith("configuration error: " if code == 1 else "data error: ")
+        assert line.startswith({1: "configuration error: ", 2: "data error: ", 3: "error: "}[code])
         for key, value in paths.items():
             name = name.replace(key, value)
         assert name in line

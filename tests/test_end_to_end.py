@@ -10,7 +10,7 @@ from rulnet import data as D
 from rulnet.checkpoint import Bundle, load_bundle, save_bundle
 from rulnet.evaluation import export_attention, predict_test_set
 from rulnet.seeding import generator
-from rulnet.synthetic import generate_dataset
+from rulnet.synthetic import _CONSTANT_SENSORS, _UNINFORMATIVE_SENSORS, generate_dataset
 from rulnet.config import ExperimentConfig
 from rulnet.training import fit, predict_batched
 
@@ -103,6 +103,21 @@ def test_explain_runs_on_trained_bundle(e2e):
     assert export.cycle_sums.shape == (2, 24)
     assert export.weights.shape[0] == 1
     assert np.all(np.abs(export.weights.sum(axis=-1) - 1.0) < 1e-6)
+
+
+def test_feature_attention_ranks_the_no_signal_channels_lowest(e2e):
+    # The paper's reading of attention as an explanation, on data whose
+    # signal-free channels are known: a one-regime set's three settings,
+    # the constant sensors and the noise-only sensors.  Over every cycle of
+    # the 12 test units, those channels receive the least attention.
+    sensors = _CONSTANT_SENSORS + _UNINFORMATIVE_SENSORS
+    no_signal = set(range(D.N_SETTINGS)) | {D.N_SETTINGS + s for s in sensors}
+    bundle = Bundle(model=e2e["model"], condition_model=e2e["cm"],
+                    config=ExperimentConfig(window=e2e["window"], r_max=e2e["r_max"]))
+    sums = np.concatenate([export_attention(bundle, traj, matrix_cycles=[]).cycle_sums
+                           for traj in e2e["test"]]).mean(axis=0)
+    lowest = np.argsort(sums)[: len(no_signal)]
+    assert set(lowest.tolist()) == no_signal, sums.round(3)
 
 
 def test_validation_rmse_tracks_training(e2e):

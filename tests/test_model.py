@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_tiny_model, head_blocks, lstm_weights, per_head_attention, sigmoid, tanh
+from conftest import add, build_tiny_model, head_blocks, lstm_weights, matmul, per_head_attention, sigmoid, tanh
 from rulnet import (
     CapabilityError,
     ConfigurationError,
@@ -205,18 +205,18 @@ def per_step_lstm(x, w_x, w_h, bias):
     eye_t = np.eye(steps, dtype=x.dtype)
     eye_g = np.eye(4 * hidden, dtype=x.dtype)
     gate_pick = [Tensor(eye_g[:, k * hidden : (k + 1) * hidden]) for k in range(4)]
-    inputs = [ad.reshape(x @ Tensor(eye_t[:, t : t + 1]), (batch, width)) for t in range(steps)]
+    inputs = [ad.reshape(matmul(x, Tensor(eye_t[:, t : t + 1])), (batch, width)) for t in range(steps)]
     for layer in range(len(w_x)):
         h = c = None
         outputs = []
         for x_t in inputs:
-            z = x_t @ w_x[layer] + bias[layer]
+            z = add(matmul(x_t, w_x[layer]), bias[layer])
             if h is not None:
-                z = z + h @ w_h[layer]
-            i_g, f_g, g_c, o_g = (z @ pick for pick in gate_pick)
+                z = add(z, matmul(h, w_h[layer]))
+            i_g, f_g, g_c, o_g = (matmul(z, pick) for pick in gate_pick)
             i_g, g_c = sigmoid(i_g), tanh(g_c)
-            c = i_g * g_c if c is None else sigmoid(f_g) * c + i_g * g_c
-            h = sigmoid(o_g) * tanh(c)
+            c = ad.mul(i_g, g_c) if c is None else add(ad.mul(sigmoid(f_g), c), ad.mul(i_g, g_c))
+            h = ad.mul(sigmoid(o_g), tanh(c))
             outputs.append(h)
         inputs = outputs
     return h

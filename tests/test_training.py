@@ -329,6 +329,17 @@ class TestFit:
         tape.backward(loss)
         assert all(p.grad is not None for _, p in model.parameters())
 
+    @pytest.mark.parametrize("mode, nodes", [("L", 3), ("A", 4), ("F", 4), ("F+T", 5)])
+    def test_step_records_one_node_per_block(self, mode, nodes):
+        # Each attention block, the LSTM, the head with its dropout mask,
+        # and the loss.
+        model, rng = build_tiny_model(mode=mode, dtype=np.float32, dropout=0.5)
+        xb = Tensor(rng.standard_normal((3, 4, 6)).astype(np.float32))
+        yb = Tensor(rng.standard_normal(3).astype(np.float32))
+        with Tape() as tape:
+            mse_loss(model.forward(xb, training=True, dropout_rng=rng), yb)
+        assert len(tape) == nodes
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's malloc")
     def test_steps_reuse_freed_memory(self):
         # Each paper-size step frees tens of MB; handing that back to the
