@@ -4,9 +4,11 @@ recorded on a define-by-run tape and differentiated in reverse.
 Tensors wrap a numpy array (float32 by default, float64 for verification
 work).  While a :class:`Tape` is active, every operation whose inputs
 require gradients appends a node; ``Tape.backward`` replays the node list
-in reverse, which is a valid topological order by construction.  Tensors
-hold no reference to the tape that recorded them, so a pass's whole graph
-is freed as soon as its last reference goes, without the cycle collector.
+in reverse, which is a valid topological order by construction.  A fused
+op's rule gives a gradient for every weight it reads; the tape keeps those
+of tensors that require one.  Tensors hold no reference to the tape that
+recorded them, so a pass's whole graph is freed as soon as its last
+reference goes, without the cycle collector.
 
 Matrix products have two kernels.  The default delegates to BLAS.  The
 "exact" kernel accumulates over the contraction index sequentially, in
@@ -234,15 +236,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = (shape,) if isinstance(shape, int) else tuple(shape)
-    out = Tensor(a.data.reshape(shape))
-    tape = _tape_for(a)
-    if tape is not None:
-        tape._record(out, lambda g: [(a, g.reshape(a.shape))])
-    return out
-
-
 def mean(a: Tensor) -> Tensor:
     """Mean over all elements; returns a scalar tensor."""
     out = Tensor(np.asarray(a.data.mean(), dtype=a.data.dtype))
@@ -291,22 +284,13 @@ def mlp_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     if tape is not None:
 
         def backward(g: np.ndarray):
-            contribs = []
-            if b2.requires_grad:
-                contribs.append((b2, g.sum(axis=0)))
-            if w2.requires_grad:
-                contribs.append((w2, _matmul_data(hidden.T, g)))
+            contribs = [(b2, g.sum(axis=0)), (w2, _matmul_data(hidden.T, g))]
             g = _matmul_data(g, w2.data.T)
             if mask is not None:
                 g = g * mask
             g = g * active
-            if b1.requires_grad:
-                contribs.append((b1, g.sum(axis=0)))
-            if w1.requires_grad:
-                contribs.append((w1, _matmul_data(x.data.T, g)))
-            if x.requires_grad:
-                contribs.append((x, _matmul_data(g, w1.data.T)))
-            return contribs
+            return contribs + [(b1, g.sum(axis=0)), (w1, _matmul_data(x.data.T, g)),
+                               (x, _matmul_data(g, w1.data.T))]
 
         tape._record(out, backward)
     return out
@@ -331,9 +315,7 @@ def mse(pred: Tensor, truth: Tensor) -> Tensor:
             # d(diff·diff) is diff's gradient twice, summed as the tape sums two uses.
             half = np.full(diff.shape, g * inv, dtype=diff.dtype) * diff
             d_diff = half + half
-            contribs = []
-            if pred.requires_grad:
-                contribs.append((pred, d_diff.reshape(pred.shape)))
+            contribs = [(pred, d_diff.reshape(pred.shape))]
             if truth.requires_grad:
                 contribs.append((truth, (-d_diff).reshape(truth.shape)))
             return contribs
@@ -454,15 +436,13 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
             for layer in reversed(range(layers)):
                 seq, gates, cell, tanh_cell, hid = saved[layer]
                 fan_in = seq.shape[1]
-                want_x = w_x[layer].requires_grad
-                want_h = w_h[layer].requires_grad and steps > 1  # unused when T == 1
-                want_b = bias[layer].requires_grad
+                want_h = steps > 1  # w_h is not read when T == 1
                 want_in = layer > 0 or x.requires_grad
                 # Weight gradients accumulate transposed, (4H, in): dz @ inputᵀ
                 # is the faster product orientation for these shapes.
-                g_wx = np.zeros((4 * hidden, fan_in), dtype) if want_x else None
+                g_wx = np.zeros((4 * hidden, fan_in), dtype)
                 g_wh = np.zeros((4 * hidden, hidden), dtype) if want_h else None
-                g_b = np.zeros((4 * hidden, batch), dtype) if want_b else None
+                g_b = np.zeros((4 * hidden, batch), dtype)
                 d_in = np.empty((steps, fan_in, batch), dtype) if want_in else None
                 part_x = np.empty((4 * hidden, fan_in), dtype)
                 part_h = np.empty((4 * hidden, hidden), dtype)
@@ -498,23 +478,19 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
                     np.subtract(1, o, out=dz[3])
                     dz[3] *= hid[t]
                     dz[3] *= dh
-                    if want_x:
-                        g_wx += _matmul_data(dz_flat, seq[t].T, out=part_x)
-                    if want_h and t:
+                    g_wx += _matmul_data(dz_flat, seq[t].T, out=part_x)
+                    if t:
                         g_wh += _matmul_data(dz_flat, hid[t - 1].T, out=part_h)
-                    if want_b:
-                        g_b += dz_flat
+                    g_b += dz_flat
                     if want_in:
                         _matmul_data(w_x[layer].data, dz_flat, out=d_in[t])
                     if t:
                         np.multiply(dc, f, out=carry)
                         _matmul_data(w_h[layer].data, dz_flat, out=dh)
-                if want_x:
-                    contribs.append((w_x[layer], np.ascontiguousarray(g_wx.T)))
+                contribs.append((w_x[layer], np.ascontiguousarray(g_wx.T)))
                 if want_h:
                     contribs.append((w_h[layer], np.ascontiguousarray(g_wh.T)))
-                if want_b:
-                    contribs.append((bias[layer], g_b.sum(axis=1)))
+                contribs.append((bias[layer], g_b.sum(axis=1)))
                 if layer:
                     d_hid = d_in
                 elif want_in:
@@ -582,10 +558,12 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
 
     rows = data.reshape(-1, width)  # (B·N, d)
     batch = rows.shape[0] // tokens
-    qkv = _matmul_data(rows, w_qkv.data).reshape(batch, tokens, 3, heads, d_head)
-    q, k, v = qkv.transpose(2, 0, 3, 1, 4)  # each (B, h, N, d_h)
     scale = dtype.type(1.0 / math.sqrt(d_head))
-    weights = _matmul_data(q, _swap_last(k))
+    # An overflow here shows as a non-finite score, which the check below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        qkv = _matmul_data(rows, w_qkv.data).reshape(batch, tokens, 3, heads, d_head)
+        q, k, v = qkv.transpose(2, 0, 3, 1, 4)  # each (B, h, N, d_h)
+        weights = _matmul_data(q, _swap_last(k))
     weights *= scale
     peak = _row_max(weights)
     # The row maxima show NaN and +inf; the minimum shows -inf.
@@ -601,10 +579,8 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
     if tape is not None:
 
         def backward(g: np.ndarray):
-            contribs = []
             g = swap(g).reshape(batch * tokens, -1)
-            if w_o.requires_grad:
-                contribs.append((w_o, _matmul_data(merged.T, g)))
+            contribs = [(w_o, _matmul_data(merged.T, g))]
             d_merged = _matmul_data(g, w_o.data.T)
             d_out = d_merged.reshape(batch, tokens, heads, d_head).transpose(0, 2, 1, 3)
             d_qkv = np.empty((batch, tokens, 3, heads, d_head), dtype)
@@ -622,8 +598,7 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
             _matmul_data(ds, k, out=d_q)
             _matmul_data(_swap_last(ds), q, out=d_k)
             d_qkv = d_qkv.reshape(batch * tokens, 3 * heads * d_head)
-            if w_qkv.requires_grad:
-                contribs.append((w_qkv, _matmul_data(rows.T, d_qkv)))
+            contribs.append((w_qkv, _matmul_data(rows.T, d_qkv)))
             if x.requires_grad:
                 contribs.append((x, swap(_matmul_data(d_qkv, w_qkv.data.T).reshape(data.shape))))
             return contribs

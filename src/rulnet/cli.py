@@ -124,11 +124,16 @@ def _sha256(path: str | Path) -> str:
 # pipeline helpers shared by commands
 # ---------------------------------------------------------------------
 
+def _parse_units(path: str | Path) -> list[RawTrajectory]:
+    """The units of a C-MAPSS file; a file with none is a data error."""
+    units = parse_cmapss(path)
+    if not units:
+        raise IntegrityError(f"{path}: no units")
+    return units
+
+
 def _load_raw(cfg: ExperimentConfig):
-    train = parse_cmapss(cfg.train_path)
-    test = parse_cmapss(cfg.test_path)
-    truth = parse_rul_truth(cfg.truth_path)
-    return train, test, truth
+    return _parse_units(cfg.train_path), _parse_units(cfg.test_path), parse_rul_truth(cfg.truth_path)
 
 
 def _prepare(cfg: ExperimentConfig, train_trajs) -> tuple[ConditionModel, Iterator[RawTrajectory]]:
@@ -146,7 +151,7 @@ def _test_pairs(cfg: ExperimentConfig) -> list[tuple[RawTrajectory, int]]:
     for key in ("test_path", "truth_path"):
         if not getattr(cfg, key):
             raise ConfigurationError(f"no {key}: the checkpoint's config does not name one")
-    return pair_test_truth(parse_cmapss(cfg.test_path), parse_rul_truth(cfg.truth_path))
+    return pair_test_truth(_parse_units(cfg.test_path), parse_rul_truth(cfg.truth_path))
 
 
 # Thread-count getters of the OpenBLAS builds numpy wheels bundle.

@@ -5,8 +5,8 @@ A sample is an F x T matrix: F channels (operational settings + sensors),
 T consecutive cycles.  The feature block treats each channel's T-step
 series as one token (width T); the sequence block attends along the time
 axis of the same matrix, each time step's F readings one token (width F).
-Neither block changes the input shape.  The model and its attention
-blocks accept a single (F, T) sample or a stacked (B, F, T) batch.
+Neither block changes the input shape.  The model takes stacked
+(B, F, T) batches; :meth:`RulModel.predict` also takes a single window.
 """
 
 from __future__ import annotations
@@ -175,15 +175,6 @@ class RulModel:
         self.last_weights: dict[str, np.ndarray] = {}
 
     # -- forward ---------------------------------------------------------
-    def _check_input(self, x: Tensor) -> Tensor:
-        if x.ndim == 2:
-            x = ad.reshape(x, (1,) + x.shape)
-        if x.ndim != 3 or x.shape[1] != self.n_features or x.shape[2] != self.window:
-            raise DimensionError(
-                f"model built for {self.n_features}x{self.window} inputs, got {x.shape}"
-            )
-        return x
-
     def _attend(self, prefix: str, heads: int, x: Tensor, token_axis: int) -> Tensor:
         """Block ``prefix``'s self-attention along ``token_axis`` of ``x``; identity without heads."""
         if not heads:
@@ -224,27 +215,24 @@ class RulModel:
         training: bool = False,
         dropout_rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Predict RUL; (F, T) -> scalar, (B, F, T) -> (B, 1).
+        """Predict RUL; (B, F, T) -> (B, 1).
 
         In inference mode the output is deterministic.  The attention
         blocks' softmax weights from this pass stay retrievable via
         :meth:`attention_weights`.
         """
-        squeeze = x.ndim == 2
-        x = self._check_input(x)
+        if x.ndim != 3 or x.shape[1:] != (self.n_features, self.window):
+            raise DimensionError(f"model takes (batch, {self.n_features}, {self.window}) inputs, got {x.shape}")
         x = self.apply_feature_attention(x)
         x = self.apply_sequence_attention(x)
         features = self.lstm(x)
-        out = self.head(features, training, dropout_rng)
-        if squeeze:
-            out = ad.reshape(out, ())
-        return out
+        return self.head(features, training, dropout_rng)
 
-    def predict(self, matrix: np.ndarray) -> np.ndarray:
-        """Inference on raw arrays: (F, T) -> float, (B, F, T) -> (B,)."""
-        x = Tensor(np.asarray(matrix, dtype=self.dtype))
-        out = self.forward(x, training=False)
-        return out.data if out.ndim == 0 else out.data.reshape(-1)
+    def predict(self, matrix: np.ndarray) -> np.ndarray | float:
+        """Inference on raw arrays: (B, F, T) -> (B,); one (F, T) window -> float."""
+        x = np.asarray(matrix, dtype=self.dtype)
+        out = self.forward(Tensor(x[None] if x.ndim == 2 else x)).data.reshape(-1)
+        return float(out[0]) if x.ndim == 2 else out
 
     # -- attention retention ----------------------------------------------
     def attention_weights(self, block: str) -> np.ndarray:

@@ -172,6 +172,11 @@ def transpose(a):
     return _reference_op(a, ad._swap_last(a.data), lambda g, y: ad._swap_last(g))
 
 
+def reshape(a, shape):
+    """The same elements in a new shape."""
+    return _reference_op(a, a.data.reshape(shape), lambda g, y: g.reshape(a.shape))
+
+
 def matmul(a, b):
     """Matrix product, (m,k)@(k,n), (B,m,k)@(k,n) or (B,m,k)@(B,k,n), through
     ``ad._matmul_data``, so ``exact_arithmetic`` applies."""
@@ -217,7 +222,7 @@ def head_chain(x, w1, b1, w2, b2, mask=None):
 
 def mse_chain(pred, truth):
     """Reference for ``ad.mse``: reshape, sub, mul, mean, one tape node each."""
-    diff = sub(ad.reshape(pred, (pred.size,)), ad.reshape(truth, (truth.size,)))
+    diff = sub(reshape(pred, (pred.size,)), reshape(truth, (truth.size,)))
     return ad.mean(ad.mul(diff, diff))
 
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (add, head_blocks, head_chain, matmul, mse_chain, per_head_attention, rand_tensor, relu,
-                      scalar_loss, scale, sub, transpose)
+from conftest import (add, head_blocks, head_chain, lstm_weights, matmul, mse_chain, per_head_attention,
+                      rand_tensor, relu, reshape, scalar_loss, scale, sub, transpose)
 from rulnet import ContractError, DimensionError, NumericInputError, Tape, TapeError, Tensor
 from rulnet import autodiff as ad
 from rulnet.autodiff import exact_arithmetic, gradcheck
@@ -433,9 +433,42 @@ class TestElementwise:
         b = rand_tensor(rng, 3)
         gradcheck(lambda: scalar_loss(add(x, b)), [x, b])
         gradcheck(lambda: scalar_loss(scale(x, -1.7)), [x])
-        gradcheck(lambda: scalar_loss(ad.reshape(x, (2, 6))), [x])
+        gradcheck(lambda: scalar_loss(reshape(x, (2, 6))), [x])
         assert np.array_equal(transpose(transpose(x)).data, x.data)
         gradcheck(lambda: scalar_loss(transpose(x)), [x])
+
+
+def fused_op_setup(op):
+    """An input that requires a gradient, the weights ``op`` reads, and a
+    call of the op on them."""
+    if op == "attention":
+        x, w_qkv, w_o = attention_setup((2, 4, 6), 2, seed=48)
+        return x, [w_qkv, w_o], lambda x, w: ad.attention(x, *w, 2)[0]
+    if op == "mlp_head":
+        x, params, mask = head_setup(3, 4, 5, 1, seed=49)
+        return x, params, lambda x, w: ad.mlp_head(x, *w, mask)
+    rng = np.random.default_rng(50)
+    w_x, w_h, bias = lstm_weights(3, 4, 2, rng)
+    return rand_tensor(rng, 2, 3, 5), [*w_x, *w_h, *bias], lambda x, w: ad.lstm(x, w[0:2], w[2:4], w[4:6])
+
+
+@pytest.mark.parametrize("op", ["attention", "mlp_head", "lstm"])
+def test_frozen_weights_get_no_gradient(op):
+    # A fused op returns a gradient for every weight it reads; the tape
+    # drops those of weights that require none, and the input's gradient
+    # does not change.
+    x, weights, run = fused_op_setup(op)
+
+    def grads(trainable):
+        for w in weights:
+            w.requires_grad = trainable
+        return taped_grads(lambda: scalar_loss(run(x, weights)), [x, *weights])[1]
+
+    trained = grads(True)
+    assert all(g is not None for g in trained)
+    frozen = grads(False)
+    assert all(g is None for g in frozen[1:])
+    assert frozen[0].tobytes() == trained[0].tobytes()
 
 
 class TestBackward:

@@ -626,8 +626,9 @@ CONFIG_ARGS = ["--config", "{config}", "--out", "{out}", "--max-epochs", "1",
 # train file of 3 columns, "{latin1}" a truth file holding the byte 0xB0,
 # "{nonfinite}" the trained checkpoint with a NaN in head.w2, "{overflow}" the
 # trained checkpoint with every head.w2 weight at 3e38, finite but so large
-# that the predictions overflow to inf, and "{out}" a directory that must not
-# be created.
+# that the predictions overflow to inf, "{attention}" the trained checkpoint
+# with every fa.wqkv weight at 3e38, so that the attention scores overflow,
+# "{empty}" an empty file and "{out}" a directory that must not be created.
 ENTRY_POINT_CASES = [
     *[pytest.param([command, *CONFIG_ARGS], {name: value}, {}, 1, name,
                    id=f"{command}-config-{name}")
@@ -699,6 +700,15 @@ ENTRY_POINT_CASES = [
                    f"NumericInputError: the prediction for unit {where} is inf, not finite",
                    id=f"{command}-overflowing-bundle")
       for command, unit, where in [("evaluate", [], "1"), ("explain", ["--unit", "1"], "1, cycle 1")]],
+    *[pytest.param([command, "--checkpoint", "{attention}", *unit, "--out", "{out}"], {}, {}, 3,
+                   "NumericInputError: attention scores contain non-finite values",
+                   id=f"{command}-overflowing-attention")
+      for command, unit in [("evaluate", []), ("explain", ["--unit", "1"])]],
+    *[pytest.param([command, *CONFIG_ARGS, "--train-path", "{empty}"], {}, {}, 2,
+                   "IntegrityError: {empty}: no units", id=f"{command}-empty-train")
+      for command in ("preprocess", "train")],
+    pytest.param(["evaluate", "--checkpoint", "{bundle}", "--test-path", "{empty}", "--truth-path", "{empty}",
+                  "--out", "{out}"], {}, {}, 2, "IntegrityError: {empty}: no units", id="evaluate-empty-test"),
 ]
 
 
@@ -721,6 +731,11 @@ class TestEntryPoints:
         bundle_path = tmp_path / "bundle.bin"
         save_bundle(bundle_path, bundle.model, bundle.condition_model,
                     {**bundle.config.to_dict(), **header})
+        attention_path = tmp_path / "attention.bin"
+        wqkv = bundle.model.params["fa.wqkv"].data
+        bundle.model.params["fa.wqkv"].data = np.full_like(wqkv, 3e38)
+        save_bundle(attention_path, bundle.model, bundle.condition_model, bundle.config.to_dict())
+        bundle.model.params["fa.wqkv"].data = wqkv
         nonfinite_path = tmp_path / "nonfinite.bin"
         bundle.model.params["head.w2"].data[0, 0] = np.nan
         save_bundle(nonfinite_path, bundle.model, bundle.condition_model, bundle.config.to_dict())
@@ -732,10 +747,13 @@ class TestEntryPoints:
         short_path.write_text("1 1 0.5\n")
         latin1_path = tmp_path / "latin1.txt"
         latin1_path.write_bytes(b"12\n\xb07\n")
+        empty_path = tmp_path / "empty.txt"
+        empty_path.write_text("")
         paths = {"{config}": str(config_path), "{bundle}": str(bundle_path), "{out}": str(out),
                  "{missing}": str(tmp_path / "missing.txt"), "{short}": str(short_path),
                  "{latin1}": str(latin1_path), "{nonfinite}": str(nonfinite_path),
-                 "{overflow}": str(overflow_path)}
+                 "{overflow}": str(overflow_path), "{attention}": str(attention_path),
+                 "{empty}": str(empty_path)}
         assert main([paths.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import add, build_tiny_model, head_blocks, lstm_weights, matmul, per_head_attention, sigmoid, tanh
+from conftest import (add, build_tiny_model, head_blocks, lstm_weights, matmul, per_head_attention, reshape,
+                      sigmoid, tanh)
 from rulnet import (
     CapabilityError,
     ConfigurationError,
@@ -205,7 +206,7 @@ def per_step_lstm(x, w_x, w_h, bias):
     eye_t = np.eye(steps, dtype=x.dtype)
     eye_g = np.eye(4 * hidden, dtype=x.dtype)
     gate_pick = [Tensor(eye_g[:, k * hidden : (k + 1) * hidden]) for k in range(4)]
-    inputs = [ad.reshape(matmul(x, Tensor(eye_t[:, t : t + 1])), (batch, width)) for t in range(steps)]
+    inputs = [reshape(matmul(x, Tensor(eye_t[:, t : t + 1])), (batch, width)) for t in range(steps)]
     for layer in range(len(w_x)):
         h = c = None
         outputs = []
@@ -398,8 +399,8 @@ class TestLstm:
 class TestRulModel:
     def test_forward_shapes(self):
         model, rng = build_tiny_model()
-        single = model.forward(Tensor(rng.standard_normal((4, 6)), dtype=np.float64))
-        assert single.shape == ()
+        single = model.forward(Tensor(rng.standard_normal((1, 4, 6)), dtype=np.float64))
+        assert single.shape == (1, 1)
         batched = model.forward(Tensor(rng.standard_normal((3, 4, 6)), dtype=np.float64))
         assert batched.shape == (3, 1)
 
@@ -410,8 +411,8 @@ class TestRulModel:
             lstm_hidden=20, lstm_layers=2, mlp_hidden=10, dropout=0.5,
             init_rng=rng, dtype=np.float32,
         )
-        out = model.forward(Tensor(rng.standard_normal((24, 30)), dtype=np.float32))
-        assert out.shape == ()
+        out = model.forward(Tensor(rng.standard_normal((1, 24, 30)), dtype=np.float32))
+        assert out.shape == (1, 1)
         attended = model.apply_feature_attention(
             Tensor(rng.standard_normal((24, 30)), dtype=np.float32)
         )
@@ -431,9 +432,9 @@ class TestRulModel:
         x = Tensor(rng.standard_normal((4, 6)), dtype=np.float64)
         assert model.apply_feature_attention(x) is x
         assert model.apply_sequence_attention(x) is x
-        features = model.lstm(ad.reshape(x, (1, 4, 6)))
-        direct = model.head(features, training=False, rng=None)
-        np.testing.assert_array_equal(model.forward(x).data, direct.data.reshape(()))
+        batch = reshape(x, (1, 4, 6))
+        direct = model.head(model.lstm(batch), training=False, rng=None)
+        np.testing.assert_array_equal(model.forward(batch).data, direct.data)
 
     def test_mode_a_forces_single_head(self):
         model, _ = build_tiny_model(mode="A")
@@ -498,7 +499,7 @@ class TestRulModel:
 
     def test_dropout_training_vs_inference(self):
         model, rng = build_tiny_model(dropout=0.5)
-        x = Tensor(rng.standard_normal((4, 6)), dtype=np.float64)
+        x = Tensor(rng.standard_normal((1, 4, 6)), dtype=np.float64)
         assert model.forward(x).item() == model.forward(x).item()
         d1 = model.forward(x, training=True, dropout_rng=np.random.default_rng(1)).item()
         d2 = model.forward(x, training=True, dropout_rng=np.random.default_rng(2)).item()
@@ -507,9 +508,19 @@ class TestRulModel:
             model.forward(x, training=True)
 
     def test_input_shape_mismatch(self):
+        # forward takes (B, F, T) batches only, so a single (F, T) window fails too.
         model, _ = build_tiny_model()
-        with pytest.raises(DimensionError):
-            model.forward(Tensor(np.zeros((5, 6)), dtype=np.float64))
+        for shape in [(5, 6), (1, 5, 6), (4, 6)]:
+            with pytest.raises(DimensionError):
+                model.forward(Tensor(np.zeros(shape), dtype=np.float64))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_predict_on_a_window_is_its_batch_of_one(self, dtype):
+        model, rng = build_tiny_model(dtype=dtype)
+        x = rng.standard_normal((4, 6))
+        single, batch = model.predict(x), model.predict(x[None])
+        assert isinstance(single, float) and batch.shape == (1,)
+        assert np.asarray(single, dtype=dtype).tobytes() == batch.tobytes()
 
     def test_checkpoint_state_round_trip(self):
         model, rng = build_tiny_model()
