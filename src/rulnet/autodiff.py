@@ -305,8 +305,10 @@ def mse(pred: Tensor, truth: Tensor) -> Tensor:
     if pred.size != truth.size:
         raise DimensionError(f"mse of {pred.shape} and {truth.shape}")
     _check_dtypes(pred, truth)
-    diff = pred.data.reshape(pred.size) - truth.data.reshape(truth.size)
-    out = Tensor(np.asarray((diff * diff).mean(), dtype=diff.dtype))
+    # An overflow gives an infinite loss, which the caller checks for.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pred.data.reshape(pred.size) - truth.data.reshape(truth.size)
+        out = Tensor(np.asarray((diff * diff).mean(), dtype=diff.dtype))
     tape = _tape_for(pred, truth)
     if tape is not None:
         inv = 1.0 / diff.size

@@ -132,10 +132,6 @@ def _parse_units(path: str | Path) -> list[RawTrajectory]:
     return units
 
 
-def _load_raw(cfg: ExperimentConfig):
-    return _parse_units(cfg.train_path), _parse_units(cfg.test_path), parse_rul_truth(cfg.truth_path)
-
-
 def _prepare(cfg: ExperimentConfig, train_trajs) -> tuple[ConditionModel, Iterator[RawTrajectory]]:
     """The condition model fitted on the raw rows, and the training
     trajectories it normalizes, made one at a time as they are read."""
@@ -152,6 +148,22 @@ def _test_pairs(cfg: ExperimentConfig) -> list[tuple[RawTrajectory, int]]:
         if not getattr(cfg, key):
             raise ConfigurationError(f"no {key}: the checkpoint's config does not name one")
     return pair_test_truth(_parse_units(cfg.test_path), parse_rul_truth(cfg.truth_path))
+
+
+def _read_inputs(cfg: ExperimentConfig) -> tuple[list[RawTrajectory], list[tuple[RawTrajectory, int]]]:
+    """The units of ``cfg.train_path``, and the test units paired with their
+    final RULs: each input file of a command, parsed once for all its uses."""
+    return _parse_units(cfg.train_path), _test_pairs(cfg)
+
+
+def _read_training_inputs(cfg: ExperimentConfig):
+    """:func:`_read_inputs` and each file's SHA-256, for a command that trains.
+    One training unit is a data error: validation holds out whole units."""
+    train_units, test_pairs = _read_inputs(cfg)
+    if len(train_units) < 2:
+        raise IntegrityError(f"{cfg.train_path}: 1 unit, but training needs 2 to hold one out for validation")
+    sha256 = {key: _sha256(getattr(cfg, f"{key}_path")) for key in ("train", "test", "truth")}
+    return train_units, test_pairs, sha256
 
 
 # Thread-count getters of the OpenBLAS builds numpy wheels bundle.
@@ -194,9 +206,11 @@ def _blas_build() -> dict:
     }
 
 
-def _train_once(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, Bundle]:
-    """Run one training with the config's first seed; writes checkpoint,
-    log, manifest. Returns the summary and the bundle it saved.
+def _train_once(cfg: ExperimentConfig, train_units: list[RawTrajectory], sha256: dict,
+                out_dir: Path) -> tuple[dict, Bundle]:
+    """Run one training on ``train_units`` with the config's first seed;
+    writes checkpoint, log, and a manifest that records the input files'
+    ``sha256``. Returns the summary and the bundle it saved.
 
     ``out_dir`` is made once the windows are built, so a data error
     leaves no directory, and before training, so an uncreatable one
@@ -204,8 +218,7 @@ def _train_once(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, Bundle]:
     """
     seed = cfg.seeds[0]
     model = RulModel(**cfg.model_kwargs(), init_rng=generator(seed, "init"))
-    train_trajs, _, _ = _load_raw(cfg)
-    cm, normed = _prepare(cfg, train_trajs)
+    cm, normed = _prepare(cfg, train_units)
     windows = window_arrays(normed, cfg.window, cfg.r_max)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -229,11 +242,7 @@ def _train_once(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, Bundle]:
         "version": __version__,
         "seed": seed,
         "config": bundle_config,
-        "inputs": {
-            "train": _sha256(cfg.train_path),
-            "test": _sha256(cfg.test_path),
-            "truth": _sha256(cfg.truth_path),
-        },
+        "inputs": sha256,
         "fit": result.summary(),
         "wall_time_s": wall,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -256,8 +265,8 @@ def _train_once(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, Bundle]:
     }, bundle
 
 
-def _evaluate_bundle(bundle: Bundle, cfg: ExperimentConfig, out_dir: Path, clip: bool | None = None) -> dict:
-    pairs = _test_pairs(cfg)
+def _evaluate_bundle(bundle: Bundle, pairs: list[tuple[RawTrajectory, int]], out_dir: Path,
+                     clip: bool | None = None) -> dict:
     test, truth = [t for t, _ in pairs], [r for _, r in pairs]
     report = predict_test_set(bundle, test, truth, clip_truth=clip)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -274,8 +283,7 @@ def _evaluate_bundle(bundle: Bundle, cfg: ExperimentConfig, out_dir: Path, clip:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     cfg.validate()
-    train_trajs, test_trajs, truth = _load_raw(cfg)
-    pair_test_truth(test_trajs, truth)
+    train_trajs, test_pairs = _read_inputs(cfg)
     cm, normed = _prepare(cfg, train_trajs)
     # Built before --out exists, so that a data error leaves none.
     samples = None if args.skip_windows else [
@@ -292,7 +300,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     )
     summary = {
         "train_units": len(train_trajs),
-        "test_units": len(test_trajs),
+        "test_units": len(test_pairs),
         "train_rows": int(sum(len(t) for t in train_trajs)),
         "train_samples": sum(expected_sample_count(len(t), cfg.window) for t in train_trajs),
         "window": cfg.window,
@@ -309,7 +317,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     cfg.validate()
-    summary, _ = _train_once(cfg, Path(cfg.out_dir))
+    train_units, _, sha256 = _read_training_inputs(cfg)
+    summary, _ = _train_once(cfg, train_units, sha256, Path(cfg.out_dir))
     _write_json(summary)
     return 0
 
@@ -320,7 +329,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.window is not None:
         bundle.require_window(args.window)
     out_dir = Path(args.out or cfg.out_dir)
-    _write_json(_evaluate_bundle(bundle, cfg, out_dir, clip=args.clip_test_rul))
+    _write_json(_evaluate_bundle(bundle, _test_pairs(cfg), out_dir, clip=args.clip_test_rul))
     return 0
 
 
@@ -366,7 +375,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
             )
 
     export = export_attention(bundle, traj, cycles=cycles, matrix_cycles=matrix_cycles)
-    out_dir = Path(args.out or cfg.out_dir)
+    # Its own default directory, so that evaluate's predictions.csv is kept.
+    out_dir = Path(args.out or Path(cfg.out_dir) / "explain" / f"unit={args.unit}")
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = write_attention_csvs(export, out_dir)
 
@@ -387,10 +397,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Train and evaluate ``--repeats`` runs per value; every value's full
-    config is parsed and validated, and two values that parse to equal
-    configs or two runs with one seed are rejected, before ``--out`` is
-    created."""
+    """Train and evaluate ``--repeats`` runs per value on input files read
+    once.  Every value's full config is parsed and validated, the inputs are
+    read, and two values that parse to equal configs or two runs with one
+    seed are rejected, before ``--out`` is created."""
     cfg = _build_config(args)
     cfg.validate()
     if args.repeats < 1:
@@ -410,27 +420,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise ConfigurationError("--values needs at least one value")
 
+    train_units, test_pairs, sha256 = _read_training_inputs(cfg)
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
     failures = 0
     for value, value_cfg in values:
         for seed in seeds:
-            run_cfg = value_cfg.train_config(seed)
             run_dir = out_root / f"{args.param}={value}" / f"seed={seed}"
-            row = {
-                "parameter": args.param,
-                "value": value,
-                "seed": seed,
-                "rmse": "",
-                "score": "",
-                "epochs": "",
-                "wall_time_s": "",
-                "error": "",
-            }
+            row = {"parameter": args.param, "value": value, "seed": seed}
             try:
-                summary, bundle = _train_once(run_cfg, run_dir)
-                metrics = _evaluate_bundle(bundle, run_cfg, run_dir)
+                summary, bundle = _train_once(value_cfg.train_config(seed), train_units, sha256, run_dir)
+                metrics = _evaluate_bundle(bundle, test_pairs, run_dir)
                 row.update(
                     rmse=repr(metrics["rmse"]),
                     score=repr(metrics["score"]),
@@ -438,7 +439,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     wall_time_s=f"{summary['wall_time_s']:.2f}",
                 )
                 if args.param == "r_max":
-                    unclipped = _evaluate_bundle(bundle, run_cfg, run_dir / "unclipped", clip=False)
+                    unclipped = _evaluate_bundle(bundle, test_pairs, run_dir / "unclipped", clip=False)
                     row["rmse_unclipped"] = repr(unclipped["rmse"])
                     row["score_unclipped"] = repr(unclipped["score"])
             except Exception as exc:  # record and continue with the next run
@@ -446,13 +447,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
             print(f"[sweep] {args.param}={value} seed={seed} "
-                  + (f"FAILED: {row['error']}" if row["error"] else f"rmse={row['rmse']} score={row['score']}"))
+                  + (f"FAILED: {row['error']}" if "error" in row else f"rmse={row['rmse']} score={row['score']}"))
 
     fieldnames = ["parameter", "value", "seed", "rmse", "score", "epochs", "wall_time_s", "error"]
     if args.param == "r_max":
         fieldnames += ["rmse_unclipped", "score_unclipped"]
     with open(out_root / "sweep_results.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
     print(f"sweep complete: {len(rows) - failures}/{len(rows)} runs succeeded")

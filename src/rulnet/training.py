@@ -246,7 +246,6 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
     best_val = math.inf
     best_epoch = 0
     best_state = {name: p.data.copy() for name, p in model.parameters()}
-    epochs_without_improvement = 0
     log: list[EpochRecord] = []
     stopped_early = False
 
@@ -283,12 +282,9 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
             best_val = val_rmse
             best_epoch = epoch
             best_state = {name: p.data.copy() for name, p in model.parameters()}
-            epochs_without_improvement = 0
-        else:
-            epochs_without_improvement += 1
-            if epochs_without_improvement >= config.early_stop_patience:
-                stopped_early = True
-                break
+        elif epoch - best_epoch >= config.early_stop_patience:
+            stopped_early = True
+            break
 
     model.load_state_arrays(best_state)
     return FitResult(

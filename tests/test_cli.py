@@ -1,3 +1,5 @@
+import collections
+import csv
 import dataclasses
 import hashlib
 import json
@@ -44,7 +46,10 @@ def workspace(tmp_path_factory):
     }
     config_path = root / "config.json"
     config_path.write_text(json.dumps(config))
-    return {"root": root, "config": config_path, "raw": config}
+    rows = Path(config["train_path"]).read_text().splitlines(keepends=True)
+    one_unit = root / "one_unit.txt"
+    one_unit.write_text("".join(row for row in rows if row.split()[0] == "1"))
+    return {"root": root, "config": config_path, "raw": config, "one_unit": one_unit}
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +109,13 @@ class TestPreprocess:
         assert code == 2
         assert "condition 0, channel 7: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_one_unit_train_file_is_accepted(self, workspace, tmp_path):
+        # Preprocess fits nothing, so it needs no validation unit.
+        out = tmp_path / "prep"
+        assert main(["preprocess", "--config", str(workspace["config"]), "--out", str(out),
+                     "--window", "10", "--train-path", str(workspace["one_unit"])]) == 0
+        assert json.loads((out / "preprocess_summary.json").read_text())["train_units"] == 1
 
     def test_missing_truth_file_fails_before_compute(self, workspace):
         out = workspace["root"] / "prep_bad"
@@ -413,6 +425,21 @@ class TestExplain:
         assert preds[0] == "unit_id,cycle,true_rul,pred_rul,error"
         assert len(preds) == 5
 
+    def test_default_out_keeps_evaluate_outputs(self, trained, tmp_path):
+        # Both commands default to the bundle config's out_dir, the run's.
+        bundle = load_bundle(trained / "checkpoint.bin")
+        run = tmp_path / "run"
+        checkpoint = tmp_path / "checkpoint.bin"
+        save_bundle(checkpoint, bundle.model, bundle.condition_model,
+                    bundle.config.override(out_dir=str(run)).to_dict())
+        assert main(["evaluate", "--checkpoint", str(checkpoint)]) == 0
+        names = ("predictions.csv", "metrics.json")
+        evaluated = {name: (run / name).read_bytes() for name in names}
+        assert main(["explain", "--checkpoint", str(checkpoint), "--unit", "1", "--cycles", "1:2"]) == 0
+        assert {name: (run / name).read_bytes() for name in names} == evaluated
+        explained = (run / "explain" / "unit=1" / "predictions.csv").read_text().splitlines()
+        assert explained[0] == "unit_id,cycle,true_rul,pred_rul,error" and len(explained) == 3
+
     def test_matrix_rows_sum_to_one(self, workspace, trained):
         out = trained / "explain_sum"
         main(
@@ -569,6 +596,47 @@ class TestSweep:
         row = dict(zip(header, lines[1].split(",")))
         assert row["rmse"] and row["rmse_unclipped"]
 
+    @pytest.mark.parametrize("param, values", [("feature_heads", "0,2"), ("r_max", "40,50")])
+    def test_reads_each_input_file_once(self, workspace, tmp_path, monkeypatch, param, values):
+        reads = collections.Counter()
+
+        def counted(parse):
+            def read(path):
+                reads[str(path)] += 1
+                return parse(path)
+            return read
+
+        monkeypatch.setattr(cli, "parse_cmapss", counted(parse_cmapss))
+        monkeypatch.setattr(cli, "parse_rul_truth", counted(parse_rul_truth))
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--config", str(workspace["config"]), "--out", str(out),
+             "--param", param, "--values", values, "--repeats", "2", "--seed", "5"]
+            + FAST_FLAGS
+        )
+        assert code == 0
+        assert len((out / "sweep_results.csv").read_text().splitlines()) == 5
+        raw = workspace["raw"]
+        assert reads == {raw[key]: 1 for key in ("train_path", "test_path", "truth_path")}
+
+    def test_failed_runs_are_recorded_and_the_sweep_continues(self, workspace, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--config", str(workspace["config"]), "--out", str(out),
+             "--param", "r_max", "--values", "40,50", "--repeats", "2", "--seed", "5"]
+            + FAST_FLAGS + ["--learning-rate", "1e30"]
+        )
+        assert code == 3
+        assert capsys.readouterr().out.splitlines()[-1] == "sweep complete: 0/4 runs succeeded"
+        with open(out / "sweep_results.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["value"], row["seed"]) for row in rows] == [
+            (value, seed) for value in ("40", "50") for seed in ("5", "6")
+        ]
+        for row in rows:
+            assert row.pop("error").startswith("NumericInputError: ")
+            assert [key for key, cell in row.items() if cell] == ["parameter", "value", "seed"]
+
 
 class TestSynthData:
     def test_generates_loadable_bundle(self, tmp_path, capsys):
@@ -628,7 +696,9 @@ CONFIG_ARGS = ["--config", "{config}", "--out", "{out}", "--max-epochs", "1",
 # trained checkpoint with every head.w2 weight at 3e38, finite but so large
 # that the predictions overflow to inf, "{attention}" the trained checkpoint
 # with every fa.wqkv weight at 3e38, so that the attention scores overflow,
-# "{empty}" an empty file and "{out}" a directory that must not be created.
+# "{empty}" an empty file, "{one_unit}" the workspace's one-unit train file,
+# "{truth3}" a truth file of three values for the four test units,
+# "{out}" a directory that must not be created and "{run}" one that may be.
 ENTRY_POINT_CASES = [
     *[pytest.param([command, *CONFIG_ARGS], {name: value}, {}, 1, name,
                    id=f"{command}-config-{name}")
@@ -709,6 +779,17 @@ ENTRY_POINT_CASES = [
       for command in ("preprocess", "train")],
     pytest.param(["evaluate", "--checkpoint", "{bundle}", "--test-path", "{empty}", "--truth-path", "{empty}",
                   "--out", "{out}"], {}, {}, 2, "IntegrityError: {empty}: no units", id="evaluate-empty-test"),
+    pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", "10", "--train-path", "{empty}"],
+                 {}, {}, 2, "IntegrityError: {empty}: no units", id="sweep-empty-train"),
+    *[pytest.param([command, *CONFIG_ARGS, *extra, "--train-path", "{one_unit}"], {}, {}, 2,
+                   "IntegrityError: {one_unit}: 1 unit", id=f"{command}-one-unit-train")
+      for command, extra in [("train", []), ("sweep", ["--param", "window", "--values", "10"])]],
+    pytest.param(["train", *CONFIG_ARGS, "--truth-path", "{truth3}"], {}, {}, 2,
+                 "IntegrityError: 4 test units but 3 truth values", id="train-short-truth"),
+    # Training makes its --out before it fits, so this case names "{run}".
+    pytest.param(["train", *CONFIG_ARGS, "--out", "{run}", "--mode", "L", "--learning-rate", "1e10"],
+                 {}, {}, 3, "NumericInputError: training loss is inf at epoch 1, batch 2",
+                 id="train-loss-overflows"),
 ]
 
 
@@ -749,11 +830,14 @@ class TestEntryPoints:
         latin1_path.write_bytes(b"12\n\xb07\n")
         empty_path = tmp_path / "empty.txt"
         empty_path.write_text("")
+        truth3_path = tmp_path / "truth3.txt"
+        truth3_path.write_text("5\n7\n9\n")
         paths = {"{config}": str(config_path), "{bundle}": str(bundle_path), "{out}": str(out),
                  "{missing}": str(tmp_path / "missing.txt"), "{short}": str(short_path),
                  "{latin1}": str(latin1_path), "{nonfinite}": str(nonfinite_path),
                  "{overflow}": str(overflow_path), "{attention}": str(attention_path),
-                 "{empty}": str(empty_path)}
+                 "{empty}": str(empty_path), "{one_unit}": str(workspace["one_unit"]),
+                 "{truth3}": str(truth3_path), "{run}": str(tmp_path / "run")}
         assert main([paths.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
