@@ -32,6 +32,7 @@ from .config import SWEEPABLE, ExperimentConfig
 from .data import (
     ConditionModel,
     RawTrajectory,
+    Windows,
     cluster_conditions,
     expected_sample_count,
     normalize,
@@ -133,11 +134,10 @@ def _parse_units(path: str | Path) -> list[RawTrajectory]:
 
 
 def _prepare(cfg: ExperimentConfig, train_trajs) -> tuple[ConditionModel, Iterator[RawTrajectory]]:
-    """The condition model fitted on the raw rows, and the training
-    trajectories it normalizes, made one at a time as they are read."""
-    # The pipeline seed is the first configured seed, so preprocess
-    # exports and training runs agree for every training seed.
-    cm = cluster_conditions(train_trajs, cfg.k_conditions, seed=cfg.seeds[0])
+    """The condition model, fitted on the raw rows from the library's fixed
+    k-means seed so that it depends on the training data alone, and the
+    training trajectories it normalizes, made one at a time as they are read."""
+    cm = cluster_conditions(train_trajs, cfg.k_conditions)
     return cm, (normalize(traj, cm) for traj in train_trajs)
 
 
@@ -206,28 +206,23 @@ def _blas_build() -> dict:
     }
 
 
-def _train_once(cfg: ExperimentConfig, train_units: list[RawTrajectory], sha256: dict,
-                out_dir: Path) -> tuple[dict, Bundle]:
-    """Run one training on ``train_units`` with the config's first seed;
-    writes checkpoint, log, and a manifest that records the input files'
-    ``sha256``. Returns the summary and the bundle it saved.
-
-    ``out_dir`` is made once the windows are built, so a data error
-    leaves no directory, and before training, so an uncreatable one
-    fails without a wasted fit.
-    """
-    seed = cfg.seeds[0]
+def _train_once(cfg: ExperimentConfig, cm: ConditionModel, windows: Windows,
+                sha256: dict) -> tuple[dict, Bundle]:
+    """Train on ``windows``, normalized by ``cm``, with the run config ``cfg``
+    (one seed; ``out_dir`` the run's directory, made before training so that
+    an uncreatable one fails without a wasted fit), and write there the
+    checkpoint, log, resolved config and a manifest recording the input
+    files' ``sha256``.  Returns the summary and the bundle it saved."""
+    [seed] = cfg.seeds
+    out_dir = Path(cfg.out_dir)
     model = RulModel(**cfg.model_kwargs(), init_rng=generator(seed, "init"))
-    cm, normed = _prepare(cfg, train_units)
-    windows = window_arrays(normed, cfg.window, cfg.r_max)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
     result = fit(model, windows, cfg)
     wall = time.perf_counter() - started
 
-    bundle = Bundle(model, cm, cfg.override(seeds=[seed]))
-    bundle_config = bundle.config.to_dict()
+    bundle_config = cfg.to_dict()
     checkpoint_path = out_dir / "checkpoint.bin"
     save_bundle(checkpoint_path, model, cm, bundle_config)
 
@@ -248,10 +243,7 @@ def _train_once(cfg: ExperimentConfig, train_units: list[RawTrajectory], sha256:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         # BLAS threading affects floating-point results; exact reproduction
         # needs the same setting.
-        "blas_threads": {
-            var: os.environ.get(var, "unset")
-            for var in BLAS_THREAD_VARS
-        },
+        "blas_threads": {var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         **_blas_build(),
@@ -262,7 +254,7 @@ def _train_once(cfg: ExperimentConfig, train_units: list[RawTrajectory], sha256:
         "epochs": result.epochs_run,
         "best_val_rmse": result.best_val_rmse,
         "wall_time_s": wall,
-    }, bundle
+    }, Bundle(model, cm, cfg)
 
 
 def _evaluate_bundle(bundle: Bundle, pairs: list[tuple[RawTrajectory, int]], out_dir: Path,
@@ -318,7 +310,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     cfg.validate()
     train_units, _, sha256 = _read_training_inputs(cfg)
-    summary, _ = _train_once(cfg, train_units, sha256, Path(cfg.out_dir))
+    cm, normed = _prepare(cfg, train_units)
+    windows = window_arrays(normed, cfg.window, cfg.r_max)
+    summary, _ = _train_once(cfg.override(seeds=cfg.seeds[:1]), cm, windows, sha256)
     _write_json(summary)
     return 0
 
@@ -397,10 +391,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Train and evaluate ``--repeats`` runs per value on input files read
-    once.  Every value's full config is parsed and validated, the inputs are
-    read, and two values that parse to equal configs or two runs with one
-    seed are rejected, before ``--out`` is created."""
+    """Train and evaluate ``--repeats`` runs per value, each the ``train``
+    run of its own config, which names its directory.  Before ``--out`` is
+    created, every value's config is validated, equal configs and repeated
+    seeds are rejected, and the inputs are read, clustered and normalized
+    once; each value's windows serve all of its runs."""
     cfg = _build_config(args)
     cfg.validate()
     if args.repeats < 1:
@@ -410,7 +405,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if twice:
         raise ConfigurationError(f"seeds {cfg.seeds} with --repeats {args.repeats} run seed {twice[0]} twice")
     values = []
-    for text in (v for v in args.values.split(",") if v):
+    for text in filter(None, (v.strip() for v in args.values.split(","))):
         value_cfg = cfg.override(**{args.param: ExperimentConfig.parse_field(args.param, text)})
         value_cfg.validate(require_paths=False)
         repeated = next((t for t, c in values if c == value_cfg), None)
@@ -421,16 +416,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError("--values needs at least one value")
 
     train_units, test_pairs, sha256 = _read_training_inputs(cfg)
+    cm, normed = _prepare(cfg, train_units)
+    normed = list(normed)
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
     failures = 0
     for value, value_cfg in values:
+        windows = window_arrays(normed, value_cfg.window, value_cfg.r_max)
         for seed in seeds:
             run_dir = out_root / f"{args.param}={value}" / f"seed={seed}"
             row = {"parameter": args.param, "value": value, "seed": seed}
             try:
-                summary, bundle = _train_once(value_cfg.train_config(seed), train_units, sha256, run_dir)
+                run_cfg = value_cfg.override(seeds=[seed], out_dir=str(run_dir))
+                summary, bundle = _train_once(run_cfg, cm, windows, sha256)
                 metrics = _evaluate_bundle(bundle, test_pairs, run_dir)
                 row.update(
                     rmse=repr(metrics["rmse"]),
@@ -448,6 +447,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append(row)
             print(f"[sweep] {args.param}={value} seed={seed} "
                   + (f"FAILED: {row['error']}" if "error" in row else f"rmse={row['rmse']} score={row['score']}"))
+        del windows  # freed before the next value's windows are built
 
     fieldnames = ["parameter", "value", "seed", "rmse", "score", "epochs", "wall_time_s", "error"]
     if args.param == "r_max":

@@ -1,9 +1,9 @@
 """Deterministic derivation of named sub-seeds from one experiment seed.
 
-All randomness in a run flows from a single integer seed.  Each consumer
-(unit split, parameter init, dropout, batch shuffle, ...) draws from its
-own named stream so that changing one component's usage pattern never
-perturbs the others.
+All randomness in a run flows from one integer seed; the condition
+model's k-means start is fixed, so that model depends on the data alone.
+Each consumer (unit split, parameter init, dropout, batch shuffle) draws
+from its own named stream, so one component's draws never perturb another's.
 """
 
 import zlib

@@ -17,7 +17,7 @@ from rulnet import BLAS_THREAD_VARS, cli
 from rulnet.checkpoint import load_bundle, save_bundle
 from rulnet.cli import build_parser, main
 from rulnet.config import KINDS, ExperimentConfig
-from rulnet.data import parse_cmapss, parse_rul_truth
+from rulnet.data import cluster_conditions, parse_cmapss, parse_rul_truth
 from rulnet.synthetic import generate_dataset
 
 FAST_FLAGS = [
@@ -63,6 +63,25 @@ def trained(workspace):
     return out
 
 
+def overflowing_train(workspace, tmp_path):
+    """The workspace's train file with two finite readings whose sum
+    overflows a condition's mean."""
+    rows = Path(workspace["raw"]["train_path"]).read_text().splitlines()
+    for row in (5, 6):
+        fields = rows[row].split()
+        fields[9] = "1e308"  # sensor 4, channel 7
+        rows[row] = " ".join(fields)
+    path = tmp_path / "train_overflow.txt"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def bundle_header(path):
+    blob = Path(path).read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 12)
+    return json.loads(blob[20 : 20 + header_len])
+
+
 class TestPreprocess:
     def test_writes_artifacts_and_summary(self, workspace, capsys):
         out = workspace["root"] / "prep"
@@ -93,18 +112,10 @@ class TestPreprocess:
             assert (out / name).read_bytes() == (full / name).read_bytes()
 
     def test_overflowing_readings_are_data_error(self, workspace, tmp_path, capsys):
-        # Two finite readings whose sum overflows a condition's mean.
-        rows = Path(workspace["raw"]["train_path"]).read_text().splitlines()
-        for row in (5, 6):
-            fields = rows[row].split()
-            fields[9] = "1e308"  # sensor 4, channel 7
-            rows[row] = " ".join(fields)
-        train_path = tmp_path / "train_overflow.txt"
-        train_path.write_text("\n".join(rows) + "\n")
         out = tmp_path / "prep"
         code = main(
             ["preprocess", "--config", str(workspace["config"]), "--out", str(out),
-             "--window", "10", "--train-path", str(train_path)]
+             "--window", "10", "--train-path", str(overflowing_train(workspace, tmp_path))]
         )
         assert code == 2
         assert "condition 0, channel 7: " in capsys.readouterr().err
@@ -177,11 +188,23 @@ class TestPreprocess:
         out = tmp_path / "prep"
         assert main(["preprocess", "--config", str(workspace["config"]), "--out", str(out),
                      "--seed", "3", "--skip-windows"] + FAST_FLAGS) == 0
-        blob = (trained / "checkpoint.bin").read_bytes()
-        (header_len,) = struct.unpack_from("<Q", blob, 12)
-        header = json.loads(blob[20 : 20 + header_len])
         exported = json.loads((out / "condition_model.json").read_text(encoding="utf-8"))
-        assert exported == header["condition_model"]
+        assert exported == bundle_header(trained / "checkpoint.bin")["condition_model"]
+
+    def test_condition_model_does_not_depend_on_the_seed(self, tmp_path):
+        ds = generate_dataset(tmp_path, name="S", n_train=8, n_test=3, n_conditions=6,
+                              seed=1, life_range=(26, 36))
+        # k-means started from seeds 0 and 3 orders this set's conditions differently.
+        train = parse_cmapss(ds.train_path)
+        assert not np.array_equal(cluster_conditions(train, 6, seed=0).centroids,
+                                  cluster_conditions(train, 6, seed=3).centroids)
+        argv = ["--train-path", str(ds.train_path), "--test-path", str(ds.test_path),
+                "--truth-path", str(ds.truth_path), "--k-conditions", "6"]
+        prep, run = tmp_path / "prep", tmp_path / "run"
+        assert main(["preprocess", *argv, "--seed", "0", "--skip-windows", "--out", str(prep)]) == 0
+        assert main(["train", *argv, "--seed", "3", "--out", str(run)] + FAST_FLAGS) == 0
+        exported = json.loads((prep / "condition_model.json").read_text(encoding="utf-8"))
+        assert exported == bundle_header(run / "checkpoint.bin")["condition_model"]
 
     @pytest.mark.parametrize("corrupt", [(), ("windows_train.txt",), ("condition_model.json",),
                                          ("windows_train.txt", "condition_model.json")],
@@ -598,16 +621,21 @@ class TestSweep:
 
     @pytest.mark.parametrize("param, values", [("feature_heads", "0,2"), ("r_max", "40,50")])
     def test_reads_each_input_file_once(self, workspace, tmp_path, monkeypatch, param, values):
-        reads = collections.Counter()
+        # It also fits the condition model once, and windows once per value.
+        calls = collections.Counter()
 
-        def counted(parse):
-            def read(path):
-                reads[str(path)] += 1
-                return parse(path)
-            return read
+        def counted(name, key):
+            real = getattr(cli, name)
 
-        monkeypatch.setattr(cli, "parse_cmapss", counted(parse_cmapss))
-        monkeypatch.setattr(cli, "parse_rul_truth", counted(parse_rul_truth))
+            def call(*args):
+                calls[key(*args)] += 1
+                return real(*args)
+            monkeypatch.setattr(cli, name, call)
+
+        for name in ("parse_cmapss", "parse_rul_truth"):
+            counted(name, str)
+        for name in ("cluster_conditions", "window_arrays"):
+            counted(name, lambda *args, name=name: name)
         out = tmp_path / "sweep"
         code = main(
             ["sweep", "--config", str(workspace["config"]), "--out", str(out),
@@ -617,7 +645,42 @@ class TestSweep:
         assert code == 0
         assert len((out / "sweep_results.csv").read_text().splitlines()) == 5
         raw = workspace["raw"]
-        assert reads == {raw[key]: 1 for key in ("train_path", "test_path", "truth_path")}
+        assert calls == {**{raw[key]: 1 for key in ("train_path", "test_path", "truth_path")},
+                         "cluster_conditions": 1, "window_arrays": 2}
+
+    def test_values_are_stripped(self, workspace, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--config", str(workspace["config"]), "--out", str(out),
+             "--param", "window", "--values", " 8, 10 ", "--repeats", "1", "--seed", "4"]
+            + FAST_FLAGS
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["sweep_results.csv", "window=10", "window=8"]
+        with open(out / "sweep_results.csv", newline="", encoding="utf-8") as fh:
+            assert [row["value"] for row in csv.DictReader(fh)] == ["8", "10"]
+
+    def test_each_run_is_the_train_run_of_its_resolved_config(self, workspace, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--config", str(workspace["config"]), "--out", str(out),
+             "--param", "r_max", "--values", "40", "--repeats", "2", "--seed", "4"]
+            + FAST_FLAGS
+        )
+        assert code == 0
+        run = out / "r_max=40" / "seed=5"
+        for name in ("predictions.csv", "metrics.json"):
+            (run / name).unlink()
+        assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin")]) == 0
+        assert main(["explain", "--checkpoint", str(run / "checkpoint.bin"), "--unit", "1"]) == 0
+        assert (run / "predictions.csv").exists() and (run / "metrics.json").exists()
+        assert (run / "explain" / "unit=1" / "attention_feature.csv").exists()
+        kept = {name: (run / name).read_bytes() for name in ("checkpoint.bin", "training_log.csv")}
+        for name in kept:
+            (run / name).unlink()
+        assert main(["train", "--config", str(run / "resolved_config.json")]) == 0
+        assert {name: (run / name).read_bytes() for name in kept} == kept
+        assert sorted(p.name for p in out.iterdir()) == ["r_max=40", "sweep_results.csv"]
 
     def test_failed_runs_are_recorded_and_the_sweep_continues(self, workspace, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -697,6 +760,7 @@ CONFIG_ARGS = ["--config", "{config}", "--out", "{out}", "--max-epochs", "1",
 # that the predictions overflow to inf, "{attention}" the trained checkpoint
 # with every fa.wqkv weight at 3e38, so that the attention scores overflow,
 # "{empty}" an empty file, "{one_unit}" the workspace's one-unit train file,
+# "{overflowing_train}" the workspace's train file with two readings of 1e308,
 # "{truth3}" a truth file of three values for the four test units,
 # "{out}" a directory that must not be created and "{run}" one that may be.
 ENTRY_POINT_CASES = [
@@ -781,6 +845,9 @@ ENTRY_POINT_CASES = [
                   "--out", "{out}"], {}, {}, 2, "IntegrityError: {empty}: no units", id="evaluate-empty-test"),
     pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", "10", "--train-path", "{empty}"],
                  {}, {}, 2, "IntegrityError: {empty}: no units", id="sweep-empty-train"),
+    *[pytest.param([command, *CONFIG_ARGS, *extra, "--train-path", "{overflowing_train}"], {}, {}, 2,
+                   "ClusteringError: condition 0, channel 7", id=f"{command}-overflowing-train")
+      for command, extra in [("train", []), ("sweep", ["--param", "r_max", "--values", "40,50"])]],
     *[pytest.param([command, *CONFIG_ARGS, *extra, "--train-path", "{one_unit}"], {}, {}, 2,
                    "IntegrityError: {one_unit}: 1 unit", id=f"{command}-one-unit-train")
       for command, extra in [("train", []), ("sweep", ["--param", "window", "--values", "10"])]],
@@ -837,7 +904,8 @@ class TestEntryPoints:
                  "{latin1}": str(latin1_path), "{nonfinite}": str(nonfinite_path),
                  "{overflow}": str(overflow_path), "{attention}": str(attention_path),
                  "{empty}": str(empty_path), "{one_unit}": str(workspace["one_unit"]),
-                 "{truth3}": str(truth3_path), "{run}": str(tmp_path / "run")}
+                 "{truth3}": str(truth3_path), "{run}": str(tmp_path / "run"),
+                 "{overflowing_train}": str(overflowing_train(workspace, tmp_path))}
         assert main([paths.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err

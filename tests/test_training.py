@@ -409,6 +409,15 @@ class TestFit:
             tracemalloc.stop()
         assert peak - start < 0.5 * windows.x.nbytes, (peak - start) / windows.x.nbytes
 
+    def test_leaves_its_windows_as_they_were(self):
+        # The runs of one sweep value all train on one Windows.
+        windows = windows_to_arrays(tiny_samples())
+        before = [a.copy() for a in windows]
+        model, _ = build_tiny_model(seed=3, dtype=np.float32, dropout=0.5)
+        fit(model, windows, tiny_fit_config(max_epochs=2))
+        for name, after, kept in zip(windows._fields, windows, before):
+            assert (after.dtype, after.shape, after.tobytes()) == (kept.dtype, kept.shape, kept.tobytes()), name
+
     def test_unit_level_leakage_guard(self):
         model, _ = build_tiny_model(seed=5, dtype=np.float32)
         result = fit(model, windows_to_arrays(tiny_samples()), tiny_fit_config(max_epochs=1))
