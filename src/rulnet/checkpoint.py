@@ -31,7 +31,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import ConditionModel
 from .errors import CheckpointError, ConfigurationError
-from .model import RulModel, parameter_shapes, resolve_blocks
+from .model import RulModel, resolve_blocks
 
 MAGIC = b"RULBNDL\x00"
 FORMAT_VERSION = 2
@@ -104,10 +104,9 @@ def load_bundle(path: str | Path) -> Bundle:
     infinity (the first such in table order is named); bytes after the
     last buffer; a config key that is not an :class:`ExperimentConfig`
     field, or a config value of the wrong type for its field;
-    hyperparameters that :func:`rulnet.model.parameter_shapes` rejects,
-    or a tensor table (a version-1 one once joined) without exactly that
-    plan's names and shapes, both before the model is built; and a bad
-    condition model.
+    a bad condition model; and hyperparameters or a tensor table (a
+    version-1 one once joined) that :class:`RulModel` rejects.  The model
+    is built from the tensors: nothing is drawn.
     Fields the header leaves out take their defaults.  Config values are
     not range-checked here, so a bundle saved with a partial config loads.
     """
@@ -139,25 +138,18 @@ def load_bundle(path: str | Path) -> Bundle:
     except ConfigurationError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     arrays = _read_tensors(path, header["tensors"], raw, body_start)
-    hp = header["hyperparams"]
-    try:  # TypeError: a missing or unknown name, "batch_size" too; np.dtype raises the last three
-        plan = dict(parameter_shapes(**hp, batch_size=1))
-    except (ConfigurationError, TypeError, ValueError, SyntaxError) as exc:
-        raise CheckpointError(f"{path}: cannot rebuild the model: {exc!r}") from None
-    if version == 1:
-        blocks = resolve_blocks(hp["mode"], hp["feature_heads"], hp["sequence_heads"])
-        arrays = _join_v1_heads(path, arrays, plan, blocks)
-    table = {name: arr.shape for name, arr in arrays.items()}
-    if table != plan:
-        unknown = sorted(set(table) - set(plan))
-        wrong = {name: shape for name, shape in plan.items() if table.get(name) != shape}
-        raise CheckpointError(f"{path}: unknown parameters {unknown}; missing or misshapen {wrong}")
-    model = RulModel(**hp)
-    model.load_state_arrays(arrays)
     try:
         cm = ConditionModel.from_dict(header["condition_model"])
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad condition model: {exc}") from None
+    # A name left out is None, which the model rejects, not its default.
+    hp = {**dict.fromkeys(config.model_kwargs()), **header["hyperparams"]}
+    try:  # TypeError: an unknown name, "init_rng" and "arrays" too; np.dtype raises the last three
+        if version == 1:
+            _join_v1_heads(path, arrays, resolve_blocks(hp["mode"], hp["feature_heads"], hp["sequence_heads"]))
+        model = RulModel(**hp, init_rng=None, arrays=arrays)
+    except (ConfigurationError, TypeError, ValueError, SyntaxError) as exc:
+        raise CheckpointError(f"{path}: cannot rebuild the model: {exc}") from None
     return Bundle(model=model, condition_model=cm, config=config)
 
 
@@ -204,17 +196,13 @@ def _read_tensors(path, table: list, raw: bytes, body_start: int) -> dict[str, n
     return arrays
 
 
-def _join_v1_heads(path, arrays: dict[str, np.ndarray], shapes: dict, blocks) -> dict[str, np.ndarray]:
-    """A version-1 table, which stored each head's projections, under v2
+def _join_v1_heads(path, arrays: dict[str, np.ndarray], blocks) -> None:
+    """Put a version-1 table, which stored each head's projections, under v2
     names: ``<block>.h<i>.wq``, ``.wk``, ``.wv`` joined into ``<block>.wqkv``."""
-    arrays = dict(arrays)
     for block, heads in (("fa", blocks.feature_heads), ("sa", blocks.sequence_heads)):
         if not heads or f"{block}.wqkv" in arrays:  # the heads left are unknown names
             continue
-        shape = (shapes[f"{block}.wqkv"][0], shapes[f"{block}.wqkv"][1] // (3 * heads))
         parts = [arrays.pop(f"{block}.h{i}.w{p}", None) for p in "qkv" for i in range(heads)]
-        if any(part is None or part.shape != shape for part in parts):
-            raise CheckpointError(f"{path}: version-1 {block} needs {heads} heads of q, k, v, each {shape}")
+        if any(part is None or part.shape != parts[0].shape for part in parts):
+            raise CheckpointError(f"{path}: version-1 {block} needs {heads} heads of q, k, v, of one shape")
         arrays[f"{block}.wqkv"] = np.concatenate(parts, axis=1)
-    return arrays
-

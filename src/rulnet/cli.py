@@ -351,11 +351,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
     traj, final_rul = by_unit[args.unit]
 
     cycles = None
-    if args.cycles and args.cycles != "all":
+    if args.cycles != "all":
         cycles = _cycle_range(args.cycles, len(traj))
     selected = cycles or range(1, len(traj) + 1)
     matrix_cycles = None
-    if args.matrix_cycles:
+    if args.matrix_cycles is not None:
         try:
             matrix_cycles = [int(c) for c in args.matrix_cycles.split(",")]
         except ValueError:
@@ -420,63 +420,64 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     normed = list(normed)
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    rows = []
-    failures = 0
-    for value, value_cfg in values:
-        windows = window_arrays(normed, value_cfg.window, value_cfg.r_max)
-        for seed in seeds:
-            run_dir = out_root / f"{args.param}={value}" / f"seed={seed}"
-            row = {"parameter": args.param, "value": value, "seed": seed}
-            try:
-                run_cfg = value_cfg.override(seeds=[seed], out_dir=str(run_dir))
-                summary, bundle = _train_once(run_cfg, cm, windows, sha256)
-                metrics = _evaluate_bundle(bundle, test_pairs, run_dir)
-                row.update(
-                    rmse=repr(metrics["rmse"]),
-                    score=repr(metrics["score"]),
-                    epochs=summary["epochs"],
-                    wall_time_s=f"{summary['wall_time_s']:.2f}",
-                )
-                if args.param == "r_max":
-                    unclipped = _evaluate_bundle(bundle, test_pairs, run_dir / "unclipped", clip=False)
-                    row["rmse_unclipped"] = repr(unclipped["rmse"])
-                    row["score_unclipped"] = repr(unclipped["score"])
-            except Exception as exc:  # record and continue with the next run
-                failures += 1
-                row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
-            print(f"[sweep] {args.param}={value} seed={seed} "
-                  + (f"FAILED: {row['error']}" if "error" in row else f"rmse={row['rmse']} score={row['score']}"))
-        del windows  # freed before the next value's windows are built
-
     fieldnames = ["parameter", "value", "seed", "rmse", "score", "epochs", "wall_time_s", "error"]
     if args.param == "r_max":
         fieldnames += ["rmse_unclipped", "score_unclipped"]
-    with open(out_root / "sweep_results.csv", "w", newline="", encoding="utf-8") as fh:
+    runs = len(values) * len(seeds)
+    failures = 0
+    # Line-buffered: the header, and each run's row when the run ends, are on
+    # disk at once, so a stopped sweep keeps its rows.
+    with open(out_root / "sweep_results.csv", "w", buffering=1, newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        writer.writerows(rows)
-    print(f"sweep complete: {len(rows) - failures}/{len(rows)} runs succeeded")
-    return RUNTIME_EXIT if failures == len(rows) else 0
+        for value, value_cfg in values:
+            windows = window_arrays(normed, value_cfg.window, value_cfg.r_max)
+            for seed in seeds:
+                run_dir = out_root / f"{args.param}={value}" / f"seed={seed}"
+                row = {"parameter": args.param, "value": value, "seed": seed}
+                try:
+                    run_cfg = value_cfg.override(seeds=[seed], out_dir=str(run_dir))
+                    summary, bundle = _train_once(run_cfg, cm, windows, sha256)
+                    metrics = _evaluate_bundle(bundle, test_pairs, run_dir)
+                    row.update(
+                        rmse=repr(metrics["rmse"]),
+                        score=repr(metrics["score"]),
+                        epochs=summary["epochs"],
+                        wall_time_s=f"{summary['wall_time_s']:.2f}",
+                    )
+                    if args.param == "r_max":
+                        unclipped = _evaluate_bundle(bundle, test_pairs, run_dir / "unclipped", clip=False)
+                        row["rmse_unclipped"] = repr(unclipped["rmse"])
+                        row["score_unclipped"] = repr(unclipped["score"])
+                except Exception as exc:  # record and continue with the next run
+                    failures += 1
+                    row["error"] = f"{type(exc).__name__}: {exc}"
+                writer.writerow(row)
+                print(f"[sweep] {args.param}={value} seed={seed} "
+                      + (f"FAILED: {row['error']}" if "error" in row else f"rmse={row['rmse']} score={row['score']}"))
+            del windows  # freed before the next value's windows are built
+    print(f"sweep complete: {runs - failures}/{runs} runs succeeded")
+    return RUNTIME_EXIT if failures == runs else 0
 
 
 def cmd_synth_data(args: argparse.Namespace) -> int:
+    out = Path(args.out or "data-synth")
     ds = generate_dataset(
-        args.out or "data-synth",
+        out,
         name=args.name,
         n_train=args.units,
         n_test=args.test_units,
         n_conditions=args.conditions,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     config = ExperimentConfig(
         train_path=str(ds.train_path),
         test_path=str(ds.test_path),
         truth_path=str(ds.truth_path),
         k_conditions=ds.n_conditions,
-        out_dir=str(Path(args.out or "data-synth") / "runs"),
+        out_dir=str(out / "runs"),
     )
-    config_path = Path(args.out or "data-synth") / "config.json"
+    config_path = out / "config.json"
     _write_json(config.to_dict(), config_path)
     _write_json({
         "train": str(ds.train_path),

@@ -104,11 +104,13 @@ def predict_test_set(
     Negative predictions are clamped to zero (and counted); the truth
     labels are clipped at the bundle's r_max when ``clip_truth``, which
     defaults to the bundle's ``clip_test_rul``.  A prediction that is not
-    finite raises NumericInputError.
+    finite raises NumericInputError; an empty test set, ContractError.
     """
     if clip_truth is None:
         clip_truth = bundle.config.clip_test_rul
     pairs = pair_test_truth(test_trajectories, truth)
+    if not pairs:
+        raise ContractError("the test set is empty: predict_test_set needs at least one test unit")
     r_max = bundle.config.r_max
 
     x = np.concatenate([

@@ -139,7 +139,8 @@ class RulModel:
     in plan order, so a disabled block has no parameters.  An attention
     block's ``wqkv`` (d, 3·d) holds the query columns of heads 1..h, then
     their key and their value columns; an LSTM layer's gates are laid out
-    [input, forget, cell, output].
+    [input, forget, cell, output].  Parameters are drawn from ``init_rng``
+    (default seed 0), or copied from ``arrays`` (name -> array) with no draw.
     """
 
     def __init__(
@@ -155,22 +156,33 @@ class RulModel:
         dropout: float = 0.5,
         init_rng: np.random.Generator | None = None,
         dtype=ad.DEFAULT_DTYPE,
+        arrays: dict[str, np.ndarray] | None = None,
     ):
         plan = parameter_shapes(n_features, window, mode, feature_heads, sequence_heads, lstm_hidden,
                                 lstm_layers, mlp_hidden, dropout, dtype)
-        if init_rng is None:
-            init_rng = np.random.default_rng(0)
+        if init_rng is not None and arrays is not None:
+            raise ContractError("a model is built from init_rng or from arrays, not both")
         self.n_features = n_features
         self.window = window
         self.mode, self.feature_heads, self.sequence_heads = resolve_blocks(mode, feature_heads, sequence_heads)
         self.lstm_hidden, self.lstm_layers, self.mlp_hidden = lstm_hidden, lstm_layers, mlp_hidden
         self.dropout = dropout
         self.dtype = np.dtype(dtype)
-        # One draw per head and projection in a wqkv, in column order.
-        pieces = {"fa.wqkv": 3 * self.feature_heads, "sa.wqkv": 3 * self.sequence_heads}
-        self.params = {name: _init(init_rng, shape, dtype, pieces.get(name, 1)) for name, shape in plan}
-        for layer in range(lstm_layers):
-            self.params[f"lstm.l{layer}.b"].data[lstm_hidden : 2 * lstm_hidden] = 1.0  # forget gate starts open
+        if arrays is None:
+            rng = np.random.default_rng(0) if init_rng is None else init_rng
+            # One draw per head and projection in a wqkv, in column order.
+            pieces = {"fa.wqkv": 3 * self.feature_heads, "sa.wqkv": 3 * self.sequence_heads}
+            self.params = {name: _init(rng, shape, dtype, pieces.get(name, 1)) for name, shape in plan}
+            for layer in range(lstm_layers):
+                self.params[f"lstm.l{layer}.b"].data[lstm_hidden : 2 * lstm_hidden] = 1.0  # forget gate starts open
+        else:
+            table, shapes = {name: arr.shape for name, arr in arrays.items()}, dict(plan)
+            if table != shapes:
+                wrong = {name: shape for name, shape in plan if table.get(name) != shape}
+                raise ConfigurationError(f"unknown parameters {sorted(table.keys() - shapes)}; "
+                                         f"missing or misshapen {wrong}")
+            self.params = {name: Tensor(np.empty(0, self.dtype), requires_grad=True) for name in shapes}
+            self.load_state_arrays(arrays)  # gives each parameter its own copy
         # The last forward pass's softmax weights, (B, h, N, N), by block prefix "fa" or "sa".
         self.last_weights: dict[str, np.ndarray] = {}
 

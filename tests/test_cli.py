@@ -63,6 +63,17 @@ def trained(workspace):
     return out
 
 
+@pytest.fixture(scope="module")
+def mode_l(workspace):
+    out = workspace["root"] / "mode_l"
+    code = main(
+        ["train", "--config", str(workspace["config"]), "--out", str(out), "--seed", "3",
+         "--mode", "L"] + FAST_FLAGS
+    )
+    assert code == 0
+    return out
+
+
 def overflowing_train(workspace, tmp_path):
     """The workspace's train file with two finite readings whose sum
     overflows a condition's mean."""
@@ -303,14 +314,8 @@ class TestTrain:
         assert code == 1
         assert "feature_heads must be >= 0, got -5" in capsys.readouterr().err
 
-    def test_mode_l_checkpoint_has_no_attention_parameters(self, workspace):
-        out = workspace["root"] / "mode_l"
-        code = main(
-            ["train", "--config", str(workspace["config"]), "--out", str(out), "--seed", "3",
-             "--mode", "L"] + FAST_FLAGS
-        )
-        assert code == 0
-        bundle = load_bundle(out / "checkpoint.bin")
+    def test_mode_l_checkpoint_has_no_attention_parameters(self, mode_l):
+        bundle = load_bundle(mode_l / "checkpoint.bin")
         names = [n for n, _ in bundle.model.parameters()]
         assert not any(n.startswith(("fa.", "sa.")) for n in names)
         assert bundle.model.mode == "L"
@@ -481,7 +486,7 @@ class TestExplain:
     @pytest.mark.parametrize("flag, value", [
         ("--cycles", "5"), ("--cycles", "a:b"), ("--cycles", "0:3"), ("--cycles", "1:L+1"),
         ("--cycles", "6:3"), ("--matrix-cycles", "3,x"), ("--matrix-cycles", "0"),
-        ("--matrix-cycles", "1,L+1"),
+        ("--matrix-cycles", "1,L+1"), ("--cycles", ""), ("--matrix-cycles", ""),
     ])
     def test_bad_cycles_argument_is_usage_error(self, workspace, trained, flag, value, capsys):
         test = parse_cmapss(workspace["raw"]["test_path"])
@@ -563,10 +568,16 @@ class TestExplain:
         true_rul = [int(row.split(",")[2]) for row in rows]
         assert true_rul == [other_truth[1] + length - cycle for cycle in range(1, length + 1)]
 
-    def test_mode_l_checkpoint_is_capability_error(self, workspace):
-        checkpoint = workspace["root"] / "mode_l" / "checkpoint.bin"
-        code = main(["explain", "--checkpoint", str(checkpoint), "--unit", "1"])
+    def test_mode_l_checkpoint_is_capability_error(self, mode_l, tmp_path, capsys):
+        # No feature attention: one error line, and no --out.
+        out = tmp_path / "out"
+        code = main(["explain", "--checkpoint", str(mode_l / "checkpoint.bin"), "--unit", "1",
+                     "--out", str(out)])
         assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: CapabilityError: mode 'L' retains no attention weights\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestSweep:
@@ -681,6 +692,32 @@ class TestSweep:
         assert main(["train", "--config", str(run / "resolved_config.json")]) == 0
         assert {name: (run / name).read_bytes() for name in kept} == kept
         assert sorted(p.name for p in out.iterdir()) == ["r_max=40", "sweep_results.csv"]
+
+    def test_each_row_is_written_when_its_run_ends(self, workspace, tmp_path, monkeypatch):
+        # A sweep stopped in its second run keeps the first run's row.
+        out = tmp_path / "sweep"
+        table = out / "sweep_results.csv"
+        real = cli._train_once
+        seen = []
+
+        def stop_second(*args):
+            seen.append(table.read_text(encoding="utf-8"))
+            if len(seen) == 2:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_train_once", stop_second)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", str(workspace["config"]), "--out", str(out),
+                  "--param", "r_max", "--values", "40,50", "--repeats", "1", "--seed", "5"]
+                 + FAST_FLAGS)
+        header = "parameter,value,seed,rmse,score,epochs,wall_time_s,error,rmse_unclipped,score_unclipped\n"
+        assert seen[0] == header
+        with open(table, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert seen[1] == table.read_text(encoding="utf-8")
+        assert [(row["value"], row["seed"], row["error"]) for row in rows] == [("40", "5", "")]
+        assert rows[0]["rmse"] and rows[0]["rmse_unclipped"]
 
     def test_failed_runs_are_recorded_and_the_sweep_continues(self, workspace, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -138,6 +138,10 @@ class TestPredictTestSet:
             predict_test_set(bundle, make_test_trajs(3), [1, 2])
         assert "3 test units but 2 truth values" in str(err.value)
 
+    def test_empty_test_set_is_contract_error(self):
+        with pytest.raises(ContractError, match="the test set is empty"):
+            predict_test_set(four_channel_bundle(), [], [])
+
     def test_negative_predictions_clamped_and_flagged(self, monkeypatch):
         bundle = four_channel_bundle()
         trajs = make_test_trajs(2)

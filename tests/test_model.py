@@ -531,6 +531,30 @@ class TestRulModel:
         clone.load_state_arrays(state)
         assert np.array_equal(clone.predict(x), before)
 
+    def test_built_from_arrays_owns_copies_in_its_dtype(self):
+        model, _ = build_tiny_model(dtype=np.float32)
+        state = {name: arr.astype(np.float64) for name, arr in model.state_arrays()}
+        clone = RulModel(**model.hyperparams(), arrays=state)
+        for (name, arr), (_, copy) in zip(model.state_arrays(), clone.state_arrays()):
+            assert copy.dtype == np.float32 and copy.tobytes() == arr.tobytes(), name
+        state["head.b2"][0] += 1.0
+        assert clone.params["head.b2"].data[0] == model.params["head.b2"].data[0]
+
+    def test_arrays_without_the_plan_are_configuration_error(self):
+        model, _ = build_tiny_model()
+        state = dict(model.state_arrays(), bogus=np.zeros(2))
+        state["head.w2"] = state["head.w2"].T
+        del state["head.b2"]
+        message = "unknown parameters ['bogus']; missing or misshapen {'head.w2': (8, 1), 'head.b2': (1,)}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            RulModel(**model.hyperparams(), arrays=state)
+
+    def test_arrays_and_init_rng_are_contract_error(self):
+        model, _ = build_tiny_model()
+        with pytest.raises(ContractError, match="init_rng or from arrays"):
+            RulModel(**model.hyperparams(), arrays=dict(model.state_arrays()),
+                     init_rng=np.random.default_rng(0))
+
 
 
 # The sha256 of a tiny float32 model's initial parameters, per mode: name,

@@ -595,6 +595,8 @@ class TestBundleV1:
                                         "fa.h1.wq", ("fa.h1.wq", np.zeros((6, 2), "<f4"))),
                      id="unequal-heads"),
         pytest.param(lambda t: t + [("fa.h2.wq", np.zeros((6, 3), "<f4"))], id="leftover-head"),
+        pytest.param(lambda t: [(n, np.zeros((6, 4), "<f4") if n.startswith("fa.h") else a) for n, a in t],
+                     id="wide-heads"),
         pytest.param(lambda t: t + [("fa.wqkv", np.zeros((6, 18), "<f4"))], id="version-2-name"),
     ])
     def test_malformed_heads_are_checkpoint_errors(self, tmp_path, capsys, edit):
@@ -632,6 +634,19 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.condition_model.centroids, cm.centroids)
         np.testing.assert_array_equal(loaded.condition_model.stds, cm.stds)
         assert loaded.config == ExperimentConfig(**config)
+
+    def test_loading_draws_nothing(self, tmp_path, monkeypatch):
+        model, cm, config, _ = self._bundle_parts()
+        path = tmp_path / "bundle.bin"
+        save_bundle(path, model, cm, config)
+
+        def no_draws(*args):
+            raise AssertionError("a loaded model drew a parameter")
+        monkeypatch.setattr("rulnet.model._init", no_draws)
+        loaded = load_bundle(path).model
+        for (name, arr), (_, copy) in zip(model.state_arrays(), loaded.state_arrays()):
+            assert copy.dtype == arr.dtype and copy.tobytes() == arr.tobytes(), name
+        assert load_bundle(V1_BUNDLE).model.mode == "F+T"
 
     def test_truncated_file_rejected(self, tmp_path):
         model, cm, config, _ = self._bundle_parts()
@@ -693,6 +708,9 @@ class TestCheckpoint:
             pytest.param(lambda h: h["hyperparams"].update(window=True), id="bool-window"),
             pytest.param(lambda h: h["hyperparams"].update(feature_heads=2.0), id="float-heads"),
             pytest.param(lambda h: h["hyperparams"].update(batch_size=1), id="batch-size-hyperparam"),
+            # Left out, it would take the model's default, which no tensor shape shows.
+            pytest.param(lambda h: h["hyperparams"].pop("sequence_heads"), id="missing-heads"),
+            pytest.param(lambda h: h["hyperparams"].update(init_rng=None), id="init-rng-hyperparam"),
             pytest.param(lambda h: h["hyperparams"].update(dtype="<f$"), id="unparsable-model-dtype"),
             pytest.param(lambda h: h["hyperparams"].update(dtype="<i4"), id="integer-model"),
             pytest.param(lambda h: h["condition_model"].update(means=[[0.0] * 24]),
