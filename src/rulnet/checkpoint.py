@@ -95,20 +95,19 @@ def save_bundle(path: str | Path, model: RulModel, cm: ConditionModel, config: d
 def load_bundle(path: str | Path) -> Bundle:
     """Read a bundle written by :func:`save_bundle`.
 
-    Anything that is not such a bundle is a CheckpointError naming the
-    path: a bad magic, version or header schema; a tensor entry whose
-    dtype is not a float, whose shape is not a list of non-negative
-    integers or is one numpy cannot represent, whose nbytes is not its
-    shape's size in bytes, or whose offset leaves a gap or overlap; a
-    buffer past the end of the file; a tensor holding a NaN or an
-    infinity (the first such in table order is named); bytes after the
-    last buffer; a config key that is not an :class:`ExperimentConfig`
-    field, or a config value of the wrong type for its field;
-    a bad condition model; and hyperparameters or a tensor table (a
-    version-1 one once joined) that :class:`RulModel` rejects.  The model
-    is built from the tensors: nothing is drawn.
-    Fields the header leaves out take their defaults.  Config values are
-    not range-checked here, so a bundle saved with a partial config loads.
+    Anything that is not such a bundle is a CheckpointError naming the path: a
+    bad magic, version or header schema; a tensor entry whose dtype is not a
+    float, whose shape is not a list of non-negative integers or is one numpy
+    cannot represent, whose nbytes is not its shape's size in bytes, or whose
+    offset leaves a gap or overlap; a buffer past the end of the file; a
+    tensor holding a NaN or an infinity (the first such in table order is
+    named); bytes after the last buffer; a config key that is not an
+    :class:`ExperimentConfig` field, or a config value of the wrong type for
+    its field; a bad condition model; hyperparameters that are not the model's
+    construction arguments (``dtype`` may be left out), or values or a tensor
+    table (a version-1 one once joined) that :class:`RulModel` rejects.  The
+    model is built from the tensors: nothing is drawn.  Config fields the
+    header leaves out take their defaults and are not range-checked here.
     """
     try:
         raw = Path(path).read_bytes()
@@ -142,12 +141,13 @@ def load_bundle(path: str | Path) -> Bundle:
         cm = ConditionModel.from_dict(header["condition_model"])
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad condition model: {exc}") from None
-    # A name left out is None, which the model rejects, not its default.
-    hp = {**dict.fromkeys(config.model_kwargs()), **header["hyperparams"]}
-    try:  # TypeError: an unknown name, "init_rng" and "arrays" too; np.dtype raises the last three
+    hp, names = header["hyperparams"], config.model_kwargs().keys()  # all listed: a default may not be what was saved
+    if names - hp.keys() or hp.keys() - names - {"dtype"}:
+        raise CheckpointError(f"{path}: hyperparameters {sorted(hp)} are not {sorted(names)} and an optional dtype")
+    try:  # np.dtype raises the last three
         if version == 1:
             _join_v1_heads(path, arrays, resolve_blocks(hp["mode"], hp["feature_heads"], hp["sequence_heads"]))
-        model = RulModel(**hp, init_rng=None, arrays=arrays)
+        model = RulModel(**hp, arrays=arrays)
     except (ConfigurationError, TypeError, ValueError, SyntaxError) as exc:
         raise CheckpointError(f"{path}: cannot rebuild the model: {exc}") from None
     return Bundle(model=model, condition_model=cm, config=config)
@@ -202,7 +202,8 @@ def _join_v1_heads(path, arrays: dict[str, np.ndarray], blocks) -> None:
     for block, heads in (("fa", blocks.feature_heads), ("sa", blocks.sequence_heads)):
         if not heads or f"{block}.wqkv" in arrays:  # the heads left are unknown names
             continue
-        parts = [arrays.pop(f"{block}.h{i}.w{p}", None) for p in "qkv" for i in range(heads)]
-        if any(part is None or part.shape != parts[0].shape for part in parts):
+        count = heads if 3 * heads <= len(arrays) else 0  # more heads than the table holds is malformed
+        parts = [arrays.pop(f"{block}.h{i}.w{p}", None) for p in "qkv" for i in range(count)]
+        if not parts or any(part is None or part.shape != parts[0].shape for part in parts):
             raise CheckpointError(f"{path}: version-1 {block} needs {heads} heads of q, k, v, of one shape")
         arrays[f"{block}.wqkv"] = np.concatenate(parts, axis=1)

@@ -162,8 +162,7 @@ class RulModel:
                                 lstm_layers, mlp_hidden, dropout, dtype)
         if init_rng is not None and arrays is not None:
             raise ContractError("a model is built from init_rng or from arrays, not both")
-        self.n_features = n_features
-        self.window = window
+        self.n_features, self.window = n_features, window
         self.mode, self.feature_heads, self.sequence_heads = resolve_blocks(mode, feature_heads, sequence_heads)
         self.lstm_hidden, self.lstm_layers, self.mlp_hidden = lstm_hidden, lstm_layers, mlp_hidden
         self.dropout = dropout

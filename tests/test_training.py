@@ -610,6 +610,20 @@ class TestBundleV1:
         assert f"data error: CheckpointError: {path}: " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["feature_heads", "sequence_heads"])
+    def test_head_count_past_the_table_is_checkpoint_error(self, tmp_path, capsys, name):
+        # Joining 10**12 heads would build a list of 3 * 10**12 lookups; the
+        # table's size bounds the join before it starts.
+        header, tensors = read_v1_bundle()
+        header["hyperparams"][name] = 10**12
+        path = tmp_path / "v1.bin"
+        write_v1_bundle(path, header, tensors)
+        code = main(["explain", "--checkpoint", str(path), "--unit", "1", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"data error: CheckpointError: {path}: version-1 " in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCheckpoint:
     @staticmethod
@@ -711,6 +725,7 @@ class TestCheckpoint:
             # Left out, it would take the model's default, which no tensor shape shows.
             pytest.param(lambda h: h["hyperparams"].pop("sequence_heads"), id="missing-heads"),
             pytest.param(lambda h: h["hyperparams"].update(init_rng=None), id="init-rng-hyperparam"),
+            pytest.param(lambda h: h["hyperparams"].update(arrays={}), id="arrays-hyperparam"),
             pytest.param(lambda h: h["hyperparams"].update(dtype="<f$"), id="unparsable-model-dtype"),
             pytest.param(lambda h: h["hyperparams"].update(dtype="<i4"), id="integer-model"),
             pytest.param(lambda h: h["condition_model"].update(means=[[0.0] * 24]),
