@@ -5,10 +5,11 @@ Tensors wrap a numpy array (float32 by default, float64 for verification
 work).  While a :class:`Tape` is active, every operation whose inputs
 require gradients appends a node; ``Tape.backward`` replays the node list
 in reverse, which is a valid topological order by construction.  A fused
-op's rule gives a gradient for every weight it reads; the tape keeps those
-of tensors that require one.  Tensors hold no reference to the tape that
-recorded them, so a pass's whole graph is freed as soon as its last
-reference goes, without the cycle collector.
+op's rule gives a gradient for every weight it takes, zeros for one it
+does not read; the tape keeps those of tensors that require one.
+Tensors hold no reference to the tape that recorded them, so a pass's
+whole graph is freed as soon as its last reference goes, without the
+cycle collector.
 
 Matrix products have two kernels.  The default delegates to BLAS.  The
 "exact" kernel accumulates over the contraction index sequentially, in
@@ -438,12 +439,11 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
             for layer in reversed(range(layers)):
                 seq, gates, cell, tanh_cell, hid = saved[layer]
                 fan_in = seq.shape[1]
-                want_h = steps > 1  # w_h is not read when T == 1
                 want_in = layer > 0 or x.requires_grad
                 # Weight gradients accumulate transposed, (4H, in): dz @ inputᵀ
                 # is the faster product orientation for these shapes.
                 g_wx = np.zeros((4 * hidden, fan_in), dtype)
-                g_wh = np.zeros((4 * hidden, hidden), dtype) if want_h else None
+                g_wh = np.zeros((4 * hidden, hidden), dtype)  # stays zero when T == 1
                 g_b = np.zeros((4 * hidden, batch), dtype)
                 d_in = np.empty((steps, fan_in, batch), dtype) if want_in else None
                 part_x = np.empty((4 * hidden, fan_in), dtype)
@@ -489,10 +489,9 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
                     if t:
                         np.multiply(dc, f, out=carry)
                         _matmul_data(w_h[layer].data, dz_flat, out=dh)
-                contribs.append((w_x[layer], np.ascontiguousarray(g_wx.T)))
-                if want_h:
-                    contribs.append((w_h[layer], np.ascontiguousarray(g_wh.T)))
-                contribs.append((bias[layer], g_b.sum(axis=1)))
+                contribs += [(w_x[layer], np.ascontiguousarray(g_wx.T)),
+                             (w_h[layer], np.ascontiguousarray(g_wh.T)),
+                             (bias[layer], g_b.sum(axis=1))]
                 if layer:
                     d_hid = d_in
                 elif want_in:

@@ -102,12 +102,14 @@ def load_bundle(path: str | Path) -> Bundle:
     offset leaves a gap or overlap; a buffer past the end of the file; a
     tensor holding a NaN or an infinity (the first such in table order is
     named); bytes after the last buffer; a config key that is not an
-    :class:`ExperimentConfig` field, or a config value of the wrong type for
-    its field; a bad condition model; hyperparameters that are not the model's
-    construction arguments (``dtype`` may be left out), or values or a tensor
-    table (a version-1 one once joined) that :class:`RulModel` rejects.  The
-    model is built from the tensors: nothing is drawn.  Config fields the
-    header leaves out take their defaults and are not range-checked here.
+    :class:`ExperimentConfig` field, a config value of the wrong type for its
+    field, or a config that ``ExperimentConfig.validate`` (without its data
+    paths) rejects; a bad condition model; hyperparameters that are not the
+    model's construction arguments (``dtype`` may be left out), or values or
+    a tensor table (a version-1 one once joined) that :class:`RulModel`
+    rejects.  The model is built from the tensors: nothing is drawn.  Config
+    fields the header leaves out take their defaults, which are then
+    range-checked with the rest.
     """
     try:
         raw = Path(path).read_bytes()
@@ -134,6 +136,7 @@ def load_bundle(path: str | Path) -> Bundle:
 
     try:
         config = ExperimentConfig.from_dict(header["config"])
+        config.validate(require_paths=False)
     except ConfigurationError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     arrays = _read_tensors(path, header["tensors"], raw, body_start)

@@ -261,9 +261,9 @@ def _evaluate_bundle(bundle: Bundle, pairs: list[tuple[RawTrajectory, int]], out
                      clip: bool | None = None) -> dict:
     test, truth = [t for t, _ in pairs], [r for _, r in pairs]
     report = predict_test_set(bundle, test, truth, clip_truth=clip)
+    metrics = report.metrics()  # before --out exists, so that an overflow leaves none
     out_dir.mkdir(parents=True, exist_ok=True)
     write_predictions_csv(report, out_dir / "predictions.csv")
-    metrics = report.metrics()
     _write_json(metrics, out_dir / "metrics.json")
     return metrics
 

@@ -221,8 +221,8 @@ class ConditionModel:
     @classmethod
     def from_dict(cls, data) -> "ConditionModel":
         """Rebuild a model from :meth:`to_dict` output.  A missing or extra
-        key, k < 1, a row of the wrong length, or a value that is not a
-        finite number is a ValueError."""
+        key, k < 1, a row of the wrong length, a value that is not a finite
+        number, or a negative std is a ValueError."""
         widths = {"centroids": N_SETTINGS, "means": N_CHANNELS, "stds": N_CHANNELS}
         if not isinstance(data, dict) or set(data) != set(widths):
             raise ValueError(f"expected exactly the keys {sorted(widths)}")
@@ -237,6 +237,8 @@ class ConditionModel:
             if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
                        for row in rows for v in row):
                 raise ValueError(f"{key} holds a value that is not a finite number")
+        if any(v < 0 for row in data["stds"] for v in row):
+            raise ValueError("stds holds a negative value")
         return cls(**data)
 
     @classmethod

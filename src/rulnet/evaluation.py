@@ -24,17 +24,32 @@ SCORE_EARLY_DIVISOR = 13.0  # d < 0: prediction under the true RUL
 SCORE_LATE_DIVISOR = 10.0  # d >= 0: prediction over the true RUL
 
 
+def _finite_metric(metric: str, d: np.ndarray, terms: np.ndarray, value) -> float:
+    """``value``, the metric reduced from one term per error; a term or a
+    value that overflowed is a NumericInputError naming the first error
+    whose term is not finite."""
+    bad = np.flatnonzero(~np.isfinite(terms))
+    if bad.size:
+        i = bad[0]
+        raise NumericInputError(f"the {metric} term of error {i} ({d[i]}) is {terms[i]}, not finite")
+    if not math.isfinite(value):
+        raise NumericInputError(f"the {metric} of {d.size} errors is {value}, not finite")
+    return float(value)
+
+
 def phm_score(errors: Sequence[float]) -> float:
-    """Sum of exp(-d/13)-1 for d<0 and exp(d/10)-1 for d>=0."""
+    """Sum of exp(-d/13)-1 for d<0 and exp(d/10)-1 for d>=0; one that
+    overflows is a NumericInputError."""
     d = np.asarray(errors, dtype=np.float64)
     if d.size and not np.isfinite(d).all():
         raise ContractError("score requires finite errors")
-    per_unit = np.where(
-        d < 0,
-        np.exp(-d / SCORE_EARLY_DIVISOR) - 1.0,
-        np.exp(d / SCORE_LATE_DIVISOR) - 1.0,
-    )
-    return float(per_unit.sum())
+    with np.errstate(over="ignore"):
+        per_unit = np.where(
+            d < 0,
+            np.exp(-d / SCORE_EARLY_DIVISOR) - 1.0,
+            np.exp(d / SCORE_LATE_DIVISOR) - 1.0,
+        )
+        return _finite_metric("score", d, per_unit, per_unit.sum())
 
 
 def _require_finite(predictions: np.ndarray, name: Callable[[int], str]) -> None:
@@ -45,11 +60,14 @@ def _require_finite(predictions: np.ndarray, name: Callable[[int], str]) -> None
 
 
 def rmse(errors: Sequence[float]) -> float:
-    """Root mean squared error of the signed errors."""
+    """Root mean squared error of the signed errors; one that overflows is
+    a NumericInputError."""
     d = np.asarray(errors, dtype=np.float64)
     if d.size == 0:
         raise ContractError("rmse of an empty error list")
-    return float(math.sqrt(np.mean(d * d)))
+    with np.errstate(over="ignore"):
+        squares = d * d
+        return math.sqrt(_finite_metric("rmse", d, squares, np.mean(squares)))
 
 
 @dataclass

@@ -60,15 +60,13 @@ class AdamState:
         self._den = np.empty_like(self._num)
 
     def gather(self, params: Sequence[Tensor]) -> np.ndarray:
-        """Copy every parameter's grad into the flat buffer and return it;
-        a missing grad reads as zeros."""
-        for p, part in zip(params, self.slices):
-            if p.grad is None:
-                self.grad[part] = 0
-            elif p.grad.shape != p.shape:
-                raise ContractError(f"gradient shape {p.grad.shape} != parameter shape {p.shape}")
-            else:
-                self.grad[part].reshape(p.shape)[...] = p.grad
+        """Copy every parameter's grad into the flat buffer and return it; a
+        missing or misshapen grad is a ContractError naming its parameter."""
+        for n, (p, part) in enumerate(zip(params, self.slices)):
+            shape = None if p.grad is None else p.grad.shape
+            if shape != p.shape:
+                raise ContractError(f"parameter {n} has gradient shape {shape}, not {p.shape}")
+            self.grad[part].reshape(p.shape)[...] = p.grad
         return self.grad
 
 
@@ -77,17 +75,14 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update of every parameter, in place.
 
-    ``grad`` is the flat gradient that ``state.gather(params)`` returned;
-    it is gathered here when not given.  A parameter whose grad is None
-    was not used by the loss: its weights and moments stay as they are.
+    ``grad`` is the flat gradient that ``state.gather(params)`` returned
+    from every parameter's grad; it is gathered here when not given.
     """
     if grad is None:
         grad = state.gather(params)
     state.step_count += 1
     bc1 = 1.0 - ADAM_BETA1**state.step_count
     bc2 = 1.0 - ADAM_BETA2**state.step_count
-    unused = [(part, state.m[part].copy(), state.v[part].copy())
-              for p, part in zip(params, state.slices) if p.grad is None]
     for lo in range(0, grad.size, ADAM_CHUNK):
         m, v, g, step = (a[lo : lo + ADAM_CHUNK] for a in (state.m, state.v, grad, state._step))
         num, den = state._num[: g.size], state._den[: g.size]
@@ -110,12 +105,8 @@ def adam_step(
         num *= lr
         num /= den
         step[...] = num
-    for part, m_old, v_old in unused:
-        state.m[part] = m_old
-        state.v[part] = v_old
     for p, part in zip(params, state.slices):
-        if p.grad is not None:
-            p.data -= state._step[part].reshape(p.shape)
+        p.data -= state._step[part].reshape(p.shape)
 
 
 @dataclass

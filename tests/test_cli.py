@@ -799,6 +799,7 @@ CONFIG_ARGS = ["--config", "{config}", "--out", "{out}", "--max-epochs", "1",
 # "{empty}" an empty file, "{one_unit}" the workspace's one-unit train file,
 # "{overflowing_train}" the workspace's train file with two readings of 1e308,
 # "{truth3}" a truth file of three values for the four test units,
+# "{huge_truth}" a truth file of 100000 for each of them, whose score overflows,
 # "{out}" a directory that must not be created and "{run}" one that may be.
 ENTRY_POINT_CASES = [
     *[pytest.param([command, *CONFIG_ARGS], {name: value}, {}, 1, name,
@@ -838,6 +839,9 @@ ENTRY_POINT_CASES = [
     *[pytest.param(["evaluate", "--checkpoint", "{bundle}", "--out", "{out}"], {}, {name: value},
                    2, name, id=f"bundle-{name}")
       for name, value in [("r_max", "abc"), ("clip_test_rul", "no")]],
+    # A value of the right type but out of range; read, every true RUL would be -3.
+    pytest.param(["evaluate", "--checkpoint", "{bundle}", "--out", "{out}"], {}, {"r_max": -3.0},
+                 2, "r_max must be positive", id="bundle-negative-r_max"),
     pytest.param(["train", *CONFIG_ARGS, "--bogus"], {}, {}, 1, "--bogus", id="unknown-flag"),
     pytest.param(["evaluate", "--out", "{out}"], {}, {}, 1, "--checkpoint",
                  id="missing-checkpoint"),
@@ -878,6 +882,9 @@ ENTRY_POINT_CASES = [
     *[pytest.param([command, *CONFIG_ARGS, "--train-path", "{empty}"], {}, {}, 2,
                    "IntegrityError: {empty}: no units", id=f"{command}-empty-train")
       for command in ("preprocess", "train")],
+    pytest.param(["evaluate", "--checkpoint", "{bundle}", "--truth-path", "{huge_truth}", "--clip-test-rul",
+                  "false", "--out", "{out}"], {}, {}, 3, "NumericInputError: the score term of error 0 (-99",
+                 id="evaluate-overflowing-score"),
     pytest.param(["evaluate", "--checkpoint", "{bundle}", "--test-path", "{empty}", "--truth-path", "{empty}",
                   "--out", "{out}"], {}, {}, 2, "IntegrityError: {empty}: no units", id="evaluate-empty-test"),
     pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", "10", "--train-path", "{empty}"],
@@ -936,12 +943,15 @@ class TestEntryPoints:
         empty_path.write_text("")
         truth3_path = tmp_path / "truth3.txt"
         truth3_path.write_text("5\n7\n9\n")
+        huge_truth_path = tmp_path / "huge_truth.txt"
+        huge_truth_path.write_text("100000\n" * 4)
         paths = {"{config}": str(config_path), "{bundle}": str(bundle_path), "{out}": str(out),
                  "{missing}": str(tmp_path / "missing.txt"), "{short}": str(short_path),
                  "{latin1}": str(latin1_path), "{nonfinite}": str(nonfinite_path),
                  "{overflow}": str(overflow_path), "{attention}": str(attention_path),
                  "{empty}": str(empty_path), "{one_unit}": str(workspace["one_unit"]),
-                 "{truth3}": str(truth3_path), "{run}": str(tmp_path / "run"),
+                 "{truth3}": str(truth3_path), "{huge_truth}": str(huge_truth_path),
+                 "{run}": str(tmp_path / "run"),
                  "{overflowing_train}": str(overflowing_train(workspace, tmp_path))}
         assert main([paths.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err

@@ -623,6 +623,8 @@ class TestWindowsFileText:
         corruptions = {
             cm_path: [(first_value, r"\1NaN"), (first_value, r'\1"1.5"'),
                       (r'("means": \[)\s*\[[^\]]*\]', r"\1"),  # the only row of means
+                      # Read, it would make every channel count as constant.
+                      (r'("stds": \[\s*\[\s*)[^,\s]+', r"\1-1.0"),
                       (r"^\{", '{\n  "k": 1,')],
             win_path: [("count 3", "count x"), ("window 2", "window 0"), (r"\n1 3 \S+", "\n1 3 abc")],
         }

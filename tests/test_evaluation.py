@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_tiny_model, window_ending_at
-from rulnet import CapabilityError, ContractError
+from rulnet import CapabilityError, ContractError, NumericInputError
 from rulnet import data as D
 from rulnet.checkpoint import Bundle
 from rulnet.cli import _write_json as write_json
@@ -77,6 +77,20 @@ class TestRmse:
         assert abs(rmse(ds) - rmse(shuffled)) < 1e-9
         scaled = [c * d for d in ds]
         assert abs(rmse(scaled) - abs(c) * rmse(ds)) < 1e-6
+
+
+# exp(709) and 1e154² are finite, but three of them do not sum in float64.
+@pytest.mark.parametrize("metric, errors, message", [
+    (phm_score, [1.0, -1e5], "the score term of error 1 (-100000.0) is inf, not finite"),
+    (phm_score, [7090.0] * 3, "the score of 3 errors is inf, not finite"),
+    (rmse, [1.0, 1e200], "the rmse term of error 1 (1e+200) is inf, not finite"),
+    (rmse, [1e154] * 3, "the rmse of 3 errors is inf, not finite"),
+], ids=["score-term", "score-sum", "rmse-term", "rmse-sum"])
+def test_overflowing_metric_is_numeric_input_error(metric, errors, message):
+    # Warnings are errors in this suite, so an overflow warning fails it too.
+    with pytest.raises(NumericInputError) as err:
+        metric(errors)
+    assert str(err.value) == message
 
 
 def make_bundle(mode="F+T", seed=0, window=6):

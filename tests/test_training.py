@@ -89,24 +89,16 @@ class TestAdam:
         adam_step([p], state, lr=0.1)
         np.testing.assert_array_equal(p.data, [1.5, -2.0])
 
-    def test_missing_gradient_skipped(self):
-        p = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
-        adam_step([p], AdamState([p]), lr=0.1)
-        assert p.data[0] == 1.0
-
-    def test_missing_gradient_keeps_weights_and_moments(self):
-        # w_h gets no grad when the window is 1; an unused parameter stays put.
+    def test_missing_gradient_rejected(self):
+        # Every parameter must carry a gradient; the error names the one
+        # without, and nothing moves.
         used = Tensor(np.array([0.0, 0.0]), requires_grad=True, dtype=np.float64)
-        unused = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
-        state = AdamState([used, unused])
-        used.grad, unused.grad = np.array([1.0, -1.0]), np.array([2.0])
-        adam_step([used, unused], state, lr=0.1)
-        moved, m, v = unused.data.copy(), state.m.copy(), state.v.copy()
-        used.grad, unused.grad = np.array([1.0, -1.0]), None
-        adam_step([used, unused], state, lr=0.1)
-        assert np.array_equal(unused.data, moved)
-        assert state.m[2] == m[2] and state.v[2] == v[2]
-        assert not np.array_equal(state.m[:2], m[:2]) and used.data[0] < -0.1
+        p = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
+        used.grad = np.array([1.0, -1.0])
+        state = AdamState([used, p])
+        with pytest.raises(ContractError, match="parameter 1 has gradient shape None"):
+            adam_step([used, p], state, lr=0.1)
+        assert p.data[0] == 1.0 and used.data[0] == 0.0 and state.step_count == 0
 
     def test_flat_update_matches_per_array_formula(self):
         # The textbook per-array update, with (1 - beta1) g in float32.
@@ -501,15 +493,15 @@ PREPROCESS_DIGESTS = {
 }
 
 
-def run_digests(tmp_path, monkeypatch, command, names):
+def run_digests(tmp_path, monkeypatch, command, names, flags=TRAIN_FLAGS):
     """sha256 of the named files that ``rulnet <command>`` writes with
-    TRAIN_FLAGS on the v1_dataset files, run from their parent directory
+    ``flags`` on the v1_dataset files, run from their parent directory
     ``tmp_path``."""
     monkeypatch.chdir(tmp_path)
     ds = v1_dataset(Path("data"))
     paths = ["--train-path", str(ds.train_path), "--test-path", str(ds.test_path),
              "--truth-path", str(ds.truth_path), "--k-conditions", "1"]
-    assert main([command, "--out", "run", *paths, *TRAIN_FLAGS]) == 0
+    assert main([command, "--out", "run", *paths, *flags]) == 0
     return {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
             for name in names}
 
@@ -520,6 +512,27 @@ def test_training_keeps_its_bytes(tmp_path, monkeypatch):
 
 def test_preprocess_keeps_its_bytes(tmp_path, monkeypatch):
     assert run_digests(tmp_path, monkeypatch, "preprocess", PREPROCESS_DIGESTS) == PREPROCESS_DIGESTS
+
+
+# Window 1: the LSTM's recurrent weights act on no step, so their gradient
+# is zero and Adam leaves them at their initial draw.  What `rulnet train`
+# writes with these flags, recorded as TRAIN_DIGESTS is.
+WINDOW1_FLAGS = ["--seed", "2", "--window", "1", "--feature-heads", "1", "--lstm-hidden", "4",
+                 "--lstm-layers", "2", "--mlp-hidden", "4", "--max-epochs", "3",
+                 "--learning-rate", "0.01", "--batch-size", "32"]
+WINDOW1_DIGESTS = {
+    "checkpoint.bin": "c8dd7c3667850d6060d2f150ead1c62f1bbff69db3650234d4a50455395941c4",
+    "training_log.csv": "af30a925992d84e7a81517188984e39786e213faedb2cd6b26fdf0c46353946c",
+}
+
+
+def test_window_1_training_keeps_the_recurrent_weights_and_its_bytes(tmp_path, monkeypatch):
+    digests = run_digests(tmp_path, monkeypatch, "train", WINDOW1_DIGESTS, WINDOW1_FLAGS)
+    assert digests == WINDOW1_DIGESTS
+    bundle = load_bundle(tmp_path / "run" / "checkpoint.bin")
+    drawn = RulModel(**bundle.config.model_kwargs(), init_rng=generator(2, "init"))
+    for name, p in bundle.model.parameters():
+        assert np.array_equal(p.data, drawn.params[name].data) == name.endswith(".wh"), name
 
 
 def read_v1_bundle():
@@ -634,7 +647,10 @@ class TestCheckpoint:
             means=rng.standard_normal((2, 24)),
             stds=np.abs(rng.standard_normal((2, 24))) + 0.5,
         )
-        config = {"window": 6, "r_max": 20.0, "mode": "F+T", "clip_test_rul": True}
+        # Head counts as the model's: a loaded config is range-checked, and
+        # the defaults (5 and 4 heads) do not divide window 6.
+        config = {"window": 6, "r_max": 20.0, "mode": "F+T", "clip_test_rul": True,
+                  "feature_heads": 2, "sequence_heads": 2}
         return model, cm, config, rng
 
     def test_round_trip_bit_identical_predictions(self, tmp_path):
@@ -731,6 +747,11 @@ class TestCheckpoint:
             pytest.param(lambda h: h["condition_model"].update(means=[[0.0] * 24]),
                          id="condition-rows"),
             pytest.param(lambda h: h["condition_model"].update(stds="wide"), id="condition-text"),
+            pytest.param(lambda h: h["condition_model"]["stds"][0].__setitem__(0, -1.0),
+                         id="condition-negative-std"),
+            # Read, r_max -3 would clip every true RUL to -3.
+            pytest.param(lambda h: h["config"].update(r_max=-3.0), id="negative-r-max"),
+            pytest.param(lambda h: h["config"].update(batch_size=0), id="zero-batch-size"),
             pytest.param(lambda h: h["tensors"][0].pop("dtype"), id="no-dtype"),
             pytest.param(lambda h: h.update(tensors=[None] + h["tensors"]), id="null-entry"),
             pytest.param(_set_first_tensor("dtype", "<f5"), id="unknown-dtype"),
