@@ -69,14 +69,18 @@ class WindowedSample:
 
 
 class Windows(NamedTuple):
-    """Training windows as arrays, one row per window: ``x`` (N, F, T)
-    float32, ``y`` (N,) float32 capped RUL labels, and ``units`` and
-    ``ends`` (N,) int64, each window's unit id and 1-based end cycle."""
+    """Training windows as arrays: window ``i`` is ``x[rows[i]]``, an
+    (F, T) float32 matrix, with label ``y[i]`` (float32 capped RUL) and
+    unit id ``units[i]``.  ``y``, ``units`` and ``rows`` are (N,), the
+    last two int64.  From :func:`window_arrays`, ``x`` is a read-only
+    sliding view over the padded trajectories, so no window is copied;
+    from :func:`windows_to_arrays` it is one (N, F, T) array and ``rows``
+    is ``arange(N)``."""
 
     x: np.ndarray
     y: np.ndarray
     units: np.ndarray
-    ends: np.ndarray
+    rows: np.ndarray
 
 
 def parse_cmapss(path: str | Path) -> list[RawTrajectory]:
@@ -379,16 +383,20 @@ def window_ends(total: int, window: int) -> np.ndarray:
     return np.arange(min(window, total), total + 1)
 
 
+def _padded(channels: np.ndarray, window: int) -> np.ndarray:
+    """One trajectory's L cycles as float32 rows after ``window - 1``
+    leading copies of cycle 1: the rows :func:`_window_view` slides over."""
+    rows = channels.astype(np.float32)
+    return np.concatenate([np.repeat(rows[:1], window - 1, axis=0), rows])
+
+
 def _window_view(channels: np.ndarray, window: int) -> np.ndarray:
     """The read-only (L, F, T) float32 sliding view over one trajectory's
     L cycles: entry ``end - 1`` is the window ending at 1-based cycle
     ``end``, transposed from row-per-cycle storage.  It holds rows
     max(end - window + j, 0) for j < window, so cycles before the first
-    repeat cycle 1: the view slides over ``window - 1`` leading copies of
-    cycle 1 and then the rows, all in one float32 buffer."""
-    rows = channels.astype(np.float32)
-    padded = np.concatenate([np.repeat(rows[:1], window - 1, axis=0), rows])
-    return sliding_window_view(padded, window, axis=0)
+    repeat cycle 1: the view slides over :func:`_padded` rows."""
+    return sliding_window_view(_padded(channels, window), window, axis=0)
 
 
 def windows_ending_at(channels: np.ndarray, ends: Sequence[int], window: int) -> np.ndarray:
@@ -407,32 +415,34 @@ def _checked_ends(trajectory: RawTrajectory, window: int) -> np.ndarray:
 
 def window_arrays(trajectories: Iterable[RawTrajectory], window: int, r_max: float) -> Windows:
     """Every stride-1 window of every trajectory, in trajectory order, as
-    one preallocated (N, F, T) array plus labels, unit ids and end
-    cycles.  Each window is labeled with the capped linear RUL of its end
-    cycle; a trajectory shorter than the window gives one window padded
-    by repeating its first cycle (see :func:`_window_view`)."""
+    a :class:`Windows` whose ``x`` is the read-only sliding view over
+    one float32 buffer of the trajectories' :func:`_padded` rows, end to
+    end; ``rows`` picks each window's entry, and the entries that straddle
+    two trajectories are never picked.  No window is copied.  Each window
+    is labeled with the capped linear RUL of its end cycle; a trajectory
+    shorter than the window gives one window padded by repeating its
+    first cycle (see :func:`_window_view`)."""
     trajectories = list(trajectories)
     if not trajectories:
         raise ContractError("no trajectories to window")
     ends = [_checked_ends(t, window) for t in trajectories]
-    counts = [len(e) for e in ends]
-    x = np.empty((sum(counts), trajectories[0].channels.shape[1], window), dtype=np.float32)
-    y = np.empty(len(x), dtype=np.float32)
-    lo = 0
-    for traj, e in zip(trajectories, ends):
-        x[lo : lo + len(e)] = _window_view(traj.channels, window)[e[0] - 1 :]
-        y[lo : lo + len(e)] = piecewise_rul(len(traj), e, r_max)
-        lo += len(e)
-    units = np.repeat(np.array([t.unit_id for t in trajectories], dtype=np.int64), counts)
-    return Windows(x, y, units, np.concatenate(ends).astype(np.int64))
+    padded = [_padded(t.channels, window) for t in trajectories]
+    # Trajectory k's window ending at cycle e is view entry offsets[k] + e - 1.
+    offsets = np.cumsum([0] + [len(p) for p in padded[:-1]], dtype=np.int64)
+    x = sliding_window_view(np.concatenate(padded), window, axis=0)
+    rows = np.concatenate([offset + e - 1 for offset, e in zip(offsets, ends)])
+    y = np.concatenate([piecewise_rul(len(t), e, r_max) for t, e in zip(trajectories, ends)])
+    units = np.repeat(np.array([t.unit_id for t in trajectories], dtype=np.int64), [len(e) for e in ends])
+    return Windows(x, y.astype(np.float32), units, rows)
 
 
 def window_split(trajectory: RawTrajectory, window: int, r_max: float) -> list[WindowedSample]:
-    """One trajectory's windows and labels, by the rule of
-    :func:`window_arrays`, as one sample per window; the labels keep
-    their float64 values.  Each sample's matrix is a read-only view into
-    one float32 buffer that all of the trajectory's windows share, so
-    no window is copied; copy a matrix before editing it."""
+    """One trajectory's windows and labels, as one sample per window:
+    sample ``i``'s matrix equals ``x[rows[i]]`` of :func:`window_arrays`
+    on this trajectory alone, and its label keeps its float64 value.
+    Each matrix is a read-only view into one float32 buffer that all of
+    the trajectory's windows share, so no window is copied; copy a
+    matrix before editing it."""
     ends = _checked_ends(trajectory, window)
     # The ends are a contiguous range, so their windows are one slice.
     matrices = _window_view(trajectory.channels, window)[ends[0] - 1 :]
@@ -449,13 +459,13 @@ def expected_sample_count(t_total: int, window: int) -> int:
 
 
 def windows_to_arrays(samples: Sequence[WindowedSample]) -> Windows:
-    """Stack samples into one :class:`Windows`; no samples give
-    zero-length arrays."""
+    """Stack samples into one :class:`Windows` with ``rows`` =
+    ``arange(N)``; no samples give zero-length arrays."""
     return Windows(
         np.array([s.matrix for s in samples], dtype=np.float32),
         np.array([s.label for s in samples], dtype=np.float32),
         np.array([s.unit_id for s in samples], dtype=np.int64),
-        np.array([s.end_cycle for s in samples], dtype=np.int64),
+        np.arange(len(samples), dtype=np.int64),
     )
 
 

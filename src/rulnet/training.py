@@ -162,8 +162,11 @@ def predict_batched(model: RulModel, x: np.ndarray) -> np.ndarray:
     return np.concatenate(outs) if outs else np.zeros(0, dtype=np.float32)
 
 
-def _validation_rmse(model: RulModel, x: np.ndarray, y: np.ndarray) -> float:
-    pred = predict_batched(model, x)
+def _validation_rmse(model: RulModel, x: np.ndarray, rows: np.ndarray, y: np.ndarray) -> float:
+    """RMSE of the predictions for windows ``x[rows]`` against ``y``, each
+    PREDICT_BATCH chunk gathered from ``x`` on its own."""
+    pred = np.concatenate([model.predict(x[rows[start : start + PREDICT_BATCH]])
+                           for start in range(0, len(rows), PREDICT_BATCH)])
     return float(np.sqrt(np.mean((pred.astype(np.float64) - y.astype(np.float64)) ** 2)))
 
 
@@ -207,12 +210,12 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
     batch, before it can reach the weights.  Training keeps freed memory
     in the process (see :func:`_keep_freed_memory`).
 
-    Batches are gathered from ``windows.x`` by index; the validation
-    windows are the only copy of it that training makes.
+    Each batch and each validation chunk is gathered from ``windows.x``
+    by row, so training copies no more windows than one of them holds.
     """
     config.validate(require_paths=False)
-    x, y, units, _ = windows
-    if not len(x):
+    x, y, units, rows = windows
+    if not len(rows):
         raise ContractError("empty training set")
     seed = config.seeds[0]
     _keep_freed_memory()
@@ -223,7 +226,7 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
     train_units, val_units = split_units(units, config.validation_fraction, seed)
     in_val = np.isin(units, val_units)
     train_idx = np.flatnonzero(~in_val)
-    x_val, y_val = x[in_val], y[in_val]
+    val_rows, y_val = rows[in_val], y[in_val]
     # Start the output at the mean training label, so that the first steps
     # fit the labels' spread instead of chasing their offset, which
     # saturates the attention modes into a constant prediction.
@@ -245,7 +248,7 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
         total_loss = 0.0
         for batch, start in enumerate(range(0, len(order), config.batch_size), start=1):
             idx = train_idx[order[start : start + config.batch_size]]
-            xb = Tensor(x[idx].astype(model.dtype, copy=False))
+            xb = Tensor(x[rows[idx]].astype(model.dtype, copy=False))
             yb = Tensor(y[idx].astype(model.dtype, copy=False))
             with Tape() as tape:
                 pred = model.forward(xb, training=True, dropout_rng=dropout_rng)
@@ -266,7 +269,7 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
             model.zero_grad()
             total_loss += loss_value * len(idx)
 
-        val_rmse = _validation_rmse(model, x_val, y_val)
+        val_rmse = _validation_rmse(model, x, val_rows, y_val)
         log.append(EpochRecord(epoch, total_loss / len(train_idx), val_rmse))
 
         if val_rmse < best_val:

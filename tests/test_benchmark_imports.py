@@ -8,6 +8,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -77,8 +79,13 @@ def test_benchmark_imports_from_rulnet_resolve():
     assert not missing, f"names the benchmark imports no longer resolve: {missing}"
     # perfbench/layers.py calls save_windows(samples, path) with a list of
     # WindowedSample, not a Windows.
-    save_windows = importlib.import_module("rulnet.data").save_windows
-    assert list(inspect.signature(save_windows).parameters) == ["samples", "path"]
+    data = importlib.import_module("rulnet.data")
+    assert list(inspect.signature(data.save_windows).parameters) == ["samples", "path"]
+    # perfbench/layers.py unpacks the Windows of windows_to_arrays into four
+    # names and reads its first as the (N, F, T) windows themselves.
+    assert len(data.Windows._fields) == 4
+    samples = [data.WindowedSample(np.zeros((2, 3), np.float32), 1.0, 1, end) for end in (3, 4, 5)]
+    assert data.windows_to_arrays(samples).rows.tolist() == [0, 1, 2]
 
 
 def test_benchmark_module_attributes_resolve():

@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -475,7 +476,10 @@ class TestWindowArrays:
         built = D.window_arrays(trajs, window, r_max)
         stacked = D.windows_to_arrays([s for t in trajs for s in D.window_split(t, window, r_max)])
         assert isinstance(built, D.Windows) and isinstance(stacked, D.Windows)
-        for name, a, b in zip(D.Windows._fields, built, stacked):
+        assert stacked.rows.tolist() == list(range(len(stacked.y)))
+        assert (built.rows.dtype, built.rows.shape) == (stacked.rows.dtype, stacked.rows.shape)
+        for name, a, b in (("x", built.x[built.rows], stacked.x), ("y", built.y, stacked.y),
+                           ("units", built.units, stacked.units)):
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert a.tobytes() == b.tobytes(), name
         assert built.units[0] == units[0] and built.units[-1] == units[-1]
@@ -483,7 +487,24 @@ class TestWindowArrays:
     def test_labels_use_the_scalar_rule(self):
         traj = TestWindowSplit._traj(40)
         w = D.window_arrays([traj], 5, 17.5)
-        assert w.y.tolist() == [np.float32(D.piecewise_rul(40, e, 17.5)) for e in w.ends.tolist()]
+        assert w.y.tolist() == [np.float32(D.piecewise_rul(40, e, 17.5)) for e in D.window_ends(40, 5).tolist()]
+
+    def test_builds_no_array_of_every_window(self):
+        # 20 units of 209 cycles: 3600 windows of 24 x 30.  The view's
+        # buffer holds 20 x 238 padded rows, about 1/23 of the windows.
+        rng = np.random.default_rng(0)
+        trajs = [D.RawTrajectory(unit_id=u, channels=rng.standard_normal((209, 24))) for u in range(1, 21)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            w = D.window_arrays(trajs, 30, 125.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        windows_nbytes = len(w.y) * 24 * 30 * 4
+        assert len(w.y) == 3600
+        assert peak - start < windows_nbytes / 4, (peak - start) / windows_nbytes
+        assert not w.x.flags.writeable
 
     def test_empty_window_or_trajectory_is_contract_error(self):
         with pytest.raises(ContractError):

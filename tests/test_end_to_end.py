@@ -61,8 +61,9 @@ def e2e_model(mode):
 def training_spread(model, windows, train_units):
     """Standard deviations of the predictions and of the labels over the
     training units' windows."""
-    rows = np.isin(windows.units, train_units)
-    return float(predict_batched(model, windows.x[rows]).std()), float(windows.y[rows].std())
+    mask = np.isin(windows.units, train_units)
+    return (float(predict_batched(model, windows.x[windows.rows[mask]]).std()),
+            float(windows.y[mask].std()))
 
 
 def test_training_reduces_loss(e2e):

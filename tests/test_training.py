@@ -380,18 +380,21 @@ class TestFit:
             if was_enabled:
                 gc.enable()
 
-    def test_fit_copies_only_the_validation_windows(self):
-        # 20 units of 180 windows each; the default 10% split holds out 2.
-        # Batches are gathered by index, so fit's heap peak is the held-out
-        # copy plus one batch's and one validation chunk's activations.
+    def test_fit_copies_no_windows(self):
+        # 20 units of 180 windows each, half of them held out.  Batches and
+        # validation chunks are gathered from the view by row, so fit's heap
+        # peak is one batch's and one validation chunk's activations; a copy
+        # of the held-out windows alone would be half the windows' size.
         rng = np.random.default_rng(0)
         trajs = [RawTrajectory(unit_id=u, channels=rng.standard_normal((209, 24))) for u in range(1, 21)]
         windows = window_arrays(trajs, 30, 125.0)
-        assert len(windows.x) == 3600
+        assert len(windows.y) == 3600
+        # The windows' own size: a sliding view's nbytes counts every entry.
+        windows_nbytes = len(windows.y) * 24 * 30 * windows.x.itemsize
         model = RulModel(n_features=24, window=30, mode="L", feature_heads=1, sequence_heads=1,
                          lstm_hidden=4, lstm_layers=1, mlp_hidden=4, dropout=0.0,
                          init_rng=np.random.default_rng(1))
-        config = ExperimentConfig(window=30, max_epochs=1, batch_size=32, seeds=[0])
+        config = ExperimentConfig(window=30, max_epochs=1, batch_size=32, validation_fraction=0.5, seeds=[0])
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -399,16 +402,19 @@ class TestFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - start < 0.5 * windows.x.nbytes, (peak - start) / windows.x.nbytes
+        assert peak - start < 0.4 * windows_nbytes, (peak - start) / windows_nbytes
 
     def test_leaves_its_windows_as_they_were(self):
-        # The runs of one sweep value all train on one Windows.
-        windows = windows_to_arrays(tiny_samples())
-        before = [a.copy() for a in windows]
-        model, _ = build_tiny_model(seed=3, dtype=np.float32, dropout=0.5)
-        fit(model, windows, tiny_fit_config(max_epochs=2))
-        for name, after, kept in zip(windows._fields, windows, before):
-            assert (after.dtype, after.shape, after.tobytes()) == (kept.dtype, kept.shape, kept.tobytes()), name
+        # The runs of one sweep value all train on one Windows, which
+        # window_arrays builds as a view over the trajectories.
+        rng = np.random.default_rng(0)
+        trajs = [RawTrajectory(unit_id=u, channels=rng.standard_normal((24, 4))) for u in range(1, 7)]
+        for windows in (windows_to_arrays(tiny_samples()), window_arrays(trajs, 6, 20.0)):
+            before = [a.copy() for a in windows]
+            model, _ = build_tiny_model(seed=3, dtype=np.float32, dropout=0.5)
+            fit(model, windows, tiny_fit_config(max_epochs=2))
+            for name, after, kept in zip(windows._fields, windows, before):
+                assert (after.dtype, after.shape, after.tobytes()) == (kept.dtype, kept.shape, kept.tobytes()), name
 
     def test_unit_level_leakage_guard(self):
         model, _ = build_tiny_model(seed=5, dtype=np.float32)
