@@ -339,6 +339,19 @@ def _sigmoid_inplace(z: np.ndarray) -> None:
     np.reciprocal(z, out=z)
 
 
+def _joined_gates(hidden: int, *parts: np.ndarray) -> np.ndarray:
+    """The (·, 4H) ``parts`` stacked by rows, with their gate columns
+    rolled from [input, forget, cell, output] to [output, input, forget,
+    cell], so the three sigmoid gates are one contiguous block."""
+    joined = np.empty((sum(len(p) for p in parts), 4 * hidden), parts[0].dtype)
+    row = 0
+    for part in parts:
+        joined[row : row + len(part), :hidden] = part[:, 3 * hidden :]
+        joined[row : row + len(part), hidden:] = part[:, : 3 * hidden]
+        row += len(part)
+    return joined
+
+
 def lstm_weight_shapes(width: int, hidden: int, layer: int) -> tuple[tuple[int, ...], ...]:
     """Layer ``layer``'s w_x, w_h and bias shapes; layer 0 reads ``width`` features."""
     fan_in = width if layer == 0 else hidden
@@ -356,21 +369,25 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
     below.
 
     The whole stack is one tape node.  State is kept feature × batch, so
-    each gate's slice of a time step is one contiguous (H, B) block.  At
-    each step the forward pass does the input product w_xᵀ @ input[t] into
-    that step's (4H, B) gate block, adds the bias block and the recurrent
-    product, and runs the cell update in place.  While a tape records, it
-    keeps the (T, 4H, B) gate activations and the (T, H, B) cell,
-    tanh(cell) and hidden sequences the backward reads.  Without a tape it
-    keeps one step's gates and tanh(cell), the last two cells and the
-    hidden sequence, which the layer above reads; the arithmetic, and so
-    every output bit, is the same either way.
+    each gate's slice of a time step is one contiguous (H, B) block.  Each
+    call joins a layer's weights once into W = [w_x; w_h; bias], shape
+    (in+H+1, 4H), its gate columns rolled to [output, input, forget, cell]
+    so that one sigmoid covers the three sigmoid gates, and each step's
+    (4H, B) gate pre-activations are one product Wᵀ @ [input[t]; h[t-1]; 1]
+    with the stacked (in+H+1, B) operand, followed by the cell update in
+    place.  While a tape records,
+    it keeps every step's operand, whose rows also hold the hidden
+    sequence, the (T, 4H, B) gate activations and the (T, H, B) cell and
+    tanh(cell).  Without a tape it keeps one step's operand, gates and
+    tanh(cell), the last two cells and the hidden sequence the layer above
+    reads; the arithmetic, and so every output bit, is the same either way.
 
     The backward pass is hand-written BPTT over one reused (4H, B) step
     gradient dz.  At each step, while dz is in cache, it adds
-    dz @ input[t]ᵀ, dz @ h[t-1]ᵀ and dz into the w_x, w_h and bias gradient
-    sums (kept as (4H, ·) and transposed once per layer) and computes the
-    step's input gradient w_x @ dz, so no whole-sequence gate gradient is
+    dz @ operand[t]ᵀ into one (4H, in+H+1) sum that holds the w_x, w_h and
+    bias gradients (split and transposed once per layer), and one product
+    [w_h; w_x] @ dz gives the previous step's recurrent gradient and this
+    step's input gradient together, so no whole-sequence gate gradient is
     stored.
     """
     layers = len(w_x)
@@ -390,71 +407,84 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
     dtype = x.data.dtype
     tape = _tape_for(x, *w_x, *w_h, *bias)
 
-    seq = np.ascontiguousarray(x.data.transpose(2, 1, 0))  # (T, F, B)
-    rec = np.empty((4 * hidden, batch), dtype)  # one step's recurrent product
-    # The backward reads every step's gates, cell and tanh(cell); without a
-    # tape only the previous cell is read again, so those buffers hold one
-    # step (two for the cell) and step t uses row t modulo their length.
+    inputs = x.data.transpose(2, 1, 0)  # (T, F, B)
+    # The backward reads every step's operand, gates, cell and tanh(cell);
+    # without a tape only the previous cell is read again, so those buffers
+    # hold one step (two for the cell) and step t uses row t modulo their
+    # length.  Step t writes h[t] into the hidden rows of operand t + 1: a
+    # taped layer keeps T + 1 operands, the last holding only h[T-1], and an
+    # untaped one reuses its one operand.
     kept = steps if tape is not None else 1
     saved = []
     with np.errstate(over="ignore"):
         for layer in range(layers):
-            w_x_t, w_h_t = w_x[layer].data.T, w_h[layer].data.T
-            # A contiguous (4H, B) bias block adds faster than a broadcast column.
-            bias_block = np.repeat(bias[layer].data[:, None], batch, axis=1)
+            fan_in = inputs.shape[1]
+            w_t = _joined_gates(hidden, w_x[layer].data, w_h[layer].data, bias[layer].data[None]).T
+            ops = np.empty((steps + 1 if tape is not None else 1, fan_in + hidden + 1, batch), dtype)
+            if tape is not None:
+                ops[:steps, :fan_in] = inputs
+            ops[0, fan_in:-1] = 0
+            ops[:, -1] = 1
+            h_rows = ops[:, fan_in:-1]
+            # Without a tape the layer above reads this layer's hidden sequence from here.
+            hid = np.empty((steps, hidden, batch), dtype) if tape is None and layer < layers - 1 else None
             gates = np.empty((kept, 4 * hidden, batch), dtype)
             cell = np.empty((min(steps, kept + 1), hidden, batch), dtype)
             tanh_cell = np.empty((kept, hidden, batch), dtype)
-            hid = np.empty((steps, hidden, batch), dtype)
             for t in range(steps):
-                z = _matmul_data(w_x_t, seq[t], out=gates[t % kept])
-                z += bias_block
-                if t:
-                    z += _matmul_data(w_h_t, hid[t - 1], out=rec)
-                c, th = cell[t % len(cell)], tanh_cell[t % kept]
-                i, f, g, o = z.reshape(4, hidden, batch)
-                np.tanh(g, out=th)  # scratch until tanh(cell) lands
-                _sigmoid_inplace(z)
-                g[...] = th
+                op = ops[t % len(ops)]
+                if tape is None:
+                    op[:fan_in] = inputs[t]
+                z = _matmul_data(w_t, op, out=gates[t % kept])
+                c, th, h = cell[t % len(cell)], tanh_cell[t % kept], h_rows[(t + 1) % len(ops)]
+                o, i, f, g = z.reshape(4, hidden, batch)
+                _sigmoid_inplace(z[: 3 * hidden])
+                np.tanh(g, out=g)
                 np.multiply(i, g, out=c)
                 if t:
-                    np.multiply(f, cell[(t - 1) % len(cell)], out=hid[t])  # scratch until hidden lands
-                    c += hid[t]
+                    np.multiply(f, cell[(t - 1) % len(cell)], out=h)  # scratch until h[t] lands
+                    c += h
                 np.tanh(c, out=th)
-                np.multiply(o, th, out=hid[t])
+                np.multiply(o, th, out=h)
+                if hid is not None:
+                    hid[t] = h
             if tape is not None:
-                saved.append((seq, gates, cell, tanh_cell, hid))
-            seq = hid
-    out = Tensor(np.ascontiguousarray(hid[-1].T))
+                saved.append((ops, gates, cell, tanh_cell))
+                inputs = h_rows[1:]
+            else:
+                inputs = hid
+    out = Tensor(np.ascontiguousarray(h.T))
     if tape is not None:
 
         def backward(g_out: np.ndarray):
             contribs = []
             dz = np.empty((4, hidden, batch), dtype)  # one step's gate pre-activation gradients
             dz_flat = dz.reshape(4 * hidden, batch)
-            dh = np.empty((hidden, batch), dtype)
-            dc = np.empty_like(dh)
-            carry = np.empty_like(dh)
+            dc = np.empty((hidden, batch), dtype)
+            carry = np.empty_like(dc)
             d_hid = None  # (T, H, B) gradient arriving from the layer above
             for layer in reversed(range(layers)):
-                seq, gates, cell, tanh_cell, hid = saved[layer]
-                fan_in = seq.shape[1]
-                want_in = layer > 0 or x.requires_grad
-                # Weight gradients accumulate transposed, (4H, in): dz @ inputᵀ
-                # is the faster product orientation for these shapes.
-                g_wx = np.zeros((4 * hidden, fan_in), dtype)
-                g_wh = np.zeros((4 * hidden, hidden), dtype)  # stays zero when T == 1
-                g_b = np.zeros((4 * hidden, batch), dtype)
-                d_in = np.empty((steps, fan_in, batch), dtype) if want_in else None
-                part_x = np.empty((4 * hidden, fan_in), dtype)
-                part_h = np.empty((4 * hidden, hidden), dtype)
+                ops, gates, cell, tanh_cell = saved[layer]
+                fan_in = ops.shape[1] - hidden - 1
+                hid = ops[1:, fan_in:-1]
+                # [w_h; w_x] @ dz is [dh for step t-1; d_in[t]].  Step t writes
+                # it at row t·stride of one (H + T·stride, B) buffer whose rows
+                # from H on are the input gradients d_in, in step order: each
+                # step's dh lands on d_in rows that only earlier steps write,
+                # after they have read it.
+                stride = fan_in if layer > 0 or x.requires_grad else 0
+                w_back = _joined_gates(hidden, w_h[layer].data, w_x[layer].data[:stride])
+                d_buf = np.empty((hidden + steps * stride, batch), dtype)
+                g_w = np.zeros((4 * hidden, fan_in + hidden + 1), dtype)  # [w_x; w_h; bias] gradient, transposed
+                part = np.empty_like(g_w)
                 for t in range(steps - 1, -1, -1):
+                    dh = d_buf[(t + 1) * stride : (t + 1) * stride + hidden]
                     if t == steps - 1:
                         np.copyto(dh, g_out.T if d_hid is None else d_hid[t])
                     elif d_hid is not None:
                         dh += d_hid[t]
                     act = gates[t].reshape(4, hidden, batch)
-                    i, f, g, o = act
+                    o, i, f, g = act
                     # dc[t] = dh * o * (1 - tanh(c)^2) + dc[t+1] * f[t+1], with
                     # o * tanh(c)^2 taken as h * tanh(c).
                     np.multiply(hid[t], tanh_cell[t], out=dc)
@@ -466,36 +496,35 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
                     # for the cell candidate, times the factor the gate
                     # multiplies: g, c[t-1] and i by dc, tanh(c) by dh; the
                     # output gate's o * tanh(c) is h.
-                    np.subtract(1, act[:2], out=dz[:2])
-                    dz[:2] *= act[:2]
-                    dz[0] *= g
+                    np.subtract(1, act[1:3], out=dz[1:3])
+                    dz[1:3] *= act[1:3]
+                    dz[1] *= g
                     if t:
-                        dz[1] *= cell[t - 1]
+                        dz[2] *= cell[t - 1]
                     else:
-                        dz[1] = 0
-                    np.multiply(g, g, out=dz[2])
-                    np.subtract(1, dz[2], out=dz[2])
-                    dz[2] *= i
-                    dz[:3] *= dc
-                    np.subtract(1, o, out=dz[3])
-                    dz[3] *= hid[t]
-                    dz[3] *= dh
-                    g_wx += _matmul_data(dz_flat, seq[t].T, out=part_x)
-                    if t:
-                        g_wh += _matmul_data(dz_flat, hid[t - 1].T, out=part_h)
-                    g_b += dz_flat
-                    if want_in:
-                        _matmul_data(w_x[layer].data, dz_flat, out=d_in[t])
+                        dz[2] = 0
+                    np.multiply(g, g, out=dz[3])
+                    np.subtract(1, dz[3], out=dz[3])
+                    dz[3] *= i
+                    dz[1:] *= dc
+                    np.subtract(1, o, out=dz[0])
+                    dz[0] *= hid[t]
+                    dz[0] *= dh
+                    g_w += _matmul_data(dz_flat, ops[t].T, out=part)
                     if t:
                         np.multiply(dc, f, out=carry)
-                        _matmul_data(w_h[layer].data, dz_flat, out=dh)
-                contribs += [(w_x[layer], np.ascontiguousarray(g_wx.T)),
-                             (w_h[layer], np.ascontiguousarray(g_wh.T)),
-                             (bias[layer], g_b.sum(axis=1))]
-                if layer:
-                    d_hid = d_in
-                elif want_in:
-                    contribs.append((x, d_in.transpose(2, 1, 0)))
+                    # Step 0 has no earlier hidden state to send a gradient to.
+                    skip = 0 if t else hidden
+                    if skip < len(w_back):
+                        _matmul_data(w_back[skip:], dz_flat,
+                                     out=d_buf[t * stride + skip : t * stride + hidden + stride])
+                g_w = np.roll(g_w, -hidden, axis=0)  # gate rows back in [i, f, c, o] order
+                contribs += [(w_x[layer], np.ascontiguousarray(g_w[:, :fan_in].T)),
+                             (w_h[layer], np.ascontiguousarray(g_w[:, fan_in:-1].T)),
+                             (bias[layer], g_w[:, -1].copy())]
+                d_hid = d_buf[hidden:].reshape(steps, fan_in, batch) if stride else None
+                if layer == 0 and stride:
+                    contribs.append((x, d_hid.transpose(2, 1, 0)))
             return contribs
 
         tape._record(out, backward)
@@ -506,17 +535,9 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
 # fused multi-head self-attention
 # ---------------------------------------------------------------------
 
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """``a.max(axis=-1, keepdims=True)`` by halving with np.maximum, which
-    is exact and avoids a slow reduction over a short axis."""
-    while a.shape[-1] > 1:
-        n = a.shape[-1]
-        half = n // 2
-        top = np.maximum(a[..., :half], a[..., half : 2 * half])
-        if n % 2:
-            np.maximum(top[..., :1], a[..., -1:], out=top[..., :1])
-        a = top
-    return a
+def _key_outer(a: np.ndarray) -> np.ndarray:
+    """The (B, h, N_q, N_k) view of key-outer (N_k, B, h, N_q) scores."""
+    return a.transpose(1, 2, 3, 0)
 
 
 def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
@@ -535,10 +556,16 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
 
     The block is one tape node.  One GEMM gives every head's q, k and v,
     the scores and weights·v run batched over (B, h), and the softmax
-    backward is written by hand.  The forward arithmetic is that of a
-    per-head evaluation, so its results do not depend on the batching,
-    nor on the token axis: with -1, the op attends over the swapped view of
-    ``x`` and hands back the output and the input gradient as swapped views.
+    backward is written by hand.  The scores are stored key axis
+    outermost, (N_k, B, h, N_q), written through ``out=`` views of the
+    batched products, so each softmax reduction runs over a contiguous
+    outer axis: the row max, then exp, a sum taken sequentially in key
+    order, and a multiply by its reciprocal.  The weights returned are a
+    (B, h, N_q, N_k) view of that buffer.  The forward arithmetic is that
+    of a per-head evaluation in that order, so its results do not depend
+    on the batching, nor on the token axis: with -1, the op attends over
+    the swapped view of ``x`` and hands back the output and the input
+    gradient as swapped views.
     """
     if x.ndim not in (2, 3) or token_axis not in (-2, -1):
         raise DimensionError(f"attention expects (batch, tokens, width) or (tokens, width) with tokens "
@@ -560,19 +587,23 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
     rows = data.reshape(-1, width)  # (B·N, d)
     batch = rows.shape[0] // tokens
     scale = dtype.type(1.0 / math.sqrt(d_head))
+    scores = np.empty((tokens, batch, heads, tokens), dtype)
     # An overflow here shows as a non-finite score, which the check below reports.
     with np.errstate(over="ignore", invalid="ignore"):
         qkv = _matmul_data(rows, w_qkv.data).reshape(batch, tokens, 3, heads, d_head)
         q, k, v = qkv.transpose(2, 0, 3, 1, 4)  # each (B, h, N, d_h)
-        weights = _matmul_data(q, _swap_last(k))
-    weights *= scale
-    peak = _row_max(weights)
+        _matmul_data(q, _swap_last(k), out=_key_outer(scores))
+    scores *= scale
+    flat = scores.reshape(tokens, -1)  # one column per (b, head, query) row of scores
+    peak = flat.max(axis=0)
     # The row maxima show NaN and +inf; the minimum shows -inf.
-    if not (np.isfinite(peak).all() and np.isfinite(weights.min())):
+    if not (np.isfinite(peak).all() and np.isfinite(flat.min())):
         raise NumericInputError("attention scores contain non-finite values")
-    weights -= peak
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    flat -= peak
+    np.exp(flat, out=flat)
+    total = flat.sum(axis=0)
+    flat *= np.reciprocal(total, out=total)
+    weights = _key_outer(scores)
     merged = np.empty((batch, tokens, heads, d_head), dtype)
     _matmul_data(weights, v, out=merged.transpose(0, 2, 1, 3))
     merged = merged.reshape(batch * tokens, heads * d_head)
@@ -587,15 +618,19 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
             d_qkv = np.empty((batch, tokens, 3, heads, d_head), dtype)
             d_q, d_k, d_v = d_qkv.transpose(2, 0, 3, 1, 4)
             _matmul_data(_swap_last(weights), d_out, out=d_v)
-            # Softmax backward: ds = (dw - Σ_j dw_j w_j) w for dw = d_out vᵀ.
+            # Softmax backward: ds = (dw - Σ_j dw_j w_j) w · scale for
+            # dw = d_out vᵀ, with the scale applied to the narrower d_out.
             # The row sum equals Σ_k d_out_k o_k for the head output o = w v,
-            # one matrix-vector product over the narrow head width.
+            # one matrix-vector product over the narrow head width.  ds is
+            # laid out key-outer, as the scores are.
+            d_merged *= scale
             ones = np.ones((d_head, 1), dtype)
             row_dot = _matmul_data((d_merged * merged).reshape(-1, d_head), ones)
-            ds = _matmul_data(d_out, _swap_last(v))
-            ds -= row_dot.reshape(batch, tokens, heads, 1).transpose(0, 2, 1, 3)
-            ds *= weights
-            ds *= scale
+            ds = np.empty_like(scores)
+            _matmul_data(d_out, _swap_last(v), out=_key_outer(ds))
+            ds -= np.ascontiguousarray(row_dot.reshape(batch, tokens, heads).transpose(0, 2, 1))
+            ds *= scores
+            ds = _key_outer(ds)
             _matmul_data(ds, k, out=d_q)
             _matmul_data(_swap_last(ds), q, out=d_k)
             d_qkv = d_qkv.reshape(batch * tokens, 3 * heads * d_head)

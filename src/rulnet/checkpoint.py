@@ -107,9 +107,11 @@ def load_bundle(path: str | Path) -> Bundle:
     paths) rejects; a bad condition model; hyperparameters that are not the
     model's construction arguments (``dtype`` may be left out), or values or
     a tensor table (a version-1 one once joined) that :class:`RulModel`
-    rejects.  The model is built from the tensors: nothing is drawn.  Config
-    fields the header leaves out take their defaults, which are then
-    range-checked with the rest.
+    rejects; a config model field (window, mode, head counts, layer sizes or
+    dropout) that disagrees with the model, the first such one named.  The
+    model is built from the tensors: nothing is drawn.  Config fields the
+    header leaves out take their defaults, which are then range-checked with
+    the rest; a model field it leaves out is not compared.
     """
     try:
         raw = Path(path).read_bytes()
@@ -153,7 +155,22 @@ def load_bundle(path: str | Path) -> Bundle:
         model = RulModel(**hp, arrays=arrays)
     except (ConfigurationError, TypeError, ValueError, SyntaxError) as exc:
         raise CheckpointError(f"{path}: cannot rebuild the model: {exc}") from None
+    for name, listed, built in _model_fields(header["config"], model):
+        if listed != built:
+            raise CheckpointError(f"{path}: config {name} is {listed!r}, the model's is {built!r}")
     return Bundle(model=model, condition_model=cm, config=config)
+
+
+def _model_fields(config: dict, model: RulModel) -> list[tuple]:
+    """(name, config value, ``model``'s value) for the mode, the head counts
+    and each other model field a header's ``config`` lists.  Mode and head
+    counts are compared as :func:`resolve_blocks` resolves them, any of the
+    three the config leaves out taken from the model."""
+    names = ("window", "mode", "feature_heads", "sequence_heads", "lstm_hidden", "lstm_layers",
+             "mlp_hidden", "dropout")
+    listed = {name: config[name] for name in names if name in config}
+    listed.update(resolve_blocks(*(config.get(name, getattr(model, name)) for name in names[1:4]))._asdict())
+    return [(name, listed[name], getattr(model, name)) for name in names if name in listed]
 
 
 def _is_count(value) -> bool:

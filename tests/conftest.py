@@ -237,10 +237,14 @@ def tanh(a):
 
 
 def softmax_rows(a):
-    """Softmax over the last axis: subtract the row max, exp, divide by
-    the row sum."""
+    """Softmax over the last axis in ``ad.attention``'s order: subtract
+    the row max, exp, sum the row one key at a time in key order, then
+    multiply by the sum's reciprocal."""
     e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+    total = e[..., 0].copy()
+    for j in range(1, e.shape[-1]):
+        total += e[..., j]
+    y = e * (1 / total)[..., None]
     return _reference_op(a, y, lambda g, y: (g - (g * y).sum(axis=-1, keepdims=True)) * y)
 
 

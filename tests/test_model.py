@@ -349,6 +349,31 @@ class TestFusedLstm:
         sequence = steps * hidden * batch * np.dtype(np.float32).itemsize
         assert peak - start < 4 * sequence, (peak - start) / sequence
 
+    def test_taped_step_keeps_its_state_bounded(self):
+        # A taped layer keeps its (T, 4H, B) gates, (T, H, B) cell and
+        # tanh(cell), and T + 1 stacked (in+H+1, B) operands, which also
+        # hold the hidden sequence; the backward adds about two sequences
+        # of input gradients.  Here that peaks near 27 T·H·B values (25
+        # with separate input and recurrent products); keeping one more
+        # whole-sequence gate-sized buffer per layer would pass 28.
+        batch, width, steps, hidden = 64, 24, 30, 32
+        rng = np.random.default_rng(28)
+        weights = lstm_weights(width, hidden, 3, rng, dtype=np.float32)
+        x = Tensor(rng.standard_normal((batch, width, steps)).astype(np.float32))
+        readout = Tensor(rng.standard_normal((batch, hidden)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss = ad.mean(ad.mul(ad.lstm(x, *weights), readout))
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sequence = steps * hidden * batch * np.dtype(np.float32).itemsize
+        assert peak - start < 28 * sequence, (peak - start) / sequence
+        assert all(p.grad is not None for group in weights for p in group)
+
     def test_weight_shape_mismatch_rejected(self):
         (w_x, w_h, bias), x, _, _ = self._setup(batch=2, steps=3, layers=2, seed=24)
         with pytest.raises(DimensionError):

@@ -443,18 +443,19 @@ V1_BUNDLE = Path(__file__).parent / "fixtures" / "bundle_v1.bin"
 # sha256 of what `evaluate`, and `explain --unit 2 --matrix-cycles 1,7`, write
 # on the v1 bundle and the v1_dataset test files, with numpy 2.4 on OpenBLAS
 # (x86-64, one thread); another BLAS build may round the float32 products
-# differently.  The `eval/*` and `explain/predictions.csv` digests are those
-# of the code that wrote the bundle.  The two attention CSVs are those of the
-# nine-significant-digit format; the code that wrote the bundle printed the
-# same weights with repr.
+# differently.  They are those of the one-GEMM LSTM step and the key-outer
+# softmax (max, exp, a sum in key order, a multiply by its reciprocal), which
+# move the predictions and weights in their float32 low bits against the code
+# that wrote the bundle.  The two attention CSVs use the nine-significant-digit
+# format; the code that wrote the bundle printed the weights with repr.
 V1_DIGESTS = {
-    "eval/metrics.json": "2de6d0d6ba264fd2bf2d5ce2392e550f1145e65df8682dfcac55cc75dc45e556",
-    "eval/predictions.csv": "dfd8784e7e242aad182cde1e52dd8e1edeafcb5ee14e8b6b827dddec4d3d3dfb",
+    "eval/metrics.json": "5c68a889cf73c156d4201fca6b763c0b435a48bb6f3bcaab01c46c3ffdb24f03",
+    "eval/predictions.csv": "1b251a0639eb7b4a92a7d2a90582ef8aa469bf37e7f99bee2cd2796f264bec5c",
     "explain/attention_cycle_sums.csv":
-        "6dfb97c4a7eeee5db2c950c677476766c26c04bf2e45364bab6b2576b53f4b63",
+        "99dbc534456e0631949e583ccfb71770f9b5ab3c5cbe53f652cd69315dad910a",
     "explain/attention_feature.csv":
-        "a6cf38f699feb7741b9bf63130247014ee49d472b88dcc62dba03ee2f0440aae",
-    "explain/predictions.csv": "5246c309e6197f01b07d2ee4b79c0a188386a2948f2ee3658032423485aeac24",
+        "c4bd044bd502ac5e5b0c1e15d7976271626f2b34422fd5af6071a8fee12d3024",
+    "explain/predictions.csv": "d97f3ae84177a0d56948f2348960178ac0e365d320c303686fb3ec23aad360f1",
 }
 
 
@@ -488,8 +489,8 @@ TRAIN_FLAGS = ["--seed", "2", "--mode", "F+T", "--window", "6", "--feature-heads
                "--mlp-hidden", "4", "--max-epochs", "3", "--learning-rate", "0.01",
                "--batch-size", "32"]
 TRAIN_DIGESTS = {
-    "checkpoint.bin": "086364e7b85b243159be516297f2e1fbe0f96565f8231929250679776d453fd6",
-    "training_log.csv": "64e377986f62bb8b90f458b68495b443b0cb6893e38a4672568d474f9741cacd",
+    "checkpoint.bin": "c7e20d016e1c903ae3ccd9d89bc78e899e4e7c4d08fdbcd66eeda8e4dfdd2b3c",
+    "training_log.csv": "24d72640a21279126e065b2c431dd9a011ece65749d5cd54e9342f3704b78d4a",
     "resolved_config.json": "3de206013689b14fec7c6611fa0de582e059715c586285d15df8b118a8de10ec",
 }
 # What `rulnet preprocess` writes with the same flags and files.
@@ -527,8 +528,8 @@ WINDOW1_FLAGS = ["--seed", "2", "--window", "1", "--feature-heads", "1", "--lstm
                  "--lstm-layers", "2", "--mlp-hidden", "4", "--max-epochs", "3",
                  "--learning-rate", "0.01", "--batch-size", "32"]
 WINDOW1_DIGESTS = {
-    "checkpoint.bin": "c8dd7c3667850d6060d2f150ead1c62f1bbff69db3650234d4a50455395941c4",
-    "training_log.csv": "af30a925992d84e7a81517188984e39786e213faedb2cd6b26fdf0c46353946c",
+    "checkpoint.bin": "a42e95e48adf1cda534da296cb4c12e2b0be16a783539f8c6989c0fb3885c7bb",
+    "training_log.csv": "50e0a856dbbc3a0e0fbee80881db2554d3e851aa45ba2860b32c1766960502ea",
 }
 
 
@@ -653,10 +654,11 @@ class TestCheckpoint:
             means=rng.standard_normal((2, 24)),
             stds=np.abs(rng.standard_normal((2, 24))) + 0.5,
         )
-        # Head counts as the model's: a loaded config is range-checked, and
-        # the defaults (5 and 4 heads) do not divide window 6.
+        # The model's own sizes: a loaded config must agree with the model
+        # on every model field it lists.
         config = {"window": 6, "r_max": 20.0, "mode": "F+T", "clip_test_rul": True,
-                  "feature_heads": 2, "sequence_heads": 2}
+                  "feature_heads": 2, "sequence_heads": 2, "lstm_hidden": 8, "lstm_layers": 3,
+                  "mlp_hidden": 8, "dropout": 0.0}
         return model, cm, config, rng
 
     def test_round_trip_bit_identical_predictions(self, tmp_path):
@@ -845,6 +847,40 @@ class TestCheckpoint:
         # Only a flip can leave a loadable bundle: a shorter or longer
         # file never is one.
         assert kind.startswith("flip")
+
+    @pytest.mark.parametrize("edit, name", [
+        ({"window": 12}, "window"),
+        ({"mode": "F"}, "mode"),
+        ({"feature_heads": 3}, "feature_heads"),
+        ({"sequence_heads": 3}, "sequence_heads"),
+        ({"lstm_hidden": 9}, "lstm_hidden"),
+        ({"lstm_layers": 2}, "lstm_layers"),
+        ({"mlp_hidden": 9}, "mlp_hidden"),
+        ({"dropout": 0.5}, "dropout"),
+        ({"feature_heads": 0}, "mode"),  # no feature block leaves mode L
+        ({"lstm_hidden": 9, "window": 12}, "window"),  # the first field in model_kwargs order
+    ], ids=["window", "mode", "feature-heads", "sequence-heads", "lstm-hidden", "lstm-layers",
+            "mlp-hidden", "dropout", "no-feature-block", "first-of-two"])
+    def test_config_that_is_not_the_model_is_named(self, tmp_path, edit, name):
+        model, cm, config, _ = self._bundle_parts()
+        path = tmp_path / "bundle.bin"
+        save_bundle(path, model, cm, dict(config, **edit))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: config {name} is ")):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("mode, config", [
+        # The default 5 and 4 heads build no block in mode L, nor do the model's 1 and 1.
+        ("L", {"window": 6, "mode": "L", "feature_heads": 5, "sequence_heads": 4}),
+        ("A", {"window": 6, "mode": "A", "feature_heads": 2, "sequence_heads": 2}),
+        # Model fields the config leaves out are not compared.
+        ("F+T", {"r_max": 20.0}),
+        ("F+T", {"window": 6, "mode": "F+T", "feature_heads": 2}),
+    ], ids=["L-default-heads", "A-two-heads", "no-model-fields", "sequence-heads-left-out"])
+    def test_config_agreeing_after_resolution_loads(self, tmp_path, mode, config):
+        model = build_tiny_model(seed=6, mode=mode, dtype=np.float32)[0]
+        path = tmp_path / "bundle.bin"
+        save_bundle(path, model, self._bundle_parts()[1], config)
+        assert load_bundle(path).model.mode == mode
 
     def test_records_window_and_refuses_mismatch(self, tmp_path):
         model, cm, config, _ = self._bundle_parts()
