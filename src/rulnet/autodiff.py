@@ -375,20 +375,24 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
     so that one sigmoid covers the three sigmoid gates, and each step's
     (4H, B) gate pre-activations are one product Wᵀ @ [input[t]; h[t-1]; 1]
     with the stacked (in+H+1, B) operand, followed by the cell update in
-    place.  While a tape records,
-    it keeps every step's operand, whose rows also hold the hidden
-    sequence, the (T, 4H, B) gate activations and the (T, H, B) cell and
-    tanh(cell).  Without a tape it keeps one step's operand, gates and
-    tanh(cell), the last two cells and the hidden sequence the layer above
-    reads; the arithmetic, and so every output bit, is the same either way.
+    place.  Each step writes tanh(c) into the next operand's hidden rows
+    and scales it there by the output gate, so no tanh(cell) is stored.
+    While a tape records, it keeps every step's operand, whose rows also
+    hold the hidden sequence, the (T, 4H, B) gate activations and the
+    (T, H, B) cell, for as long as the tape holds its node.  Without a
+    tape it keeps one step's operand and gates, the last two cells and the
+    hidden sequence the layer above reads; the arithmetic, and so every
+    output bit, is the same either way.
 
     The backward pass is hand-written BPTT over one reused (4H, B) step
-    gradient dz.  At each step, while dz is in cache, it adds
-    dz @ operand[t]ᵀ into one (4H, in+H+1) sum that holds the w_x, w_h and
-    bias gradients (split and transposed once per layer), and one product
-    [w_h; w_x] @ dz gives the previous step's recurrent gradient and this
-    step's input gradient together, so no whole-sequence gate gradient is
-    stored.
+    gradient dz.  It recomputes each step's tanh(c) from the kept cell
+    into its dc scratch, one element-wise tanh per step and layer, which
+    gives the values the forward computed.  At each step, while dz is in
+    cache, it adds dz @ operand[t]ᵀ into one (4H, in+H+1) sum that holds
+    the w_x, w_h and bias gradients (split and transposed once per layer),
+    and one product [w_h; w_x] @ dz gives the previous step's recurrent
+    gradient and this step's input gradient together, so no whole-sequence
+    gate gradient is stored.
     """
     layers = len(w_x)
     if layers < 1 or len(w_h) != layers or len(bias) != layers:
@@ -408,11 +412,11 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
     tape = _tape_for(x, *w_x, *w_h, *bias)
 
     inputs = x.data.transpose(2, 1, 0)  # (T, F, B)
-    # The backward reads every step's operand, gates, cell and tanh(cell);
-    # without a tape only the previous cell is read again, so those buffers
-    # hold one step (two for the cell) and step t uses row t modulo their
-    # length.  Step t writes h[t] into the hidden rows of operand t + 1: a
-    # taped layer keeps T + 1 operands, the last holding only h[T-1], and an
+    # The backward reads every step's operand, gates and cell; without a
+    # tape only the previous cell is read again, so those buffers hold one
+    # step (two for the cell) and step t uses row t modulo their length.
+    # Step t writes h[t] into the hidden rows of operand t + 1: a taped
+    # layer keeps T + 1 operands, the last holding only h[T-1], and an
     # untaped one reuses its one operand.
     kept = steps if tape is not None else 1
     saved = []
@@ -430,13 +434,12 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
             hid = np.empty((steps, hidden, batch), dtype) if tape is None and layer < layers - 1 else None
             gates = np.empty((kept, 4 * hidden, batch), dtype)
             cell = np.empty((min(steps, kept + 1), hidden, batch), dtype)
-            tanh_cell = np.empty((kept, hidden, batch), dtype)
             for t in range(steps):
                 op = ops[t % len(ops)]
                 if tape is None:
                     op[:fan_in] = inputs[t]
                 z = _matmul_data(w_t, op, out=gates[t % kept])
-                c, th, h = cell[t % len(cell)], tanh_cell[t % kept], h_rows[(t + 1) % len(ops)]
+                c, h = cell[t % len(cell)], h_rows[(t + 1) % len(ops)]
                 o, i, f, g = z.reshape(4, hidden, batch)
                 _sigmoid_inplace(z[: 3 * hidden])
                 np.tanh(g, out=g)
@@ -444,12 +447,12 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
                 if t:
                     np.multiply(f, cell[(t - 1) % len(cell)], out=h)  # scratch until h[t] lands
                     c += h
-                np.tanh(c, out=th)
-                np.multiply(o, th, out=h)
+                np.tanh(c, out=h)
+                h *= o
                 if hid is not None:
                     hid[t] = h
             if tape is not None:
-                saved.append((ops, gates, cell, tanh_cell))
+                saved.append((ops, gates, cell))
                 inputs = h_rows[1:]
             else:
                 inputs = hid
@@ -464,7 +467,7 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
             carry = np.empty_like(dc)
             d_hid = None  # (T, H, B) gradient arriving from the layer above
             for layer in reversed(range(layers)):
-                ops, gates, cell, tanh_cell = saved[layer]
+                ops, gates, cell = saved[layer]
                 fan_in = ops.shape[1] - hidden - 1
                 hid = ops[1:, fan_in:-1]
                 # [w_h; w_x] @ dz is [dh for step t-1; d_in[t]].  Step t writes
@@ -486,8 +489,9 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
                     act = gates[t].reshape(4, hidden, batch)
                     o, i, f, g = act
                     # dc[t] = dh * o * (1 - tanh(c)^2) + dc[t+1] * f[t+1], with
-                    # o * tanh(c)^2 taken as h * tanh(c).
-                    np.multiply(hid[t], tanh_cell[t], out=dc)
+                    # o * tanh(c)^2 taken as h * tanh(c), tanh(c) recomputed.
+                    np.tanh(cell[t], out=dc)
+                    dc *= hid[t]
                     np.subtract(o, dc, out=dc)
                     dc *= dh
                     if t < steps - 1:

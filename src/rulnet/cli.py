@@ -312,6 +312,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_units, _, sha256 = _read_training_inputs(cfg)
     cm, normed = _prepare(cfg, train_units)
     windows = window_arrays(normed, cfg.window, cfg.r_max)
+    del train_units  # the windows hold every row training reads
     summary, _ = _train_once(cfg.override(seeds=cfg.seeds[:1]), cm, windows, sha256)
     _write_json(summary)
     return 0
@@ -418,6 +419,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     train_units, test_pairs, sha256 = _read_training_inputs(cfg)
     cm, normed = _prepare(cfg, train_units)
     normed = list(normed)
+    del train_units  # only the normalized trajectories are read from here on
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     fieldnames = ["parameter", "value", "seed", "rmse", "score", "epochs", "wall_time_s", "error"]

@@ -212,9 +212,7 @@ class ConditionModel:
 
     def assign(self, settings: np.ndarray) -> np.ndarray:
         """Nearest-centroid index per row; ties go to the lowest index."""
-        settings = np.atleast_2d(np.asarray(settings, dtype=np.float64))
-        d2 = ((settings[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return d2.argmin(axis=1)
+        return _nearest_centroid(np.atleast_2d(np.asarray(settings, dtype=np.float64)), self.centroids)
 
     def to_dict(self) -> dict:
         """The model as nested lists: the ``condition_model`` object of a
@@ -259,6 +257,21 @@ class ConditionModel:
             raise ParseError(f"malformed condition model: {exc}", path=path) from None
 
 
+def _squared_distances(points: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """Each row's squared Euclidean distance to one centroid."""
+    return ((points - centroid) ** 2).sum(axis=1)
+
+
+def _nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest centroid; ties go to the lowest index.
+    The (n, k) distances are taken one centroid at a time, so no (n, k, 3)
+    difference array is built."""
+    d2 = np.empty((len(points), len(centroids)))
+    for j, centroid in enumerate(centroids):
+        d2[:, j] = _squared_distances(points, centroid)
+    return d2.argmin(axis=1)
+
+
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded k-means++ seeding: spread the k starting points by choosing
     each next one with probability proportional to its squared distance
@@ -268,7 +281,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     centroids[0] = points[rng.integers(n)]
     with np.errstate(over="ignore"):  # an overflowing total is checked below
-        d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+        d2 = _squared_distances(points, centroids[0])
         for j in range(1, k):
             total = d2.sum()
             if total <= 0:
@@ -276,7 +289,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
             if not np.isfinite(total):
                 raise ClusteringError("the squared distances between setting points overflow")
             centroids[j] = points[rng.choice(n, p=d2 / total)]
-            d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+            d2 = np.minimum(d2, _squared_distances(points, centroids[j]))
     return centroids
 
 
@@ -293,8 +306,7 @@ def _lloyd(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     # An overflowing centroid is a ClusteringError in cluster_conditions.
     with np.errstate(over="ignore"):
         for _ in range(KMEANS_MAX_ITER):
-            d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-            new_assignment = d2.argmin(axis=1)
+            new_assignment = _nearest_centroid(points, centroids)
             if assignment is not None and np.array_equal(new_assignment, assignment):
                 break
             assignment = new_assignment

@@ -212,6 +212,9 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
 
     Each batch and each validation chunk is gathered from ``windows.x``
     by row, so training copies no more windows than one of them holds.
+    A batch's tape, which holds its activations, is freed as soon as its
+    backward returns, before the Adam update and the epoch's validation
+    forward; only the parameters' gradients outlive it, until the update.
     """
     config.validate(require_paths=False)
     x, y, units, rows = windows
@@ -259,6 +262,7 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
                     f"training loss is {loss_value} at epoch {epoch}, batch {batch}"
                 )
             tape.backward(loss)
+            del tape  # frees the batch's activations before the Adam update and validation
             grad = state.gather(params)
             grad_norm = math.sqrt(float(grad @ grad))
             if not math.isfinite(grad_norm):

@@ -1,12 +1,14 @@
 import collections
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -736,6 +738,41 @@ class TestSweep:
         for row in rows:
             assert row.pop("error").startswith("NumericInputError: ")
             assert [key for key, cell in row.items() if cell] == ["parameter", "value", "seed"]
+
+
+@pytest.mark.parametrize("command", [["train"], ["sweep", "--param", "r_max", "--values", "40,50"]],
+                         ids=["train", "sweep"])
+def test_training_holds_no_parsed_train_unit(workspace, tmp_path, monkeypatch, command):
+    # Once the normalized trajectories exist the raw ones parsed from the
+    # train file are dropped, so no fit runs beside them.  The garbage
+    # collector is off: they must go when their last reference does.
+    train_path = Path(workspace["raw"]["train_path"])
+    parsed, alive_at_fit = [], []
+
+    def recording_parse(path):
+        units = parse_cmapss(path)
+        if Path(path) == train_path:
+            parsed.extend(weakref.ref(unit) for unit in units)
+        return units
+
+    def checking_fit(*args):
+        alive_at_fit.append(sum(ref() is not None for ref in parsed))
+        return fit(*args)
+
+    fit = cli.fit
+    monkeypatch.setattr(cli, "parse_cmapss", recording_parse)
+    monkeypatch.setattr(cli, "fit", checking_fit)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code = main([*command, "--config", str(workspace["config"]), "--out", str(tmp_path / "out"),
+                     "--seed", "3"] + FAST_FLAGS)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert code == 0
+    assert len(parsed) == 8
+    assert alive_at_fit and not any(alive_at_fit), alive_at_fit
 
 
 class TestSynthData:

@@ -26,6 +26,7 @@ from rulnet import (
     Tensor,
 )
 from rulnet import autodiff as ad
+from rulnet import training
 from rulnet.checkpoint import load_bundle, save_bundle
 from rulnet.cli import main
 from rulnet.config import ExperimentConfig
@@ -379,6 +380,36 @@ class TestFit:
         finally:
             if was_enabled:
                 gc.enable()
+
+    def test_validation_runs_with_every_training_tape_freed(self, monkeypatch):
+        # A batch's tape holds its activations.  fit lets it go when its
+        # backward returns, so none is alive under the epoch's validation
+        # forward.  The garbage collector is off: each must go when its last
+        # reference does.
+        tapes, alive_at_validation = [], []
+
+        def recording_tape():
+            tape = ad.Tape()
+            tapes.append(weakref.ref(tape))
+            return tape
+
+        def checking_validation(*args):
+            alive_at_validation.append(sum(ref() is not None for ref in tapes))
+            return validation_rmse(*args)
+
+        validation_rmse = training._validation_rmse
+        monkeypatch.setattr(training, "Tape", recording_tape)
+        monkeypatch.setattr(training, "_validation_rmse", checking_validation)
+        model, _ = build_tiny_model(seed=1, dtype=np.float32, dropout=0.5)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            fit(model, windows_to_arrays(tiny_samples()), tiny_fit_config(max_epochs=2))
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(tapes) == 6  # 3 batches in each of 2 epochs
+        assert alive_at_validation == [0, 0]
 
     def test_fit_copies_no_windows(self):
         # 20 units of 180 windows each, half of them held out.  Batches and
