@@ -374,25 +374,27 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
     (in+H+1, 4H), its gate columns rolled to [output, input, forget, cell]
     so that one sigmoid covers the three sigmoid gates, and each step's
     (4H, B) gate pre-activations are one product Wᵀ @ [input[t]; h[t-1]; 1]
-    with the stacked (in+H+1, B) operand, followed by the cell update in
-    place.  Each step writes tanh(c) into the next operand's hidden rows
-    and scales it there by the output gate, so no tanh(cell) is stored.
-    While a tape records, it keeps every step's operand, whose rows also
-    hold the hidden sequence, the (T, 4H, B) gate activations and the
-    (T, H, B) cell, for as long as the tape holds its node.  Without a
-    tape it keeps one step's operand and gates, the last two cells and the
-    hidden sequence the layer above reads; the arithmetic, and so every
-    output bit, is the same either way.
+    with one stacked (in+H+1, B) operand per layer, followed by the cell
+    update in place.  Each step writes tanh(c) into the operand's hidden
+    rows and scales it there by the output gate, so no tanh(cell) is
+    stored, and only the last two cells are.  While a tape records, the
+    op keeps x as one contiguous (T, F, B) copy and, per layer, the
+    (T, 4H, B) gate activations and the (T, H, B) hidden sequence, for as
+    long as the tape holds its node.  Without a tape it keeps one step's
+    gates and the hidden sequence the layer above reads; the arithmetic,
+    and so every output bit, is the same either way.
 
     The backward pass is hand-written BPTT over one reused (4H, B) step
-    gradient dz.  It recomputes each step's tanh(c) from the kept cell
-    into its dc scratch, one element-wise tanh per step and layer, which
-    gives the values the forward computed.  At each step, while dz is in
-    cache, it adds dz @ operand[t]ᵀ into one (4H, in+H+1) sum that holds
-    the w_x, w_h and bias gradients (split and transposed once per layer),
-    and one product [w_h; w_x] @ dz gives the previous step's recurrent
-    gradient and this step's input gradient together, so no whole-sequence
-    gate gradient is stored.
+    gradient dz.  Per layer it first recomputes the cell into one (T, H, B)
+    scratch with the forward's own operations, i·g for all steps in one
+    call, then f[t]·c[t-1] added in step order, and each step's tanh(c)
+    from it into its dc scratch, so every value is the forward's.  At
+    each step it rebuilds the operand [input[t]; h[t-1]; 1] in one
+    (in+H+1, B) scratch and, while dz is in cache, adds dz @ operandᵀ into
+    one (4H, in+H+1) sum that holds the w_x, w_h and bias gradients (split
+    and transposed once per layer); one product [w_h; w_x] @ dz gives the
+    previous step's recurrent gradient and this step's input gradient
+    together, so no whole-sequence gate gradient is stored.
     """
     layers = len(w_x)
     if layers < 1 or len(w_h) != layers or len(bias) != layers:
@@ -412,50 +414,42 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
     tape = _tape_for(x, *w_x, *w_h, *bias)
 
     inputs = x.data.transpose(2, 1, 0)  # (T, F, B)
-    # The backward reads every step's operand, gates and cell; without a
-    # tape only the previous cell is read again, so those buffers hold one
-    # step (two for the cell) and step t uses row t modulo their length.
-    # Step t writes h[t] into the hidden rows of operand t + 1: a taped
-    # layer keeps T + 1 operands, the last holding only h[T-1], and an
-    # untaped one reuses its one operand.
+    if tape is not None:  # the backward reads layer 0's rows again, step by step
+        inputs = np.ascontiguousarray(inputs)
+    # The backward reads every step's gates; without a tape they hold one
+    # step, and step t uses row t modulo their length.
     kept = steps if tape is not None else 1
     saved = []
     with np.errstate(over="ignore"):
         for layer in range(layers):
             fan_in = inputs.shape[1]
             w_t = _joined_gates(hidden, w_x[layer].data, w_h[layer].data, bias[layer].data[None]).T
-            ops = np.empty((steps + 1 if tape is not None else 1, fan_in + hidden + 1, batch), dtype)
-            if tape is not None:
-                ops[:steps, :fan_in] = inputs
-            ops[0, fan_in:-1] = 0
-            ops[:, -1] = 1
-            h_rows = ops[:, fan_in:-1]
-            # Without a tape the layer above reads this layer's hidden sequence from here.
-            hid = np.empty((steps, hidden, batch), dtype) if tape is None and layer < layers - 1 else None
+            op = np.empty((fan_in + hidden + 1, batch), dtype)
+            op[fan_in:-1] = 0
+            op[-1] = 1
+            h = op[fan_in:-1]  # step t writes h[t] here, for step t + 1 to read
+            # The backward and the layer above read the hidden sequence from here.
+            hid = np.empty((steps, hidden, batch), dtype) if tape is not None or layer < layers - 1 else None
             gates = np.empty((kept, 4 * hidden, batch), dtype)
-            cell = np.empty((min(steps, kept + 1), hidden, batch), dtype)
+            cell = np.empty((min(steps, 2), hidden, batch), dtype)
             for t in range(steps):
-                op = ops[t % len(ops)]
-                if tape is None:
-                    op[:fan_in] = inputs[t]
+                op[:fan_in] = inputs[t]
                 z = _matmul_data(w_t, op, out=gates[t % kept])
-                c, h = cell[t % len(cell)], h_rows[(t + 1) % len(ops)]
+                c = cell[t % 2]
                 o, i, f, g = z.reshape(4, hidden, batch)
                 _sigmoid_inplace(z[: 3 * hidden])
                 np.tanh(g, out=g)
                 np.multiply(i, g, out=c)
                 if t:
-                    np.multiply(f, cell[(t - 1) % len(cell)], out=h)  # scratch until h[t] lands
+                    np.multiply(f, cell[(t - 1) % 2], out=h)  # scratch until h[t] lands
                     c += h
                 np.tanh(c, out=h)
                 h *= o
                 if hid is not None:
                     hid[t] = h
             if tape is not None:
-                saved.append((ops, gates, cell))
-                inputs = h_rows[1:]
-            else:
-                inputs = hid
+                saved.append((inputs, gates, hid))
+            inputs = hid
     out = Tensor(np.ascontiguousarray(h.T))
     if tape is not None:
 
@@ -465,11 +459,18 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
             dz_flat = dz.reshape(4 * hidden, batch)
             dc = np.empty((hidden, batch), dtype)
             carry = np.empty_like(dc)
+            cell = np.empty((steps, hidden, batch), dtype)  # each layer's cell, recomputed in turn
             d_hid = None  # (T, H, B) gradient arriving from the layer above
             for layer in reversed(range(layers)):
-                ops, gates, cell = saved[layer]
-                fan_in = ops.shape[1] - hidden - 1
-                hid = ops[1:, fan_in:-1]
+                inputs, gates, hid = saved[layer]
+                fan_in = inputs.shape[1]
+                _, i_all, f_all, g_all = gates.reshape(steps, 4, hidden, batch).transpose(1, 0, 2, 3)
+                np.multiply(i_all, g_all, out=cell)
+                for t in range(1, steps):
+                    np.multiply(f_all[t], cell[t - 1], out=dc)
+                    cell[t] += dc
+                op = np.empty((fan_in + hidden + 1, batch), dtype)  # step t's [input[t]; h[t-1]; 1]
+                op[-1] = 1
                 # [w_h; w_x] @ dz is [dh for step t-1; d_in[t]].  Step t writes
                 # it at row t·stride of one (H + T·stride, B) buffer whose rows
                 # from H on are the input gradients d_in, in step order: each
@@ -514,7 +515,9 @@ def lstm(x: Tensor, w_x: Sequence[Tensor], w_h: Sequence[Tensor], bias: Sequence
                     np.subtract(1, o, out=dz[0])
                     dz[0] *= hid[t]
                     dz[0] *= dh
-                    g_w += _matmul_data(dz_flat, ops[t].T, out=part)
+                    op[:fan_in] = inputs[t]
+                    op[fan_in:-1] = hid[t - 1] if t else 0
+                    g_w += _matmul_data(dz_flat, op.T, out=part)
                     if t:
                         np.multiply(dc, f, out=carry)
                     # Step 0 has no earlier hidden state to send a gradient to.

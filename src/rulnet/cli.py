@@ -309,11 +309,15 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     cfg.validate()
-    train_units, _, sha256 = _read_training_inputs(cfg)
+    if len(cfg.seeds) > 1:
+        raise ConfigurationError(f"train runs one seed, got seeds {cfg.seeds}: "
+                                 f"choose one with --seed, or train each with sweep")
+    train_units, test_pairs, sha256 = _read_training_inputs(cfg)
+    del test_pairs  # parsed only to check the test and truth files before training
     cm, normed = _prepare(cfg, train_units)
     windows = window_arrays(normed, cfg.window, cfg.r_max)
     del train_units  # the windows hold every row training reads
-    summary, _ = _train_once(cfg.override(seeds=cfg.seeds[:1]), cm, windows, sha256)
+    summary, _ = _train_once(cfg, cm, windows, sha256)
     _write_json(summary)
     return 0
 

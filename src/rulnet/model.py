@@ -101,17 +101,16 @@ def parameter_shapes(n_features: int, window: int, mode: str, feature_heads: int
     # Every LSTM layer above the first has the second's shapes.
     parameters = (_count(attention + _lstm_shapes(n_features, lstm_hidden, 0) + head)
                   + (lstm_layers - 1) * _count(_lstm_shapes(n_features, lstm_hidden, 1)))
-    # A taped batch, per LSTM layer and step: 4H gate activations, the
-    # H-wide cell, and the stacked operand [input; hidden; 1], whose input
-    # rows copy the model input at layer 0 and the hidden state below at
-    # every other layer (tanh(cell) is recomputed in the backward, not
-    # kept).  An untaped forward holds about 2·T·H·B of LSTM state: two
-    # layers' hidden sequences.  The cap counts these activations, not the
-    # scratch buffers the ops allocate: at paper sizes and batch 128, traced
-    # peaks of one taped forward + backward read 1.17-1.28x this count
-    # times the item size across the modes, so it bounds about four fifths
-    # of a step's peak memory.
-    lstm_state = lstm_layers * (6 * lstm_hidden + 1) + n_features + (lstm_layers - 1) * lstm_hidden
+    # A taped batch, per LSTM step: each layer's 4H gate activations and H
+    # hidden values, and one copy of the F-wide model input (the cell,
+    # tanh(cell) and each step's stacked operand are rebuilt in the
+    # backward, not kept).  An untaped forward holds about 2·T·H·B of LSTM
+    # state: two layers' hidden sequences.  The cap counts these
+    # activations, not the scratch buffers the ops allocate: at paper sizes
+    # and batch 128, traced peaks of one taped forward + backward read
+    # 1.28-1.40x this count times the item size across the modes, so it
+    # bounds about seven tenths of a step's peak memory.
+    lstm_state = lstm_layers * 5 * lstm_hidden + n_features
     activations = batch_size * (n_features * window + blocks.feature_heads * n_features**2
                                 + blocks.sequence_heads * window**2 + window * lstm_state)
     for what, count, cap in (("parameters", parameters, MAX_PARAMETERS),

@@ -278,6 +278,126 @@ def head_blocks(w_qkv, heads):
     return blocks[:heads], blocks[heads : 2 * heads], blocks[2 * heads :]
 
 
+def stored_state_lstm(x, w_x, w_h, bias):
+    """Reference for ``ad.lstm``: the fused op as it stood while a taped
+    call kept every step's stacked operand [input[t]; h[t-1]; 1] and the
+    whole (T, H, B) cell, where ``ad.lstm`` rebuilds the one and recomputes
+    the other.  Both make the same numpy calls on the same values, so
+    outputs and gradients agree byte for byte."""
+    layers = len(w_x)
+    batch, _, steps = x.shape
+    hidden = w_h[0].shape[0]
+    ad._check_dtypes(x, *w_x, *w_h, *bias)
+    dtype = x.data.dtype
+    tape = ad._tape_for(x, *w_x, *w_h, *bias)
+    inputs = x.data.transpose(2, 1, 0)  # (T, F, B)
+    # Step t writes h[t] into the hidden rows of operand t + 1: a taped
+    # layer keeps T + 1 operands, the last holding only h[T-1], and an
+    # untaped one reuses its one operand.
+    kept = steps if tape is not None else 1
+    saved = []
+    with np.errstate(over="ignore"):
+        for layer in range(layers):
+            fan_in = inputs.shape[1]
+            w_t = ad._joined_gates(hidden, w_x[layer].data, w_h[layer].data, bias[layer].data[None]).T
+            ops = np.empty((steps + 1 if tape is not None else 1, fan_in + hidden + 1, batch), dtype)
+            if tape is not None:
+                ops[:steps, :fan_in] = inputs
+            ops[0, fan_in:-1] = 0
+            ops[:, -1] = 1
+            h_rows = ops[:, fan_in:-1]
+            hid = np.empty((steps, hidden, batch), dtype) if tape is None and layer < layers - 1 else None
+            gates = np.empty((kept, 4 * hidden, batch), dtype)
+            cell = np.empty((min(steps, kept + 1), hidden, batch), dtype)
+            for t in range(steps):
+                op = ops[t % len(ops)]
+                if tape is None:
+                    op[:fan_in] = inputs[t]
+                z = ad._matmul_data(w_t, op, out=gates[t % kept])
+                c, h = cell[t % len(cell)], h_rows[(t + 1) % len(ops)]
+                o, i, f, g = z.reshape(4, hidden, batch)
+                ad._sigmoid_inplace(z[: 3 * hidden])
+                np.tanh(g, out=g)
+                np.multiply(i, g, out=c)
+                if t:
+                    np.multiply(f, cell[(t - 1) % len(cell)], out=h)
+                    c += h
+                np.tanh(c, out=h)
+                h *= o
+                if hid is not None:
+                    hid[t] = h
+            if tape is not None:
+                saved.append((ops, gates, cell))
+                inputs = h_rows[1:]
+            else:
+                inputs = hid
+    out = Tensor(np.ascontiguousarray(h.T))
+    if tape is not None:
+
+        def backward(g_out):
+            contribs = []
+            dz = np.empty((4, hidden, batch), dtype)
+            dz_flat = dz.reshape(4 * hidden, batch)
+            dc = np.empty((hidden, batch), dtype)
+            carry = np.empty_like(dc)
+            d_hid = None
+            for layer in reversed(range(layers)):
+                ops, gates, cell = saved[layer]
+                fan_in = ops.shape[1] - hidden - 1
+                hid = ops[1:, fan_in:-1]
+                stride = fan_in if layer > 0 or x.requires_grad else 0
+                w_back = ad._joined_gates(hidden, w_h[layer].data, w_x[layer].data[:stride])
+                d_buf = np.empty((hidden + steps * stride, batch), dtype)
+                g_w = np.zeros((4 * hidden, fan_in + hidden + 1), dtype)
+                part = np.empty_like(g_w)
+                for t in range(steps - 1, -1, -1):
+                    dh = d_buf[(t + 1) * stride : (t + 1) * stride + hidden]
+                    if t == steps - 1:
+                        np.copyto(dh, g_out.T if d_hid is None else d_hid[t])
+                    elif d_hid is not None:
+                        dh += d_hid[t]
+                    act = gates[t].reshape(4, hidden, batch)
+                    o, i, f, g = act
+                    np.tanh(cell[t], out=dc)
+                    dc *= hid[t]
+                    np.subtract(o, dc, out=dc)
+                    dc *= dh
+                    if t < steps - 1:
+                        dc += carry
+                    np.subtract(1, act[1:3], out=dz[1:3])
+                    dz[1:3] *= act[1:3]
+                    dz[1] *= g
+                    if t:
+                        dz[2] *= cell[t - 1]
+                    else:
+                        dz[2] = 0
+                    np.multiply(g, g, out=dz[3])
+                    np.subtract(1, dz[3], out=dz[3])
+                    dz[3] *= i
+                    dz[1:] *= dc
+                    np.subtract(1, o, out=dz[0])
+                    dz[0] *= hid[t]
+                    dz[0] *= dh
+                    g_w += ad._matmul_data(dz_flat, ops[t].T, out=part)
+                    if t:
+                        np.multiply(dc, f, out=carry)
+                    skip = 0 if t else hidden
+                    if skip < len(w_back):
+                        ad._matmul_data(w_back[skip:], dz_flat,
+                                        out=d_buf[t * stride + skip : t * stride + hidden + stride])
+                g_w = np.roll(g_w, -hidden, axis=0)
+                contribs += [(w_x[layer], np.ascontiguousarray(g_w[:, :fan_in].T)),
+                             (w_h[layer], np.ascontiguousarray(g_w[:, fan_in:-1].T)),
+                             (bias[layer], g_w[:, -1].copy())]
+                d_hid = d_buf[hidden:].reshape(steps, fan_in, batch) if stride else None
+                if layer == 0 and stride:
+                    contribs.append((x, d_hid.transpose(2, 1, 0)))
+            return contribs
+
+        tape._record(out, backward)
+    return out
+
+
 def window_ending_at(channels, end, window):
     """Reference for ``windows_ending_at``: the (F, T) window of the
     cycles ending at ``end`` (1-based), sliced from row-per-cycle storage

@@ -308,6 +308,24 @@ class TestTrain:
         assert "configuration error: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config", [(["--seeds", "1,2,3"], {}), ([], {"seeds": [1, 2]})],
+                             ids=["flag", "config"])
+    def test_several_seeds_are_config_error_before_any_read(self, workspace, tmp_path, capsys,
+                                                            monkeypatch, flags, config):
+        # train runs one seed; it used to train the first and drop the rest.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**workspace["raw"], **config}))
+        read = []
+        monkeypatch.setattr(cli, "parse_cmapss", lambda path: read.append(path))
+        monkeypatch.setattr(cli, "parse_rul_truth", lambda path: read.append(path))
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(config_path), "--out", str(out)] + FAST_FLAGS + flags)
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("configuration error: ")
+        assert "--seed" in line and "sweep" in line
+        assert not read and not out.exists()
+
     def test_negative_head_count_is_config_error(self, workspace, capsys):
         code = main(
             ["train", "--config", str(workspace["config"]), "--out",
@@ -740,18 +758,16 @@ class TestSweep:
             assert [key for key, cell in row.items() if cell] == ["parameter", "value", "seed"]
 
 
-@pytest.mark.parametrize("command", [["train"], ["sweep", "--param", "r_max", "--values", "40,50"]],
-                         ids=["train", "sweep"])
-def test_training_holds_no_parsed_train_unit(workspace, tmp_path, monkeypatch, command):
-    # Once the normalized trajectories exist the raw ones parsed from the
-    # train file are dropped, so no fit runs beside them.  The garbage
-    # collector is off: they must go when their last reference does.
-    train_path = Path(workspace["raw"]["train_path"])
+def units_alive_at_fit(workspace, tmp_path, monkeypatch, command, key):
+    """Run ``command`` with the garbage collector off, and return how many
+    units parsed from the workspace file ``key`` there are and, at each
+    ``fit`` call, how many of them are still alive."""
+    source = Path(workspace["raw"][key])
     parsed, alive_at_fit = [], []
 
     def recording_parse(path):
         units = parse_cmapss(path)
-        if Path(path) == train_path:
+        if Path(path) == source:
             parsed.extend(weakref.ref(unit) for unit in units)
         return units
 
@@ -771,7 +787,26 @@ def test_training_holds_no_parsed_train_unit(workspace, tmp_path, monkeypatch, c
         if was_enabled:
             gc.enable()
     assert code == 0
-    assert len(parsed) == 8
+    return len(parsed), alive_at_fit
+
+
+@pytest.mark.parametrize("command", [["train"], ["sweep", "--param", "r_max", "--values", "40,50"]],
+                         ids=["train", "sweep"])
+def test_training_holds_no_parsed_train_unit(workspace, tmp_path, monkeypatch, command):
+    # Once the normalized trajectories exist the raw ones parsed from the
+    # train file are dropped, so no fit runs beside them.  The garbage
+    # collector is off: they must go when their last reference does.
+    parsed, alive_at_fit = units_alive_at_fit(workspace, tmp_path, monkeypatch, command, "train_path")
+    assert parsed == 8
+    assert alive_at_fit and not any(alive_at_fit), alive_at_fit
+
+
+def test_train_holds_no_parsed_test_unit(workspace, tmp_path, monkeypatch):
+    # train parses the test and truth files only to check them before
+    # --out is created, and drops them before it fits.  sweep keeps them:
+    # it evaluates every run.
+    parsed, alive_at_fit = units_alive_at_fit(workspace, tmp_path, monkeypatch, ["train"], "test_path")
+    assert parsed == 4
     assert alive_at_fit and not any(alive_at_fit), alive_at_fit
 
 
