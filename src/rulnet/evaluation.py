@@ -191,8 +191,8 @@ def export_attention(
     cycles: Sequence[int] | None = None,
     matrix_cycles: Sequence[int] | None = None,
 ) -> AttentionExport:
-    """Run inference on each requested cycle's window and capture the
-    feature-attention weights.
+    """Run inference on each requested cycle's window, asking
+    :meth:`RulModel.explain` for the feature-attention weights.
 
     ``cycles`` defaults to every cycle of the trajectory (windows ending
     before cycle T are padded backward).  Full F x F matrices are kept
@@ -228,8 +228,8 @@ def export_attention(
     filled = 0
     for start in range(0, len(cycles), PREDICT_BATCH):
         chunk = slice(start, start + PREDICT_BATCH)
-        predictions[chunk] = model.predict(windows_ending_at(chans, cycles[chunk], model.window))
-        heads = model.attention_weights("feature").astype(np.float64)
+        predictions[chunk], blocks = model.explain(windows_ending_at(chans, cycles[chunk], model.window))
+        heads = blocks["feature"].astype(np.float64)
         averaged = heads.mean(axis=1)
         cycle_sums[chunk] = averaged.sum(axis=1)
         keep = in_matrix[chunk]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CapabilityError, ConfigurationError, ContractError, DimensionError
+from .errors import ConfigurationError, ContractError, DimensionError
 
 MODES = ("L", "A", "F", "F+T")
 # Fixed caps, the same on every host, on a model's size (see parameter_shapes).
@@ -185,25 +185,23 @@ class RulModel:
                                          f"missing or misshapen {wrong}")
             self.params = {name: Tensor(np.empty(0, self.dtype), requires_grad=True) for name in shapes}
             self.load_state_arrays(arrays)  # gives each parameter its own copy
-        # The last forward pass's softmax weights, (B, h, N, N), by block prefix "fa" or "sa".
-        self.last_weights: dict[str, np.ndarray] = {}
 
     # -- forward ---------------------------------------------------------
-    def _attend(self, prefix: str, heads: int, x: Tensor, token_axis: int) -> Tensor:
-        """Block ``prefix``'s self-attention along ``token_axis`` of ``x``; identity without heads."""
+    def _attend(self, prefix: str, heads: int, x: Tensor, token_axis: int) -> tuple[Tensor, np.ndarray | None]:
+        """Block ``prefix``'s self-attention along ``token_axis`` of ``x`` and
+        its softmax weights; ``(x, None)`` without heads."""
         if not heads:
-            return x
+            return x, None
         params = self.params[f"{prefix}.wqkv"], self.params[f"{prefix}.wo"]
-        out, self.last_weights[prefix] = ad.attention(x, *params, heads, token_axis)
-        return out
+        return ad.attention(x, *params, heads, token_axis)
 
     def apply_feature_attention(self, x: Tensor) -> Tensor:
         """Attention across channels; identity when the block is disabled."""
-        return self._attend("fa", self.feature_heads, x, -2)
+        return self._attend("fa", self.feature_heads, x, -2)[0]
 
     def apply_sequence_attention(self, x: Tensor) -> Tensor:
         """Attention across time steps; identity when the block is disabled."""
-        return self._attend("sa", self.sequence_heads, x, -1)
+        return self._attend("sa", self.sequence_heads, x, -1)[0]
 
     def lstm(self, x: Tensor) -> Tensor:
         """The stacked LSTM's last top-layer hidden state, (B, F, T) -> (B, H);
@@ -223,6 +221,17 @@ class RulModel:
             mask = (keep / (1.0 - self.dropout)).astype(x.dtype)
         return ad.mlp_head(x, *(self.params[f"head.{name}"] for name in ("w1", "b1", "w2", "b2")), mask)
 
+    def _forward(self, x: Tensor, training: bool,
+                 dropout_rng: np.random.Generator | None) -> tuple[Tensor, dict[str, np.ndarray]]:
+        """The prediction, (B, 1), and each built attention block's softmax
+        weights, (B, h, N, N), under "feature" and "sequence"."""
+        if x.ndim != 3 or x.shape[1:] != (self.n_features, self.window):
+            raise DimensionError(f"model takes (batch, {self.n_features}, {self.window}) inputs, got {x.shape}")
+        x, feature = self._attend("fa", self.feature_heads, x, -2)
+        x, sequence = self._attend("sa", self.sequence_heads, x, -1)
+        weights = {block: w for block, w in (("feature", feature), ("sequence", sequence)) if w is not None}
+        return self.head(self.lstm(x), training, dropout_rng), weights
+
     def forward(
         self,
         x: Tensor,
@@ -231,16 +240,11 @@ class RulModel:
     ) -> Tensor:
         """Predict RUL; (B, F, T) -> (B, 1).
 
-        In inference mode the output is deterministic.  The attention
-        blocks' softmax weights from this pass stay retrievable via
-        :meth:`attention_weights`.
+        In inference mode the output is deterministic.  The model keeps
+        nothing of the pass; :meth:`explain` also returns the attention
+        weights.
         """
-        if x.ndim != 3 or x.shape[1:] != (self.n_features, self.window):
-            raise DimensionError(f"model takes (batch, {self.n_features}, {self.window}) inputs, got {x.shape}")
-        x = self.apply_feature_attention(x)
-        x = self.apply_sequence_attention(x)
-        features = self.lstm(x)
-        return self.head(features, training, dropout_rng)
+        return self._forward(x, training, dropout_rng)[0]
 
     def predict(self, matrix: np.ndarray) -> np.ndarray | float:
         """Inference on raw arrays: (B, F, T) -> (B,); one (F, T) window -> float."""
@@ -248,19 +252,12 @@ class RulModel:
         out = self.forward(Tensor(x[None] if x.ndim == 2 else x)).data.reshape(-1)
         return float(out[0]) if x.ndim == 2 else out
 
-    # -- attention retention ----------------------------------------------
-    def attention_weights(self, block: str) -> np.ndarray:
-        """Softmax weights of the last forward pass, (B, h, N, N).
-
-        ``block`` is "feature" or "sequence".  Raises CapabilityError when
-        that block is disabled, ContractError before any forward pass.
-        """
-        prefix, heads = ("fa", self.feature_heads) if block == "feature" else ("sa", self.sequence_heads)
-        if not heads:
-            raise CapabilityError(f"model mode {self.mode!r} has no {block} attention block")
-        if prefix not in self.last_weights:
-            raise ContractError("no forward pass has been run yet")
-        return self.last_weights[prefix]
+    def explain(self, batch: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Inference on a raw (B, F, T) batch: the (B,) predictions and each
+        built attention block's softmax weights, (B, h, N, N), under
+        "feature" and "sequence"; a mode-"L" model returns ``{}``."""
+        pred, weights = self._forward(Tensor(np.asarray(batch, dtype=self.dtype)), False, None)
+        return pred.data.reshape(-1), weights
 
     # -- parameters --------------------------------------------------------
     def parameters(self) -> list[tuple[str, Tensor]]:

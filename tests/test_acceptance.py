@@ -205,9 +205,11 @@ def test_criterion_6_attention_invariants():
         x = Tensor(rng.standard_normal((n_features, window)), dtype=np.float64)
         assert model.apply_feature_attention(x).shape == (n_features, window)
         assert model.apply_sequence_attention(x).shape == (n_features, window)
-        model.predict(x.data)
-        for block in ("feature", "sequence"):
-            for weights in model.attention_weights(block):
+        _, blocks = model.explain(x.data[None])
+        assert list(blocks) == ["feature", "sequence"]
+        for block, heads, tokens in (("feature", fh, n_features), ("sequence", sh, window)):
+            assert blocks[block].shape == (1, heads, tokens, tokens)
+            for weights in blocks[block]:
                 np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
                 assert np.all(weights >= 0.0)
 

@@ -260,9 +260,9 @@ def reference_export_attention(bundle, trajectory, cycles=None, matrix_cycles=No
     predictions = []
     for cycle in cycles:
         window = window_ending_at(chans, cycle, model.window)
-        pred = float(model.predict(window))
-        predictions.append((cycle, pred))
-        heads = list(model.attention_weights("feature")[0].astype(np.float64))
+        pred, blocks = model.explain(window[None])
+        predictions.append((cycle, float(pred[0])))
+        heads = list(blocks["feature"][0].astype(np.float64))
         stacked = np.stack(heads)  # (h, F, F)
         averaged = stacked.mean(axis=0)
         if cycle in matrix_set:

@@ -1,8 +1,10 @@
 import contextlib
+import gc
 import hashlib
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from hypothesis import strategies as st
 from conftest import (add, build_tiny_model, head_blocks, lstm_weights, matmul, per_head_attention, reshape,
                       sigmoid, stored_state_lstm, tanh)
 from rulnet import (
-    CapabilityError,
     ConfigurationError,
     ContractError,
     DimensionError,
@@ -24,6 +25,7 @@ from rulnet import autodiff as ad
 from rulnet.autodiff import exact_arithmetic, gradcheck
 from rulnet.config import ExperimentConfig
 from rulnet.model import MAX_PARAMETERS, MODES, parameter_shapes, resolve_blocks
+from rulnet.training import mse_loss
 
 
 def attention_oracle(q, k, v):
@@ -145,14 +147,17 @@ class TestMultiHeadAttention:
         with pytest.raises(DimensionError):
             model.apply_feature_attention(Tensor(np.zeros((3, 5), dtype=np.float32)))
 
-    def test_retains_row_stochastic_weights(self):
+    def test_explain_returns_row_stochastic_weights(self):
         rng = np.random.default_rng(5)
         model = feature_block(4, 6, 3, rng)
-        model.apply_feature_attention(Tensor(rng.standard_normal((4, 6)), dtype=np.float64))
-        assert model.attention_weights("feature").shape == (3, 4, 4)
-        for w in model.attention_weights("feature"):
+        x = rng.standard_normal((1, 4, 6))
+        pred, weights = model.explain(x)
+        assert list(weights) == ["feature"]
+        assert weights["feature"].shape == (1, 3, 4, 4)
+        for w in weights["feature"][0]:
             assert w.shape == (4, 4)
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
+        assert np.array_equal(pred, model.predict(x))
 
 
 def lstm_scalar_oracle(w_x, w_h, bias, x):
@@ -535,19 +540,54 @@ class TestRulModel:
             out.data, multi_head_oracle(model, x), atol=1e-12
         )
 
-    def test_retained_attention_rows_sum_to_one(self):
+    def test_explained_attention_rows_sum_to_one(self):
         model, rng = build_tiny_model()
-        model.predict(rng.standard_normal((4, 6)))
+        x = rng.standard_normal((3, 4, 6))
+        pred, weights = model.explain(x)
+        assert list(weights) == ["feature", "sequence"]
         for block, size in (("feature", 4), ("sequence", 6)):
-            w = model.attention_weights(block)
-            assert w.shape == (1, 2, size, size)
+            w = weights[block]
+            assert w.shape == (3, 2, size, size)
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
+        assert pred.shape == (3,)
+        assert np.array_equal(pred, model.predict(x))
 
-    def test_attention_weights_capability(self):
+    def test_explain_without_attention_blocks(self):
         model, rng = build_tiny_model(mode="L")
-        model.predict(rng.standard_normal((4, 6)))
-        with pytest.raises(CapabilityError):
-            model.attention_weights("feature")
+        x = rng.standard_normal((2, 4, 6))
+        pred, weights = model.explain(x)
+        assert weights == {}
+        assert np.array_equal(pred, model.predict(x))
+
+    def test_forward_keeps_no_attention_weights(self, monkeypatch):
+        # Every weights array a pass makes dies with the pass: a taped
+        # training step, a predict and an explain each leave none behind.
+        refs = []
+
+        def recording_attention(*args):
+            out, weights = attention(*args)
+            refs.append(weakref.ref(weights))
+            return out, weights
+
+        attention = ad.attention
+        monkeypatch.setattr(ad, "attention", recording_attention)
+        model, rng = build_tiny_model(dtype=np.float32, dropout=0.5)
+        x = rng.standard_normal((3, 4, 6)).astype(np.float32)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with Tape() as tape:
+                pred = model.forward(Tensor(x), training=True, dropout_rng=np.random.default_rng(1))
+                loss = mse_loss(pred, Tensor(np.ones((3, 1), dtype=np.float32)))
+            tape.backward(loss)
+            del tape, loss, pred
+            model.predict(x)
+            model.explain(x)
+            assert len(refs) == 6
+            assert [ref() for ref in refs] == [None] * 6
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_dropout_training_vs_inference(self):
         model, rng = build_tiny_model(dropout=0.5)
