@@ -15,7 +15,7 @@ if "numpy" not in _sys.modules:
     for _var in BLAS_THREAD_VARS:
         _os.environ.setdefault(_var, "1")
 
-from .autodiff import Tape, Tensor, exact_arithmetic, gradcheck
+from .autodiff import Tape, Tensor, exact_arithmetic
 from .errors import (
     CapabilityError,
     CheckpointError,
@@ -38,7 +38,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "exact_arithmetic",
-    "gradcheck",
     "RulModel",
     "RulnetError",
     "DimensionError",

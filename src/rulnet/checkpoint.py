@@ -31,7 +31,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import ConditionModel
 from .errors import CheckpointError, ConfigurationError
-from .model import RulModel, resolve_blocks
+from .model import MODEL_FIELDS, Blocks, RulModel, resolve_blocks
 
 MAGIC = b"RULBNDL\x00"
 FORMAT_VERSION = 2
@@ -166,11 +166,9 @@ def _model_fields(config: dict, model: RulModel) -> list[tuple]:
     and each other model field a header's ``config`` lists.  Mode and head
     counts are compared as :func:`resolve_blocks` resolves them, any of the
     three the config leaves out taken from the model."""
-    names = ("window", "mode", "feature_heads", "sequence_heads", "lstm_hidden", "lstm_layers",
-             "mlp_hidden", "dropout")
-    listed = {name: config[name] for name in names if name in config}
-    listed.update(resolve_blocks(*(config.get(name, getattr(model, name)) for name in names[1:4]))._asdict())
-    return [(name, listed[name], getattr(model, name)) for name in names if name in listed]
+    listed = {name: config[name] for name in MODEL_FIELDS if name in config}
+    listed.update(resolve_blocks(*(config.get(name, getattr(model, name)) for name in Blocks._fields))._asdict())
+    return [(name, listed[name], getattr(model, name)) for name in MODEL_FIELDS if name in listed]
 
 
 def _is_count(value) -> bool:

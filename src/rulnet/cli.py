@@ -88,7 +88,7 @@ def _field_type(name: str):
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="replace the seed list with one seed")
+    parser.add_argument("--seed", type=int, help="replace the config's seed list with one seed")
     parser.add_argument("--out", metavar="DIR", help="output directory (out_dir)")
     for f in dataclasses.fields(ExperimentConfig):
         if f.name != "out_dir":
@@ -99,6 +99,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg) if f.name != "out_dir"}
     if args.seed is not None:
+        if args.seeds is not None:
+            raise ConfigurationError("--seed and --seeds both set the seed list: give one of them")
         overrides["seeds"] = [args.seed]
     return cfg.override(**overrides, out_dir=args.out)
 
@@ -396,19 +398,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Train and evaluate ``--repeats`` runs per value, each the ``train``
-    run of its own config, which names its directory.  Before ``--out`` is
-    created, every value's config is validated, equal configs and repeated
-    seeds are rejected, and the inputs are read, clustered and normalized
-    once; each value's windows serve all of its runs."""
+    """Train and evaluate one run per value and per seed of the config's
+    ``seeds``, in the order listed, each the ``train`` run of its own config,
+    which names its directory.  Before ``--out`` is created, every value's
+    config is validated, equal configs are rejected, and the inputs are read,
+    clustered and normalized once; each value's windows serve all of its runs."""
     cfg = _build_config(args)
     cfg.validate()
-    if args.repeats < 1:
-        raise ConfigurationError(f"--repeats must be >= 1, got {args.repeats}")
-    seeds = [cfg.seeds[rep] if rep < len(cfg.seeds) else cfg.seeds[0] + rep for rep in range(args.repeats)]
-    twice = [seed for seed in seeds if seeds.count(seed) > 1]
-    if twice:
-        raise ConfigurationError(f"seeds {cfg.seeds} with --repeats {args.repeats} run seed {twice[0]} twice")
     values = []
     for text in filter(None, (v.strip() for v in args.values.split(","))):
         value_cfg = cfg.override(**{args.param: ExperimentConfig.parse_field(args.param, text)})
@@ -429,7 +425,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fieldnames = ["parameter", "value", "seed", "rmse", "score", "epochs", "wall_time_s", "error"]
     if args.param == "r_max":
         fieldnames += ["rmse_unclipped", "score_unclipped"]
-    runs = len(values) * len(seeds)
+    runs = len(values) * len(cfg.seeds)
     failures = 0
     # Line-buffered: the header, and each run's row when the run ends, are on
     # disk at once, so a stopped sweep keeps its rows.
@@ -438,7 +434,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         writer.writeheader()
         for value, value_cfg in values:
             windows = window_arrays(normed, value_cfg.window, value_cfg.r_max)
-            for seed in seeds:
+            for seed in cfg.seeds:
                 run_dir = out_root / f"{args.param}={value}" / f"seed={seed}"
                 row = {"parameter": args.param, "value": value, "seed": seed}
                 try:
@@ -537,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--param", required=True, choices=SWEEPABLE)
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.add_argument("--repeats", type=int, default=3)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_synth = sub.add_parser("synth-data", help="generate a C-MAPSS-format demo dataset")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .data import N_CHANNELS
 from .errors import ConfigurationError
-from .model import parameter_shapes, resolve_blocks
+from .model import MODEL_FIELDS, parameter_shapes, resolve_blocks
 
 SWEEPABLE = ("feature_heads", "sequence_heads", "window", "r_max", "mode")
 
@@ -141,6 +141,8 @@ class ExperimentConfig:
             raise ConfigurationError("seed list is empty")
         if min(self.seeds) < 0:
             raise ConfigurationError(f"seeds must be >= 0, got {self.seeds}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigurationError(f"seeds must be distinct, got {self.seeds}")
         parameter_shapes(**self.model_kwargs(), batch_size=self.batch_size)
         if require_paths:
             for label in ("train_path", "test_path", "truth_path"):
@@ -156,9 +158,7 @@ class ExperimentConfig:
         return self.override(seeds=[seed])
 
     def model_kwargs(self) -> dict:
-        names = ("window", "mode", "feature_heads", "sequence_heads", "lstm_hidden", "lstm_layers",
-                 "mlp_hidden", "dropout")
-        return {"n_features": N_CHANNELS, **{name: getattr(self, name) for name in names}}
+        return {"n_features": N_CHANNELS, **{name: getattr(self, name) for name in MODEL_FIELDS}}
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

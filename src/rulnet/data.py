@@ -413,7 +413,7 @@ def _window_view(channels: np.ndarray, window: int) -> np.ndarray:
 
 def windows_ending_at(channels: np.ndarray, ends: Sequence[int], window: int) -> np.ndarray:
     """(N, F, T) float32 windows of the cycles ending at each of ``ends``
-    (1-based, any order and repeats), by the rule of :func:`_window_view`,
+    (1-based, in any order, an end may recur), by the rule of :func:`_window_view`,
     as one new writable array."""
     return np.take(_window_view(channels, window), np.asarray(ends) - 1, axis=0)
 

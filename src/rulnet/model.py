@@ -21,6 +21,10 @@ from .autodiff import Tensor
 from .errors import ConfigurationError, ContractError, DimensionError
 
 MODES = ("L", "A", "F", "F+T")
+# The config fields that shape a model, in config order: the construction
+# arguments of RulModel other than n_features, init_rng, dtype and arrays.
+MODEL_FIELDS = ("window", "mode", "feature_heads", "sequence_heads", "lstm_hidden", "lstm_layers",
+                "mlp_hidden", "dropout")
 # Fixed caps, the same on every host, on a model's size (see parameter_shapes).
 MAX_PARAMETERS = 2**27
 MAX_ACTIVATIONS = 2**28
@@ -278,15 +282,6 @@ class RulModel:
 
     def hyperparams(self) -> dict:
         """Construction arguments that rebuild this skeleton; an unbuilt block records one head."""
-        return {
-            "n_features": self.n_features,
-            "window": self.window,
-            "mode": self.mode,
-            "feature_heads": max(self.feature_heads, 1),
-            "sequence_heads": max(self.sequence_heads, 1),
-            "lstm_hidden": self.lstm_hidden,
-            "lstm_layers": self.lstm_layers,
-            "mlp_hidden": self.mlp_hidden,
-            "dropout": self.dropout,
-            "dtype": self.dtype.str,
-        }
+        hp = {name: getattr(self, name) for name in ("n_features", *MODEL_FIELDS)}
+        hp.update({name: max(hp[name], 1) for name in Blocks._fields[1:]})
+        return {**hp, "dtype": self.dtype.str}

@@ -5,11 +5,12 @@ import rulnet
 import json
 import math
 import struct
+from typing import Callable, Iterable
 
 import numpy as np
 import pytest
 
-from rulnet import DimensionError, RulModel, Tensor
+from rulnet import DimensionError, RulModel, Tape, Tensor
 from rulnet import autodiff as ad
 from rulnet.data import parse_cmapss, parse_rul_truth
 from rulnet.synthetic import generate_dataset
@@ -92,6 +93,64 @@ def rand_tensor(rng, *shape, requires_grad=True, shift=0.0):
 def scalar_loss(t):
     """Quadratic scalar readout used by gradient checks."""
     return ad.mean(ad.mul(t, t))
+
+
+# ---------------------------------------------------------------------
+# finite-difference oracle for the tape's gradients
+# ---------------------------------------------------------------------
+
+def numeric_gradient(
+    f: Callable[[], float], param: Tensor, eps: float = 1e-5
+) -> np.ndarray:
+    """Central finite differences of a scalar function w.r.t. one tensor.
+
+    ``f`` must re-evaluate the quantity of interest from current tensor
+    contents.  Purely forward evaluations; independent of the tape.
+    """
+    flat = param.data.reshape(-1)
+    grad = np.zeros(param.size, dtype=np.float64)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        up = f()
+        flat[i] = orig - eps
+        down = f()
+        flat[i] = orig
+        grad[i] = (up - down) / (2.0 * eps)
+    return grad.reshape(param.shape)
+
+
+def gradcheck(
+    loss_fn: Callable[[], Tensor],
+    params: Iterable[Tensor],
+    eps: float = 1e-5,
+    rtol: float = 1e-4,
+) -> float:
+    """Compare tape gradients of ``loss_fn`` against central differences.
+
+    Returns the worst relative error (denominator max(|a|, |b|, 1e-8));
+    raises AssertionError when it exceeds ``rtol``.
+    """
+    params = list(params)
+    for p in params:
+        p.zero_grad()
+    with Tape() as tape:
+        loss = loss_fn()
+    tape.backward(loss)
+    worst = 0.0
+    for n, p in enumerate(params):
+        analytic = np.zeros(p.shape, dtype=np.float64) if p.grad is None else p.grad.astype(np.float64)
+        numeric = numeric_gradient(lambda: loss_fn().item(), p, eps=eps)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+        rel = np.abs(analytic - numeric) / denom
+        worst = max(worst, float(rel.max()))
+        if rel.max() > rtol:
+            idx = np.unravel_index(int(rel.argmax()), rel.shape)
+            raise AssertionError(
+                f"gradient mismatch for parameter {n}{list(idx)}: "
+                f"analytic={analytic[idx]:.8g} numeric={numeric[idx]:.8g} rel={rel.max():.3g}"
+            )
+    return worst
 
 
 # ---------------------------------------------------------------------

@@ -19,11 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_tiny_model, head_blocks, per_head_attention, sub
+from conftest import build_tiny_model, gradcheck, head_blocks, per_head_attention, sub
 from rulnet import RulModel, Tensor
 from rulnet import autodiff as ad
 from rulnet import data as D
-from rulnet.autodiff import gradcheck
 from rulnet.cli import main as cli_main
 from rulnet.evaluation import phm_score, predict_test_set, rmse
 from rulnet.checkpoint import Bundle

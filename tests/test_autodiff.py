@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (add, head_blocks, head_chain, lstm_weights, matmul, mse_chain, per_head_attention,
-                      rand_tensor, relu, reshape, scalar_loss, scale, sub, transpose)
+from conftest import (add, gradcheck, head_blocks, head_chain, lstm_weights, matmul, mse_chain,
+                      per_head_attention, rand_tensor, relu, reshape, scalar_loss, scale, sub, transpose)
 from rulnet import ContractError, DimensionError, NumericInputError, Tape, TapeError, Tensor
 from rulnet import autodiff as ad
-from rulnet.autodiff import exact_arithmetic, gradcheck
+from rulnet.autodiff import exact_arithmetic
 
 
 def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

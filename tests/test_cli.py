@@ -605,23 +605,36 @@ class TestSweep:
         out = workspace["root"] / "sweep"
         code = main(
             ["sweep", "--config", str(workspace["config"]), "--out", str(out),
-             "--param", "feature_heads", "--values", "0,2", "--repeats", "2", "--seed", "5"]
+             "--param", "feature_heads", "--values", "0,2", "--seeds", "5,6"]
             + FAST_FLAGS
         )
         assert code == 0
         lines = (out / "sweep_results.csv").read_text().splitlines()
-        assert len(lines) == 5  # header + 2 values x 2 repeats
+        assert len(lines) == 5  # header + 2 values x 2 seeds
         header = lines[0].split(",")
         for column in ("parameter", "value", "seed", "rmse", "score", "epochs", "wall_time_s"):
             assert column in header
         assert (out / "feature_heads=0" / "seed=5" / "checkpoint.bin").exists()
         assert (out / "feature_heads=2" / "seed=6" / "metrics.json").exists()
 
+    def test_runs_every_listed_seed_in_order(self, workspace, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--config", str(workspace["config"]), "--out", str(out),
+             "--param", "r_max", "--values", "50", "--seeds", "4,1,3,2,5"]
+            + FAST_FLAGS + ["--max-epochs", "1"]
+        )
+        assert code == 0
+        with open(out / "sweep_results.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["seed"], row["error"]) for row in rows] == [(seed, "") for seed in "41325"]
+        assert sorted(p.name for p in (out / "r_max=50").iterdir()) == [f"seed={seed}" for seed in "12345"]
+
     def test_mode_sweep_covers_ablation_axes(self, workspace):
         out = workspace["root"] / "sweep_mode"
         code = main(
             ["sweep", "--config", str(workspace["config"]), "--out", str(out),
-             "--param", "mode", "--values", "L,A", "--repeats", "1", "--seed", "4"]
+             "--param", "mode", "--values", "L,A", "--seed", "4"]
             + FAST_FLAGS
         )
         assert code == 0
@@ -632,7 +645,7 @@ class TestSweep:
         code = main(
             ["sweep", "--config", str(workspace["config"]), "--out",
              str(workspace["root"] / "sweep_bad"), "--param", "feature_heads",
-             "--values", "3", "--repeats", "1", "--window", "10"]
+             "--values", "3", "--window", "10"]
         )
         assert code == 1
 
@@ -640,7 +653,7 @@ class TestSweep:
         out = workspace["root"] / "sweep_rmax"
         code = main(
             ["sweep", "--config", str(workspace["config"]), "--out", str(out),
-             "--param", "r_max", "--values", "50", "--repeats", "1", "--seed", "4"]
+             "--param", "r_max", "--values", "50", "--seed", "4"]
             + FAST_FLAGS
         )
         assert code == 0
@@ -670,7 +683,7 @@ class TestSweep:
         out = tmp_path / "sweep"
         code = main(
             ["sweep", "--config", str(workspace["config"]), "--out", str(out),
-             "--param", param, "--values", values, "--repeats", "2", "--seed", "5"]
+             "--param", param, "--values", values, "--seeds", "5,6"]
             + FAST_FLAGS
         )
         assert code == 0
@@ -683,7 +696,7 @@ class TestSweep:
         out = tmp_path / "sweep"
         code = main(
             ["sweep", "--config", str(workspace["config"]), "--out", str(out),
-             "--param", "window", "--values", " 8, 10 ", "--repeats", "1", "--seed", "4"]
+             "--param", "window", "--values", " 8, 10 ", "--seed", "4"]
             + FAST_FLAGS
         )
         assert code == 0
@@ -695,7 +708,7 @@ class TestSweep:
         out = tmp_path / "sweep"
         code = main(
             ["sweep", "--config", str(workspace["config"]), "--out", str(out),
-             "--param", "r_max", "--values", "40", "--repeats", "2", "--seed", "4"]
+             "--param", "r_max", "--values", "40", "--seeds", "4,5"]
             + FAST_FLAGS
         )
         assert code == 0
@@ -729,7 +742,7 @@ class TestSweep:
         monkeypatch.setattr(cli, "_train_once", stop_second)
         with pytest.raises(KeyboardInterrupt):
             main(["sweep", "--config", str(workspace["config"]), "--out", str(out),
-                  "--param", "r_max", "--values", "40,50", "--repeats", "1", "--seed", "5"]
+                  "--param", "r_max", "--values", "40,50", "--seed", "5"]
                  + FAST_FLAGS)
         header = "parameter,value,seed,rmse,score,epochs,wall_time_s,error,rmse_unclipped,score_unclipped\n"
         assert seen[0] == header
@@ -743,7 +756,7 @@ class TestSweep:
         out = tmp_path / "sweep"
         code = main(
             ["sweep", "--config", str(workspace["config"]), "--out", str(out),
-             "--param", "r_max", "--values", "40,50", "--repeats", "2", "--seed", "5"]
+             "--param", "r_max", "--values", "40,50", "--seeds", "5,6"]
             + FAST_FLAGS + ["--learning-rate", "1e30"]
         )
         assert code == 3
@@ -903,17 +916,20 @@ ENTRY_POINT_CASES = [
     *[pytest.param(["sweep", *CONFIG_ARGS, "--param", "r_max", "--values", values], {}, {}, 1,
                    "--values", id=f"sweep-repeated-{values}")
       for values in ("50,50", "50,50.0", "40,50,40")],
-    # The third of three runs takes seeds[0] + 2.
-    *[pytest.param(["sweep", *CONFIG_ARGS, "--param", "r_max", "--values", "50", "--seeds", seeds,
-                    "--repeats", repeats], {}, {}, 1, f"seed {seed} twice",
-                   id=f"sweep-repeated-seed-{seeds}")
-      for seeds, repeats, seed in [("0,2", "3", 2), ("3,3", "2", 3)]],
+    *[pytest.param([command, *CONFIG_ARGS, *extra, "--seeds", "3,3"], {}, {}, 1, "seeds must be distinct",
+                   id=f"{command}-repeated-seed-3,3")
+      for command, extra in [("train", []), ("sweep", ["--param", "r_max", "--values", "50"])]],
+    # --seed replaces a config file's seeds; with --seeds as well, one of them would be dropped.
+    pytest.param(["train", *CONFIG_ARGS, "--seeds", "2,3", "--seed", "1"], {}, {}, 1, "--seed and --seeds",
+                 id="flag-seed-and-seeds"),
     *[pytest.param(["evaluate", "--checkpoint", "{bundle}", "--out", "{out}"], {}, {name: value},
                    2, name, id=f"bundle-{name}")
       for name, value in [("r_max", "abc"), ("clip_test_rul", "no")]],
     # A value of the right type but out of range; read, every true RUL would be -3.
     pytest.param(["evaluate", "--checkpoint", "{bundle}", "--out", "{out}"], {}, {"r_max": -3.0},
                  2, "r_max must be positive", id="bundle-negative-r_max"),
+    pytest.param(["evaluate", "--checkpoint", "{bundle}", "--out", "{out}"], {}, {"seeds": [3, 3]},
+                 2, "seeds must be distinct", id="bundle-repeated-seeds"),
     pytest.param(["train", *CONFIG_ARGS, "--bogus"], {}, {}, 1, "--bogus", id="unknown-flag"),
     pytest.param(["evaluate", "--out", "{out}"], {}, {}, 1, "--checkpoint",
                  id="missing-checkpoint"),
@@ -923,7 +939,8 @@ ENTRY_POINT_CASES = [
                  id="missing-param"),
     pytest.param(["explain", "--checkpoint", "{bundle}", "--unit", "abc", "--out", "{out}"],
                  {}, {}, 1, "--unit", id="explain-unit"),
-    pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", "10", "--repeats", "x"],
+    # A sweep runs the seeds its config lists; there is no --repeats.
+    pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", "10", "--repeats", "2"],
                  {}, {}, 1, "--repeats", id="sweep-repeats"),
     pytest.param(["synth-data", "--out", "{out}", "--units", "x"], {}, {}, 1, "--units",
                  id="synth-units"),

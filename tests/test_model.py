@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (add, build_tiny_model, head_blocks, lstm_weights, matmul, per_head_attention, reshape,
-                      sigmoid, stored_state_lstm, tanh)
+from conftest import (add, build_tiny_model, gradcheck, head_blocks, lstm_weights, matmul, per_head_attention,
+                      reshape, sigmoid, stored_state_lstm, tanh)
 from rulnet import (
     ConfigurationError,
     ContractError,
@@ -22,7 +22,7 @@ from rulnet import (
     Tensor,
 )
 from rulnet import autodiff as ad
-from rulnet.autodiff import exact_arithmetic, gradcheck
+from rulnet.autodiff import exact_arithmetic
 from rulnet.config import ExperimentConfig
 from rulnet.model import MAX_PARAMETERS, MODES, parameter_shapes, resolve_blocks
 from rulnet.training import mse_loss
