@@ -343,13 +343,7 @@ def _joined_gates(hidden: int, *parts: np.ndarray) -> np.ndarray:
     """The (·, 4H) ``parts`` stacked by rows, with their gate columns
     rolled from [input, forget, cell, output] to [output, input, forget,
     cell], so the three sigmoid gates are one contiguous block."""
-    joined = np.empty((sum(len(p) for p in parts), 4 * hidden), parts[0].dtype)
-    row = 0
-    for part in parts:
-        joined[row : row + len(part), :hidden] = part[:, 3 * hidden :]
-        joined[row : row + len(part), hidden:] = part[:, : 3 * hidden]
-        row += len(part)
-    return joined
+    return np.roll(np.concatenate(parts), hidden, axis=1)
 
 
 def lstm_weight_shapes(width: int, hidden: int, layer: int) -> tuple[tuple[int, ...], ...]:

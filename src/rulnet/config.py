@@ -120,10 +120,10 @@ class ExperimentConfig:
 
     def validate(self, require_paths: bool = True) -> None:
         """Raise ConfigurationError on the first field out of range; each
-        check is written so that NaN fails it.  Layer sizes, head counts,
-        dropout and the model's size at ``batch_size`` are checked by
-        :func:`rulnet.model.parameter_shapes`, which allocates nothing."""
-        counts = ("window", "k_conditions", "batch_size", "early_stop_patience", "max_epochs")
+        check is written so that NaN fails it.  Window, batch and layer
+        sizes, head counts, dropout and the model's size at ``batch_size``
+        are checked by :func:`rulnet.model.parameter_shapes`, which allocates nothing."""
+        counts = ("k_conditions", "early_stop_patience", "max_epochs")
         for name in counts:
             if not getattr(self, name) >= 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")

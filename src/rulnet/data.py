@@ -295,11 +295,6 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 def _lloyd(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd iteration from a seeded k-means++ start."""
-    distinct = np.unique(points, axis=0)
-    if distinct.shape[0] < k:
-        raise ClusteringError(
-            f"need at least {k} distinct setting points, found {distinct.shape[0]}"
-        )
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(points, k, rng)
     assignment = None
@@ -331,8 +326,8 @@ def cluster_conditions(
     if k < 1:
         raise ContractError(f"cluster count must be >= 1, got {k}")
     trajectories = list(trajectories)
-    if not trajectories:
-        raise ContractError("no trajectories to fit on")
+    if not sum(len(t) for t in trajectories):
+        raise ContractError("no setting rows to fit on")
     channels = np.vstack([t.channels for t in trajectories])
     settings = channels[:, :N_SETTINGS]
     centroids = _lloyd(settings, k, seed)

@@ -154,20 +154,15 @@ def split_units(unit_ids: np.ndarray, fraction: float, seed: int) -> tuple[list[
     return train, val
 
 
-def predict_batched(model: RulModel, x: np.ndarray) -> np.ndarray:
-    """Inference over (N, F, T) arrays without recording a tape."""
-    outs = []
-    for start in range(0, len(x), PREDICT_BATCH):
-        outs.append(model.predict(x[start : start + PREDICT_BATCH]))
+def predict_batched(model: RulModel, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Inference over windows ``x[rows]`` of (N, F, T) arrays, every window
+    when ``rows`` is None, without recording a tape.  Each PREDICT_BATCH
+    chunk is gathered from ``x`` on its own."""
+    if rows is None:
+        rows = np.arange(len(x))
+    outs = [model.predict(x[rows[start : start + PREDICT_BATCH]])
+            for start in range(0, len(rows), PREDICT_BATCH)]
     return np.concatenate(outs) if outs else np.zeros(0, dtype=np.float32)
-
-
-def _validation_rmse(model: RulModel, x: np.ndarray, rows: np.ndarray, y: np.ndarray) -> float:
-    """RMSE of the predictions for windows ``x[rows]`` against ``y``, each
-    PREDICT_BATCH chunk gathered from ``x`` on its own."""
-    pred = np.concatenate([model.predict(x[rows[start : start + PREDICT_BATCH]])
-                           for start in range(0, len(rows), PREDICT_BATCH)])
-    return float(np.sqrt(np.mean((pred.astype(np.float64) - y.astype(np.float64)) ** 2)))
 
 
 # glibc mallopt parameters, from <malloc.h>
@@ -207,7 +202,8 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
     The head's output bias starts at the mean training label.
     A non-finite batch loss, or a gradient norm that is not finite in the
     model's dtype, raises NumericInputError naming the epoch and 1-based
-    batch, before it can reach the weights.  Training keeps freed memory
+    batch, before it can reach the weights; a validation RMSE that is not
+    finite raises it naming the epoch.  Training keeps freed memory
     in the process (see :func:`_keep_freed_memory`).
 
     Each batch and each validation chunk is gathered from ``windows.x``
@@ -229,7 +225,7 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
     train_units, val_units = split_units(units, config.validation_fraction, seed)
     in_val = np.isin(units, val_units)
     train_idx = np.flatnonzero(~in_val)
-    val_rows, y_val = rows[in_val], y[in_val]
+    val_rows, y_val = rows[in_val], y[in_val].astype(np.float64)
     # Start the output at the mean training label, so that the first steps
     # fit the labels' spread instead of chasing their offset, which
     # saturates the attention modes into a constant prediction.
@@ -273,7 +269,9 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
             model.zero_grad()
             total_loss += loss_value * len(idx)
 
-        val_rmse = _validation_rmse(model, x, val_rows, y_val)
+        val_rmse = float(np.sqrt(np.mean((predict_batched(model, x, val_rows) - y_val) ** 2)))
+        if not math.isfinite(val_rmse):
+            raise NumericInputError(f"validation RMSE is {val_rmse} at epoch {epoch}")
         log.append(EpochRecord(epoch, total_loss / len(train_idx), val_rmse))
 
         if val_rmse < best_val:

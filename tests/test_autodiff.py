@@ -423,6 +423,10 @@ class TestElementwise:
         with pytest.raises(ContractError):
             add(Tensor(np.zeros(2), dtype=np.float32), Tensor(np.zeros(2), dtype=np.float64))
 
+    def test_mul_shape_mismatch(self):
+        with pytest.raises(DimensionError, match=r"mul: incompatible shapes \(2, 3\) and \(3, 2\)"):
+            ad.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+
     def test_elementwise_gradients(self):
         rng = np.random.default_rng(8)
         x = rand_tensor(rng, 2, 5, shift=0.6)  # inputs shifted off the rectifier's kink
@@ -436,6 +440,25 @@ class TestElementwise:
         gradcheck(lambda: scalar_loss(reshape(x, (2, 6))), [x])
         assert np.array_equal(transpose(transpose(x)).data, x.data)
         gradcheck(lambda: scalar_loss(transpose(x)), [x])
+
+
+class TestInputChecks:
+    def test_wraps_raw_data_not_a_tensor(self):
+        with pytest.raises(ContractError, match="not another Tensor"):
+            Tensor(Tensor(np.zeros(2)))
+
+    def test_integer_data_becomes_the_default_float(self):
+        t = Tensor([1, 2])
+        assert t.dtype == ad.DEFAULT_DTYPE and t.data.tolist() == [1.0, 2.0]
+
+    def test_item_needs_one_element(self):
+        with pytest.raises(ContractError, match=r"single-element tensor, got shape \(2,\)"):
+            Tensor(np.zeros(2)).item()
+
+    def test_lstm_needs_a_3d_input(self):
+        w_x, w_h, bias = lstm_weights(3, 4, 1, np.random.default_rng(0))
+        with pytest.raises(DimensionError, match="lstm expects"):
+            ad.lstm(Tensor(np.zeros((2, 3))), w_x, w_h, bias)
 
 
 def fused_op_setup(op):

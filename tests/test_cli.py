@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import with_extra_tensor
-from rulnet import BLAS_THREAD_VARS, cli
+from rulnet import BLAS_THREAD_VARS, __version__, cli
 from rulnet.checkpoint import load_bundle, save_bundle
 from rulnet.cli import build_parser, main
 from rulnet.config import KINDS, ExperimentConfig
@@ -285,6 +285,13 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["blas_threads"] == {var: "1" for var in BLAS_THREAD_VARS}
         assert manifest["blas_threads_in_effect"] in (1, None)
+
+    def test_python_m_rulnet_prints_its_version(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-m", "rulnet", "--version"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"rulnet {__version__}\n"
 
     def test_invalid_head_combination_fails_fast(self, workspace):
         code = main(
@@ -885,6 +892,9 @@ CONFIG_ARGS = ["--config", "{config}", "--out", "{out}", "--max-epochs", "1",
 # "{overflowing_train}" the workspace's train file with two readings of 1e308,
 # "{truth3}" a truth file of three values for the four test units,
 # "{huge_truth}" a truth file of 100000 for each of them, whose score overflows,
+# "{dir}" a directory, "{array}" a file holding the JSON array [1],
+# "{array_bundle}" the trained checkpoint with the header [1], "{unit0}" the
+# workspace's train file with the unit id of its first row set to 0,
 # "{out}" a directory that must not be created and "{run}" one that may be.
 ENTRY_POINT_CASES = [
     *[pytest.param([command, *CONFIG_ARGS], {name: value}, {}, 1, name,
@@ -898,6 +908,12 @@ ENTRY_POINT_CASES = [
                    id=f"{command}-config-negative-seed") for command in ("train", "preprocess")],
     pytest.param(["train", *CONFIG_ARGS, "--seeds", "-1"], {}, {}, 1, "seeds",
                  id="flag-negative-seed"),
+    pytest.param(["train", *CONFIG_ARGS], {"seeds": []}, {}, 1, "seed list is empty",
+                 id="train-config-no-seeds"),
+    pytest.param(["train", *CONFIG_ARGS, "--config", "{dir}"], {}, {}, 1, "cannot read config",
+                 id="config-is-a-directory"),
+    pytest.param(["train", *CONFIG_ARGS, "--config", "{array}"], {}, {}, 1,
+                 "config file must hold a JSON object", id="config-not-an-object"),
     pytest.param(["synth-data", "--out", "{out}", "--seed", "-1"], {}, {}, 1, "seed -1",
                  id="synth-negative-seed"),
     # Sizes of 10**12, far over the model's caps, which are checked by
@@ -930,6 +946,8 @@ ENTRY_POINT_CASES = [
                  2, "r_max must be positive", id="bundle-negative-r_max"),
     pytest.param(["evaluate", "--checkpoint", "{bundle}", "--out", "{out}"], {}, {"seeds": [3, 3]},
                  2, "seeds must be distinct", id="bundle-repeated-seeds"),
+    pytest.param(["evaluate", "--checkpoint", "{array_bundle}", "--out", "{out}"], {}, {}, 2,
+                 "{array_bundle}: header is not a JSON object", id="bundle-header-not-an-object"),
     pytest.param(["train", *CONFIG_ARGS, "--bogus"], {}, {}, 1, "--bogus", id="unknown-flag"),
     pytest.param(["evaluate", "--out", "{out}"], {}, {}, 1, "--checkpoint",
                  id="missing-checkpoint"),
@@ -937,6 +955,8 @@ ENTRY_POINT_CASES = [
                  id="missing-unit"),
     pytest.param(["sweep", *CONFIG_ARGS, "--values", "10"], {}, {}, 1, "--param",
                  id="missing-param"),
+    pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", ","], {}, {}, 1,
+                 "--values needs at least one value", id="sweep-no-values"),
     pytest.param(["explain", "--checkpoint", "{bundle}", "--unit", "abc", "--out", "{out}"],
                  {}, {}, 1, "--unit", id="explain-unit"),
     # A sweep runs the seeds its config lists; there is no --repeats.
@@ -951,6 +971,8 @@ ENTRY_POINT_CASES = [
     *[pytest.param([command, *CONFIG_ARGS, "--train-path", "{short}"], {}, {}, 2,
                    "{short}: line 1: expected 26 columns, found 3", id=f"{command}-short-rows")
       for command in ("preprocess", "train")],
+    pytest.param(["train", *CONFIG_ARGS, "--train-path", "{unit0}"], {}, {}, 2,
+                 "{unit0}: line 1: unit id must be a positive integer, got 0", id="train-unit-id-0"),
     *[pytest.param([command, *args, "--truth-path", "{latin1}"], {}, {}, 2,
                    "ParseError: {latin1}: not UTF-8 text", id=f"{command}-truth-not-utf8")
       for command, args in [("evaluate", ["--checkpoint", "{bundle}", "--out", "{out}"]),
@@ -990,6 +1012,11 @@ ENTRY_POINT_CASES = [
     pytest.param(["train", *CONFIG_ARGS, "--out", "{run}", "--mode", "L", "--learning-rate", "1e10"],
                  {}, {}, 3, "NumericInputError: training loss is inf at epoch 1, batch 2",
                  id="train-loss-overflows"),
+    # One batch per epoch: the loss is finite, and the update it makes
+    # overflows the validation predictions.
+    pytest.param(["train", *CONFIG_ARGS, "--out", "{run}", "--mode", "L", "--learning-rate", "1e20",
+                  "--batch-size", "2048"], {}, {}, 3, "NumericInputError: validation RMSE is inf at epoch 1",
+                 id="train-validation-diverges"),
 ]
 
 
@@ -1034,13 +1061,23 @@ class TestEntryPoints:
         truth3_path.write_text("5\n7\n9\n")
         huge_truth_path = tmp_path / "huge_truth.txt"
         huge_truth_path.write_text("100000\n" * 4)
+        array_path = tmp_path / "array.json"
+        array_path.write_text("[1]")
+        blob = bundle_path.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", blob, 12)
+        array_bundle_path = tmp_path / "array.bin"
+        array_bundle_path.write_bytes(blob[:12] + struct.pack("<Q", 3) + b"[1]" + blob[20 + header_len :])
+        _, rest = Path(workspace["raw"]["train_path"]).read_text().split(" ", 1)
+        unit0_path = tmp_path / "unit0.txt"
+        unit0_path.write_text("0 " + rest)
         paths = {"{config}": str(config_path), "{bundle}": str(bundle_path), "{out}": str(out),
                  "{missing}": str(tmp_path / "missing.txt"), "{short}": str(short_path),
                  "{latin1}": str(latin1_path), "{nonfinite}": str(nonfinite_path),
                  "{overflow}": str(overflow_path), "{attention}": str(attention_path),
                  "{empty}": str(empty_path), "{one_unit}": str(workspace["one_unit"]),
                  "{truth3}": str(truth3_path), "{huge_truth}": str(huge_truth_path),
-                 "{run}": str(tmp_path / "run"),
+                 "{run}": str(tmp_path / "run"), "{dir}": str(tmp_path), "{array}": str(array_path),
+                 "{array_bundle}": str(array_bundle_path), "{unit0}": str(unit0_path),
                  "{overflowing_train}": str(overflowing_train(workspace, tmp_path))}
         assert main([paths.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err

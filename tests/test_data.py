@@ -226,8 +226,17 @@ class TestClusterConditions:
 
     def test_too_few_distinct_points(self):
         traj = D.RawTrajectory(unit_id=1, channels=np.zeros((50, 24)))
-        with pytest.raises(ClusteringError):
+        with pytest.raises(ClusteringError, match="fewer than 2 distinct setting points"):
             D.cluster_conditions([traj], k=2, seed=0)
+
+    @pytest.mark.parametrize("k, trajectories, message", [
+        (0, [D.RawTrajectory(unit_id=1, channels=np.zeros((5, 24)))], "cluster count must be >= 1"),
+        (1, [], "no setting rows"),
+        (1, [D.RawTrajectory(unit_id=1, channels=np.zeros((0, 24)))], "no setting rows"),
+    ], ids=["k-0", "no-trajectories", "no-rows"])
+    def test_nothing_to_cluster_rejected(self, k, trajectories, message):
+        with pytest.raises(ContractError, match=message):
+            D.cluster_conditions(trajectories, k=k, seed=0)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize(
@@ -447,6 +456,11 @@ class TestWindowSplit:
             assert built.flags.c_contiguous
             for matrix, end in zip(built, chosen.tolist()):
                 assert matrix.tobytes() == window_ending_at(channels, end, window).tobytes()
+
+    def test_saving_no_windows_rejected(self, tmp_path):
+        with pytest.raises(ContractError, match="no samples"):
+            D.save_windows([], tmp_path / "w.txt")
+        assert not (tmp_path / "w.txt").exists()
 
     def test_windows_file_round_trip(self, tmp_path):
         samples = D.window_split(self._traj(45), 8, 125)

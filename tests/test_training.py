@@ -62,6 +62,10 @@ class TestMseLoss:
         with pytest.raises(ContractError):
             mse_loss(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ContractError, match="at least one element"):
+            mse_loss(Tensor(np.zeros(0)), Tensor(np.zeros(0)))
+
     def test_batch_loss_equals_mean_of_per_sample_losses(self):
         rng = np.random.default_rng(0)
         p = rng.standard_normal(9)
@@ -220,6 +224,10 @@ class TestSplitUnits:
         train, val = split_units(np.array([1, 1, 2]), 0.01, seed=0)
         assert len(train) >= 1 and len(val) >= 1
 
+    def test_one_unit_rejected(self):
+        with pytest.raises(ContractError, match="at least 2 units"):
+            split_units(np.array([3, 3, 3]), 0.5, seed=0)
+
     def test_deterministic(self):
         units = np.arange(30)
         assert split_units(units, 0.25, seed=7) == split_units(units, 0.25, seed=7)
@@ -230,6 +238,12 @@ class TestFit:
     def test_empty_set_rejected(self, tiny_model):
         with pytest.raises(ContractError):
             fit(tiny_model, windows_to_arrays([]), tiny_fit_config())
+
+    def test_windows_of_another_shape_rejected(self, tiny_model):
+        windows = windows_to_arrays(tiny_samples())
+        wide = windows._replace(x=np.zeros((len(windows.x), 4, 7), dtype=np.float32))
+        with pytest.raises(ContractError, match=r"windows are \(4, 7\), model expects \(4, 6\)"):
+            fit(tiny_model, wide, tiny_fit_config())
 
     def test_deterministic_replay(self):
         samples = tiny_samples()
@@ -291,6 +305,18 @@ class TestFit:
             fit(model, windows_to_arrays(samples), config)
         assert last_batch > 0
         assert all(np.isfinite(a).all() for _, a in model.state_arrays())
+
+    def test_non_finite_validation_rmse_stops_training(self):
+        # A NaN in one held-out window leaves every batch loss finite; mode L
+        # has no softmax, so only fit's own check can catch the NaN.
+        samples = tiny_samples()
+        config = tiny_fit_config()
+        units = np.array([s.unit_id for s in samples])
+        _, val_units = split_units(units, config.validation_fraction, config.seeds[0])
+        samples[int(np.flatnonzero(np.isin(units, val_units))[0])].matrix[1, 2] = np.nan
+        model, _ = build_tiny_model(seed=7, mode="L", dtype=np.float32)
+        with pytest.raises(NumericInputError, match="validation RMSE is nan at epoch 1$"):
+            fit(model, windows_to_arrays(samples), config)
 
     def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
         model, _ = build_tiny_model(seed=7, dtype=np.float32)
@@ -395,11 +421,11 @@ class TestFit:
 
         def checking_validation(*args):
             alive_at_validation.append(sum(ref() is not None for ref in tapes))
-            return validation_rmse(*args)
+            return predict_batched(*args)
 
-        validation_rmse = training._validation_rmse
+        predict_batched = training.predict_batched
         monkeypatch.setattr(training, "Tape", recording_tape)
-        monkeypatch.setattr(training, "_validation_rmse", checking_validation)
+        monkeypatch.setattr(training, "predict_batched", checking_validation)
         model, _ = build_tiny_model(seed=1, dtype=np.float32, dropout=0.5)
         was_enabled = gc.isenabled()
         gc.disable()
