@@ -46,16 +46,6 @@ class Bundle:
     condition_model: ConditionModel
     config: ExperimentConfig
 
-    @property
-    def window(self) -> int:
-        return self.model.window
-
-    def require_window(self, window: int) -> None:
-        if window != self.model.window:
-            raise ConfigurationError(
-                f"bundle was trained with window {self.model.window}, got {window}"
-            )
-
 
 def save_bundle(path: str | Path, model: RulModel, cm: ConditionModel, config: dict) -> None:
     """Write a bundle whose header records ``config``, a dict of
@@ -138,7 +128,7 @@ def load_bundle(path: str | Path) -> Bundle:
 
     try:
         config = ExperimentConfig.from_dict(header["config"])
-        config.validate(require_paths=False)
+        config.validate()
     except ConfigurationError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     arrays = _read_tensors(path, header["tensors"], raw, body_start)

@@ -127,12 +127,12 @@ def _sha256(path: str | Path) -> str:
 # pipeline helpers shared by commands
 # ---------------------------------------------------------------------
 
-def _parse_units(path: str | Path) -> list[RawTrajectory]:
-    """The units of a C-MAPSS file; a file with none is a data error."""
-    units = parse_cmapss(path)
-    if not units:
-        raise IntegrityError(f"{path}: no units")
-    return units
+def _data_path(cfg: ExperimentConfig, key: str) -> str:
+    """``cfg``'s data path ``key``, which must be set; reading the file is
+    what checks that it exists."""
+    if not getattr(cfg, key):
+        raise ConfigurationError(f"no {key}: name the file in the config or with --{key.replace('_', '-')}")
+    return getattr(cfg, key)
 
 
 def _prepare(cfg: ExperimentConfig, train_trajs) -> tuple[ConditionModel, Iterator[RawTrajectory]]:
@@ -145,17 +145,15 @@ def _prepare(cfg: ExperimentConfig, train_trajs) -> tuple[ConditionModel, Iterat
 
 def _test_pairs(cfg: ExperimentConfig) -> list[tuple[RawTrajectory, int]]:
     """The test units of ``cfg.test_path`` paired with the final RULs of
-    ``cfg.truth_path``, for a checkpoint's config after any flag override."""
-    for key in ("test_path", "truth_path"):
-        if not getattr(cfg, key):
-            raise ConfigurationError(f"no {key}: the checkpoint's config does not name one")
-    return pair_test_truth(_parse_units(cfg.test_path), parse_rul_truth(cfg.truth_path))
+    ``cfg.truth_path``."""
+    return pair_test_truth(parse_cmapss(_data_path(cfg, "test_path")),
+                           parse_rul_truth(_data_path(cfg, "truth_path")))
 
 
 def _read_inputs(cfg: ExperimentConfig) -> tuple[list[RawTrajectory], list[tuple[RawTrajectory, int]]]:
     """The units of ``cfg.train_path``, and the test units paired with their
     final RULs: each input file of a command, parsed once for all its uses."""
-    return _parse_units(cfg.train_path), _test_pairs(cfg)
+    return parse_cmapss(_data_path(cfg, "train_path")), _test_pairs(cfg)
 
 
 def _read_training_inputs(cfg: ExperimentConfig):
@@ -327,8 +325,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.checkpoint)
     cfg = bundle.config.override(test_path=args.test_path, truth_path=args.truth_path)
-    if args.window is not None:
-        bundle.require_window(args.window)
     out_dir = Path(args.out or cfg.out_dir)
     _write_json(_evaluate_bundle(bundle, _test_pairs(cfg), out_dir, clip=args.clip_test_rul))
     return 0
@@ -408,7 +404,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = []
     for text in filter(None, (v.strip() for v in args.values.split(","))):
         value_cfg = cfg.override(**{args.param: ExperimentConfig.parse_field(args.param, text)})
-        value_cfg.validate(require_paths=False)
+        value_cfg.validate()
         repeated = next((t for t, c in values if c == value_cfg), None)
         if repeated is not None:
             raise ConfigurationError(f"--values {text!r} gives the same config as {repeated!r}")
@@ -512,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--test-path", default=None)
     p_eval.add_argument("--truth-path", default=None)
-    p_eval.add_argument("--window", type=_field_type("window"), help="assert the expected window length")
     p_eval.add_argument("--clip-test-rul", type=_field_type("clip_test_rul"), metavar="BOOL")
     p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_evaluate)

@@ -6,8 +6,8 @@ are the paper's published setup.  Every field can appear in the config
 file and be overridden by a flag of the same name.  Every value is
 type-checked against its field's annotation when a config is built;
 :meth:`ExperimentConfig.parse_field` turns a flag's text into a value,
-and :meth:`ExperimentConfig.validate` checks every range, and unless
-told otherwise that the data paths exist, before any compute.
+and :meth:`ExperimentConfig.validate` checks every range before any
+compute; it reads no file.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ class ExperimentConfig:
         disabled.  :func:`rulnet.model.resolve_blocks` holds the rule."""
         return resolve_blocks(self.mode, self.feature_heads, self.sequence_heads)[1:]
 
-    def validate(self, require_paths: bool = True) -> None:
+    def validate(self) -> None:
         """Raise ConfigurationError on the first field out of range; each
         check is written so that NaN fails it.  Window, batch and layer
         sizes, head counts, dropout and the model's size at ``batch_size``
@@ -144,13 +144,6 @@ class ExperimentConfig:
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigurationError(f"seeds must be distinct, got {self.seeds}")
         parameter_shapes(**self.model_kwargs(), batch_size=self.batch_size)
-        if require_paths:
-            for label in ("train_path", "test_path", "truth_path"):
-                value = getattr(self, label)
-                if not value:
-                    raise ConfigurationError(f"{label} is not set")
-                if not Path(value).exists():
-                    raise ConfigurationError(f"{label} does not exist: {value}")
 
     # -- conversions --------------------------------------------------------
     def train_config(self, seed: int) -> "ExperimentConfig":

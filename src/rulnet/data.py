@@ -89,7 +89,7 @@ def parse_cmapss(path: str | Path) -> list[RawTrajectory]:
     Every reading must be a finite number; ``nan``, ``inf`` and comment
     lines are ParseErrors naming the line.  Units appear in
     first-occurrence order.  Each unit's cycles must run 1, 2, 3, ...
-    with no gaps; anything else is an IntegrityError.
+    with no gaps; a gap, or a file with no rows, is an IntegrityError.
     """
     try:
         with warnings.catch_warnings():
@@ -100,7 +100,7 @@ def parse_cmapss(path: str | Path) -> list[RawTrajectory]:
     except ValueError as exc:  # includes UnicodeDecodeError
         raise _line_error(path, str(exc)) from None
     if table.size == 0:
-        return []
+        raise IntegrityError(f"{path}: no units")
     units = table[:, 0]
     if (
         table.shape[1] != N_COLUMNS

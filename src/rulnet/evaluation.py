@@ -24,25 +24,27 @@ SCORE_EARLY_DIVISOR = 13.0  # d < 0: prediction under the true RUL
 SCORE_LATE_DIVISOR = 10.0  # d >= 0: prediction over the true RUL
 
 
+def _require_finite(values, name: Callable[[int], str]) -> None:
+    """Raise NumericInputError for the first of ``values`` (an array or one
+    number) that is not finite, calling it ``name(i)`` by its index."""
+    values = np.atleast_1d(values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericInputError(f"{name(bad[0])} is {values[bad[0]]}, not finite")
+
+
 def _finite_metric(metric: str, d: np.ndarray, terms: np.ndarray, value) -> float:
     """``value``, the metric reduced from one term per error; a term or a
-    value that overflowed is a NumericInputError naming the first error
-    whose term is not finite."""
-    bad = np.flatnonzero(~np.isfinite(terms))
-    if bad.size:
-        i = bad[0]
-        raise NumericInputError(f"the {metric} term of error {i} ({d[i]}) is {terms[i]}, not finite")
-    if not math.isfinite(value):
-        raise NumericInputError(f"the {metric} of {d.size} errors is {value}, not finite")
+    value that is not finite is a NumericInputError, a term naming its error."""
+    _require_finite(terms, lambda i: f"the {metric} term of error {i} ({d[i]})")
+    _require_finite(value, lambda _: f"the {metric} of {d.size} errors")
     return float(value)
 
 
 def phm_score(errors: Sequence[float]) -> float:
     """Sum of exp(-d/13)-1 for d<0 and exp(d/10)-1 for d>=0; one that
-    overflows is a NumericInputError."""
+    is not finite is a NumericInputError."""
     d = np.asarray(errors, dtype=np.float64)
-    if d.size and not np.isfinite(d).all():
-        raise ContractError("score requires finite errors")
     with np.errstate(over="ignore"):
         per_unit = np.where(
             d < 0,
@@ -52,16 +54,9 @@ def phm_score(errors: Sequence[float]) -> float:
         return _finite_metric("score", d, per_unit, per_unit.sum())
 
 
-def _require_finite(predictions: np.ndarray, name: Callable[[int], str]) -> None:
-    """Raise NumericInputError naming the first prediction that is not finite."""
-    bad = np.flatnonzero(~np.isfinite(predictions))
-    if bad.size:
-        raise NumericInputError(f"the prediction for {name(bad[0])} is {predictions[bad[0]]}, not finite")
-
-
 def rmse(errors: Sequence[float]) -> float:
-    """Root mean squared error of the signed errors; one that overflows is
-    a NumericInputError."""
+    """Root mean squared error of the signed errors; one that is not finite
+    is a NumericInputError."""
     d = np.asarray(errors, dtype=np.float64)
     if d.size == 0:
         raise ContractError("rmse of an empty error list")
@@ -132,11 +127,11 @@ def predict_test_set(
     r_max = bundle.config.r_max
 
     x = np.concatenate([
-        windows_ending_at(normalize(traj, bundle.condition_model).channels, [len(traj)], bundle.window)
+        windows_ending_at(normalize(traj, bundle.condition_model).channels, [len(traj)], bundle.model.window)
         for traj, _ in pairs
     ])
     preds = predict_batched(bundle.model, x).astype(np.float64)
-    _require_finite(preds, lambda i: f"unit {pairs[i][0].unit_id}")
+    _require_finite(preds, lambda i: f"the prediction for unit {pairs[i][0].unit_id}")
     records = []
     for (traj, true_rul), pred in zip(pairs, preds):
         clamped = pred < 0.0
@@ -237,7 +232,7 @@ def export_attention(
         weights[filled : filled + kept, :n_heads] = heads[keep]
         weights[filled : filled + kept, n_heads] = averaged[keep]
         filled += kept
-    _require_finite(predictions, lambda i: f"unit {trajectory.unit_id}, cycle {cycles[i]}")
+    _require_finite(predictions, lambda i: f"the prediction for unit {trajectory.unit_id}, cycle {cycles[i]}")
 
     return AttentionExport(
         unit_id=trajectory.unit_id,

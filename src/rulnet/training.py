@@ -212,7 +212,7 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
     backward returns, before the Adam update and the epoch's validation
     forward; only the parameters' gradients outlive it, until the update.
     """
-    config.validate(require_paths=False)
+    config.validate()
     x, y, units, rows = windows
     if not len(rows):
         raise ContractError("empty training set")

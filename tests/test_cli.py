@@ -147,7 +147,8 @@ class TestPreprocess:
             ["preprocess", "--config", str(workspace["config"]), "--out", str(out),
              "--truth-path", str(workspace["root"] / "nope.txt")]
         )
-        assert code == 1  # path validation at command start
+        assert code == 1  # the truth file cannot be opened, and it is read before --out is made
+        assert not out.exists()
 
     def test_truth_count_mismatch_is_data_error(self, workspace, tmp_path):
         bad_truth = tmp_path / "short.txt"
@@ -422,12 +423,6 @@ class TestEvaluate:
         lines = (out / "predictions.csv").read_text().splitlines()
         assert lines[0] == "unit_id,true_rul,pred_rul,error"
         assert len(lines) == 5
-
-    def test_window_mismatch_is_config_error(self, trained):
-        code = main(
-            ["evaluate", "--checkpoint", str(trained / "checkpoint.bin"), "--window", "30"]
-        )
-        assert code == 1
 
     def test_missing_checkpoint_is_data_error(self, workspace):
         code = main(["evaluate", "--checkpoint", str(workspace["root"] / "none.bin")])
@@ -962,12 +957,23 @@ ENTRY_POINT_CASES = [
     # A sweep runs the seeds its config lists; there is no --repeats.
     pytest.param(["sweep", *CONFIG_ARGS, "--param", "window", "--values", "10", "--repeats", "2"],
                  {}, {}, 1, "--repeats", id="sweep-repeats"),
+    # The window is the bundle's; evaluate takes no --window.
+    pytest.param(["evaluate", "--checkpoint", "{bundle}", "--window", "10", "--out", "{out}"],
+                 {}, {}, 1, "--window", id="evaluate-window-flag"),
     pytest.param(["synth-data", "--out", "{out}", "--units", "x"], {}, {}, 1, "--units",
                  id="synth-units"),
     *[pytest.param([command, "--checkpoint", "{bundle}", *unit, flag, "{missing}",
                     "--out", "{out}"], {}, {}, 1, "missing.txt", id=f"{command}-missing-{flag[2:]}")
       for command, unit in [("evaluate", []), ("explain", ["--unit", "1"])]
       for flag in ("--test-path", "--truth-path")],
+    *[pytest.param([command, *CONFIG_ARGS, *extra, "--truth-path", "{missing}"], {}, {}, 1,
+                   "missing.txt", id=f"{command}-missing-truth-path")
+      for command, extra in [("preprocess", []), ("train", []),
+                             ("sweep", ["--param", "r_max", "--values", "50"])]],
+    pytest.param(["train", *CONFIG_ARGS], {"train_path": ""}, {}, 1, "no train_path",
+                 id="train-no-train-path"),
+    pytest.param(["evaluate", "--checkpoint", "{bundle}", "--out", "{out}"], {}, {"test_path": ""}, 1,
+                 "no test_path", id="evaluate-no-test-path"),
     *[pytest.param([command, *CONFIG_ARGS, "--train-path", "{short}"], {}, {}, 2,
                    "{short}: line 1: expected 26 columns, found 3", id=f"{command}-short-rows")
       for command in ("preprocess", "train")],

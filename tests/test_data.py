@@ -108,7 +108,10 @@ class TestParseCmapss:
             D.parse_cmapss(path)
 
     def test_empty_input_has_no_units(self, text_file):
-        assert D.parse_cmapss(text_file("\n  \n")) == []
+        path = text_file("\n  \n")
+        with pytest.raises(IntegrityError) as err:
+            D.parse_cmapss(path)
+        assert str(err.value) == f"{path}: no units"
 
     @pytest.mark.parametrize("reader", [D.parse_cmapss, D.parse_rul_truth])
     def test_readers_take_a_path_not_a_stream(self, reader):

@@ -693,9 +693,9 @@ class TestResolveBlocks:
         expected = HEAD_TABLE[mode][heads]
         if isinstance(expected, str):
             with pytest.raises(ConfigurationError, match=expected):
-                cfg.validate(require_paths=False)
+                cfg.validate()
             return
-        cfg.validate(require_paths=False)
+        cfg.validate()
         assert resolve_blocks(mode, heads, heads) == expected
         assert cfg.effective_heads() == expected[1:]
         model = RulModel(**cfg.model_kwargs())
@@ -778,7 +778,7 @@ class TestParameterShapes:
         cfg = ExperimentConfig()
         tracemalloc.start()
         try:
-            cfg.validate(require_paths=False)
+            cfg.validate()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

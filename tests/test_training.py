@@ -166,7 +166,11 @@ class TestTrainConfig:
         for bad in (dict(batch_size=0), dict(validation_fraction=1.0),
                     dict(early_stop_patience=0)):
             with pytest.raises(ConfigurationError):
-                ExperimentConfig(**bad).validate(require_paths=False)
+                ExperimentConfig(**bad).validate()
+
+    def test_validate_reads_no_file(self):
+        # A data path is checked where a command reads it.
+        ExperimentConfig(train_path="nowhere.txt").validate()
 
     @pytest.mark.parametrize("bad", [
         dict(batch_size=0), dict(max_epochs=0), dict(learning_rate=float("nan")),
@@ -939,13 +943,10 @@ class TestCheckpoint:
         save_bundle(path, model, self._bundle_parts()[1], config)
         assert load_bundle(path).model.mode == mode
 
-    def test_records_window_and_refuses_mismatch(self, tmp_path):
+    def test_records_window_and_r_max(self, tmp_path):
         model, cm, config, _ = self._bundle_parts()
         path = tmp_path / "bundle.bin"
         save_bundle(path, model, cm, config)
         bundle = load_bundle(path)
-        assert bundle.window == 6
+        assert bundle.model.window == 6
         assert bundle.config.r_max == 20.0
-        bundle.require_window(6)
-        with pytest.raises(ConfigurationError):
-            bundle.require_window(30)
