@@ -150,20 +150,13 @@ def _test_pairs(cfg: ExperimentConfig) -> list[tuple[RawTrajectory, int]]:
                            parse_rul_truth(_data_path(cfg, "truth_path")))
 
 
-def _read_inputs(cfg: ExperimentConfig) -> tuple[list[RawTrajectory], list[tuple[RawTrajectory, int]]]:
-    """The units of ``cfg.train_path``, and the test units paired with their
-    final RULs: each input file of a command, parsed once for all its uses."""
-    return parse_cmapss(_data_path(cfg, "train_path")), _test_pairs(cfg)
-
-
-def _read_training_inputs(cfg: ExperimentConfig):
-    """:func:`_read_inputs` and each file's SHA-256, for a command that trains.
-    One training unit is a data error: validation holds out whole units."""
-    train_units, test_pairs = _read_inputs(cfg)
-    if len(train_units) < 2:
+def _training_units(cfg: ExperimentConfig) -> list[RawTrajectory]:
+    """The units of ``cfg.train_path``, for a command that trains.  One
+    training unit is a data error: validation holds out whole units."""
+    units = parse_cmapss(_data_path(cfg, "train_path"))
+    if len(units) < 2:
         raise IntegrityError(f"{cfg.train_path}: 1 unit, but training needs 2 to hold one out for validation")
-    sha256 = {key: _sha256(getattr(cfg, f"{key}_path")) for key in ("train", "test", "truth")}
-    return train_units, test_pairs, sha256
+    return units
 
 
 # Thread-count getters of the OpenBLAS builds numpy wheels bundle.
@@ -211,8 +204,9 @@ def _train_once(cfg: ExperimentConfig, cm: ConditionModel, windows: Windows,
     """Train on ``windows``, normalized by ``cm``, with the run config ``cfg``
     (one seed; ``out_dir`` the run's directory, made before training so that
     an uncreatable one fails without a wasted fit), and write there the
-    checkpoint, log, resolved config and a manifest recording the input
-    files' ``sha256``.  Returns the summary and the bundle it saved."""
+    checkpoint, log, resolved config and a manifest recording ``sha256``,
+    the digests of the files the command read.  Returns the summary and the
+    bundle it saved."""
     [seed] = cfg.seeds
     out_dir = Path(cfg.out_dir)
     model = RulModel(**cfg.model_kwargs(), init_rng=generator(seed, "init"))
@@ -275,7 +269,7 @@ def _evaluate_bundle(bundle: Bundle, pairs: list[tuple[RawTrajectory, int]], out
 def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     cfg.validate()
-    train_trajs, test_pairs = _read_inputs(cfg)
+    train_trajs = parse_cmapss(_data_path(cfg, "train_path"))
     cm, normed = _prepare(cfg, train_trajs)
     # Built before --out exists, so that a data error leaves none.
     samples = None if args.skip_windows else [
@@ -292,7 +286,6 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     )
     summary = {
         "train_units": len(train_trajs),
-        "test_units": len(test_pairs),
         "train_rows": int(sum(len(t) for t in train_trajs)),
         "train_samples": sum(expected_sample_count(len(t), cfg.window) for t in train_trajs),
         "window": cfg.window,
@@ -312,12 +305,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     if len(cfg.seeds) > 1:
         raise ConfigurationError(f"train runs one seed, got seeds {cfg.seeds}: "
                                  f"choose one with --seed, or train each with sweep")
-    train_units, test_pairs, sha256 = _read_training_inputs(cfg)
-    del test_pairs  # parsed only to check the test and truth files before training
+    train_units = _training_units(cfg)
     cm, normed = _prepare(cfg, train_units)
     windows = window_arrays(normed, cfg.window, cfg.r_max)
     del train_units  # the windows hold every row training reads
-    summary, _ = _train_once(cfg, cm, windows, sha256)
+    summary, _ = _train_once(cfg, cm, windows, {"train": _sha256(cfg.train_path)})
     _write_json(summary)
     return 0
 
@@ -397,8 +389,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Train and evaluate one run per value and per seed of the config's
     ``seeds``, in the order listed, each the ``train`` run of its own config,
     which names its directory.  Before ``--out`` is created, every value's
-    config is validated, equal configs are rejected, and the inputs are read,
-    clustered and normalized once; each value's windows serve all of its runs."""
+    config is validated, equal configs are rejected, the train, test and
+    truth files are each read once, and the training units are clustered and
+    normalized once; each value's windows serve all of its runs."""
     cfg = _build_config(args)
     cfg.validate()
     values = []
@@ -412,7 +405,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise ConfigurationError("--values needs at least one value")
 
-    train_units, test_pairs, sha256 = _read_training_inputs(cfg)
+    train_units, test_pairs = _training_units(cfg), _test_pairs(cfg)
+    sha256 = {key: _sha256(getattr(cfg, f"{key}_path")) for key in ("train", "test", "truth")}
     cm, normed = _prepare(cfg, train_units)
     normed = list(normed)
     del train_units  # only the normalized trajectories are read from here on

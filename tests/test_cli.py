@@ -104,7 +104,6 @@ class TestPreprocess:
         assert code == 0
         summary = json.loads((out / "preprocess_summary.json").read_text())
         assert summary["train_units"] == 8
-        assert summary["test_units"] == 4
         assert summary["conditions"] == 1
         assert (out / "condition_model.json").exists()
         assert (out / "windows_train.txt").exists()
@@ -140,25 +139,6 @@ class TestPreprocess:
         assert main(["preprocess", "--config", str(workspace["config"]), "--out", str(out),
                      "--window", "10", "--train-path", str(workspace["one_unit"])]) == 0
         assert json.loads((out / "preprocess_summary.json").read_text())["train_units"] == 1
-
-    def test_missing_truth_file_fails_before_compute(self, workspace):
-        out = workspace["root"] / "prep_bad"
-        code = main(
-            ["preprocess", "--config", str(workspace["config"]), "--out", str(out),
-             "--truth-path", str(workspace["root"] / "nope.txt")]
-        )
-        assert code == 1  # the truth file cannot be opened, and it is read before --out is made
-        assert not out.exists()
-
-    def test_truth_count_mismatch_is_data_error(self, workspace, tmp_path):
-        bad_truth = tmp_path / "short.txt"
-        bad_truth.write_text("5\n")
-        out = workspace["root"] / "prep_mismatch"
-        code = main(
-            ["preprocess", "--config", str(workspace["config"]), "--out", str(out),
-             "--truth-path", str(bad_truth), "--window", "10"]
-        )
-        assert code == 2
 
     def test_windows_file_bytes_are_stable(self, tmp_path):
         # Two conditions; unit 3 (13 cycles) is shorter than the window and
@@ -251,7 +231,7 @@ class TestTrain:
         assert len(log) == 3  # header + 2 epochs
         manifest = json.loads((trained / "manifest.json").read_text())
         assert manifest["seed"] == 3
-        assert set(manifest["inputs"]) == {"train", "test", "truth"}
+        assert set(manifest["inputs"]) == {"train"}
         resolved = json.loads((trained / "resolved_config.json").read_text())
         assert resolved["seeds"] == [3]
 
@@ -668,20 +648,7 @@ class TestSweep:
     @pytest.mark.parametrize("param, values", [("feature_heads", "0,2"), ("r_max", "40,50")])
     def test_reads_each_input_file_once(self, workspace, tmp_path, monkeypatch, param, values):
         # It also fits the condition model once, and windows once per value.
-        calls = collections.Counter()
-
-        def counted(name, key):
-            real = getattr(cli, name)
-
-            def call(*args):
-                calls[key(*args)] += 1
-                return real(*args)
-            monkeypatch.setattr(cli, name, call)
-
-        for name in ("parse_cmapss", "parse_rul_truth"):
-            counted(name, str)
-        for name in ("cluster_conditions", "window_arrays"):
-            counted(name, lambda *args, name=name: name)
+        calls = count_pipeline_calls(monkeypatch)
         out = tmp_path / "sweep"
         code = main(
             ["sweep", "--config", str(workspace["config"]), "--out", str(out),
@@ -773,11 +740,78 @@ class TestSweep:
             assert [key for key, cell in row.items() if cell] == ["parameter", "value", "seed"]
 
 
-def units_alive_at_fit(workspace, tmp_path, monkeypatch, command, key):
+def count_pipeline_calls(monkeypatch) -> collections.Counter:
+    """The calls of the commands' readers, counted by the path they read,
+    and of ``cluster_conditions`` and ``window_arrays``, counted by name,
+    from here on."""
+    calls = collections.Counter()
+
+    def counted(name, key):
+        real = getattr(cli, name)
+
+        def call(*args):
+            calls[key(*args)] += 1
+            return real(*args)
+        monkeypatch.setattr(cli, name, call)
+
+    for name in ("parse_cmapss", "parse_rul_truth"):
+        counted(name, str)
+    for name in ("cluster_conditions", "window_arrays"):
+        counted(name, lambda *args, name=name: name)
+    return calls
+
+
+@pytest.mark.parametrize("command, windowed", [("train", {"window_arrays": 1}), ("preprocess", {})])
+def test_reads_only_the_train_file(workspace, tmp_path, monkeypatch, command, windowed):
+    # Neither command evaluates, so neither reads the test or truth file;
+    # preprocess windows with window_split, one trajectory at a time.
+    calls = count_pipeline_calls(monkeypatch)
+    code = main([command, "--config", str(workspace["config"]), "--out", str(tmp_path / "out"),
+                 "--seed", "3"] + FAST_FLAGS)
+    assert code == 0
+    assert calls == {workspace["raw"]["train_path"]: 1, "cluster_conditions": 1, **windowed}
+
+
+class TestTrainFileAlone:
+    # A PHM08-style training set has no truth file (the challenge withheld
+    # its test RULs): train and preprocess need the train file alone, and
+    # evaluate is then given the test and truth files it reads.
+    @pytest.fixture(params=["unset", "missing"])
+    def absent(self, request, tmp_path):
+        return "" if request.param == "unset" else str(tmp_path / "missing.txt")
+
+    def test_train_needs_no_test_files(self, workspace, tmp_path, capsys, absent):
+        run = tmp_path / "run"
+        code = main(["train", "--config", str(workspace["config"]), "--out", str(run), "--seed", "3",
+                     "--test-path", absent, "--truth-path", absent] + FAST_FLAGS)
+        assert code == 0
+        assert set(json.loads((run / "manifest.json").read_text())["inputs"]) == {"train"}
+        raw = workspace["raw"]
+        checkpoint = str(run / "checkpoint.bin")
+        assert main(["evaluate", "--checkpoint", checkpoint, "--test-path", raw["test_path"],
+                     "--truth-path", raw["truth_path"]]) == 0
+        assert (run / "metrics.json").exists()
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", checkpoint, "--out", str(tmp_path / "eval")]) == 1
+        expected = (f"[Errno 2] No such file or directory: '{absent}'" if absent
+                    else "no test_path: name the file in the config or with --test-path")
+        assert capsys.readouterr().err == f"configuration error: {expected}\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_preprocess_needs_no_test_files(self, workspace, tmp_path, absent):
+        argv = ["preprocess", "--config", str(workspace["config"]), "--window", "10"]
+        with_files, alone = tmp_path / "with_files", tmp_path / "alone"
+        assert main([*argv, "--out", str(with_files)]) == 0
+        assert main([*argv, "--out", str(alone), "--test-path", absent, "--truth-path", absent]) == 0
+        for name in ("preprocess_summary.json", "condition_model.json", "windows_train.txt"):
+            assert (alone / name).read_bytes() == (with_files / name).read_bytes()
+
+
+def units_alive_at_fit(workspace, tmp_path, monkeypatch, command):
     """Run ``command`` with the garbage collector off, and return how many
-    units parsed from the workspace file ``key`` there are and, at each
+    units parsed from the workspace's train file there are and, at each
     ``fit`` call, how many of them are still alive."""
-    source = Path(workspace["raw"][key])
+    source = Path(workspace["raw"]["train_path"])
     parsed, alive_at_fit = [], []
 
     def recording_parse(path):
@@ -811,17 +845,8 @@ def test_training_holds_no_parsed_train_unit(workspace, tmp_path, monkeypatch, c
     # Once the normalized trajectories exist the raw ones parsed from the
     # train file are dropped, so no fit runs beside them.  The garbage
     # collector is off: they must go when their last reference does.
-    parsed, alive_at_fit = units_alive_at_fit(workspace, tmp_path, monkeypatch, command, "train_path")
+    parsed, alive_at_fit = units_alive_at_fit(workspace, tmp_path, monkeypatch, command)
     assert parsed == 8
-    assert alive_at_fit and not any(alive_at_fit), alive_at_fit
-
-
-def test_train_holds_no_parsed_test_unit(workspace, tmp_path, monkeypatch):
-    # train parses the test and truth files only to check them before
-    # --out is created, and drops them before it fits.  sweep keeps them:
-    # it evaluates every run.
-    parsed, alive_at_fit = units_alive_at_fit(workspace, tmp_path, monkeypatch, ["train"], "test_path")
-    assert parsed == 4
     assert alive_at_fit and not any(alive_at_fit), alive_at_fit
 
 
@@ -966,10 +991,11 @@ ENTRY_POINT_CASES = [
                     "--out", "{out}"], {}, {}, 1, "missing.txt", id=f"{command}-missing-{flag[2:]}")
       for command, unit in [("evaluate", []), ("explain", ["--unit", "1"])]
       for flag in ("--test-path", "--truth-path")],
-    *[pytest.param([command, *CONFIG_ARGS, *extra, "--truth-path", "{missing}"], {}, {}, 1,
-                   "missing.txt", id=f"{command}-missing-truth-path")
-      for command, extra in [("preprocess", []), ("train", []),
-                             ("sweep", ["--param", "r_max", "--values", "50"])]],
+    pytest.param(["sweep", *CONFIG_ARGS, "--param", "r_max", "--values", "50", "--truth-path", "{missing}"],
+                 {}, {}, 1, "missing.txt", id="sweep-missing-truth-path"),
+    pytest.param(["train", *CONFIG_ARGS, "--train-path", "{missing}"], {}, {}, 1,
+                 "configuration error: [Errno 2] No such file or directory: '{missing}'",
+                 id="train-missing-train-path"),
     pytest.param(["train", *CONFIG_ARGS], {"train_path": ""}, {}, 1, "no train_path",
                  id="train-no-train-path"),
     pytest.param(["evaluate", "--checkpoint", "{bundle}", "--out", "{out}"], {}, {"test_path": ""}, 1,
@@ -982,8 +1008,7 @@ ENTRY_POINT_CASES = [
     *[pytest.param([command, *args, "--truth-path", "{latin1}"], {}, {}, 2,
                    "ParseError: {latin1}: not UTF-8 text", id=f"{command}-truth-not-utf8")
       for command, args in [("evaluate", ["--checkpoint", "{bundle}", "--out", "{out}"]),
-                            ("explain", ["--checkpoint", "{bundle}", "--unit", "1", "--out", "{out}"]),
-                            ("preprocess", CONFIG_ARGS), ("train", CONFIG_ARGS)]],
+                            ("explain", ["--checkpoint", "{bundle}", "--unit", "1", "--out", "{out}"])]],
     *[pytest.param([command, "--checkpoint", "{nonfinite}", *unit, "--out", "{out}"], {}, {}, 2,
                    "CheckpointError: {nonfinite}: tensor 'head.w2' holds a NaN",
                    id=f"{command}-nonfinite-bundle")
@@ -1012,8 +1037,8 @@ ENTRY_POINT_CASES = [
     *[pytest.param([command, *CONFIG_ARGS, *extra, "--train-path", "{one_unit}"], {}, {}, 2,
                    "IntegrityError: {one_unit}: 1 unit", id=f"{command}-one-unit-train")
       for command, extra in [("train", []), ("sweep", ["--param", "window", "--values", "10"])]],
-    pytest.param(["train", *CONFIG_ARGS, "--truth-path", "{truth3}"], {}, {}, 2,
-                 "IntegrityError: 4 test units but 3 truth values", id="train-short-truth"),
+    pytest.param(["sweep", *CONFIG_ARGS, "--param", "r_max", "--values", "50", "--truth-path", "{truth3}"],
+                 {}, {}, 2, "IntegrityError: 4 test units but 3 truth values", id="sweep-short-truth"),
     # Training makes its --out before it fits, so this case names "{run}".
     pytest.param(["train", *CONFIG_ARGS, "--out", "{run}", "--mode", "L", "--learning-rate", "1e10"],
                  {}, {}, 3, "NumericInputError: training loss is inf at epoch 1, batch 2",
