@@ -39,9 +39,8 @@ from .data import (
     pair_test_truth,
     parse_cmapss,
     parse_rul_truth,
-    save_windows,
     window_arrays,
-    window_split,
+    write_windows,
 )
 from .errors import (
     CheckpointError,
@@ -271,15 +270,11 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg.validate()
     train_trajs = parse_cmapss(_data_path(cfg, "train_path"))
     cm, normed = _prepare(cfg, train_trajs)
-    # Built before --out exists, so that a data error leaves none.
-    samples = None if args.skip_windows else [
-        s for traj in normed for s in window_split(traj, cfg.window, cfg.r_max)
-    ]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cm.to_dict(), out_dir / CONDITION_MODEL_FILE)
-    if samples is not None:
-        save_windows(samples, out_dir / WINDOWS_FILE)
+    if not args.skip_windows:
+        write_windows(normed, cfg.window, cfg.r_max, out_dir / WINDOWS_FILE)
 
     assignment_counts = np.bincount(
         cm.assign(np.vstack([t.settings for t in train_trajs])), minlength=cm.k

@@ -116,7 +116,7 @@ class TestPreprocess:
         def no_windows(*args):
             raise AssertionError("--skip-windows built windows")
 
-        monkeypatch.setattr(cli, "window_split", no_windows)
+        monkeypatch.setattr(cli, "write_windows", no_windows)
         out = workspace["root"] / "prep_skip"
         assert main([*argv, "--out", str(out), "--skip-windows"]) == 0
         assert not (out / "windows_train.txt").exists()
@@ -176,6 +176,19 @@ class TestPreprocess:
         assert summary["train_samples"] == 5 * 1 + 1 + 2 * 5
         digest = hashlib.sha256((out / "windows_train.txt").read_bytes()).hexdigest()
         assert digest == "a6166b4991c84d40964d761a0d3fbced6b106228742c1c6d24edb367ff2cfd5c"
+
+    def test_benchmark_windows_file_bytes_are_stable(self, tmp_path):
+        # The preprocess-6cond benchmark's seed-1 set at full size, with
+        # paper defaults: 13,211 windows, a 105 MB file.
+        ds = generate_dataset(tmp_path, name="W6", n_train=100, n_test=100, n_conditions=6, seed=1)
+        out = tmp_path / "out"
+        assert main(["preprocess", "--train-path", str(ds.train_path), "--k-conditions", "6",
+                     "--seed", "1", "--out", str(out)]) == 0
+        path = out / "windows_train.txt"
+        with open(path, "rb") as fh:
+            digest = hashlib.file_digest(fh, "sha256").hexdigest()
+        path.unlink()
+        assert digest == "92c3b1983f001ff9f2416f136ba3451c2d35f6065546af5e8b81426f62a2a950"
 
     def test_condition_model_export_is_the_bundle_header_object(self, workspace, trained,
                                                                  tmp_path):
@@ -764,7 +777,7 @@ def count_pipeline_calls(monkeypatch) -> collections.Counter:
 @pytest.mark.parametrize("command, windowed", [("train", {"window_arrays": 1}), ("preprocess", {})])
 def test_reads_only_the_train_file(workspace, tmp_path, monkeypatch, command, windowed):
     # Neither command evaluates, so neither reads the test or truth file;
-    # preprocess windows with window_split, one trajectory at a time.
+    # preprocess writes its windows with write_windows, not window_arrays.
     calls = count_pipeline_calls(monkeypatch)
     code = main([command, "--config", str(workspace["config"]), "--out", str(tmp_path / "out"),
                  "--seed", "3"] + FAST_FLAGS)

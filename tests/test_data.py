@@ -269,6 +269,17 @@ class TestClusterConditions:
         )
         assert cm.assign(np.array([[1.0, 0, 0]]))[0] == 0  # equidistant
 
+    def test_squared_distances_match_the_row_sum_bits(self):
+        # Columns of scale 1e-3 to 1e6 and centroids near and far, so that
+        # the order of the additions shows in the last bits.
+        rng = np.random.default_rng(11)
+        points = rng.standard_normal((5000, 3)) * 10.0 ** rng.integers(-3, 7, size=(5000, 3))
+        for centroid in (*points[:4], rng.standard_normal(3) * [1e-3, 1.0, 1e6]):
+            expected = ((points - centroid) ** 2).sum(axis=1)
+            assert D._squared_distances(points, centroid).tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            D._squared_distances(points, np.zeros(2))
+
     def test_text_round_trip(self, tmp_path, synth6):
         cm = D.cluster_conditions(synth6["train"], k=6, seed=0)
         path = tmp_path / "cm.txt"
@@ -463,6 +474,12 @@ class TestWindowSplit:
     def test_saving_no_windows_rejected(self, tmp_path):
         with pytest.raises(ContractError, match="no samples"):
             D.save_windows([], tmp_path / "w.txt")
+        # The trajectory writer checks every window and label before it opens the file.
+        good, empty = self._traj(5), D.RawTrajectory(unit_id=2, channels=np.zeros((0, 24)))
+        for trajectories, window, r_max in (([], 3, 125), ([good], 0, 125), ([good, empty], 3, 125),
+                                            ([good], 3, 0.0)):
+            with pytest.raises(ContractError):
+                D.write_windows(trajectories, window, r_max, tmp_path / "w.txt")
         assert not (tmp_path / "w.txt").exists()
 
     def test_windows_file_round_trip(self, tmp_path):
@@ -556,11 +573,16 @@ SPECIAL_CELLS = [0.0, -0.0, np.inf, -np.inf, 1.5, -2.25, 1e-40, 3.4028235e38] + 
 ]
 
 
+# The units of trajectory_lists are at most 8 cycles long, so only a cap
+# below 7 binds; a float32 label of 2.3 would print as 2.29999995.
+R_MAX_VALUES = [125.0, 3.0, 2.3]
+
+
 @st.composite
-def window_lists(draw):
-    """Samples from back-to-back units, some shorter than the window, with
-    neighbours dropped or reordered so that not every window continues the
-    one before it."""
+def trajectory_lists(draw):
+    """A window of 1-5 cycles and back-to-back units of 1-8 cycles, so
+    that units shorter than, as long as and longer than the window are
+    common, with cells from SPECIAL_CELLS and float32 values."""
     window = draw(st.integers(1, 5))
     n_sensors = draw(st.integers(0, 2))
     # The signed-zero palette makes neighbours that are equal in value but
@@ -569,14 +591,25 @@ def window_lists(draw):
         st.one_of(st.sampled_from(SPECIAL_CELLS), st.floats(width=32)),
         st.sampled_from([0.0, -0.0]),
     ]))
-    samples = []
+    trajectories = []
     for unit in range(1, draw(st.integers(1, 3)) + 1):
         length = draw(st.integers(1, 8))
         cells = np.array(
             draw(st.lists(cell, min_size=length * (3 + n_sensors), max_size=length * (3 + n_sensors)))
         ).reshape(length, 3 + n_sensors)
-        traj = D.RawTrajectory(unit_id=unit, channels=cells)
-        samples += D.window_split(traj, window, draw(st.sampled_from([125.0, 3.0])))
+        trajectories.append(D.RawTrajectory(unit_id=unit, channels=cells))
+    return window, trajectories
+
+
+@st.composite
+def window_lists(draw):
+    """Samples of :func:`trajectory_lists`, each unit with its own r_max,
+    with neighbours dropped or reordered so that not every window
+    continues the one before it."""
+    window, trajectories = draw(trajectory_lists())
+    samples = []
+    for traj in trajectories:
+        samples += D.window_split(traj, window, draw(st.sampled_from(R_MAX_VALUES)))
     keep = draw(st.lists(st.booleans(), min_size=len(samples), max_size=len(samples)))
     samples = [s for s, k in zip(samples, keep) if k] or samples[:1]
     if draw(st.booleans()):
@@ -592,19 +625,34 @@ class TestWindowsFileText:
         reference_save_windows(samples, tmp_path / "reference.txt")
         assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
 
+    @given(trajectories=trajectory_lists(), r_max=st.sampled_from(R_MAX_VALUES))
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_trajectory_writer_matches_reference_writer(self, tmp_path, trajectories, r_max):
+        window, trajectories = trajectories
+        D.write_windows(trajectories, window, r_max, tmp_path / "fast.txt")
+        samples = [s for t in trajectories for s in D.window_split(t, window, r_max)]
+        reference_save_windows(samples, tmp_path / "reference.txt")
+        assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
     def test_long_runs_match_reference_writer(self, tmp_path):
         # Window 30 over units of 29 and 30 cycles (one window each), 31 (a
         # run of two) and 70 (a run of 41, broken twice by cells equal in
         # value but not in bits).  Channel 2 is all zeros and unit 4 holds a
         # NaN at cycle 40, so windows 10 to 39 of that unit contain it.
+        # The trajectory writer gets the units as they are.
         rng = np.random.default_rng(7)
-        samples = []
+        trajectories = []
         for unit, length in enumerate([29, 30, 31, 70], start=1):
             channels = rng.standard_normal((length, 6)).astype(np.float32).astype(np.float64)
             channels[:, 2] = 0.0
             if length == 70:
                 channels[39, 5] = np.nan
-            samples += D.window_split(D.RawTrajectory(unit, channels), 30, 125.0)
+            trajectories.append(D.RawTrajectory(unit, channels))
+        samples = [s for t in trajectories for s in D.window_split(t, 30, 125.0)]
+        D.write_windows(trajectories, 30, 125.0, tmp_path / "trajectories.txt")
+        reference_save_windows(samples, tmp_path / "trajectories-reference.txt")
+        written = (tmp_path / "trajectories.txt").read_bytes()
+        assert written == (tmp_path / "trajectories-reference.txt").read_bytes()
         unit4 = samples[4:]
         assert len(unit4) == 41
 
