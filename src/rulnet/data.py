@@ -60,7 +60,8 @@ class RawTrajectory:
 class WindowedSample:
     """One model input: an F x T channel window and its RUL label.  From
     :func:`window_split` the matrix is a read-only view that shares its
-    trajectory's buffer; from :func:`load_windows` it is its own array."""
+    trajectory's buffer; from :func:`load_windows` it is its own array.
+    Kept for ``perfbench/layers.py``; commands use :func:`window_arrays`."""
 
     matrix: np.ndarray  # (F, T) float32
     label: float
@@ -385,7 +386,7 @@ def normalize(trajectory: RawTrajectory, cm: ConditionModel) -> RawTrajectory:
 def piecewise_rul(t_total: int, t, r_max: float):
     """Capped linear RUL: min(r_max, t_total - t), a float for one cycle
     ``t`` and a float64 array for an array of cycles."""
-    if r_max <= 0:
+    if not r_max > 0:  # NaN included
         raise ContractError(f"r_max must be positive, got {r_max}")
     t = np.asarray(t)
     outside = (t < 1) | (t > t_total)
@@ -398,7 +399,10 @@ def piecewise_rul(t_total: int, t, r_max: float):
 def window_ends(total: int, window: int) -> np.ndarray:
     """The 1-based end cycles of the stride-1 windows over ``total``
     cycles: window..total, or only ``total`` when the trajectory is
-    shorter than the window."""
+    shorter than the window.  A window or cycle count below 1 is a
+    ContractError."""
+    if min(window, total) < 1:
+        raise ContractError(f"window length and cycle count must be >= 1, got {window} and {total}")
     return np.arange(min(window, total), total + 1)
 
 
@@ -421,15 +425,12 @@ def _window_view(channels: np.ndarray, window: int) -> np.ndarray:
 def windows_ending_at(channels: np.ndarray, ends: Sequence[int], window: int) -> np.ndarray:
     """(N, F, T) float32 windows of the cycles ending at each of ``ends``
     (1-based, in any order, an end may recur), by the rule of :func:`_window_view`,
-    as one new writable array."""
-    return np.take(_window_view(channels, window), np.asarray(ends) - 1, axis=0)
-
-
-def _checked_ends(trajectory: RawTrajectory, window: int) -> np.ndarray:
-    total = len(trajectory)
-    if min(window, total) < 1:
-        raise ContractError(f"window length and cycle count must be >= 1, got {window} and {total}")
-    return window_ends(total, window)
+    as one new writable array.  An end outside 1..L is a ContractError."""
+    ends = np.asarray(ends)
+    outside = ends[(ends < 1) | (ends > len(channels))]
+    if outside.size:
+        raise ContractError(f"cycle {outside[0]} outside 1..{len(channels)}")
+    return np.take(_window_view(channels, window), ends - 1, axis=0)
 
 
 def window_arrays(trajectories: Iterable[RawTrajectory], window: int, r_max: float) -> Windows:
@@ -444,7 +445,7 @@ def window_arrays(trajectories: Iterable[RawTrajectory], window: int, r_max: flo
     trajectories = list(trajectories)
     if not trajectories:
         raise ContractError("no trajectories to window")
-    ends = [_checked_ends(t, window) for t in trajectories]
+    ends = [window_ends(len(t), window) for t in trajectories]
     padded = [_padded(t.channels, window) for t in trajectories]
     # Trajectory k's window ending at cycle e is view entry offsets[k] + e - 1.
     offsets = np.cumsum([0] + [len(p) for p in padded[:-1]], dtype=np.int64)
@@ -461,8 +462,8 @@ def window_split(trajectory: RawTrajectory, window: int, r_max: float) -> list[W
     on this trajectory alone, and its label keeps its float64 value.
     Each matrix is a read-only view into one float32 buffer that all of
     the trajectory's windows share, so no window is copied; copy a
-    matrix before editing it."""
-    ends = _checked_ends(trajectory, window)
+    matrix before editing it.  Kept for ``perfbench/layers.py``."""
+    ends = window_ends(len(trajectory), window)
     # The ends are a contiguous range, so their windows are one slice.
     matrices = _window_view(trajectory.channels, window)[ends[0] - 1 :]
     labels = piecewise_rul(len(trajectory), ends, r_max).tolist()
@@ -478,8 +479,8 @@ def expected_sample_count(t_total: int, window: int) -> int:
 
 
 def windows_to_arrays(samples: Sequence[WindowedSample]) -> Windows:
-    """Stack samples into one :class:`Windows` with ``rows`` =
-    ``arange(N)``; no samples give zero-length arrays."""
+    """Stack samples into one :class:`Windows`, ``rows`` = ``arange(N)``; no
+    samples give zero-length arrays.  Kept for ``perfbench/layers.py``."""
     return Windows(
         np.array([s.matrix for s in samples], dtype=np.float32),
         np.array([s.label for s in samples], dtype=np.float32),
@@ -502,7 +503,7 @@ def write_windows(trajectories: Iterable[RawTrajectory], window: int, r_max: flo
     trajectories = list(trajectories)
     if not trajectories:
         raise ContractError("no trajectories to window")
-    ends = [_checked_ends(t, window) for t in trajectories]
+    ends = [window_ends(len(t), window) for t in trajectories]
     labels = [piecewise_rul(len(t), e, r_max) for t, e in zip(trajectories, ends)]
     runs = ((_padded(t.channels, window)[e[0] - 1 :].T,
              list(zip(repeat(t.unit_id), e.tolist(), y.tolist())))
@@ -515,7 +516,7 @@ def save_windows(samples: Sequence[WindowedSample], path: str | Path) -> None:
     order.  Each maximal run of samples in which a window's first T-1
     columns are bit-identical to the previous window's last T-1 (as raw
     bytes, so 0.0 and -0.0 never share text) is one run of
-    :func:`_write_runs`."""
+    :func:`_write_runs`.  Kept for ``perfbench/layers.py``."""
     if not samples:
         raise ContractError("no samples to save")
     runs = ((np.concatenate([run[0].matrix, *(s.matrix[:, -1:] for s in run[1:])], axis=1),
@@ -574,9 +575,10 @@ def _runs(samples: Sequence[WindowedSample]) -> Iterable[list[WindowedSample]]:
 
 
 def load_windows(path: str | Path) -> list[WindowedSample]:
-    """Read a windows v1 file.  A malformed or truncated file, including
-    a last line cut before its newline, is a ParseError naming the path;
-    a sample count that disagrees with the header is an IntegrityError."""
+    """Read a windows v1 file, which no command reads; kept for
+    ``perfbench/layers.py``.  A malformed or truncated file, including a
+    last line cut before its newline, is a ParseError naming the path; a
+    sample count that disagrees with the header is an IntegrityError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().rstrip("\n") != "windows v1":

@@ -194,19 +194,15 @@ def export_attention(
     for ``matrix_cycles`` (default: all requested cycles), each of which
     must be a requested cycle; the per-cycle column-sum view always
     covers every requested cycle.  Windows go through the model in
-    batches of at most ``PREDICT_BATCH``.  A prediction that is not finite
-    raises NumericInputError.
+    batches of at most ``PREDICT_BATCH``.  A cycle outside 1..L is a
+    ContractError and a prediction that is not finite a NumericInputError.
     """
     model = bundle.model
     if not model.feature_heads:
         raise CapabilityError(f"mode {model.mode!r} retains no attention weights")
-    total = len(trajectory)
     cycles = np.array(
-        range(1, total + 1) if cycles is None else [int(c) for c in cycles], dtype=np.int64
+        range(1, len(trajectory) + 1) if cycles is None else [int(c) for c in cycles], dtype=np.int64
     )
-    outside = cycles[(cycles < 1) | (cycles > total)]
-    if outside.size:
-        raise ContractError(f"cycle {outside[0]} outside 1..{total}")
     in_matrix = np.ones(len(cycles), dtype=bool)
     if matrix_cycles is not None:
         matrix_cycles = np.array([int(c) for c in matrix_cycles], dtype=np.int64)

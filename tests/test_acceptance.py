@@ -119,12 +119,12 @@ def test_criterion_3_windowing_oracle():
             unit_id=1,
             channels=np.hstack([rng.standard_normal((total, 3)), rng.standard_normal((total, 21))]),
         )
-        samples = D.window_split(traj, window, 125.0)
+        windows = D.window_arrays([traj], window, 125.0)
         formula = total - window + 1 if window <= total else 1
         brute = sum(1 for _ in range(window, total + 1)) if window <= total else 1
-        assert len(samples) == formula == brute, (total, window)
+        assert len(windows.y) == formula == brute, (total, window)
         if window > total:
-            matrix = samples[0].matrix
+            matrix = windows.x[windows.rows[0]]
             first = traj.channels[0].astype(np.float32)
             for col in range(window - total):
                 assert np.array_equal(matrix[:, col], first)
@@ -249,9 +249,7 @@ def _run_training(root, dataset, seed, mode, feature_heads, sequence_heads, k):
     test = D.parse_cmapss(root / f"test_{dataset}.txt")
     truth = D.parse_rul_truth(root / f"RUL_{dataset}.txt")
     cm = D.cluster_conditions(train, k=k, seed=seed)
-    samples = []
-    for traj in train:
-        samples.extend(D.window_split(D.normalize(traj, cm), 30, 125.0))
+    windows = D.window_arrays([D.normalize(traj, cm) for traj in train], 30, 125.0)
     model = RulModel(
         n_features=24, window=30, mode=mode,
         feature_heads=max(feature_heads, 1), sequence_heads=max(sequence_heads, 1),
@@ -259,7 +257,7 @@ def _run_training(root, dataset, seed, mode, feature_heads, sequence_heads, k):
         init_rng=generator(seed, "init"),
     )
     config = ExperimentConfig(window=30, r_max=125.0, seeds=[seed])
-    fit(model, D.windows_to_arrays(samples), config)
+    fit(model, windows, config)
     bundle = Bundle(model=model, condition_model=cm, config=config)
     rep = predict_test_set(bundle, test, truth)
     return rep.rmse, rep.score

@@ -11,6 +11,9 @@ from pathlib import Path
 import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+RULNET = Path(__file__).resolve().parents[1] / "src" / "rulnet"
+# The sample-list windows path, kept in rulnet.data only for perfbench/.
+SAMPLE_LIST_PATH = {"WindowedSample", "window_split", "windows_to_arrays", "save_windows", "load_windows"}
 
 
 def perfbench_trees():
@@ -94,3 +97,27 @@ def test_benchmark_module_attributes_resolve():
     missing = [f"{src}: {module}.{name}" for src, module, name in reads
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"attributes the benchmark reads off rulnet modules no longer resolve: {missing}"
+
+
+def identifiers(tree):
+    """Every name that a module's code uses: variables, attributes and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_commands_stay_off_the_sample_list_path():
+    # The commands window with window_arrays and write with write_windows;
+    # a module that names a sample-list function has drifted back onto it.
+    modules = sorted(RULNET.glob("*.py"))
+    assert "cli.py" in {path.name for path in modules}
+    named = []
+    for path in modules:
+        if path.name != "data.py":
+            used = identifiers(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            named += [f"{path.name}: {name}" for name in sorted(SAMPLE_LIST_PATH.intersection(used))]
+    assert not named, f"rulnet modules back on the sample-list windows path: {named}"

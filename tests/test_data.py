@@ -456,6 +456,12 @@ class TestWindowSplit:
             D.window_split(self._traj(5), 0, 125)
         with pytest.raises(ContractError):
             D.window_split(D.RawTrajectory(unit_id=1, channels=np.zeros((0, 24))), 5, 125)
+        # The rule's own functions check the counts too.
+        for total, window in ((0, 30), (5, 0)):
+            with pytest.raises(ContractError, match=f"got {window} and {total}$"):
+                D.expected_sample_count(total, window)
+        with pytest.raises(ContractError):
+            D.window_ends(0, 30)
 
     @given(total=st.integers(1, 120), window=st.integers(1, 40), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -470,6 +476,9 @@ class TestWindowSplit:
             assert built.flags.c_contiguous
             for matrix, end in zip(built, chosen.tolist()):
                 assert matrix.tobytes() == window_ending_at(channels, end, window).tobytes()
+        for end in (0, -1, total + 1):
+            with pytest.raises(ContractError, match=f"^cycle {end} outside 1..{total}$"):
+                D.windows_ending_at(channels, [total, end], window)
 
     def test_saving_no_windows_rejected(self, tmp_path):
         with pytest.raises(ContractError, match="no samples"):
@@ -547,6 +556,8 @@ class TestWindowArrays:
             D.window_arrays([D.RawTrajectory(unit_id=1, channels=np.zeros((0, 24)))], 5, 125)
         with pytest.raises(ContractError):
             D.window_arrays([TestWindowSplit._traj(5)], 3, 0.0)
+        with pytest.raises(ContractError):
+            D.window_arrays([TestWindowSplit._traj(5)], 3, float("nan"))
         with pytest.raises(ContractError):
             D.window_arrays([], 3, 125)
 

@@ -27,18 +27,14 @@ def e2e(tmp_path_factory):
 
     window, r_max = WINDOW, R_MAX
     cm = D.cluster_conditions(train, k=1, seed=0)
-    samples = []
-    for traj in train:
-        samples.extend(D.window_split(D.normalize(traj, cm), window, r_max))
-
-    windows = D.windows_to_arrays(samples)
+    windows = D.window_arrays([D.normalize(traj, cm) for traj in train], window, r_max)
     model, config = e2e_model("F+T")
     result = fit(model, windows, config)
     bundle = Bundle(model=model, condition_model=cm, config=config)
     report = predict_test_set(bundle, test, truth)
     return {
         "root": root, "train": train, "test": test, "truth": truth,
-        "samples": samples, "windows": windows, "model": model, "cm": cm, "result": result,
+        "windows": windows, "model": model, "cm": cm, "result": result,
         "report": report, "window": window, "r_max": r_max,
     }
 
@@ -73,7 +69,7 @@ def test_training_reduces_loss(e2e):
 
 def test_model_beats_trivial_baselines(e2e):
     truths = np.array([r.true_rul for r in e2e["report"].records])
-    labels = np.array([s.label for s in e2e["samples"]])
+    labels = e2e["windows"].y.astype(np.float64)
     const_baseline = float(np.sqrt(np.mean((e2e["r_max"] - truths) ** 2)))
     mean_baseline = float(np.sqrt(np.mean((labels.mean() - truths) ** 2)))
     model_rmse = e2e["report"].rmse

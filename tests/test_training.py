@@ -30,7 +30,7 @@ from rulnet import training
 from rulnet.checkpoint import load_bundle, save_bundle
 from rulnet.cli import main
 from rulnet.config import ExperimentConfig
-from rulnet.data import ConditionModel, RawTrajectory, WindowedSample, window_arrays, windows_to_arrays
+from rulnet.data import ConditionModel, RawTrajectory, Windows, window_arrays
 from rulnet.seeding import generator
 from rulnet.synthetic import generate_dataset
 from rulnet.training import (
@@ -178,29 +178,26 @@ class TestTrainConfig:
     def test_fit_validates_before_any_compute(self, tiny_model, bad):
         before = [a.copy() for _, a in tiny_model.state_arrays()]
         with pytest.raises(ConfigurationError):
-            fit(tiny_model, windows_to_arrays(tiny_samples()), tiny_fit_config(**bad))
+            fit(tiny_model, tiny_windows(), tiny_fit_config(**bad))
         for (_, a), b in zip(tiny_model.state_arrays(), before):
             assert np.array_equal(a, b)
 
 
-def tiny_samples(n_units=6, length=24, window=6, seed=0):
-    rng = np.random.default_rng(seed)
-    samples = []
-    for unit in range(1, n_units + 1):
-        # Simple decaying signal so a tiny model can fit quickly.
-        base = rng.standard_normal((4, 1))
-        for end in range(window, length + 1):
-            t = np.arange(end - window, end, dtype=np.float64)
-            matrix = (base + np.sin(t / 6.0) + t / length).astype(np.float32)
-            samples.append(
-                WindowedSample(
-                    matrix=matrix,
-                    label=float(min(20.0, length - end)),
-                    unit_id=unit,
-                    end_cycle=end,
-                )
-            )
-    return samples
+def tiny_windows():
+    """The 114 windows of 6 cycles, labels capped at 20, of six 4-channel
+    24-cycle trajectories of a simple signal that a tiny model can fit
+    quickly, built as ``train`` builds its windows."""
+    rng = np.random.default_rng(0)
+    t = np.arange(24, dtype=np.float64)
+    trajs = [RawTrajectory(unit_id=unit, channels=(rng.standard_normal((4, 1)) + np.sin(t / 6.0) + t / 24).T)
+             for unit in range(1, 7)]
+    return window_arrays(trajs, 6, 20.0)
+
+
+def stacked(windows):
+    """``windows`` as one C-ordered (N, F, T) array of its own, ``rows`` =
+    ``arange(N)``: the layout in which a test can edit one window."""
+    return windows._replace(x=windows.x[windows.rows].copy(), rows=np.arange(len(windows.rows)))
 
 
 def tiny_fit_config(**overrides):
@@ -241,20 +238,20 @@ class TestSplitUnits:
 class TestFit:
     def test_empty_set_rejected(self, tiny_model):
         with pytest.raises(ContractError):
-            fit(tiny_model, windows_to_arrays([]), tiny_fit_config())
+            fit(tiny_model, Windows(*(a[:0] for a in stacked(tiny_windows()))), tiny_fit_config())
 
     def test_windows_of_another_shape_rejected(self, tiny_model):
-        windows = windows_to_arrays(tiny_samples())
+        windows = tiny_windows()
         wide = windows._replace(x=np.zeros((len(windows.x), 4, 7), dtype=np.float32))
         with pytest.raises(ContractError, match=r"windows are \(4, 7\), model expects \(4, 6\)"):
             fit(tiny_model, wide, tiny_fit_config())
 
     def test_deterministic_replay(self):
-        samples = tiny_samples()
+        windows = tiny_windows()
 
         def run():
             model, _ = build_tiny_model(seed=1, dtype=np.float32, dropout=0.5)
-            fit(model, windows_to_arrays(samples), tiny_fit_config(max_epochs=3))
+            fit(model, windows, tiny_fit_config(max_epochs=3))
             return model.state_arrays()
 
         first = run()
@@ -267,7 +264,7 @@ class TestFit:
         # The head starts at the mean label, so the first epoch's loss is
         # about the labels' variance; only learning the signal goes below it.
         model, _ = build_tiny_model(seed=2, dtype=np.float32)
-        result = fit(model, windows_to_arrays(tiny_samples()), tiny_fit_config(max_epochs=15))
+        result = fit(model, tiny_windows(), tiny_fit_config(max_epochs=15))
         losses = [r.train_loss for r in result.log]
         assert len(losses) == 15
         assert losses[-1] < 0.5 * losses[0]
@@ -275,20 +272,20 @@ class TestFit:
     def test_patience_one_with_frozen_metric_stops_after_two_epochs(self):
         model, _ = build_tiny_model(seed=3, dtype=np.float32)
         config = tiny_fit_config(learning_rate=0.0, early_stop_patience=1, max_epochs=50)
-        result = fit(model, windows_to_arrays(tiny_samples()), config)
+        result = fit(model, tiny_windows(), config)
         assert result.epochs_run == 2
         assert result.stopped_early
 
     def test_restores_best_validation_weights(self):
-        samples = tiny_samples()
+        windows = tiny_windows()
         model, _ = build_tiny_model(seed=4, dtype=np.float32)
         config = tiny_fit_config(max_epochs=8, early_stop_patience=50)
-        result = fit(model, windows_to_arrays(samples), config)
+        result = fit(model, windows, config)
         from rulnet.training import predict_batched
 
-        x, y, units, _ = windows_to_arrays(samples)
+        x, y, units, rows = windows
         in_val = np.isin(units, result.val_units)
-        pred = predict_batched(model, x[in_val])
+        pred = predict_batched(model, x[rows[in_val]])
         restored_rmse = float(np.sqrt(np.mean((pred - y[in_val]) ** 2)))
         best_logged = min(r.val_rmse for r in result.log)
         assert abs(restored_rmse - best_logged) < 1e-4
@@ -296,31 +293,29 @@ class TestFit:
 
     def test_non_finite_loss_stops_before_the_update(self):
         # Mode L has no softmax, so only fit's own check can catch the NaN.
-        samples = tiny_samples()
+        windows = stacked(tiny_windows())
         config = tiny_fit_config()
-        units = np.array([s.unit_id for s in samples])
-        train_units, _ = split_units(units, config.validation_fraction, config.seeds[0])
-        train_rows = np.flatnonzero(np.isin(units, train_units))
+        train_units, _ = split_units(windows.units, config.validation_fraction, config.seeds[0])
+        train_rows = np.flatnonzero(np.isin(windows.units, train_units))
         order = generator(config.seeds[0], "shuffle").permutation(len(train_rows))
         last_batch = (len(order) - 1) // config.batch_size
-        samples[train_rows[order[last_batch * config.batch_size]]].matrix[1, 2] = np.nan
+        windows.x[train_rows[order[last_batch * config.batch_size]], 1, 2] = np.nan
         model, _ = build_tiny_model(seed=7, mode="L", dtype=np.float32)
         with pytest.raises(NumericInputError, match=f"epoch 1, batch {last_batch + 1}$"):
-            fit(model, windows_to_arrays(samples), config)
+            fit(model, windows, config)
         assert last_batch > 0
         assert all(np.isfinite(a).all() for _, a in model.state_arrays())
 
     def test_non_finite_validation_rmse_stops_training(self):
         # A NaN in one held-out window leaves every batch loss finite; mode L
         # has no softmax, so only fit's own check can catch the NaN.
-        samples = tiny_samples()
+        windows = stacked(tiny_windows())
         config = tiny_fit_config()
-        units = np.array([s.unit_id for s in samples])
-        _, val_units = split_units(units, config.validation_fraction, config.seeds[0])
-        samples[int(np.flatnonzero(np.isin(units, val_units))[0])].matrix[1, 2] = np.nan
+        _, val_units = split_units(windows.units, config.validation_fraction, config.seeds[0])
+        windows.x[np.flatnonzero(np.isin(windows.units, val_units))[0], 1, 2] = np.nan
         model, _ = build_tiny_model(seed=7, mode="L", dtype=np.float32)
         with pytest.raises(NumericInputError, match="validation RMSE is nan at epoch 1$"):
-            fit(model, windows_to_arrays(samples), config)
+            fit(model, windows, config)
 
     def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
         model, _ = build_tiny_model(seed=7, dtype=np.float32)
@@ -336,7 +331,7 @@ class TestFit:
 
         monkeypatch.setattr(Tape, "backward", plant_inf_in_second_batch)
         with pytest.raises(NumericInputError, match="gradient norm is inf at epoch 1, batch 2$"):
-            fit(model, windows_to_arrays(tiny_samples()), tiny_fit_config())
+            fit(model, tiny_windows(), tiny_fit_config())
         for (name, now), before in zip(model.state_arrays(), planted["weights"]):
             assert np.array_equal(now, before), name
 
@@ -434,7 +429,7 @@ class TestFit:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            fit(model, windows_to_arrays(tiny_samples()), tiny_fit_config(max_epochs=2))
+            fit(model, tiny_windows(), tiny_fit_config(max_epochs=2))
         finally:
             if was_enabled:
                 gc.enable()
@@ -470,7 +465,7 @@ class TestFit:
         # window_arrays builds as a view over the trajectories.
         rng = np.random.default_rng(0)
         trajs = [RawTrajectory(unit_id=u, channels=rng.standard_normal((24, 4))) for u in range(1, 7)]
-        for windows in (windows_to_arrays(tiny_samples()), window_arrays(trajs, 6, 20.0)):
+        for windows in (stacked(tiny_windows()), window_arrays(trajs, 6, 20.0)):
             before = [a.copy() for a in windows]
             model, _ = build_tiny_model(seed=3, dtype=np.float32, dropout=0.5)
             fit(model, windows, tiny_fit_config(max_epochs=2))
@@ -479,7 +474,7 @@ class TestFit:
 
     def test_unit_level_leakage_guard(self):
         model, _ = build_tiny_model(seed=5, dtype=np.float32)
-        result = fit(model, windows_to_arrays(tiny_samples()), tiny_fit_config(max_epochs=1))
+        result = fit(model, tiny_windows(), tiny_fit_config(max_epochs=1))
         assert not set(result.train_units) & set(result.val_units)
 
     def test_epoch_touches_every_window_once(self):
