@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     bytes 0..7    magic  b"RULBNDL\\x00"
-    bytes 8..11   format version (uint32, currently 2; 1 is still read)
+    bytes 8..11   format version (uint32, 2)
     bytes 12..19  header length H (uint64)
     bytes 20..    H bytes of UTF-8 JSON (sorted keys): model hyperparams,
                   experiment config snapshot, condition model (centroids,
@@ -95,13 +95,13 @@ def load_bundle(path: str | Path) -> Bundle:
     :class:`ExperimentConfig` field, a config value of the wrong type for its
     field, or a config that ``ExperimentConfig.validate`` (without its data
     paths) rejects; a bad condition model; hyperparameters that are not the
-    model's construction arguments (``dtype`` may be left out), or values or
-    a tensor table (a version-1 one once joined) that :class:`RulModel`
-    rejects; a config model field (window, mode, head counts, layer sizes or
-    dropout) that disagrees with the model, the first such one named.  The
-    model is built from the tensors: nothing is drawn.  Config fields the
-    header leaves out take their defaults, which are then range-checked with
-    the rest; a model field it leaves out is not compared.
+    model's construction arguments plus ``dtype``, or values or a tensor
+    table that :class:`RulModel` rejects; a config model field (window, mode,
+    head counts, layer sizes or dropout) that disagrees with the model, the
+    first such one named.  The model is built from the tensors: nothing is
+    drawn.  Config fields the header leaves out take their defaults, which
+    are then range-checked with the rest; a model field it leaves out is not
+    compared.
     """
     try:
         raw = Path(path).read_bytes()
@@ -110,7 +110,7 @@ def load_bundle(path: str | Path) -> Bundle:
     if len(raw) < 20 or raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a rulnet bundle (bad magic)")
     (version,) = struct.unpack_from("<I", raw, 8)
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported bundle version {version}")
     (header_len,) = struct.unpack_from("<Q", raw, 12)
     body_start = 20 + header_len
@@ -136,12 +136,10 @@ def load_bundle(path: str | Path) -> Bundle:
         cm = ConditionModel.from_dict(header["condition_model"])
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad condition model: {exc}") from None
-    hp, names = header["hyperparams"], config.model_kwargs().keys()  # all listed: a default may not be what was saved
-    if names - hp.keys() or hp.keys() - names - {"dtype"}:
-        raise CheckpointError(f"{path}: hyperparameters {sorted(hp)} are not {sorted(names)} and an optional dtype")
+    hp, names = header["hyperparams"], {*config.model_kwargs(), "dtype"}  # all listed: a default may not be what was saved
+    if hp.keys() != names:
+        raise CheckpointError(f"{path}: hyperparameters {sorted(hp)} are not {sorted(names)}")
     try:  # np.dtype raises the last three
-        if version == 1:
-            _join_v1_heads(path, arrays, resolve_blocks(hp["mode"], hp["feature_heads"], hp["sequence_heads"]))
         model = RulModel(**hp, arrays=arrays)
     except (ConfigurationError, TypeError, ValueError, SyntaxError) as exc:
         raise CheckpointError(f"{path}: cannot rebuild the model: {exc}") from None
@@ -202,16 +200,3 @@ def _read_tensors(path, table: list, raw: bytes, body_start: int) -> dict[str, n
         extra = len(raw) - body_start - offset
         raise CheckpointError(f"{path}: {extra} bytes after the last tensor")
     return arrays
-
-
-def _join_v1_heads(path, arrays: dict[str, np.ndarray], blocks) -> None:
-    """Put a version-1 table, which stored each head's projections, under v2
-    names: ``<block>.h<i>.wq``, ``.wk``, ``.wv`` joined into ``<block>.wqkv``."""
-    for block, heads in (("fa", blocks.feature_heads), ("sa", blocks.sequence_heads)):
-        if not heads or f"{block}.wqkv" in arrays:  # the heads left are unknown names
-            continue
-        count = heads if 3 * heads <= len(arrays) else 0  # more heads than the table holds is malformed
-        parts = [arrays.pop(f"{block}.h{i}.w{p}", None) for p in "qkv" for i in range(count)]
-        if not parts or any(part is None or part.shape != parts[0].shape for part in parts):
-            raise CheckpointError(f"{path}: version-1 {block} needs {heads} heads of q, k, v, of one shape")
-        arrays[f"{block}.wqkv"] = np.concatenate(parts, axis=1)

@@ -203,27 +203,27 @@ def _train_once(cfg: ExperimentConfig, cm: ConditionModel, windows: Windows,
     """Train on ``windows``, normalized by ``cm``, with the run config ``cfg``
     (one seed; ``out_dir`` the run's directory, made before training so that
     an uncreatable one fails without a wasted fit), and write there the
-    checkpoint, log, resolved config and a manifest recording ``sha256``,
-    the digests of the files the command read.  Returns the summary and the
-    bundle it saved."""
+    log, one row per epoch as it ends, then the checkpoint, resolved config
+    and a manifest recording ``sha256``, the digests of the files the
+    command read.  Returns the summary and the bundle it saved."""
     [seed] = cfg.seeds
     out_dir = Path(cfg.out_dir)
     model = RulModel(**cfg.model_kwargs(), init_rng=generator(seed, "init"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    started = time.perf_counter()
-    result = fit(model, windows, cfg)
-    wall = time.perf_counter() - started
+    # Line-buffered, each epoch's row written as it ends: a run that stops
+    # keeps the epochs it finished.
+    with open(out_dir / "training_log.csv", "w", buffering=1, newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epoch", "train_loss", "val_rmse"])
+        started = time.perf_counter()
+        result = fit(model, windows, cfg, lambda record: writer.writerow(
+            [record.epoch, repr(record.train_loss), repr(record.val_rmse)]))
+        wall = time.perf_counter() - started
 
     bundle_config = cfg.to_dict()
     checkpoint_path = out_dir / "checkpoint.bin"
     save_bundle(checkpoint_path, model, cm, bundle_config)
-
-    with open(out_dir / "training_log.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_rmse"])
-        for record in result.log:
-            writer.writerow([record.epoch, repr(record.train_loss), repr(record.val_rmse)])
 
     _write_json(bundle_config, out_dir / "resolved_config.json")
     manifest = {

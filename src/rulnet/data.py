@@ -425,8 +425,12 @@ def _window_view(channels: np.ndarray, window: int) -> np.ndarray:
 def windows_ending_at(channels: np.ndarray, ends: Sequence[int], window: int) -> np.ndarray:
     """(N, F, T) float32 windows of the cycles ending at each of ``ends``
     (1-based, in any order, an end may recur), by the rule of :func:`_window_view`,
-    as one new writable array.  An end outside 1..L is a ContractError."""
-    ends = np.asarray(ends)
+    as one new writable array.  No ends give a (0, F, T) array; an end that
+    is not an integer (a float or a bool) or is outside 1..L is a
+    ContractError."""
+    ends = np.asarray(ends) if len(ends) else np.zeros(0, np.int64)  # np.asarray([]) is float64
+    if ends.dtype.kind not in "iu":
+        raise ContractError(f"cycle ends must be integers, got {ends.dtype}")
     outside = ends[(ends < 1) | (ends > len(channels))]
     if outside.size:
         raise ContractError(f"cycle {outside[0]} outside 1..{len(channels)}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -191,9 +191,12 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
-def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResult:
+def fit(model: RulModel, windows: Windows, config: ExperimentConfig,
+        on_epoch: Callable[[EpochRecord], None] | None = None) -> FitResult:
     """Train the model on ``windows``; returns the log and restores
-    best-validation weights.
+    best-validation weights.  ``on_epoch``, when given, is called with each
+    epoch's record as that epoch ends, so a caller can keep the epochs of a
+    run that stops.
 
     ``config`` is validated first (without its data paths), so a bad
     range is a ConfigurationError before any compute.  The unit split,
@@ -273,6 +276,8 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig) -> FitResul
         if not math.isfinite(val_rmse):
             raise NumericInputError(f"validation RMSE is {val_rmse} at epoch {epoch}")
         log.append(EpochRecord(epoch, total_loss / len(train_idx), val_rmse))
+        if on_epoch is not None:
+            on_epoch(log[-1])
 
         if val_rmse < best_val:
             best_val = val_rmse

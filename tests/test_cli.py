@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import with_extra_tensor
-from rulnet import BLAS_THREAD_VARS, __version__, cli
+from rulnet import BLAS_THREAD_VARS, __version__, cli, training
 from rulnet.checkpoint import load_bundle, save_bundle
 from rulnet.cli import build_parser, main
 from rulnet.config import KINDS, ExperimentConfig
@@ -360,6 +360,25 @@ class TestTrain:
         )
         assert code == 3
         assert "epoch 1, batch 1" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+
+    def test_stopped_run_keeps_its_finished_epochs(self, workspace, tmp_path, capsys, monkeypatch):
+        # Validation reads inf at epoch 2, after epoch 1 has finished.
+        real_predict, calls = training.predict_batched, []
+
+        def inf_at_epoch_2(*args):
+            calls.append(None)
+            pred = real_predict(*args)
+            return pred + np.inf if len(calls) == 2 else pred
+
+        monkeypatch.setattr(training, "predict_batched", inf_at_epoch_2)
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(workspace["config"]), "--out", str(out)] + FAST_FLAGS)
+        assert code == 3
+        assert "validation RMSE is inf at epoch 2" in capsys.readouterr().err
+        log = (out / "training_log.csv").read_text(encoding="utf-8").splitlines()
+        assert log[0] == "epoch,train_loss,val_rmse" and len(log) == 2
+        assert log[1].startswith("1,")
         assert not (out / "checkpoint.bin").exists()
 
     def test_non_finite_reading_is_data_error(self, workspace, tmp_path, capsys):

@@ -479,6 +479,11 @@ class TestWindowSplit:
         for end in (0, -1, total + 1):
             with pytest.raises(ContractError, match=f"^cycle {end} outside 1..{total}$"):
                 D.windows_ending_at(channels, [total, end], window)
+        none = D.windows_ending_at(channels, [], window)
+        assert none.shape == (0, 24, window) and none.dtype == np.float32
+        for ends, dtype in (([2.0], "float64"), ([True], "bool"), (np.array([1], np.float32), "float32")):
+            with pytest.raises(ContractError, match=f"^cycle ends must be integers, got {dtype}$"):
+                D.windows_ending_at(channels, ends, window)
 
     def test_saving_no_windows_rejected(self, tmp_path):
         with pytest.raises(ContractError, match="no samples"):

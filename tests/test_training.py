@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import json
-import math
 import platform
 import re
 import struct
@@ -488,16 +487,17 @@ class TestFit:
         assert sorted(seen.tolist()) == list(range(100))
 
 
-# A version-1 bundle, written by the code before bundle version 2 stored
-# each attention block's q/k/v as one tensor.  It was made by `rulnet train`
-# on the v1_dataset files below with `--seed 2 --window 6 --feature-heads 2
-# --sequence-heads 2 --lstm-hidden 4 --lstm-layers 1 --mlp-hidden 4
-# --max-epochs 8 --dropout 0 --learning-rate 0.01 --batch-size 32`, then
-# saved again with its config's data paths blanked.
-V1_BUNDLE = Path(__file__).parent / "fixtures" / "bundle_v1.bin"
+# A frozen trained model.  It was made by `rulnet train` on the v1_dataset
+# files below with `--seed 2 --window 6 --feature-heads 2 --sequence-heads 2
+# --lstm-hidden 4 --lstm-layers 1 --mlp-hidden 4 --max-epochs 8 --dropout 0
+# --learning-rate 0.01 --batch-size 32` under bundle version 1, its config's
+# data paths then blanked, and re-saved as version 2 by loading it and
+# calling `save_bundle(path, b.model, b.condition_model, <its header's
+# config>)`: every tensor kept its bytes.
+BUNDLE_V2 = Path(__file__).parent / "fixtures" / "bundle_v2.bin"
 
 # sha256 of what `evaluate`, and `explain --unit 2 --matrix-cycles 1,7`, write
-# on the v1 bundle and the v1_dataset test files, with numpy 2.4 on OpenBLAS
+# on that bundle and the v1_dataset test files, with numpy 2.4 on OpenBLAS
 # (x86-64, one thread); another BLAS build may round the float32 products
 # differently.  They are those of the one-GEMM LSTM step and the key-outer
 # softmax (max, exp, a sum in key order, a multiply by its reciprocal), which
@@ -599,107 +599,22 @@ def test_window_1_training_keeps_the_recurrent_weights_and_its_bytes(tmp_path, m
         assert np.array_equal(p.data, drawn.params[name].data) == name.endswith(".wh"), name
 
 
-def read_v1_bundle():
-    """The v1 bundle's header without its tensor table, and its tensors
-    in table order."""
-    blob = V1_BUNDLE.read_bytes()
-    (header_len,) = struct.unpack_from("<Q", blob, 12)
-    header = json.loads(blob[20 : 20 + header_len])
-    body = 20 + header_len
-    tensors = [
-        (t["name"], np.frombuffer(blob, t["dtype"], math.prod(t["shape"]), body + t["offset"])
-         .reshape(t["shape"]))
-        for t in header.pop("tensors")
-    ]
-    return header, tensors
-
-
-def write_v1_bundle(path, header, tensors):
-    """A version-1 bundle of ``header`` and the named ``tensors``."""
-    table, offset = [], 0
-    for name, arr in tensors:
-        table.append({"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str,
-                      "offset": offset, "nbytes": arr.nbytes})
-        offset += arr.nbytes
-    text = json.dumps(dict(header, tensors=table), sort_keys=True, separators=(",", ":")).encode()
-    body = b"".join(arr.tobytes() for _, arr in tensors)
-    path.write_bytes(b"RULBNDL\x00" + struct.pack("<IQ", 1, len(text)) + text + body)
-
-
-def _replace(tensors, name, *extra):
-    """``tensors`` without ``name``, with the ``extra`` (name, array) pairs
-    in its place."""
-    i = [n for n, _ in tensors].index(name)
-    return tensors[:i] + list(extra) + tensors[i + 1 :]
-
-
 class TestBundleV1:
-    def test_loads_to_the_joined_head_columns(self):
-        model = load_bundle(V1_BUNDLE).model
-        arrays = dict(read_v1_bundle()[1])
-        for block in ("fa", "sa"):
-            joined = np.hstack([arrays.pop(f"{block}.h{i}.w{p}") for p in "qkv" for i in range(2)])
-            arrays[f"{block}.wqkv"] = joined
-        assert sorted(n for n, _ in model.parameters()) == sorted(arrays)
-        for name, p in model.parameters():
-            assert p.dtype == arrays[name].dtype and np.array_equal(p.data, arrays[name]), name
+    """The frozen bundle, run on the V1 data set: inference output pinned
+    apart from training."""
 
     def test_evaluate_and_explain_keep_their_bytes(self, tmp_path):
         ds = v1_dataset(tmp_path / "data")
         paths = ["--test-path", str(ds.test_path), "--truth-path", str(ds.truth_path)]
-        assert main(["evaluate", "--checkpoint", str(V1_BUNDLE),
+        assert main(["evaluate", "--checkpoint", str(BUNDLE_V2),
                      "--out", str(tmp_path / "eval"), *paths]) == 0
-        assert main(["explain", "--checkpoint", str(V1_BUNDLE), "--unit", "2",
+        assert main(["explain", "--checkpoint", str(BUNDLE_V2), "--unit", "2",
                      "--matrix-cycles", "1,7", "--out", str(tmp_path / "explain"), *paths]) == 0
         digests = {
             f"{d}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
             for d in ("eval", "explain") for f in (tmp_path / d).iterdir()
         }
         assert digests == V1_DIGESTS
-
-    def test_writer_reproduces_the_bundle(self, tmp_path):
-        # So each malformed case below differs from a good bundle only by its edit.
-        path = tmp_path / "v1.bin"
-        write_v1_bundle(path, *read_v1_bundle())
-        assert path.read_bytes() == V1_BUNDLE.read_bytes()
-
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda t: _replace(t, "fa.h1.wk"), id="missing-head"),
-        pytest.param(lambda t: _replace(t, "sa.h0.wv", ("sa.h0.wv", np.zeros((23, 12), "<f4"))),
-                     id="short-head"),
-        # Widths 4 and 2 fill the 6 query columns of two heads of 3.
-        pytest.param(lambda t: _replace(_replace(t, "fa.h0.wq", ("fa.h0.wq", np.zeros((6, 4), "<f4"))),
-                                        "fa.h1.wq", ("fa.h1.wq", np.zeros((6, 2), "<f4"))),
-                     id="unequal-heads"),
-        pytest.param(lambda t: t + [("fa.h2.wq", np.zeros((6, 3), "<f4"))], id="leftover-head"),
-        pytest.param(lambda t: [(n, np.zeros((6, 4), "<f4") if n.startswith("fa.h") else a) for n, a in t],
-                     id="wide-heads"),
-        pytest.param(lambda t: t + [("fa.wqkv", np.zeros((6, 18), "<f4"))], id="version-2-name"),
-    ])
-    def test_malformed_heads_are_checkpoint_errors(self, tmp_path, capsys, edit):
-        header, tensors = read_v1_bundle()
-        path = tmp_path / "v1.bin"
-        write_v1_bundle(path, header, edit(tensors))
-        out = tmp_path / "out"
-        code = main(["explain", "--checkpoint", str(path), "--unit", "1", "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert f"data error: CheckpointError: {path}: " in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("name", ["feature_heads", "sequence_heads"])
-    def test_head_count_past_the_table_is_checkpoint_error(self, tmp_path, capsys, name):
-        # Joining 10**12 heads would build a list of 3 * 10**12 lookups; the
-        # table's size bounds the join before it starts.
-        header, tensors = read_v1_bundle()
-        header["hyperparams"][name] = 10**12
-        path = tmp_path / "v1.bin"
-        write_v1_bundle(path, header, tensors)
-        code = main(["explain", "--checkpoint", str(path), "--unit", "1", "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert f"data error: CheckpointError: {path}: version-1 " in err
-        assert not (tmp_path / "out").exists()
 
 
 class TestCheckpoint:
@@ -741,7 +656,6 @@ class TestCheckpoint:
         loaded = load_bundle(path).model
         for (name, arr), (_, copy) in zip(model.state_arrays(), loaded.state_arrays()):
             assert copy.dtype == arr.dtype and copy.tobytes() == arr.tobytes(), name
-        assert load_bundle(V1_BUNDLE).model.mode == "F+T"
 
     def test_truncated_file_rejected(self, tmp_path):
         model, cm, config, _ = self._bundle_parts()
@@ -764,11 +678,11 @@ class TestCheckpoint:
         model, cm, config, _ = self._bundle_parts()
         path = tmp_path / "bundle.bin"
         save_bundle(path, model, cm, config)
-        blob = bytearray(path.read_bytes())
-        blob[8] = 99
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError):
-            load_bundle(path)
+        blob = path.read_bytes()
+        for version in (0, 1, 3, 99):  # 1 included: a version-2 table labelled 1 is not read
+            path.write_bytes(blob[:8] + struct.pack("<I", version) + blob[12:])
+            with pytest.raises(CheckpointError, match=f"unsupported bundle version {version}$"):
+                load_bundle(path)
 
     @staticmethod
     def _with_header(blob, edit):
@@ -807,6 +721,7 @@ class TestCheckpoint:
             pytest.param(lambda h: h["hyperparams"].pop("sequence_heads"), id="missing-heads"),
             pytest.param(lambda h: h["hyperparams"].update(init_rng=None), id="init-rng-hyperparam"),
             pytest.param(lambda h: h["hyperparams"].update(arrays={}), id="arrays-hyperparam"),
+            pytest.param(lambda h: h["hyperparams"].pop("dtype"), id="missing-model-dtype"),
             pytest.param(lambda h: h["hyperparams"].update(dtype="<f$"), id="unparsable-model-dtype"),
             pytest.param(lambda h: h["hyperparams"].update(dtype="<i4"), id="integer-model"),
             pytest.param(lambda h: h["condition_model"].update(means=[[0.0] * 24]),
