@@ -93,8 +93,8 @@ def load_bundle(path: str | Path) -> Bundle:
     tensor holding a NaN or an infinity (the first such in table order is
     named); bytes after the last buffer; a config key that is not an
     :class:`ExperimentConfig` field, a config value of the wrong type for its
-    field, or a config that ``ExperimentConfig.validate`` (without its data
-    paths) rejects; a bad condition model; hyperparameters that are not the
+    field, or a config that ``ExperimentConfig.validate`` (which reads no
+    path) rejects; a bad condition model; hyperparameters that are not the
     model's construction arguments plus ``dtype``, or values or a tensor
     table that :class:`RulModel` rejects; a config model field (window, mode,
     head counts, layer sizes or dropout) that disagrees with the model, the

@@ -57,7 +57,7 @@ from .evaluation import (
     write_attention_csvs,
     write_predictions_csv,
 )
-from .model import RulModel
+from .model import RulModel, resolve_blocks
 from .seeding import generator
 from .synthetic import generate_dataset
 from .training import fit
@@ -358,11 +358,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 f"{selected.start}:{selected.stop - 1}"
             )
 
-    export = export_attention(bundle, traj, cycles=cycles, matrix_cycles=matrix_cycles)
+    export = export_attention(bundle, traj, cycles=cycles)
     # Its own default directory, so that evaluate's predictions.csv is kept.
     out_dir = Path(args.out or Path(cfg.out_dir) / "explain" / f"unit={args.unit}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = write_attention_csvs(export, out_dir)
+    paths = write_attention_csvs(export, out_dir, matrix_cycles=matrix_cycles)
 
     # Per-cycle predictions with back-computed truth, the third surface.
     with open(out_dir / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
@@ -384,7 +383,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Train and evaluate one run per value and per seed of the config's
     ``seeds``, in the order listed, each the ``train`` run of its own config,
     which names its directory.  Before ``--out`` is created, every value's
-    config is validated, equal configs are rejected, the train, test and
+    config is validated, configs equal once their mode and head counts are
+    resolved (:func:`resolve_blocks`) are rejected, the train, test and
     truth files are each read once, and the training units are clustered and
     normalized once; each value's windows serve all of its runs."""
     cfg = _build_config(args)
@@ -393,10 +393,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for text in filter(None, (v.strip() for v in args.values.split(","))):
         value_cfg = cfg.override(**{args.param: ExperimentConfig.parse_field(args.param, text)})
         value_cfg.validate()
-        repeated = next((t for t, c in values if c == value_cfg), None)
+        # Head counts a mode does not build train the same model.
+        resolved = dataclasses.replace(value_cfg, **resolve_blocks(
+            value_cfg.mode, value_cfg.feature_heads, value_cfg.sequence_heads)._asdict())
+        repeated = next((t for t, _, r in values if r == resolved), None)
         if repeated is not None:
             raise ConfigurationError(f"--values {text!r} gives the same config as {repeated!r}")
-        values.append((text, value_cfg))
+        values.append((text, value_cfg, resolved))
     if not values:
         raise ConfigurationError("--values needs at least one value")
 
@@ -417,7 +420,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with open(out_root / "sweep_results.csv", "w", buffering=1, newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for value, value_cfg in values:
+        for value, value_cfg, _ in values:
             windows = window_arrays(normed, value_cfg.window, value_cfg.r_max)
             for seed in cfg.seeds:
                 run_dir = out_root / f"{args.param}={value}" / f"seed={seed}"

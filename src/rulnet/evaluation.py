@@ -160,23 +160,21 @@ def write_predictions_csv(report: EvaluationReport, path: str | Path) -> None:
 
 @dataclass
 class AttentionExport:
-    """Interpretability surfaces for one trajectory, as arrays.
+    """Interpretability surfaces for one trajectory, one row per cycle.
 
     ``cycles`` (C,) are the requested 1-based cycles in request order and
     ``predictions`` (C,) the model's prediction for the window ending at
     each.  ``cycle_sums`` (C, F): per cycle and channel, the column sum of
     the head-averaged weight matrix, i.e. how much total attention the
-    channel receives.  ``weights`` (M, h+1, F, F) holds the full
-    feature-attention matrices of the ``matrix_cycles`` (M,), the
-    requested cycles that were also asked for as matrices: heads 1..h,
-    then their mean.  Every float array is float64.
+    channel receives.  ``weights`` (C, h+1, F, F) holds each cycle's full
+    feature-attention matrices: heads 1..h, then their mean.  Every float
+    array is float64.
     """
 
     unit_id: int
     cycles: np.ndarray
     predictions: np.ndarray
     cycle_sums: np.ndarray
-    matrix_cycles: np.ndarray
     weights: np.ndarray
 
 
@@ -184,65 +182,50 @@ def export_attention(
     bundle: Bundle,
     trajectory: RawTrajectory,
     cycles: Sequence[int] | None = None,
-    matrix_cycles: Sequence[int] | None = None,
 ) -> AttentionExport:
     """Run inference on each requested cycle's window, asking
     :meth:`RulModel.explain` for the feature-attention weights.
 
     ``cycles`` defaults to every cycle of the trajectory (windows ending
-    before cycle T are padded backward).  Full F x F matrices are kept
-    for ``matrix_cycles`` (default: all requested cycles), each of which
-    must be a requested cycle; the per-cycle column-sum view always
-    covers every requested cycle.  Windows go through the model in
-    batches of at most ``PREDICT_BATCH``.  A cycle outside 1..L is a
-    ContractError and a prediction that is not finite a NumericInputError.
+    before cycle T are padded backward).  Windows go through the model in
+    batches of at most ``PREDICT_BATCH``.  A cycle that is not an integer
+    or is outside 1..L is a ContractError, by :func:`windows_ending_at`,
+    and a prediction that is not finite a NumericInputError.
     """
     model = bundle.model
     if not model.feature_heads:
         raise CapabilityError(f"mode {model.mode!r} retains no attention weights")
-    cycles = np.array(
-        range(1, len(trajectory) + 1) if cycles is None else [int(c) for c in cycles], dtype=np.int64
-    )
-    in_matrix = np.ones(len(cycles), dtype=bool)
-    if matrix_cycles is not None:
-        matrix_cycles = np.array([int(c) for c in matrix_cycles], dtype=np.int64)
-        missing = matrix_cycles[~np.isin(matrix_cycles, cycles)]
-        if missing.size:
-            raise ContractError(f"matrix cycle {missing[0]} is not among the requested cycles")
-        in_matrix = np.isin(cycles, matrix_cycles)
+    if cycles is None:
+        cycles = range(1, len(trajectory) + 1)
 
     chans = normalize(trajectory, bundle.condition_model).channels
     n_heads, n_features = model.feature_heads, model.n_features
     predictions = np.empty(len(cycles))
-    cycle_sums = np.empty((len(cycles), n_features))
-    weights = np.empty((int(in_matrix.sum()), n_heads + 1, n_features, n_features))
-    filled = 0
+    weights = np.empty((len(cycles), n_heads + 1, n_features, n_features))
     for start in range(0, len(cycles), PREDICT_BATCH):
         chunk = slice(start, start + PREDICT_BATCH)
         predictions[chunk], blocks = model.explain(windows_ending_at(chans, cycles[chunk], model.window))
-        heads = blocks["feature"].astype(np.float64)
-        averaged = heads.mean(axis=1)
-        cycle_sums[chunk] = averaged.sum(axis=1)
-        keep = in_matrix[chunk]
-        kept = int(keep.sum())
-        weights[filled : filled + kept, :n_heads] = heads[keep]
-        weights[filled : filled + kept, n_heads] = averaged[keep]
-        filled += kept
+        weights[chunk, :n_heads] = blocks["feature"]
+    weights[:, n_heads] = weights[:, :n_heads].mean(axis=1)
+    cycles = np.array(cycles, dtype=np.int64)  # windows_ending_at checked they are integers
     _require_finite(predictions, lambda i: f"the prediction for unit {trajectory.unit_id}, cycle {cycles[i]}")
 
     return AttentionExport(
         unit_id=trajectory.unit_id,
         cycles=cycles,
         predictions=predictions,
-        cycle_sums=cycle_sums,
-        matrix_cycles=cycles[in_matrix],
+        cycle_sums=weights[:, n_heads].sum(axis=1),
         weights=weights,
     )
 
 
-def write_attention_csvs(export: AttentionExport, out_dir: str | Path) -> dict[str, Path]:
+def write_attention_csvs(export: AttentionExport, out_dir: str | Path,
+                         matrix_cycles: Sequence[int] | None = None) -> dict[str, Path]:
     """Write attention_feature.csv and attention_cycle_sums.csv.
 
+    The feature file holds the matrices of the exported cycles that are
+    among ``matrix_cycles`` (default: all), in export order; a matrix
+    cycle that was not exported is a ContractError, before any write.
     The rows are what ``csv.writer`` makes of (cycle, head, row sensor,
     column sensor, "%.9g" % weight) and (cycle, sensor, "%.9g" % weight
     sum): comma-separated, CRLF-terminated, no field needing quotes.
@@ -252,6 +235,13 @@ def write_attention_csvs(export: AttentionExport, out_dir: str | Path) -> dict[s
     Each cycle's rows are formatted as one string and written as it is
     made.
     """
+    keep = slice(None)  # every cycle, as a view of the matrices
+    if matrix_cycles is not None:
+        matrix_cycles = np.asarray(matrix_cycles)
+        missing = matrix_cycles[~np.isin(matrix_cycles, export.cycles)]
+        if missing.size:
+            raise ContractError(f"matrix cycle {missing[0]} is not among the requested cycles")
+        keep = np.isin(export.cycles, matrix_cycles)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     feature_path = out_dir / "attention_feature.csv"
@@ -267,7 +257,7 @@ def write_attention_csvs(export: AttentionExport, out_dir: str | Path) -> dict[s
     sums_suffixes = [f",{j}," for j in range(n_features)]
     _write_rows(
         feature_path, "cycle,head,row_sensor,col_sensor,weight",
-        export.matrix_cycles, export.weights, feature_suffixes,
+        export.cycles[keep], export.weights[keep], feature_suffixes,
     )
     _write_rows(sums_path, "cycle,sensor,weight_sum", export.cycles, export.cycle_sums, sums_suffixes)
     return {"feature": feature_path, "cycle_sums": sums_path}

@@ -198,7 +198,7 @@ def fit(model: RulModel, windows: Windows, config: ExperimentConfig,
     epoch's record as that epoch ends, so a caller can keep the epochs of a
     run that stops.
 
-    ``config`` is validated first (without its data paths), so a bad
+    ``config`` is validated first (which reads no path), so a bad
     range is a ConfigurationError before any compute.  The unit split,
     batch shuffling, and dropout masks each draw from a named stream of
     ``config.seeds[0]``, so identical configs replay exactly.

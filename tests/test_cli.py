@@ -984,6 +984,10 @@ ENTRY_POINT_CASES = [
     *[pytest.param(["sweep", *CONFIG_ARGS, "--param", "r_max", "--values", values], {}, {}, 1,
                    "--values", id=f"sweep-repeated-{values}")
       for values in ("50,50", "50,50.0", "40,50,40")],
+    # Head counts that the mode does not build train the same model.
+    *[pytest.param(["sweep", *CONFIG_ARGS, "--param", param, "--values", values, "--mode", mode],
+                   {}, {}, 1, "--values", id=f"sweep-repeated-{param}-{values}-{mode}")
+      for param, values, mode in [("sequence_heads", "2,4", "F"), ("feature_heads", "2,3", "A")]],
     *[pytest.param([command, *CONFIG_ARGS, *extra, "--seeds", "3,3"], {}, {}, 1, "seeds must be distinct",
                    id=f"{command}-repeated-seed-3,3")
       for command, extra in [("train", []), ("sweep", ["--param", "r_max", "--values", "50"])]],

@@ -8,7 +8,7 @@ import pytest
 from rulnet import RulModel
 from rulnet import data as D
 from rulnet.checkpoint import Bundle, load_bundle, save_bundle
-from rulnet.evaluation import export_attention, predict_test_set
+from rulnet.evaluation import export_attention, predict_test_set, write_attention_csvs
 from rulnet.seeding import generator
 from rulnet.synthetic import _CONSTANT_SENSORS, _UNINFORMATIVE_SENSORS, generate_dataset
 from rulnet.config import ExperimentConfig
@@ -92,14 +92,18 @@ def test_checkpoint_round_trip_preserves_report(e2e, tmp_path):
     assert [r.pred_rul for r in again.records] == [r.pred_rul for r in e2e["report"].records]
 
 
-def test_explain_runs_on_trained_bundle(e2e):
+def test_explain_runs_on_trained_bundle(e2e, tmp_path):
     bundle = Bundle(model=e2e["model"], condition_model=e2e["cm"],
                     config=ExperimentConfig(window=e2e["window"], r_max=e2e["r_max"]))
     traj = e2e["test"][0]
-    export = export_attention(bundle, traj, cycles=[1, len(traj)], matrix_cycles=[len(traj)])
+    export = export_attention(bundle, traj, cycles=[1, len(traj)])
     assert export.cycle_sums.shape == (2, 24)
-    assert export.weights.shape[0] == 1
+    assert export.weights.shape[0] == 2  # one row per requested cycle
     assert np.all(np.abs(export.weights.sum(axis=-1) - 1.0) < 1e-6)
+    paths = write_attention_csvs(export, tmp_path, matrix_cycles=[len(traj)])
+    rows = paths["feature"].read_text().splitlines()[1:]
+    assert len(rows) == (bundle.model.feature_heads + 1) * 24 * 24
+    assert {row.partition(",")[0] for row in rows} == {str(len(traj))}
 
 
 def test_feature_attention_ranks_the_no_signal_channels_lowest(e2e):
@@ -111,7 +115,7 @@ def test_feature_attention_ranks_the_no_signal_channels_lowest(e2e):
     no_signal = set(range(D.N_SETTINGS)) | {D.N_SETTINGS + s for s in sensors}
     bundle = Bundle(model=e2e["model"], condition_model=e2e["cm"],
                     config=ExperimentConfig(window=e2e["window"], r_max=e2e["r_max"]))
-    sums = np.concatenate([export_attention(bundle, traj, matrix_cycles=[]).cycle_sums
+    sums = np.concatenate([export_attention(bundle, traj).cycle_sums
                            for traj in e2e["test"]]).mean(axis=0)
     lowest = np.argsort(sums)[: len(no_signal)]
     assert set(lowest.tolist()) == no_signal, sums.round(3)

@@ -304,13 +304,16 @@ def reference_write_attention_csvs(export, out_dir):
     return {"feature": feature_path, "cycle_sums": sums_path}
 
 
-def as_reference(export):
-    """The reference's row tuples for the arrays of an AttentionExport."""
+def as_reference(export, matrix_cycles=None):
+    """The reference's row tuples for the arrays of an AttentionExport,
+    with feature rows for the cycles among ``matrix_cycles`` (default: all)."""
     n_blocks, n_features = export.weights.shape[1], export.cycle_sums.shape[1]
     names = [str(h) for h in range(1, n_blocks)] + ["mean"]
+    matrix_set = set(export.cycles.tolist() if matrix_cycles is None else matrix_cycles)
     feature_rows = [
         (int(cycle), names[h], i, j, float(block[h, i, j]))
-        for cycle, block in zip(export.matrix_cycles, export.weights)
+        for cycle, block in zip(export.cycles, export.weights)
+        if cycle in matrix_set
         for h in range(n_blocks)
         for i in range(n_features)
         for j in range(n_features)
@@ -324,9 +327,10 @@ def as_reference(export):
     return ReferenceExport(export.unit_id, feature_rows, cycle_sums, predictions)
 
 
-def assert_matches_reference(export, ref):
-    """Same rows in the same order; values equal to float32 precision."""
-    got = as_reference(export)
+def assert_matches_reference(export, ref, matrix_cycles=None):
+    """Same rows in the same order, the feature rows for the cycles among
+    ``matrix_cycles``; values equal to float32 precision."""
+    got = as_reference(export, matrix_cycles)
     assert [r[:4] for r in got.feature_rows] == [r[:4] for r in ref.feature_rows]
     assert [r[:2] for r in got.cycle_sums] == [r[:2] for r in ref.cycle_sums]
     assert [c for c, _ in got.predictions] == [c for c, _ in ref.predictions]
@@ -340,6 +344,15 @@ def assert_matches_reference(export, ref):
         )
 
 
+def assert_reference_reductions(export):
+    """Each cycle's mean block and column sums, bit for bit as the
+    reference takes them from the cycle's head weights."""
+    for block, sums in zip(export.weights, export.cycle_sums):
+        averaged = np.stack(list(block[:-1])).mean(axis=0)
+        np.testing.assert_array_equal(block[-1], averaged)
+        np.testing.assert_array_equal(sums, averaged.sum(axis=0))
+
+
 class TestExportAttention:
     def test_rows_sum_to_one_and_shapes(self, tmp_path):
         bundle = four_channel_bundle()
@@ -350,7 +363,32 @@ class TestExportAttention:
         assert export.weights.shape == (2, heads + 1, 24, 24)
         assert export.weights.dtype == np.float64
         np.testing.assert_allclose(export.weights.sum(axis=-1), 1.0, atol=1e-6)
-        np.testing.assert_array_equal(export.matrix_cycles, [3, 12])
+        # weights row k is cycle k's matrices
+        np.testing.assert_array_equal(export.cycles, [3, 12])
+
+    def test_one_row_per_requested_cycle(self, tmp_path):
+        """Every array has a row per requested cycle; the writer prints the
+        matrices of the cycles among its matrix_cycles, in export order
+        (test_csv_bytes_match_reference_writer pins the bytes)."""
+        bundle = four_channel_bundle()
+        traj = make_test_trajs(1, length=10)[0]
+        export = export_attention(bundle, traj, cycles=[10, 2, 5])
+        heads = bundle.model.feature_heads
+        assert export.weights.shape == (3, heads + 1, 24, 24)
+        assert export.cycle_sums.shape == (3, 24)
+        assert export.predictions.shape == (3,)
+        paths = write_attention_csvs(export, tmp_path, matrix_cycles=[5, 10])
+        with open(paths["feature"], newline="") as fh:
+            printed = [int(r["cycle"]) for r in csv.DictReader(fh)]
+        assert printed == [10] * ((heads + 1) * 24 * 24) + [5] * ((heads + 1) * 24 * 24)
+
+    @pytest.mark.parametrize("cycles", [[2.7], [True], ["3"], [2.7, True, "3"]],
+                             ids=["float", "bool", "string", "mixed"])
+    def test_cycles_that_are_not_integers(self, cycles):
+        """No cycle is truncated to an integer: windows_ending_at's rule holds."""
+        bundle = four_channel_bundle()
+        with pytest.raises(ContractError, match="cycle ends must be integers"):
+            export_attention(bundle, make_test_trajs(1, length=5)[0], cycles=cycles)
 
     def test_cycle_sums_cover_requested_cycles(self):
         bundle = four_channel_bundle()
@@ -372,17 +410,19 @@ class TestExportAttention:
         with pytest.raises(ContractError):
             export_attention(bundle, make_test_trajs(1, length=5)[0], cycles=[9])
 
-    def test_matrix_cycle_outside_cycles(self):
+    def test_matrix_cycle_outside_cycles(self, tmp_path):
         bundle = four_channel_bundle()
         traj = make_test_trajs(1, length=12)[0]
+        export = export_attention(bundle, traj, cycles=range(4, 9))
         with pytest.raises(ContractError, match="matrix cycle 2 "):
-            export_attention(bundle, traj, cycles=range(4, 9), matrix_cycles=[2, 5, 8, 11])
+            write_attention_csvs(export, tmp_path / "out", matrix_cycles=[2, 5, 8, 11])
+        assert not (tmp_path / "out").exists()
 
     def test_csv_files_written(self, tmp_path):
         bundle = four_channel_bundle()
         traj = make_test_trajs(1, length=8)[0]
-        export = export_attention(bundle, traj, cycles=[8], matrix_cycles=[8])
-        paths = write_attention_csvs(export, tmp_path)
+        export = export_attention(bundle, traj, cycles=[8])
+        paths = write_attention_csvs(export, tmp_path, matrix_cycles=[8])
         feature_lines = paths["feature"].read_text().splitlines()
         assert feature_lines[0] == "cycle,head,row_sensor,col_sensor,weight"
         heads = bundle.model.feature_heads
@@ -403,41 +443,52 @@ class TestExportAttention:
 
     @pytest.mark.parametrize("mode", ["A", "F", "F+T"])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_matches_per_cycle_reference(self, mode, case):
+    def test_matches_per_cycle_reference(self, tmp_path, mode, case):
         length, cycles, matrix_cycles = self.CASES[case]
         bundle = four_channel_bundle(mode=mode)
         traj = make_test_trajs(1, length=length)[0]
-        export = export_attention(bundle, traj, cycles=cycles, matrix_cycles=matrix_cycles)
+        export = export_attention(bundle, traj, cycles=cycles)
         ref = reference_export_attention(bundle, traj, cycles=cycles, matrix_cycles=matrix_cycles)
-        assert_matches_reference(export, ref)
+        assert len(export.weights) == len(ref.predictions)
+        assert_matches_reference(export, ref, matrix_cycles)
+        new = write_attention_csvs(export, tmp_path / "new", matrix_cycles=matrix_cycles)
+        written = reference_write_attention_csvs(as_reference(export, matrix_cycles), tmp_path / "ref")
+        for name in ("feature", "cycle_sums"):
+            assert new[name].read_bytes() == written[name].read_bytes()
 
     def test_longer_than_one_batch_matches_reference(self):
         bundle = four_channel_bundle(mode="F")
         traj = make_test_trajs(1, length=PREDICT_BATCH + 45)[0]
         matrix_cycles = [1, PREDICT_BATCH - 1, PREDICT_BATCH, PREDICT_BATCH + 1, PREDICT_BATCH + 45]
-        export = export_attention(bundle, traj, matrix_cycles=matrix_cycles)
+        export = export_attention(bundle, traj)
         ref = reference_export_attention(bundle, traj, matrix_cycles=matrix_cycles)
         assert len(export.predictions) == PREDICT_BATCH + 45
-        assert_matches_reference(export, ref)
+        assert len(export.weights) == PREDICT_BATCH + 45
+        assert_matches_reference(export, ref, matrix_cycles)
 
     def test_mean_and_sums_use_the_reference_arithmetic(self):
         """The mean block and the column sums are the reference's float64
         reductions of the same head weights, bit for bit, so their CSV
         text cannot move."""
         bundle = four_channel_bundle()  # float32 weights, float64 export
-        export = export_attention(bundle, make_test_trajs(1, length=12)[0])
-        for block, sums in zip(export.weights, export.cycle_sums):
-            averaged = np.stack(list(block[:-1])).mean(axis=0)
-            np.testing.assert_array_equal(block[-1], averaged)
-            np.testing.assert_array_equal(sums, averaged.sum(axis=0))
+        assert_reference_reductions(export_attention(bundle, make_test_trajs(1, length=12)[0]))
+
+    def test_sums_do_not_follow_the_models_memory_layout(self):
+        """The model hands back each weight matrix column-major.  Summed in
+        that layout, a column is added pairwise, and on peaked attention
+        that differs from the reference's row-by-row sum in the last bit."""
+        bundle = four_channel_bundle()
+        rng = np.random.default_rng(0)
+        traj = D.RawTrajectory(unit_id=1, channels=10 * rng.standard_normal((12, 24)))
+        assert_reference_reductions(export_attention(bundle, traj))
 
     @pytest.mark.parametrize("mode", ["A", "F+T"])
     def test_csv_bytes_match_reference_writer(self, tmp_path, mode):
         bundle = four_channel_bundle(mode=mode)
         traj = make_test_trajs(1, length=10)[0]
-        export = export_attention(bundle, traj, cycles=[10, 2, 5], matrix_cycles=[5, 10])
-        new = write_attention_csvs(export, tmp_path / "new")
-        ref = reference_write_attention_csvs(as_reference(export), tmp_path / "ref")
+        export = export_attention(bundle, traj, cycles=[10, 2, 5])
+        new = write_attention_csvs(export, tmp_path / "new", matrix_cycles=[5, 10])
+        ref = reference_write_attention_csvs(as_reference(export, [5, 10]), tmp_path / "ref")
         for name in ("feature", "cycle_sums"):
             assert new[name].read_bytes() == ref[name].read_bytes()
 
@@ -480,19 +531,19 @@ class TestExportAttention:
         cycles = np.array(cycles, dtype=np.int64)
         keep = np.array(in_matrix[: len(cycles)], dtype=bool)
         weights = np.array(
-            data.draw(st.lists(values, min_size=int(keep.sum()) * blocks * features**2,
-                               max_size=int(keep.sum()) * blocks * features**2))
-        ).reshape(int(keep.sum()), blocks, features, features)
+            data.draw(st.lists(values, min_size=len(cycles) * blocks * features**2,
+                               max_size=len(cycles) * blocks * features**2))
+        ).reshape(len(cycles), blocks, features, features)
         sums = np.array(
             data.draw(st.lists(values, min_size=len(cycles) * features,
                                max_size=len(cycles) * features))
         ).reshape(len(cycles), features)
         export = AttentionExport(
             unit_id=1, cycles=cycles, predictions=np.zeros(len(cycles)), cycle_sums=sums,
-            matrix_cycles=cycles[keep], weights=weights,
+            weights=weights,
         )
         out = tmp_path_factory.mktemp("csv")
-        new = write_attention_csvs(export, out / "new")
-        ref = reference_write_attention_csvs(as_reference(export), out / "ref")
+        new = write_attention_csvs(export, out / "new", matrix_cycles=cycles[keep])
+        ref = reference_write_attention_csvs(as_reference(export, cycles[keep].tolist()), out / "ref")
         for name in ("feature", "cycle_sums"):
             assert new[name].read_bytes() == ref[name].read_bytes()
