@@ -422,15 +422,25 @@ def _window_view(channels: np.ndarray, window: int) -> np.ndarray:
     return sliding_window_view(_padded(channels, window), window, axis=0)
 
 
+def integer_cycles(cycles: Sequence[int]) -> np.ndarray:
+    """``cycles`` as an integer array, converted only when every element
+    is an integer: one that is not (a float, a bool, a string) is a
+    ContractError, checked before numpy would read ``[3, True]`` as int64."""
+    if not isinstance(cycles, np.ndarray) and any(isinstance(c, (bool, np.bool_)) for c in cycles):
+        raise ContractError("cycle ends must be integers, got bool")
+    cycles = np.asarray(cycles) if len(cycles) else np.zeros(0, np.int64)  # np.asarray([]) is float64
+    if cycles.dtype.kind not in "iu":
+        raise ContractError(f"cycle ends must be integers, got {cycles.dtype}")
+    return cycles
+
+
 def windows_ending_at(channels: np.ndarray, ends: Sequence[int], window: int) -> np.ndarray:
     """(N, F, T) float32 windows of the cycles ending at each of ``ends``
     (1-based, in any order, an end may recur), by the rule of :func:`_window_view`,
     as one new writable array.  No ends give a (0, F, T) array; an end that
     is not an integer (a float or a bool) or is outside 1..L is a
     ContractError."""
-    ends = np.asarray(ends) if len(ends) else np.zeros(0, np.int64)  # np.asarray([]) is float64
-    if ends.dtype.kind not in "iu":
-        raise ContractError(f"cycle ends must be integers, got {ends.dtype}")
+    ends = integer_cycles(ends)
     outside = ends[(ends < 1) | (ends > len(channels))]
     if outside.size:
         raise ContractError(f"cycle {outside[0]} outside 1..{len(channels)}")

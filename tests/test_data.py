@@ -481,7 +481,8 @@ class TestWindowSplit:
                 D.windows_ending_at(channels, [total, end], window)
         none = D.windows_ending_at(channels, [], window)
         assert none.shape == (0, 24, window) and none.dtype == np.float32
-        for ends, dtype in (([2.0], "float64"), ([True], "bool"), (np.array([1], np.float32), "float32")):
+        for ends, dtype in (([2.0], "float64"), ([True], "bool"), ([total, True], "bool"),
+                            (np.array([1], np.float32), "float32")):
             with pytest.raises(ContractError, match=f"^cycle ends must be integers, got {dtype}$"):
                 D.windows_ending_at(channels, ends, window)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_tiny_model, window_ending_at
@@ -18,6 +18,7 @@ from rulnet.evaluation import (
     AttentionExport,
     EvaluationReport,
     UnitRecord,
+    _write_rows,
     export_attention,
     phm_score,
     predict_test_set,
@@ -353,6 +354,30 @@ def assert_reference_reductions(export):
         np.testing.assert_array_equal(sums, averaged.sum(axis=0))
 
 
+# Floats drawn from [1e-4, 1), where the writer prints integer digits.
+UNIT_INTERVAL = st.floats(1e-4, 1.0, exclude_max=True)
+
+
+@st.composite
+def any_value_exports(draw):
+    """An export of up to three cycles with any float64 weights and sums,
+    and the cycles among them whose matrices are printed."""
+    blocks, features = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cycles = np.array(draw(st.lists(st.integers(1, 10**6), max_size=3)), dtype=np.int64)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=3, max_size=3))[: len(cycles)], dtype=bool)
+    values = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+    def floats(*shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=np.float64).reshape(shape)
+
+    export = AttentionExport(
+        unit_id=1, cycles=cycles, predictions=np.zeros(len(cycles)),
+        cycle_sums=floats(len(cycles), features), weights=floats(len(cycles), blocks, features, features),
+    )
+    return export, cycles[keep]
+
+
 class TestExportAttention:
     def test_rows_sum_to_one_and_shapes(self, tmp_path):
         bundle = four_channel_bundle()
@@ -382,8 +407,8 @@ class TestExportAttention:
             printed = [int(r["cycle"]) for r in csv.DictReader(fh)]
         assert printed == [10] * ((heads + 1) * 24 * 24) + [5] * ((heads + 1) * 24 * 24)
 
-    @pytest.mark.parametrize("cycles", [[2.7], [True], ["3"], [2.7, True, "3"]],
-                             ids=["float", "bool", "string", "mixed"])
+    @pytest.mark.parametrize("cycles", [[2.7], [True], ["3"], [2.7, True, "3"], [3, True]],
+                             ids=["float", "bool", "string", "mixed", "int-and-bool"])
     def test_cycles_that_are_not_integers(self, cycles):
         """No cycle is truncated to an integer: windows_ending_at's rule holds."""
         bundle = four_channel_bundle()
@@ -416,6 +441,15 @@ class TestExportAttention:
         export = export_attention(bundle, traj, cycles=range(4, 9))
         with pytest.raises(ContractError, match="matrix cycle 2 "):
             write_attention_csvs(export, tmp_path / "out", matrix_cycles=[2, 5, 8, 11])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("matrix_cycles", [[True], [2.0]], ids=["bool", "float"])
+    def test_matrix_cycles_that_are_not_integers(self, tmp_path, matrix_cycles):
+        """Cycles 1 and 2 are exported, yet neither True nor 2.0 names one."""
+        bundle = four_channel_bundle()
+        export = export_attention(bundle, make_test_trajs(1, length=5)[0])
+        with pytest.raises(ContractError, match="cycle ends must be integers"):
+            write_attention_csvs(export, tmp_path / "out", matrix_cycles=matrix_cycles)
         assert not (tmp_path / "out").exists()
 
     def test_csv_files_written(self, tmp_path):
@@ -514,36 +548,35 @@ class TestExportAttention:
             totals[int(r["cycle"]) - 1] += float(r["weight_sum"])
         np.testing.assert_allclose(totals, 24.0, rtol=1e-6)
 
-    @given(
-        blocks=st.integers(1, 3),
-        features=st.integers(1, 3),
-        cycles=st.lists(st.integers(1, 10**6), max_size=3),
-        in_matrix=st.lists(st.booleans(), min_size=3, max_size=3),
-        data=st.data(),
-    )
+    @given(case=any_value_exports())
+    @example(case=(AttentionExport(unit_id=1, cycles=np.zeros(0, np.int64), predictions=np.zeros(0),
+                                   cycle_sums=np.zeros((0, 2)), weights=np.zeros((0, 2, 2, 2))),
+                   np.zeros(0, np.int64)))
     @settings(max_examples=60, deadline=None)
-    def test_writer_matches_reference_on_any_values(
-        self, tmp_path_factory, blocks, features, cycles, in_matrix, data
-    ):
+    def test_writer_matches_reference_on_any_values(self, tmp_path_factory, case):
         """Every float spelling (negative zero, subnormals, exponents, inf,
-        nan) comes out as the csv.writer reference writes it."""
-        values = st.floats(allow_nan=True, allow_infinity=True, width=64)
-        cycles = np.array(cycles, dtype=np.int64)
-        keep = np.array(in_matrix[: len(cycles)], dtype=bool)
-        weights = np.array(
-            data.draw(st.lists(values, min_size=len(cycles) * blocks * features**2,
-                               max_size=len(cycles) * blocks * features**2))
-        ).reshape(len(cycles), blocks, features, features)
-        sums = np.array(
-            data.draw(st.lists(values, min_size=len(cycles) * features,
-                               max_size=len(cycles) * features))
-        ).reshape(len(cycles), features)
-        export = AttentionExport(
-            unit_id=1, cycles=cycles, predictions=np.zeros(len(cycles)), cycle_sums=sums,
-            weights=weights,
-        )
+        nan) comes out as the csv.writer reference writes it, for any
+        number of cycles, none included."""
+        export, matrix_cycles = case
         out = tmp_path_factory.mktemp("csv")
-        new = write_attention_csvs(export, out / "new", matrix_cycles=cycles[keep])
-        ref = reference_write_attention_csvs(as_reference(export, cycles[keep].tolist()), out / "ref")
+        new = write_attention_csvs(export, out / "new", matrix_cycles=matrix_cycles)
+        ref = reference_write_attention_csvs(as_reference(export, matrix_cycles.tolist()), out / "ref")
         for name in ("feature", "cycle_sums"):
             assert new[name].read_bytes() == ref[name].read_bytes()
+
+    @given(values=st.lists(st.one_of(UNIT_INTERVAL, UNIT_INTERVAL.map(lambda v: float(np.float32(v)))),
+                           min_size=1, max_size=40))
+    @example(values=[float(w) for p in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+                     for v in (np.float64(p), np.float32(p))
+                     for w in (v, np.nextafter(v, v.dtype.type(0)), np.nextafter(v, v.dtype.type(2)))])
+    @example(values=[2**-13, 3 * 2**-13])  # 0.0001220703125 and 0.0003662109375: exact ties
+    @example(values=[0.99999999995, 0.0999999999, 9.9999999995e-05])  # round up to a power of ten
+    @settings(max_examples=200, deadline=None)
+    def test_integer_digits_print_what_percent_9g_prints(self, tmp_path_factory, values):
+        """Values in [1e-4, 1) mostly take the writer's integer-digit path;
+        each row's text is still "%.9g" % value."""
+        path = tmp_path_factory.mktemp("rows") / "rows.csv"
+        _write_rows(path, "cycle,k,value", np.array([7]), np.array([values]),
+                    [f",{k}," for k in range(len(values))])
+        rows = path.read_bytes().decode().split("\r\n")
+        assert rows == ["cycle,k,value"] + [f"7,{k},{'%.9g' % v}" for k, v in enumerate(values)] + [""]
