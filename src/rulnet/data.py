@@ -426,7 +426,7 @@ def integer_cycles(cycles: Sequence[int]) -> np.ndarray:
     """``cycles`` as an integer array, converted only when every element
     is an integer: one that is not (a float, a bool, a string) is a
     ContractError, checked before numpy would read ``[3, True]`` as int64."""
-    if not isinstance(cycles, np.ndarray) and any(isinstance(c, (bool, np.bool_)) for c in cycles):
+    if any(isinstance(c, (bool, np.bool_)) for c in cycles):
         raise ContractError("cycle ends must be integers, got bool")
     cycles = np.asarray(cycles) if len(cycles) else np.zeros(0, np.int64)  # np.asarray([]) is float64
     if cycles.dtype.kind not in "iu":
