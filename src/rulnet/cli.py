@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Commands: preprocess, train, evaluate, explain, sweep, plus synth-data
-for generating demo datasets.  Global flags --config/--seed/--out; every
+for generating demo datasets.  Global flags --config/--out; every
 ExperimentConfig field is also a flag of the same name, whose text
-``ExperimentConfig.parse_field`` parses.  Exit codes: 0 success, 1 usage
-or configuration error (a bad flag or flag value, or a named path that
-cannot be read or created, included), 2 data error, 3 runtime failure.
+``ExperimentConfig.parse_field`` parses.  No flag may be abbreviated.
+Exit codes: 0 success, 1 usage or configuration error (a bad flag or
+flag value, or a named path that cannot be read or created, included),
+2 data error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -75,7 +76,10 @@ WINDOWS_FILE = "windows_train.txt"
 # ---------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors are configuration errors (exit 1); subparsers share the class."""
+    """Usage errors exit 1 as configuration errors, and no flag is abbreviated; subparsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise ConfigurationError(message)
@@ -87,21 +91,14 @@ def _field_type(name: str):
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="replace the config's seed list with one seed")
-    parser.add_argument("--out", metavar="DIR", help="output directory (out_dir)")
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name != "out_dir":
-            parser.add_argument("--" + f.name.replace("_", "-"), type=_field_type(f.name))
+    for f in dataclasses.fields(ExperimentConfig):  # out_dir's flag is --out
+        flag = "--out" if f.name == "out_dir" else "--" + f.name.replace("_", "-")
+        parser.add_argument(flag, dest=f.name, type=_field_type(f.name))
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg) if f.name != "out_dir"}
-    if args.seed is not None:
-        if args.seeds is not None:
-            raise ConfigurationError("--seed and --seeds both set the seed list: give one of them")
-        overrides["seeds"] = [args.seed]
-    return cfg.override(**overrides, out_dir=args.out)
+    return cfg.override(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)})
 
 
 def _write_json(obj, path: str | Path | None = None) -> None:
@@ -273,8 +270,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cm.to_dict(), out_dir / CONDITION_MODEL_FILE)
-    if not args.skip_windows:
-        write_windows(normed, cfg.window, cfg.r_max, out_dir / WINDOWS_FILE)
+    write_windows(normed, cfg.window, cfg.r_max, out_dir / WINDOWS_FILE)
 
     assignment_counts = np.bincount(
         cm.assign(np.vstack([t.settings for t in train_trajs])), minlength=cm.k
@@ -299,7 +295,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg.validate()
     if len(cfg.seeds) > 1:
         raise ConfigurationError(f"train runs one seed, got seeds {cfg.seeds}: "
-                                 f"choose one with --seed, or train each with sweep")
+                                 f"choose one with --seeds N, or train each with sweep")
     train_units = _training_units(cfg)
     cm, normed = _prepare(cfg, train_units)
     windows = window_arrays(normed, cfg.window, cfg.r_max)
@@ -489,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pre = sub.add_parser("preprocess", help="parse, cluster, normalize, window; write artifacts")
     _add_config_flags(p_pre)
-    p_pre.add_argument("--skip-windows", action="store_true", help="do not write the windowed dataset file")
     p_pre.set_defaults(func=cmd_preprocess)
 
     p_train = sub.add_parser("train", help="train a model and write a checkpoint bundle")
@@ -497,24 +492,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on the test set")
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--test-path", default=None)
-    p_eval.add_argument("--truth-path", default=None)
     p_eval.add_argument("--clip-test-rul", type=_field_type("clip_test_rul"), metavar="BOOL")
-    p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_explain = sub.add_parser("explain", help="export attention weights for one engine")
-    p_explain.add_argument("--checkpoint", required=True)
     p_explain.add_argument("--unit", type=int, required=True)
     p_explain.add_argument("--cycles", default="all", help='"all" or "first:last" (1-based, inclusive)')
     p_explain.add_argument("--matrix-cycles", default=None,
                            help="comma-separated cycles, among --cycles, to emit full matrices for "
                                 "(default: all)")
-    p_explain.add_argument("--test-path", default=None)
-    p_explain.add_argument("--truth-path", default=None)
-    p_explain.add_argument("--out", default=None)
     p_explain.set_defaults(func=cmd_explain)
+    for p in (p_eval, p_explain):  # both read a checkpoint, and test files that replace its config's
+        p.add_argument("--checkpoint", required=True)
+        for flag in ("--test-path", "--truth-path", "--out"):
+            p.add_argument(flag)
 
     p_sweep = sub.add_parser("sweep", help="train/evaluate over a parameter grid")
     _add_config_flags(p_sweep)

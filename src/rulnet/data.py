@@ -511,12 +511,15 @@ def write_windows(trajectories: Iterable[RawTrajectory], window: int, r_max: flo
                   path: str | Path) -> None:
     """Write the windows of :func:`window_arrays`, in order, as a windows
     v1 file, each labelled with the float64 capped RUL of its end cycle.
-    Every window and label is checked before the file is opened.  Each
-    trajectory is one run of :func:`_write_runs`: its :func:`_padded` rows
-    from the first window's start."""
+    Every window, label and channel count (the first trajectory's) is
+    checked before the file is opened.  Each trajectory is one run of
+    :func:`_write_runs`: its :func:`_padded` rows from the first window's
+    start."""
     trajectories = list(trajectories)
     if not trajectories:
         raise ContractError("no trajectories to window")
+    if len({t.channels.shape[1] for t in trajectories}) > 1:
+        raise ContractError("one window shape per file: the trajectories' channel counts differ")
     ends = [window_ends(len(t), window) for t in trajectories]
     labels = [piecewise_rul(len(t), e, r_max) for t, e in zip(trajectories, ends)]
     runs = ((_padded(t.channels, window)[e[0] - 1 :].T,
@@ -530,9 +533,14 @@ def save_windows(samples: Sequence[WindowedSample], path: str | Path) -> None:
     order.  Each maximal run of samples in which a window's first T-1
     columns are bit-identical to the previous window's last T-1 (as raw
     bytes, so 0.0 and -0.0 never share text) is one run of
-    :func:`_write_runs`.  Kept for ``perfbench/layers.py``."""
+    :func:`_write_runs`; each matrix must be float32 of the first's (F, T)
+    shape.  Kept for ``perfbench/layers.py``."""
     if not samples:
         raise ContractError("no samples to save")
+    shape = samples[0].matrix.shape
+    for i, s in enumerate(samples):
+        if len(shape) != 2 or (s.matrix.shape, s.matrix.dtype) != (shape, np.float32):
+            raise ContractError(f"sample {i} is a {s.matrix.dtype} {s.matrix.shape} matrix, not float32 {shape}")
     runs = ((np.concatenate([run[0].matrix, *(s.matrix[:, -1:] for s in run[1:])], axis=1),
              [(s.unit_id, s.end_cycle, s.label) for s in run])
             for run in _runs(samples))
@@ -574,13 +582,12 @@ def _write_runs(path: str | Path, shape: tuple[int, int], count: int,
 
 
 def _runs(samples: Sequence[WindowedSample]) -> Iterable[list[WindowedSample]]:
-    """The samples in order, split into maximal runs in which each
-    window's matrix has the shape and dtype of the one before and its
-    first T-1 columns are bit-identical to that one's last T-1."""
+    """The samples in order, all of one shape, split into maximal runs in
+    which each window's first T-1 columns are bit-identical to the last
+    T-1 of the one before."""
     run = [samples[0]]
     for prev, s in zip(samples, samples[1:]):
-        m, p = s.matrix, prev.matrix
-        if (m.shape, m.dtype) == (p.shape, p.dtype) and m[:, :-1].tobytes() == p[:, 1:].tobytes():
+        if s.matrix[:, :-1].tobytes() == prev.matrix[:, 1:].tobytes():
             run.append(s)
         else:
             yield run

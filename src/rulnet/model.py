@@ -44,8 +44,9 @@ def resolve_blocks(mode: str, feature_heads: int, sequence_heads: int) -> Blocks
 
     "L" builds neither block, "A" a single-head feature block, "F" the
     feature block and "F+T" both.  A head count of 0 disables its block:
-    no feature block leaves plain "L", and "F+T" without a sequence block
-    is "F".  Resolving a resolved triple returns it unchanged.
+    no feature block leaves plain "L", "F+T" without a sequence block is
+    "F", and a one-head feature block alone is "A".  Resolving a resolved
+    triple returns it unchanged.
     """
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
@@ -58,8 +59,8 @@ def resolve_blocks(mode: str, feature_heads: int, sequence_heads: int) -> Blocks
     sh = sequence_heads if mode == "F+T" and fh else 0
     if fh == 0:
         mode = "L"
-    elif mode == "F+T" and sh == 0:
-        mode = "F"
+    elif sh == 0:
+        mode = "A" if fh == 1 else "F"
     return Blocks(mode, fh, sh)
 
 

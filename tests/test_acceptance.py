@@ -318,7 +318,7 @@ def test_criterion_10_byte_identical_runs(tmp_path):
         "--truth-path", str(tmp_path / "RUL_DET.txt"),
         "--window", "10", "--feature-heads", "2", "--sequence-heads", "4",
         "--lstm-hidden", "12", "--lstm-layers", "2", "--mlp-hidden", "12",
-        "--max-epochs", "2", "--batch-size", "64", "--seed", "6",
+        "--max-epochs", "2", "--batch-size", "64", "--seeds", "6",
     ]
     out = tmp_path / "run"
 

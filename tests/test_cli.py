@@ -58,7 +58,7 @@ def workspace(tmp_path_factory):
 def trained(workspace):
     out = workspace["root"] / "trained"
     code = main(
-        ["train", "--config", str(workspace["config"]), "--out", str(out), "--seed", "3"]
+        ["train", "--config", str(workspace["config"]), "--out", str(out), "--seeds", "3"]
         + FAST_FLAGS
     )
     assert code == 0
@@ -69,7 +69,7 @@ def trained(workspace):
 def mode_l(workspace):
     out = workspace["root"] / "mode_l"
     code = main(
-        ["train", "--config", str(workspace["config"]), "--out", str(out), "--seed", "3",
+        ["train", "--config", str(workspace["config"]), "--out", str(out), "--seeds", "3",
          "--mode", "L"] + FAST_FLAGS
     )
     assert code == 0
@@ -108,21 +108,6 @@ class TestPreprocess:
         assert (out / "condition_model.json").exists()
         assert (out / "windows_train.txt").exists()
 
-    def test_skip_windows_flag(self, workspace, monkeypatch):
-        argv = ["preprocess", "--config", str(workspace["config"]), "--window", "10"]
-        full = workspace["root"] / "prep_full"
-        assert main([*argv, "--out", str(full)]) == 0
-
-        def no_windows(*args):
-            raise AssertionError("--skip-windows built windows")
-
-        monkeypatch.setattr(cli, "write_windows", no_windows)
-        out = workspace["root"] / "prep_skip"
-        assert main([*argv, "--out", str(out), "--skip-windows"]) == 0
-        assert not (out / "windows_train.txt").exists()
-        for name in ("preprocess_summary.json", "condition_model.json"):
-            assert (out / name).read_bytes() == (full / name).read_bytes()
-
     def test_overflowing_readings_are_data_error(self, workspace, tmp_path, capsys):
         out = tmp_path / "prep"
         code = main(
@@ -150,7 +135,7 @@ class TestPreprocess:
         code = main(
             ["preprocess", "--train-path", str(ds.train_path), "--test-path", str(ds.test_path),
              "--truth-path", str(ds.truth_path), "--k-conditions", "2", "--window", "15",
-             "--seed", "0", "--out", str(out)]
+             "--seeds", "0", "--out", str(out)]
         )
         assert code == 0
         summary = json.loads((out / "preprocess_summary.json").read_text())
@@ -169,7 +154,7 @@ class TestPreprocess:
         code = main(
             ["preprocess", "--train-path", str(ds.train_path), "--test-path", str(ds.test_path),
              "--truth-path", str(ds.truth_path), "--k-conditions", "6", "--window", "30",
-             "--seed", "0", "--out", str(out)]
+             "--seeds", "0", "--out", str(out)]
         )
         assert code == 0
         summary = json.loads((out / "preprocess_summary.json").read_text())
@@ -183,7 +168,7 @@ class TestPreprocess:
         ds = generate_dataset(tmp_path, name="W6", n_train=100, n_test=100, n_conditions=6, seed=1)
         out = tmp_path / "out"
         assert main(["preprocess", "--train-path", str(ds.train_path), "--k-conditions", "6",
-                     "--seed", "1", "--out", str(out)]) == 0
+                     "--seeds", "1", "--out", str(out)]) == 0
         path = out / "windows_train.txt"
         with open(path, "rb") as fh:
             digest = hashlib.file_digest(fh, "sha256").hexdigest()
@@ -194,7 +179,7 @@ class TestPreprocess:
                                                                  tmp_path):
         out = tmp_path / "prep"
         assert main(["preprocess", "--config", str(workspace["config"]), "--out", str(out),
-                     "--seed", "3", "--skip-windows"] + FAST_FLAGS) == 0
+                     "--seeds", "3"] + FAST_FLAGS) == 0
         exported = json.loads((out / "condition_model.json").read_text(encoding="utf-8"))
         assert exported == bundle_header(trained / "checkpoint.bin")["condition_model"]
 
@@ -208,8 +193,8 @@ class TestPreprocess:
         argv = ["--train-path", str(ds.train_path), "--test-path", str(ds.test_path),
                 "--truth-path", str(ds.truth_path), "--k-conditions", "6"]
         prep, run = tmp_path / "prep", tmp_path / "run"
-        assert main(["preprocess", *argv, "--seed", "0", "--skip-windows", "--out", str(prep)]) == 0
-        assert main(["train", *argv, "--seed", "3", "--out", str(run)] + FAST_FLAGS) == 0
+        assert main(["preprocess", *argv, "--seeds", "0", "--out", str(prep)]) == 0
+        assert main(["train", *argv, "--seeds", "3", "--out", str(run)] + FAST_FLAGS) == 0
         exported = json.loads((prep / "condition_model.json").read_text(encoding="utf-8"))
         assert exported == bundle_header(run / "checkpoint.bin")["condition_model"]
 
@@ -221,7 +206,7 @@ class TestPreprocess:
         # must leave train's exit code and log as in an empty directory.
         def train(out):
             code = main(
-                ["train", "--config", str(workspace["config"]), "--out", str(out), "--seed", "3",
+                ["train", "--config", str(workspace["config"]), "--out", str(out), "--seeds", "3",
                  "--r-max", "20"] + FAST_FLAGS
             )
             return code, (out / "training_log.csv").read_bytes()
@@ -270,7 +255,7 @@ class TestTrain:
         env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         out = tmp_path / "run"
-        argv = ["train", "--config", str(workspace["config"]), "--out", str(out), "--seed", "3"]
+        argv = ["train", "--config", str(workspace["config"]), "--out", str(out), "--seeds", "3"]
         proc = subprocess.run(
             [sys.executable, *entry, *argv, *FAST_FLAGS],
             env=env, capture_output=True, text=True, timeout=300,
@@ -355,7 +340,7 @@ class TestTrain:
         monkeypatch.setattr(cli, "RulModel", poisoned_model)
         out = tmp_path / "run"
         code = main(
-            ["train", "--config", str(workspace["config"]), "--out", str(out), "--seed", "3",
+            ["train", "--config", str(workspace["config"]), "--out", str(out), "--seeds", "3",
              "--mode", "L"] + FAST_FLAGS
         )
         assert code == 3
@@ -400,7 +385,7 @@ class TestTrain:
         import shutil
 
         code = main(
-            ["train", "--config", str(workspace["config"]), "--out", str(rerun), "--seed", "3"]
+            ["train", "--config", str(workspace["config"]), "--out", str(rerun), "--seeds", "3"]
             + FAST_FLAGS
         )
         assert code == 0
@@ -648,7 +633,7 @@ class TestSweep:
         out = workspace["root"] / "sweep_mode"
         code = main(
             ["sweep", "--config", str(workspace["config"]), "--out", str(out),
-             "--param", "mode", "--values", "L,A", "--seed", "4"]
+             "--param", "mode", "--values", "L,A", "--seeds", "4"]
             + FAST_FLAGS
         )
         assert code == 0
@@ -667,7 +652,7 @@ class TestSweep:
         out = workspace["root"] / "sweep_rmax"
         code = main(
             ["sweep", "--config", str(workspace["config"]), "--out", str(out),
-             "--param", "r_max", "--values", "50", "--seed", "4"]
+             "--param", "r_max", "--values", "50", "--seeds", "4"]
             + FAST_FLAGS
         )
         assert code == 0
@@ -697,7 +682,7 @@ class TestSweep:
         out = tmp_path / "sweep"
         code = main(
             ["sweep", "--config", str(workspace["config"]), "--out", str(out),
-             "--param", "window", "--values", " 8, 10 ", "--seed", "4"]
+             "--param", "window", "--values", " 8, 10 ", "--seeds", "4"]
             + FAST_FLAGS
         )
         assert code == 0
@@ -743,7 +728,7 @@ class TestSweep:
         monkeypatch.setattr(cli, "_train_once", stop_second)
         with pytest.raises(KeyboardInterrupt):
             main(["sweep", "--config", str(workspace["config"]), "--out", str(out),
-                  "--param", "r_max", "--values", "40,50", "--seed", "5"]
+                  "--param", "r_max", "--values", "40,50", "--seeds", "5"]
                  + FAST_FLAGS)
         header = "parameter,value,seed,rmse,score,epochs,wall_time_s,error,rmse_unclipped,score_unclipped\n"
         assert seen[0] == header
@@ -799,7 +784,7 @@ def test_reads_only_the_train_file(workspace, tmp_path, monkeypatch, command, wi
     # preprocess writes its windows with write_windows, not window_arrays.
     calls = count_pipeline_calls(monkeypatch)
     code = main([command, "--config", str(workspace["config"]), "--out", str(tmp_path / "out"),
-                 "--seed", "3"] + FAST_FLAGS)
+                 "--seeds", "3"] + FAST_FLAGS)
     assert code == 0
     assert calls == {workspace["raw"]["train_path"]: 1, "cluster_conditions": 1, **windowed}
 
@@ -814,7 +799,7 @@ class TestTrainFileAlone:
 
     def test_train_needs_no_test_files(self, workspace, tmp_path, capsys, absent):
         run = tmp_path / "run"
-        code = main(["train", "--config", str(workspace["config"]), "--out", str(run), "--seed", "3",
+        code = main(["train", "--config", str(workspace["config"]), "--out", str(run), "--seeds", "3",
                      "--test-path", absent, "--truth-path", absent] + FAST_FLAGS)
         assert code == 0
         assert set(json.loads((run / "manifest.json").read_text())["inputs"]) == {"train"}
@@ -863,7 +848,7 @@ def units_alive_at_fit(workspace, tmp_path, monkeypatch, command):
     gc.disable()
     try:
         code = main([*command, "--config", str(workspace["config"]), "--out", str(tmp_path / "out"),
-                     "--seed", "3"] + FAST_FLAGS)
+                     "--seeds", "3"] + FAST_FLAGS)
     finally:
         if was_enabled:
             gc.enable()
@@ -910,7 +895,7 @@ class TestConfigPrecedence:
         out = tmp_path / "override"
         code = main(
             ["preprocess", "--config", str(workspace["config"]), "--out", str(out),
-             "--window", "8", "--feature-heads", "2", "--skip-windows"]
+             "--window", "8", "--feature-heads", "2"]
         )
         assert code == 0
         summary = json.loads((out / "preprocess_summary.json").read_text())
@@ -988,12 +973,23 @@ ENTRY_POINT_CASES = [
     *[pytest.param(["sweep", *CONFIG_ARGS, "--param", param, "--values", values, "--mode", mode],
                    {}, {}, 1, "--values", id=f"sweep-repeated-{param}-{values}-{mode}")
       for param, values, mode in [("sequence_heads", "2,4", "F"), ("feature_heads", "2,3", "A")]],
+    # Mode F with one feature head builds mode A's model.
+    pytest.param(["sweep", *CONFIG_ARGS, "--param", "mode", "--values", "A,F", "--feature-heads", "1"],
+                 {}, {}, 1, "--values 'F' gives the same config as 'A'", id="sweep-repeated-mode-A,F-1-head"),
     *[pytest.param([command, *CONFIG_ARGS, *extra, "--seeds", "3,3"], {}, {}, 1, "seeds must be distinct",
                    id=f"{command}-repeated-seed-3,3")
       for command, extra in [("train", []), ("sweep", ["--param", "r_max", "--values", "50"])]],
-    # --seed replaces a config file's seeds; with --seeds as well, one of them would be dropped.
-    pytest.param(["train", *CONFIG_ARGS, "--seeds", "2,3", "--seed", "1"], {}, {}, 1, "--seed and --seeds",
-                 id="flag-seed-and-seeds"),
+    # --seeds N is the one spelling of a single seed, and no flag is abbreviated.
+    *[pytest.param([command, *extra, *flag], {}, {}, 1, "unrecognized arguments: " + " ".join(flag),
+                   id=f"{command}-flag-{flag[0][2:]}")
+      for command, extra, flag in [
+          ("preprocess", CONFIG_ARGS, ["--seed", "1"]),
+          ("train", CONFIG_ARGS, ["--seed", "1"]),
+          ("sweep", [*CONFIG_ARGS, "--param", "r_max", "--values", "50"], ["--seed", "1"]),
+          ("preprocess", CONFIG_ARGS, ["--skip-windows"]),
+          ("train", CONFIG_ARGS, ["--max-ep", "1"]),
+          ("sweep", [*CONFIG_ARGS, "--param", "r_max", "--values", "50"], ["--win", "10"]),
+          ("evaluate", ["--checkpoint", "{bundle}", "--out", "{out}"], ["--check", "{bundle}"])]],
     *[pytest.param(["evaluate", "--checkpoint", "{bundle}", "--out", "{out}"], {}, {name: value},
                    2, name, id=f"bundle-{name}")
       for name, value in [("r_max", "abc"), ("clip_test_rul", "no")]],

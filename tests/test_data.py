@@ -495,6 +495,19 @@ class TestWindowSplit:
                                             ([good], 3, 0.0)):
             with pytest.raises(ContractError):
                 D.write_windows(trajectories, window, r_max, tmp_path / "w.txt")
+        # One window shape per file: a (3, 2) sample after a (2, 3) one was
+        # written under the first's header and read back as (2, 3).
+        narrow = D.RawTrajectory(unit_id=3, channels=np.zeros((5, 23)))
+        with pytest.raises(ContractError, match="channel counts differ"):
+            D.write_windows([good, narrow], 3, 125, tmp_path / "w.txt")
+        first = D.WindowedSample(np.zeros((2, 3), np.float32), 1.0, 1, 3)
+        for matrix in (np.zeros((3, 2), np.float32), np.zeros((2, 3)), np.zeros((2, 3, 1), np.float32)):
+            with pytest.raises(ContractError, match="^sample 1 is a "):
+                D.save_windows([first, D.WindowedSample(matrix, 1.0, 1, 4)], tmp_path / "w.txt")
+        with pytest.raises(ContractError, match="^sample 0 is a float64"):
+            D.save_windows([D.WindowedSample(np.zeros((2, 3)), 1.0, 1, 3)], tmp_path / "w.txt")
+        with pytest.raises(ContractError, match="^sample 0 is a float32 \\(6,\\)"):
+            D.save_windows([D.WindowedSample(np.zeros(6, np.float32), 1.0, 1, 3)], tmp_path / "w.txt")
         assert not (tmp_path / "w.txt").exists()
 
     def test_windows_file_round_trip(self, tmp_path):

@@ -678,7 +678,7 @@ def test_init_draws_keep_their_bytes(mode):
 HEAD_TABLE = {
     "L": {-1: ">= 0", 0: ("L", 0, 0), 1: ("L", 0, 0), 2: ("L", 0, 0), 7: ("L", 0, 0)},
     "A": {-1: ">= 0", 0: ("A", 1, 0), 1: ("A", 1, 0), 2: ("A", 1, 0), 7: ("A", 1, 0)},
-    "F": {-1: ">= 0", 0: ("L", 0, 0), 1: ("F", 1, 0), 2: ("F", 2, 0), 7: "does not divide"},
+    "F": {-1: ">= 0", 0: ("L", 0, 0), 1: ("A", 1, 0), 2: ("F", 2, 0), 7: "does not divide"},
     "F+T": {-1: ">= 0", 0: ("L", 0, 0), 1: ("F+T", 1, 1), 2: ("F+T", 2, 2),
             7: "does not divide"},
 }
@@ -711,6 +711,7 @@ class TestResolveBlocks:
         ("F+T", 0, 4, ("L", 0, 0)),
         ("F", 3, -1, None),
         ("X", 1, 1, None),
+        ("F+T", 1, 0, ("A", 1, 0)),
     ])
     def test_each_block_resolves_on_its_own(self, mode, fh, sh, expected):
         if expected is None:

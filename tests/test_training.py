@@ -488,7 +488,7 @@ class TestFit:
 
 
 # A frozen trained model.  It was made by `rulnet train` on the v1_dataset
-# files below with `--seed 2 --window 6 --feature-heads 2 --sequence-heads 2
+# files below with `--seeds 2 --window 6 --feature-heads 2 --sequence-heads 2
 # --lstm-hidden 4 --lstm-layers 1 --mlp-hidden 4 --max-epochs 8 --dropout 0
 # --learning-rate 0.01 --batch-size 32` under bundle version 1, its config's
 # data paths then blanked, and re-saved as version 2 by loading it and
@@ -540,7 +540,7 @@ def test_dataset_keeps_its_bytes(tmp_path):
 # training step.  Recorded with numpy 2.4 on OpenBLAS (x86-64, one thread);
 # as with V1_DIGESTS, another BLAS build may round the float32 products
 # differently.
-TRAIN_FLAGS = ["--seed", "2", "--mode", "F+T", "--window", "6", "--feature-heads", "2",
+TRAIN_FLAGS = ["--seeds", "2", "--mode", "F+T", "--window", "6", "--feature-heads", "2",
                "--sequence-heads", "2", "--lstm-hidden", "4", "--lstm-layers", "2",
                "--mlp-hidden", "4", "--max-epochs", "3", "--learning-rate", "0.01",
                "--batch-size", "32"]
@@ -581,7 +581,7 @@ def test_preprocess_keeps_its_bytes(tmp_path, monkeypatch):
 # Window 1: the LSTM's recurrent weights act on no step, so their gradient
 # is zero and Adam leaves them at their initial draw.  What `rulnet train`
 # writes with these flags, recorded as TRAIN_DIGESTS is.
-WINDOW1_FLAGS = ["--seed", "2", "--window", "1", "--feature-heads", "1", "--lstm-hidden", "4",
+WINDOW1_FLAGS = ["--seeds", "2", "--window", "1", "--feature-heads", "1", "--lstm-hidden", "4",
                  "--lstm-layers", "2", "--mlp-hidden", "4", "--max-epochs", "3",
                  "--learning-rate", "0.01", "--batch-size", "32"]
 WINDOW1_DIGESTS = {
