@@ -61,7 +61,7 @@ from .evaluation import (
 from .model import RulModel, resolve_blocks
 from .seeding import generator
 from .synthetic import generate_dataset
-from .training import fit
+from .training import _keep_freed_memory, fit
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -528,6 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _keep_freed_memory()
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -233,8 +233,8 @@ def write_attention_csvs(export: AttentionExport, out_dir: str | Path,
     Nine significant digits round-trip every float32, so each head
     weight parses back to the exact value the model produced; the
     float64 mean rows and column sums are printed rounded to nine digits.
-    Each cycle's rows are formatted as one string and written as it is
-    made.
+    The rows are built as bytes a few cycles at a time (:func:`_write_rows`)
+    and written as they are made.
     """
     keep = slice(None)  # every cycle, as a view of the matrices
     if matrix_cycles is not None:
@@ -264,43 +264,38 @@ def write_attention_csvs(export: AttentionExport, out_dir: str | Path,
     return {"feature": feature_path, "cycle_sums": sums_path}
 
 
-# Cycles per numpy digit pass of _write_rows: bounds its temporaries.
+# Cycles per pass of _write_rows: bounds its byte matrix.
 _DIGIT_CYCLES = 8
 _POW10 = np.array([float(10**k) for k in range(14)])  # each exact in float64
 # The text before the digits of a value in [1e-4, 1) whose leading digit
-# is at 10**e, indexed by -e - 1.  Kind _FALLBACK is printed with "%.9g".
-_PREFIXES = ("0.", "0.0", "0.00", "0.000")
-_FALLBACK = len(_PREFIXES)
+# is at 10**e, as NUL-padded words indexed by kind -e - 1.  Kind
+# _FALLBACK, printed with "%.9g", has none.
+_PREFIXES = np.array([b"0.", b"0.0", b"0.00", b"0.000", b""], "S8").view(np.uint64)
+_FALLBACK = len(_PREFIXES) - 1
+# "%03d" % g for g < 1000 as NUL-padded words, then at 1000 + g without trailing zeros.
+_GROUPS = np.array([b"%03d" % g for g in range(1000)] + [(b"%03d" % g).rstrip(b"0") for g in range(1000)],
+                   "S4").view(np.uint32)
 
 
 def _nine_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``"%.9g"`` text of each float64 value as (digits, kind) arrays
-    of its shape: for kind k < _FALLBACK the text is ``_PREFIXES[k] +
-    "%d" % digits``, otherwise it is ``"%.9g" % value``."""
-    flat = values.ravel()
-    digits = np.zeros(flat.shape, np.int64)
-    kind = np.full(flat.shape, _FALLBACK, np.intp)
-    at = np.flatnonzero((flat >= 1e-4) & (flat < 1.0))  # NaN is neither
-    e = np.floor(np.log10(flat[at])).astype(np.intp)
-    m = flat[at] * _POW10[8 - e]
+    of its shape: for kind k < _FALLBACK the text is ``_PREFIXES[k]``,
+    then the nine digits of ``digits`` without their trailing zeros;
+    otherwise it is ``"%.9g" % value`` and ``digits`` is 0."""
+    inside = (values >= 1e-4) & (values < 1.0)  # NaN is neither
+    v = np.where(inside, values, 0.5)
+    e = np.floor(np.log10(v)).astype(np.intp)
+    m = v * _POW10[8 - e]
     low = m < 1e8  # log10 rounded up at a power of ten
-    e[low] -= 1
+    e -= low
     m[low] *= 10.0
     # m is within 2.5e-7 of the exact v * 10**(8 - e) (one or two roundings
     # of half an ulp, at most 6e-8 each below 2**30), so rint(m) rounds as
     # "%.9g" does unless m's fraction is within 1e-6 of 0.5.  rint(m) >= 1e9
     # rounds up to the next power of ten; m >= 1e9 had log10 rounded down.
     rounded = np.rint(m)
-    exact = (np.abs(m - rounded) < 0.5 - 1e-6) & (m >= 1e8) & (rounded < 1e9)
-    at, e, d = at[exact], e[exact], rounded[exact].astype(np.int64)
-    zeros = np.arange(d.size)  # strip trailing zeros from the values that still end in one
-    while zeros.size:
-        tens, last = np.divmod(d[zeros], 10)
-        zeros = zeros[last == 0]
-        d[zeros] = tens[last == 0]
-    digits[at] = d
-    kind[at] = -1 - e
-    return digits.reshape(values.shape), kind.reshape(values.shape)
+    exact = inside & (np.abs(m - rounded) < 0.5 - 1e-6) & (m >= 1e8) & (rounded < 1e9)
+    return np.where(exact, rounded, 0.0).astype(np.int32), np.where(exact, -1 - e, _FALLBACK)
 
 
 def _write_rows(path: Path, header: str, cycles: np.ndarray, values: np.ndarray,
@@ -310,28 +305,45 @@ def _write_rows(path: Path, header: str, cycles: np.ndarray, values: np.ndarray,
     ``"%.9g"`` of a value v in [1e-4, 1) is ``"0."``, -e-1 zeros, then
     round(v * 10**(8-e)) without its trailing zeros, where 10**e is v's
     leading digit.  :func:`_nine_digits` computes those nine digits as
-    integers with numpy, a few cycles at a time, and ``"%d"`` prints
-    them at about a third of the cost of ``"%.9g"``.  A value whose
-    float64 product lies too near a rounding tie to be sure of the last
-    digit, and every value outside [1e-4, 1) (zero, negatives, subnormals,
-    NaN, infinities, values >= 1), is printed with ``"%.9g"`` itself, so
-    every byte is ``"%.9g"``'s.
+    integers with numpy.  A value whose float64 product lies too near a
+    rounding tie to be sure of the last digit, and every value outside
+    [1e-4, 1) (zero, negatives, subnormals, NaN, infinities, values >= 1),
+    is printed with ``"%.9g"`` itself, so every byte is ``"%.9g"``'s.
+
+    Each pass of _DIGIT_CYCLES cycles fills one NUL-padded (cycles, rows,
+    width) byte matrix column by column: the cycle, the suffix, the prefix
+    word of the value's kind, its digits as three 3-digit words (the last
+    nonzero one without trailing zeros, the ones after it empty), the
+    ``"%.9g"`` text of each other value over the prefix and digits, and
+    CRLF.  Its bytes other than NUL are the pass's text, written at once.
     """
     values = values.reshape(len(values), len(suffixes))
-    # Row k's %-template piece for each value kind; the cycle joins the pieces.
-    pieces = np.array(
-        [[suffix + prefix + "%d\r\n" for suffix in suffixes] for prefix in _PREFIXES]
-        + [[suffix + "%.9g\r\n" for suffix in suffixes]],
-        dtype=object,
-    )
-    columns = np.arange(len(suffixes))
-    with open(path, "w", newline="", encoding="utf-8") as out:
-        out.write(header + "\r\n")
+    suffix_bytes = _byte_columns([s.encode() for s in suffixes])
+    with open(path, "wb") as out:
+        out.write(header.encode() + b"\r\n")
         for start in range(0, len(values), _DIGIT_CYCLES):
             passed = slice(start, start + _DIGIT_CYCLES)
-            digits, kinds = _nine_digits(values[passed])
-            for cycle, row, kind, row_digits in zip(cycles[passed].tolist(), values[passed], kinds, digits):
-                args = row_digits.tolist()  # a cycle at a time: a pass's lists would hold ~1 MB
-                for k in np.flatnonzero(kind == _FALLBACK).tolist():
-                    args[k] = float(row[k])
-                out.write(str(cycle).join([""] + pieces[kind, columns].tolist()) % tuple(args))
+            digits, kind = _nine_digits(values[passed])
+            fallback = np.nonzero(kind == _FALLBACK)
+            texts = _byte_columns([b"%.9g" % v for v in values[passed][fallback].tolist()])
+            cycle_bytes = _byte_columns([b"%d" % c for c in cycles[passed].tolist()])
+            value_at = cycle_bytes.shape[1] + suffix_bytes.shape[1]
+            end = value_at + max(14, texts.shape[1])  # "0.000" and nine digits, or a "%.9g" text
+            rows = np.zeros(kind.shape + (end + 2,), np.uint8)
+            rows[:, :, :cycle_bytes.shape[1]] = cycle_bytes[:, None]
+            rows[:, :, cycle_bytes.shape[1]:value_at] = suffix_bytes
+            rows[:, :, value_at:value_at + 8].view(np.uint64)[..., 0] = _PREFIXES[kind]
+            high, mid, low = digits // 10**6, digits // 1000 % 1000, digits % 1000
+            groups = (high + 1000 * (mid + low == 0), mid + 1000 * (low == 0), low + 1000)
+            # The digits follow the longest prefix; each word's NUL byte is overwritten by the next.
+            for at, group in zip(range(value_at + 5, end, 3), groups):
+                rows[:, :, at:at + 4].view(np.uint32)[..., 0] = _GROUPS[group]
+            rows[fallback + (slice(value_at, value_at + texts.shape[1]),)] = texts
+            rows[:, :, end:] = np.frombuffer(b"\r\n", np.uint8)
+            out.write(rows[rows != 0].tobytes())
+
+
+def _byte_columns(texts: list[bytes]) -> np.ndarray:
+    """The byte strings as the rows of a NUL-padded uint8 matrix."""
+    table = np.array(texts, "S")
+    return table.view(np.uint8).reshape(len(texts), table.itemsize)

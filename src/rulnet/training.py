@@ -176,10 +176,11 @@ def _keep_freed_memory() -> None:
     A training step allocates and frees tens of MB of activations.  By
     default glibc hands the top of the heap back to the kernel once they
     are freed, and the next step faults the same pages in again: about
-    7,000 minor faults per step at paper defaults.  Fixing both
-    thresholds turns that off for the rest of the process, which then
-    keeps its high-water mark of heap memory.  A no-op where the C
-    library has no ``mallopt``.
+    7,000 minor faults per step at paper defaults, and about 2,000 per
+    ``explain`` call.  Fixing both thresholds turns that off for the rest
+    of the process, which then keeps its high-water mark of heap memory.
+    ``fit`` and ``cli.main`` call it.  A no-op where the C library has no
+    ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

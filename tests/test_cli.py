@@ -789,6 +789,20 @@ def test_reads_only_the_train_file(workspace, tmp_path, monkeypatch, command, wi
     assert calls == {workspace["raw"]["train_path"]: 1, "cluster_conditions": 1, **windowed}
 
 
+@pytest.mark.parametrize("command", ["evaluate", "explain", "preprocess"])
+def test_each_command_keeps_freed_memory(workspace, trained, tmp_path, monkeypatch, command):
+    """main sets fit's malloc policy once, before any command runs."""
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(command))
+    inputs = {
+        "evaluate": ["--checkpoint", str(trained / "checkpoint.bin")],
+        "explain": ["--checkpoint", str(trained / "checkpoint.bin"), "--unit", "2", "--cycles", "3:4"],
+        "preprocess": ["--config", str(workspace["config"])],
+    }[command]
+    assert main([command, *inputs, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [command]
+
+
 class TestTrainFileAlone:
     # A PHM08-style training set has no truth file (the challenge withheld
     # its test RULs): train and preprocess need the train file alone, and

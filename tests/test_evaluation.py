@@ -15,6 +15,7 @@ from rulnet.checkpoint import Bundle
 from rulnet.cli import _write_json as write_json
 from rulnet.config import ExperimentConfig
 from rulnet.evaluation import (
+    _DIGIT_CYCLES,
     AttentionExport,
     EvaluationReport,
     UnitRecord,
@@ -358,13 +359,19 @@ def assert_reference_reductions(export):
 UNIT_INTERVAL = st.floats(1e-4, 1.0, exclude_max=True)
 
 
+# Enough cycles for three writer passes, the last of one cycle.
+MAX_CYCLES = 2 * _DIGIT_CYCLES + 1
+
+
 @st.composite
 def any_value_exports(draw):
-    """An export of up to three cycles with any float64 weights and sums,
-    and the cycles among them whose matrices are printed."""
+    """An export of up to MAX_CYCLES cycles of 1 to 7 digits with any
+    float64 weights and sums, and the cycles among them whose matrices
+    are printed."""
     blocks, features = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    cycles = np.array(draw(st.lists(st.integers(1, 10**6), max_size=3)), dtype=np.int64)
-    keep = np.array(draw(st.lists(st.booleans(), min_size=3, max_size=3))[: len(cycles)], dtype=bool)
+    cycles = np.array(draw(st.lists(st.integers(1, 10**6), max_size=MAX_CYCLES)), dtype=np.int64)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=MAX_CYCLES, max_size=MAX_CYCLES))[: len(cycles)],
+                    dtype=bool)
     values = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
     def floats(*shape):
@@ -376,6 +383,19 @@ def any_value_exports(draw):
         cycle_sums=floats(len(cycles), features), weights=floats(len(cycles), blocks, features, features),
     )
     return export, cycles[keep]
+
+
+def three_pass_export():
+    """An export of MAX_CYCLES cycles of 1 to 7 digits, mixed in each
+    writer pass, with values in and out of [1e-4, 1), and every other
+    cycle's matrices printed."""
+    rng = np.random.default_rng(0)
+    cycles = np.array([10 ** (k % 7) + k for k in range(MAX_CYCLES)], dtype=np.int64)
+    weights = 10.0 ** rng.uniform(-6.0, 1.0, (MAX_CYCLES, 2, 3, 3))
+    weights[0, 0, 0] = [0.0, -0.0, np.nan]
+    export = AttentionExport(unit_id=1, cycles=cycles, predictions=np.zeros(MAX_CYCLES),
+                             cycle_sums=weights[:, -1].sum(axis=1), weights=weights)
+    return export, cycles[::2]
 
 
 class TestExportAttention:
@@ -552,6 +572,7 @@ class TestExportAttention:
     @example(case=(AttentionExport(unit_id=1, cycles=np.zeros(0, np.int64), predictions=np.zeros(0),
                                    cycle_sums=np.zeros((0, 2)), weights=np.zeros((0, 2, 2, 2))),
                    np.zeros(0, np.int64)))
+    @example(case=three_pass_export())
     @settings(max_examples=60, deadline=None)
     def test_writer_matches_reference_on_any_values(self, tmp_path_factory, case):
         """Every float spelling (negative zero, subnormals, exponents, inf,
@@ -571,6 +592,8 @@ class TestExportAttention:
                      for w in (v, np.nextafter(v, v.dtype.type(0)), np.nextafter(v, v.dtype.type(2)))])
     @example(values=[2**-13, 3 * 2**-13])  # 0.0001220703125 and 0.0003662109375: exact ties
     @example(values=[0.99999999995, 0.0999999999, 9.9999999995e-05])  # round up to a power of ten
+    # nine digits that end in zeros up to, at and across each 3-digit group's end
+    @example(values=[0.5, 0.12, 0.123, 0.1234, 0.123456, 0.1234567, 0.100000001, 1e-4, 0.00012])
     @settings(max_examples=200, deadline=None)
     def test_integer_digits_print_what_percent_9g_prints(self, tmp_path_factory, values):
         """Values in [1e-4, 1) mostly take the writer's integer-digit path;
